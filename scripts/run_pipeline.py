@@ -2,7 +2,8 @@
 """Run the full analysis pipeline over every bundled system.
 
 Writes analyze + verify-hypothesis reports for each bundled kernel under
-out/<name>/ and prints a one-line summary per system.
+out/<name>/ and prints a one-line summary per system.  Exits 1 when any
+system fails.
 """
 
 import argparse
@@ -15,12 +16,14 @@ from qsdlab.registry import builtin_names
 
 
 def run(out_root):
+    failed = 0
     for name in builtin_names():
         out = os.path.join(out_root, name)
         rc = cli(["analyze", "--spec", name, "--out", out, "--canonical"])
         rc |= cli(["verify-hypothesis", "--spec", name, "--out", out, "--canonical"])
         if rc:
             print(f"{name}: FAILED (exit {rc})")
+            failed += 1
             continue
         doc = json.load(open(os.path.join(out, "analysis.json")))
         hyp = json.load(open(os.path.join(out, "hypothesis_report.json")))
@@ -29,6 +32,7 @@ def run(out_root):
               f"escape={doc['escape_indices'] or '[]'} "
               f"rate[{rate.get('model', '-')}]={rate.get('rate', float('nan')):.4f} "
               f"H1={hyp['h1']['verdict']} H2={hyp['h2']['verdict']}")
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

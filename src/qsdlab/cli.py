@@ -234,7 +234,7 @@ def cmd_simulate(args):
 
 
 def cmd_lobo(args):
-    spec = _resolve_spec(args.spec, args.grid_size)
+    spec = _resolve_spec(args.spec)
     if not spec.is_explicit:
         raise ValidationError("the exact cumulative-sum table needs an explicit chain")
     chain = FiniteChain(Q=np.asarray(spec.params["matrix"], dtype=float))
@@ -277,22 +277,19 @@ def build_parser():
                                 description="conditioned-measure toolkit for absorbed chains")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, needs_spec=True):
-        if needs_spec:
-            sp.add_argument("--spec", required=True,
-                            help="bundled name or path to a spec JSON file")
+    def common(sp, grid_size=True):
+        sp.add_argument("--spec", required=True,
+                        help="bundled name or path to a spec JSON file")
         sp.add_argument("--out", required=True, help="output directory")
-        sp.add_argument("--grid-size", type=int, default=None)
-        sp.add_argument("--n-max", type=int, default=None)
-        sp.add_argument("--n-paths", type=int, default=10 ** 5)
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--format", choices=["json", "csv"], default="json")
-        sp.add_argument("--peripheral-tol", type=float, default=PERIPHERAL_TOL_DEFAULT)
+        if grid_size:
+            sp.add_argument("--grid-size", type=int, default=None)
         sp.add_argument("--canonical", action="store_true",
                         help="omit the timestamp so outputs are byte-identical")
 
     sp = sub.add_parser("analyze", help="spectral pipeline report")
     common(sp)
+    sp.add_argument("--n-max", type=int, default=None)
+    sp.add_argument("--peripheral-tol", type=float, default=PERIPHERAL_TOL_DEFAULT)
     sp.set_defaults(func=cmd_analyze)
 
     sp = sub.add_parser("verify-hypothesis", help="continuity/reachability audits")
@@ -301,16 +298,21 @@ def build_parser():
 
     sp = sub.add_parser("yaglom", help="conditioned-law TV curve and rate fit")
     common(sp)
+    sp.add_argument("--n-max", type=int, default=None)
+    sp.add_argument("--peripheral-tol", type=float, default=PERIPHERAL_TOL_DEFAULT)
     sp.set_defaults(func=cmd_yaglom)
 
     sp = sub.add_parser("simulate", help="Monte Carlo cross-check")
     common(sp)
+    sp.add_argument("--peripheral-tol", type=float, default=PERIPHERAL_TOL_DEFAULT)
+    sp.add_argument("--n-paths", type=int, default=10 ** 5)
+    sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--n", type=int, default=10, help="time horizon")
     sp.add_argument("--x0", type=float, default=None, help="starting point/state")
     sp.set_defaults(func=cmd_simulate)
 
     sp = sub.add_parser("lobo", help="exact vs predicted cumulative-sum table")
-    common(sp)
+    common(sp, grid_size=False)
     sp.add_argument("--n-list", default="60,120,240")
     sp.add_argument("--x0", type=int, default=0)
     sp.add_argument("--h-state", type=int, default=0,
@@ -318,7 +320,7 @@ def build_parser():
     sp.set_defaults(func=cmd_lobo)
 
     sp = sub.add_parser("fixtures", help="regenerate oracle fixtures and bundled specs")
-    common(sp, needs_spec=False)
+    sp.add_argument("--out", required=True, help="output directory")
     sp.set_defaults(func=cmd_fixtures)
     return p
 

@@ -49,6 +49,10 @@ class Reducible(NumericalError):
     """More than one communicating class among the non-escape nodes."""
 
 
+class SizeLimitExceeded(ValidationError):
+    """Operator larger than the dense eigensolver accepts."""
+
+
 class NoSpectralGapWithinTol(NumericalError):
     """No decisive separation between peripheral and subdominant moduli."""
 

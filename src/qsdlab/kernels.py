@@ -88,7 +88,7 @@ class KernelSpec:
     --------
     affine_uniform   params a, b, noise_halfwidth : x -> a*x + b + U[-w, w]
     cubic_uniform    params noise_halfwidth       : x -> x**3 + U[-w, w]
-    gaussian_shift   params sigma [, indicator_region] : density N(y; x, sigma^2)
+    gaussian_shift   params sigma                 : density N(y; x, sigma^2)
     tabulated        params values (N x N row-major list) : g sampled on the grid
     explicit_matrix  params matrix [, labels]     : finite substochastic chain
 
@@ -448,35 +448,25 @@ class ReachabilityReport:
         return "PASS" if (self.strongly_connected and self.nonescape_mass_positive) else "FAIL"
 
 
-def _transitive_closure(adj):
-    """Boolean reachability in >= 1 steps via repeated squaring."""
-    n = adj.shape[0]
-    reach = adj.astype(np.float32)
-    steps = 1
-    while steps < n:
-        reach = np.minimum(reach + reach @ reach, 1.0)
-        steps *= 2
-    return reach > 0
+def _bfs_levels(adj, source):
+    """Breadth-first search from ``source`` along ``adj``.
 
-
-def _graph_period(adj):
-    """gcd of cycle lengths of a strongly connected digraph (BFS levels)."""
-    n = adj.shape[0]
-    level = np.full(n, -1)
-    level[0] = 0
-    frontier = [0]
-    g = 0
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for v in np.flatnonzero(adj[u]):
-                if level[v] < 0:
-                    level[v] = level[u] + 1
-                    nxt.append(int(v))
-                else:
-                    g = math.gcd(g, level[u] + 1 - level[v])
-        frontier = nxt
-    return abs(g) if g != 0 else 0
+    Returns the levels (-1: unreached) and the gcd of ``level[u] + 1 -
+    level[v]`` over edges u -> v out of reached nodes, which is the period of
+    a strongly connected graph; it is taken per level, so no edge list is built.
+    """
+    level = np.full(adj.shape[0], -1)
+    level[source] = 0
+    frontier = np.array([source])
+    d = g = 0
+    while frontier.size:
+        d += 1
+        hit = adj[frontier].any(axis=0)
+        new = hit & (level < 0)
+        level[new] = d
+        g = int(np.gcd.reduce(d - level[hit], initial=g))
+        frontier = np.flatnonzero(new)
+    return level, g
 
 
 def check_h2_reachability(op):
@@ -491,24 +481,21 @@ def check_h2_reachability(op):
         raise AllNodesEscape("no non-escape nodes")
     sub = op.matrix[np.ix_(keep, keep)]
     adj = sub > op.escape.tolerance
-    reach = _transitive_closure(adj)
-    mutual = reach & reach.T
-    # strongly connected components as equivalence classes of mutual reach
+    # strongly connected components: peel off forward & backward reach
     unseen = np.ones(len(keep), dtype=bool)
     n_comp = 0
     while unseen.any():
         i = int(np.flatnonzero(unseen)[0])
-        comp = mutual[i] | (np.arange(len(keep)) == i)
-        unseen &= ~comp
+        unseen &= ~((_bfs_levels(adj, i)[0] >= 0) & (_bfs_levels(adj.T, i)[0] >= 0))
         n_comp += 1
-    connected = n_comp == 1 and bool(reach.all())
-    period = _graph_period(adj) if connected else 0
+    connected = n_comp == 1 and (len(keep) > 1 or bool(adj[0, 0]))
+    period = _bfs_levels(adj, 0)[1] if connected else 0
     return ReachabilityReport(
         n_nodes=op.size,
         escape_indices=tuple(sorted(op.escape.indices)),
         strongly_connected=connected,
         n_components=n_comp,
         graph_period=period,
-        all_nodes_reach_all=bool(reach.all()),
+        all_nodes_reach_all=connected,
         nonescape_mass_positive=op.escape.nonescape_mass_positive,
     )

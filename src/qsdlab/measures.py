@@ -25,14 +25,3 @@ def tv_distance(p, q):
 
 def variation_norm(nu):
     return float(np.abs(np.asarray(nu)).sum())
-
-
-def as_probability(masses, atol=1e-9):
-    """Normalize a nonnegative vector to total mass one."""
-    v = np.asarray(masses, dtype=float)
-    s = v.sum()
-    if s <= 0:
-        raise ValueError("total mass is not positive")
-    if v.min() < -atol * max(s, 1.0):
-        raise ValueError("negative mass entries")
-    return np.maximum(v, 0.0) / np.maximum(v, 0.0).sum()

@@ -62,6 +62,10 @@ def exact_spectrum(chain):
         raise IllConditionedEigenbasis(
             f"eigenvector condition number {np.linalg.cond(vr):.2e}")
     order = np.lexsort((np.angle(ev), -np.abs(ev)))
+    # the Perron root leads: it is the eigenvalue of largest real part, while
+    # ties in modulus (periodic chains) would otherwise be broken by rounding
+    perron = int(np.argmax(ev.real))
+    order = np.concatenate([[perron], order[order != perron]])
     ev = ev[order]
     vr = vr[:, order].astype(complex)
     # left vectors from the inverse: rows of vr^-1 are automatically

@@ -43,10 +43,6 @@ def builtin_names():
     return tuple(sorted(list(_EXPLICIT) + list(_DEFAULT_GRID)))
 
 
-def cycle3_blocks():
-    return _CYCLE3_BLOCKS
-
-
 def get_spec(name, grid_size=None):
     """Resolve a bundled name to a KernelSpec."""
     if name == "example21":

@@ -26,7 +26,7 @@ _ALLOWED_KEYS = {"schema_version", "name", "domain", "measure", "family",
 _FAMILY_PARAMS = {
     "affine_uniform": {"a", "b", "noise_halfwidth"},
     "cubic_uniform": {"noise_halfwidth"},
-    "gaussian_shift": {"sigma", "indicator_region"},
+    "gaussian_shift": {"sigma"},
     "tabulated": {"values"},
     "explicit_matrix": {"matrix", "labels"},
 }

@@ -23,6 +23,7 @@ from .errors import (
     NoSpectralGapWithinTol,
     PeriodMismatch,
     Reducible,
+    SizeLimitExceeded,
     TolTooLoose,
 )
 from .kernels import check_h2_reachability
@@ -86,7 +87,7 @@ class SpectralData:
 
 def _dense_eig(matrix):
     if matrix.shape[0] > DENSE_SIZE_LIMIT:
-        raise NoSpectralGapWithinTol(
+        raise SizeLimitExceeded(
             f"dense eigensolve limited to {DENSE_SIZE_LIMIT} nodes, got {matrix.shape[0]}")
     ev, vr = np.linalg.eig(matrix)
     evl, vl = np.linalg.eig(matrix.T)
@@ -138,46 +139,25 @@ def spectral_radius(op, reach=None):
     """Spectral radius with its nonnegative right eigenfunction and eigenmeasure.
 
     Returns ``(lam, f0, mu0)`` with f0 >= 0 scaled to sup-norm one and mu0 a
-    probability vector; both are checked to be fixed points of A / lam and of
-    its adjoint with sup/variation residual below 1e-10, and the dense value
-    is cross-checked against power iteration.
+    probability vector, taken from :func:`peripheral_spectrum` and so subject
+    to all of its checks.
     """
-    reach = reach or check_h2_reachability(op)
-    if not reach.strongly_connected:
-        raise Reducible(f"{reach.n_components} communicating classes")
-    ev, vr, evl, vl = _dense_eig(op.matrix)
-    lam = float(np.abs(ev).max())
-    if lam <= 0:
-        raise NoSpectralGapWithinTol("spectral radius is zero")
+    sd = peripheral_spectrum(op, reach=reach)
+    return sd.lam, sd.f0 / sd.f0.max(), sd.mu0
 
-    # Perron pair: the (essentially) real eigenvalue at the peripheral modulus
-    cand = [k for k in range(len(ev))
-            if abs(ev[k]) >= lam * (1 - PERIPHERAL_TOL_DEFAULT) and abs(ev[k].imag) <= lam * 1e-8
-            and ev[k].real > 0]
-    f0 = mu0 = None
-    for k in cand:
-        f0 = _nonnegative_real(vr[:, k], tol=1e-8)
-        if f0 is None:
-            continue
-        kl = int(np.argmin(np.abs(evl - ev[k])))
-        mu0 = _nonnegative_real(vl[:, kl], tol=1e-8)
-        if mu0 is not None:
-            break
-    if f0 is None or mu0 is None:
-        raise NoSpectralGapWithinTol("no nonnegative eigenpair at the spectral radius")
 
-    f0 = f0 / f0.max()
-    mu0 = mu0 / mu0.sum()
+def _check_perron_pair(op, lam, f0, mu0, period):
+    """Refuse a Perron pair (f0 sup-normed, mu0 a probability) that the dense
+    solve did not resolve: eigen residuals above 1e-10, or a spectral radius
+    that power iteration does not reproduce to 1e-6."""
     res_f = np.abs(op.matrix @ f0 - lam * f0).max()
     res_mu = variation_norm(mu0 @ op.matrix - lam * mu0)
-    if res_f > 1e-10 * max(f0.max(), 1.0) or res_mu > 1e-10:
+    if res_f > 1e-10 or res_mu > 1e-10:
         raise NonConvergent(f"eigen residuals too large: {res_f:.2e}, {res_mu:.2e}")
-
-    ratio, _ = power_lambda_estimate(op, n=200, period=reach.graph_period or 1)
+    ratio, _ = power_lambda_estimate(op, n=200, period=period or 1)
     if abs(ratio - lam) > 1e-6:
         raise NonConvergent(
             f"power iteration gives {ratio!r}, dense eigensolve {lam!r}")
-    return lam, f0, mu0
 
 
 def peripheral_spectrum(op, peripheral_tol=PERIPHERAL_TOL_DEFAULT,
@@ -189,14 +169,19 @@ def peripheral_spectrum(op, peripheral_tol=PERIPHERAL_TOL_DEFAULT,
     (PeriodMismatch otherwise), the band's arguments must sit on the m-th
     root angles within 1e-3 (TolTooLoose otherwise), and the largest
     non-peripheral modulus must stay below ``lam * (1 - gap_floor)``
-    (NoSpectralGapWithinTol otherwise).
+    (NoSpectralGapWithinTol otherwise).  The Perron pair must be a fixed
+    point of A / lam and of its adjoint to 1e-10 in sup/variation norm, and
+    lam must agree with power iteration to 1e-6 (NonConvergent otherwise).
     """
     if gap_floor < peripheral_tol:
         raise NoSpectralGapWithinTol("gap_floor must be at least peripheral_tol")
     reach = reach or check_h2_reachability(op)
-    lam, _, _ = spectral_radius(op, reach=reach)
-
+    if not reach.strongly_connected:
+        raise Reducible(f"{reach.n_components} communicating classes")
     ev, vr, evl, vl = _dense_eig(op.matrix)
+    lam = float(np.abs(ev).max())
+    if lam <= 0:
+        raise NoSpectralGapWithinTol("spectral radius is zero")
     per = np.flatnonzero(np.abs(ev) >= lam * (1 - peripheral_tol))
     m = len(per)
 
@@ -244,6 +229,7 @@ def peripheral_spectrum(op, peripheral_tol=PERIPHERAL_TOL_DEFAULT,
             mu0 = _nonnegative_real(mu, tol=1e-8)
             if f0 is None or mu0 is None:
                 raise DefectiveMatrix("leading eigenpair leaves the cone")
+            _check_perron_pair(op, lam, f0 / f0.max(), mu0 / mu0.sum(), reach.graph_period)
             mu = mu0.astype(complex) / mu0.sum()
             f = f0.astype(complex)
         else:

@@ -35,6 +35,12 @@ def test_unknown_param_is_hard_error():
                         "grid_size": 11, "params": {"noise_halfwidth": 6, "zz": 0}})
 
 
+def test_gaussian_indicator_region_rejected():
+    with pytest.raises(SchemaError):
+        spec_from_dict({"family": "gaussian_shift", "domain": [-1, 1], "grid_size": 11,
+                        "params": {"sigma": 1.0, "indicator_region": [-0.5, 0.5]}})
+
+
 def test_missing_file_is_schema_error():
     with pytest.raises(SchemaError):
         load_spec("/nonexistent/spec.json")
@@ -113,6 +119,27 @@ def test_numerical_refusal_exits_3(tmp_path):
         "params": {"matrix": [[0.5, 0.0], [0.0, 0.5]]},
     }))
     assert main(["analyze", "--spec", str(bad), "--out", str(tmp_path / "o")]) == 3
+
+
+def test_size_cap_exits_2_before_any_eigensolve(tmp_path, monkeypatch, capsys):
+    def no_eig(a):
+        raise AssertionError("eigensolve ran past the size cap")
+
+    monkeypatch.setattr(np.linalg, "eig", no_eig)
+    assert main(["analyze", "--spec", "example21", "--grid-size", "2001",
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "SizeLimitExceeded" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--spec", "sym2", "--format", "json"],
+    ["analyze", "--spec", "sym2", "--n-paths", "10"],
+    ["fixtures", "--n-paths", "10"],
+])
+def test_ignored_flags_rejected(tmp_path, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--out", str(tmp_path)])
+    assert exc.value.code == 2
 
 
 def test_simulate_csv_and_env_seed(tmp_path, monkeypatch):

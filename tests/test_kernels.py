@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 import qsdlab as q
 from qsdlab.errors import (
@@ -227,3 +229,47 @@ def test_h2_disconnected_fails():
     rep = q.check_h2_reachability(build_operator(spec))
     assert rep.n_components == 2
     assert rep.verdict == "FAIL"
+
+
+@st.composite
+def digraphs(draw):
+    """Random 1-30 node digraphs, some forced into k-partite cycles."""
+    n = draw(st.integers(1, 30))
+    k = draw(st.integers(1, 4))
+    p = draw(st.floats(0.05, 0.7))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    labels = rng.permutation(np.arange(n) % k)
+    allowed = labels[None, :] == (labels[:, None] + 1) % k
+    return (rng.random((n, n)) < p) & allowed
+
+
+@settings(max_examples=300, deadline=None)
+@given(digraphs())
+@example(np.array([[True]]))
+@example(np.array([[False]]))
+@example(np.array([[False, True], [False, False]]))
+def test_h2_matches_csgraph_and_trace_period(adj):
+    n = adj.shape[0]
+    op = build_operator(KernelSpec(domain=(0, 1), family="explicit_matrix",
+                                   params={"matrix": (adj * (0.9 / n)).tolist()}))
+    keep = np.flatnonzero(adj.any(axis=1))
+    if keep.size == 0:
+        with pytest.raises(AllNodesEscape):
+            q.check_h2_reachability(op)
+        return
+    sub = adj[np.ix_(keep, keep)]
+    n_comp, _ = connected_components(csr_matrix(sub), directed=True, connection="strong")
+    connected = n_comp == 1 and (keep.size > 1 or bool(sub[0, 0]))
+    rep = q.check_h2_reachability(op)
+    assert rep.n_components == n_comp
+    assert rep.strongly_connected == rep.all_nodes_reach_all == connected
+    if not connected:
+        assert rep.graph_period == 0
+        return
+    # period: gcd of the lengths k <= n of closed walks, trace(A^k) > 0
+    walk, lengths = sub.copy(), []
+    for length in range(1, keep.size + 1):
+        if np.trace(walk) > 0:
+            lengths.append(length)
+        walk = (walk.astype(int) @ sub.astype(int)) > 0
+    assert rep.graph_period == np.gcd.reduce(lengths)

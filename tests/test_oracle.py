@@ -56,6 +56,36 @@ def test_random_chain_matches_spectral_module():
     assert q.tv_distance(mu, sd.mu0) < 1e-10
 
 
+def _block_cyclic(rng, m, b):
+    """m equal blocks of b states, each feeding only the next: period m."""
+    a = np.zeros((m * b, m * b))
+    for k in range(m):
+        nxt = (k + 1) % m
+        rows = rng.uniform(0.05, 1.0, (b, b))
+        rows *= rng.uniform(0.5, 0.99, (b, 1)) / rows.sum(axis=1, keepdims=True)
+        a[k * b:(k + 1) * b, nxt * b:(nxt + 1) * b] = rows
+    return a
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+def test_block_cyclic_chains_match_spectral_module(m):
+    # every peripheral eigenvalue has modulus lam; the oracle must still lead
+    # with the Perron root +lam, whatever order rounding puts the others in
+    from qsdlab.kernels import KernelSpec, build_operator
+
+    rng = np.random.default_rng(7000 + m)
+    for b in range(1, 13):
+        a = _block_cyclic(rng, m, b)
+        mu, eta, lam, m_o = exact_qsd_qed(FiniteChain(Q=a))
+        op = build_operator(KernelSpec(domain=(0, m * b - 1), family="explicit_matrix",
+                                       params={"matrix": a.tolist()}))
+        sd = q.peripheral_spectrum(op)
+        assert m_o == sd.period_m == m, b
+        assert abs(lam - sd.lam) < 1e-9, b
+        assert np.abs(mu - q.quasi_stationary_measure(sd)[0]).max() < 1e-9, b
+        assert np.abs(eta - q.quasi_ergodic_measure(sd)).max() < 1e-9, b
+
+
 def test_ill_conditioned_refused():
     # nearly defective pair: eigenvectors almost parallel
     a = np.array([[0.5, 0.01], [0.0, 0.5 + 1e-13]])

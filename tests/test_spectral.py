@@ -45,6 +45,16 @@ def test_grid_refinement_self_consistency():
     assert abs(lam401 - lam801) <= 1e-3
 
 
+def test_two_dense_eigensolves_per_call(sds, monkeypatch):
+    calls = []
+    eig = np.linalg.eig
+    monkeypatch.setattr(np.linalg, "eig", lambda a: calls.append(a.shape) or eig(a))
+    q.peripheral_spectrum(sds["ds3"].op)
+    assert len(calls) == 2
+    q.spectral_radius(sds["ds3"].op)
+    assert len(calls) == 4
+
+
 def test_reducible_refused():
     with pytest.raises(Reducible):
         q.spectral_radius(explicit([[0.5, 0.0], [0.0, 0.5]]))
