@@ -40,7 +40,13 @@ from .qsd import (
     quasi_stationary_measure,
 )
 from .errors import NeverSubunit, NotApplicable
-from .simulate import estimate_birkhoff, estimate_yaglom
+from .simulate import (
+    check_budget,
+    check_start,
+    simulate_batch,
+    summarize_birkhoff,
+    summarize_yaglom,
+)
 from .spectral import PERIPHERAL_TOL_DEFAULT, peripheral_spectrum
 
 SCHEMA_VERSION = 1
@@ -48,13 +54,14 @@ SCHEMA_VERSION = 1
 
 def _resolve_spec(value, grid_size=None):
     try:
-        return registry.get_spec(value, grid_size=grid_size)
+        spec = registry.get_spec(value, grid_size=grid_size)
     except KeyError:
-        pass
-    spec = specfile.load_spec(value)
-    if grid_size and not spec.is_explicit:
-        spec = specfile.spec_from_dict(
-            {**specfile.spec_to_dict(spec), "grid_size": grid_size})
+        spec = specfile.load_spec(value)
+        if grid_size and not spec.is_explicit:
+            spec = specfile.spec_from_dict(
+                {**specfile.spec_to_dict(spec), "grid_size": grid_size})
+    if grid_size is not None and spec.is_explicit:
+        raise NotApplicable("--grid-size does not apply to an explicit chain")
     return spec
 
 
@@ -192,28 +199,17 @@ def cmd_yaglom(args):
 
 
 def cmd_simulate(args):
+    n, n_paths = args.n, args.n_paths
+    if n < 1 or n_paths < 1:
+        raise ValidationError("simulate needs --n >= 1 and --n-paths >= 1")
     spec = _resolve_spec(args.spec, args.grid_size)
+    if args.x0 is not None:
+        x0 = check_start(spec, args.x0)  # before the eigensolve, not after
+    else:
+        x0 = 0 if spec.is_explicit else float(np.mean(spec.domain))
     op = build_operator(spec)
     sd = peripheral_spectrum(op, peripheral_tol=args.peripheral_tol)
     mu, lam = quasi_stationary_measure(sd)
-    seed = _seed_from(args)
-    n = args.n
-    if args.x0 is not None:
-        x0 = args.x0
-    else:
-        x0 = 0 if spec.is_explicit else float(np.mean(spec.domain))
-    if spec.is_explicit:
-        x0 = int(x0)
-
-    rows = []
-    est = estimate_yaglom(spec, x0, n, args.n_paths, seed=seed,
-                          lam_hint=lam, grid=op.grid)
-    tv = tv_distance(est.value, mu)
-    rows.append(["yaglom_histogram", n, args.n_paths, est.effective_samples,
-                 ";".join(repr(float(v)) for v in est.value), repr(est.stderr)])
-    rows.append(["yaglom_tv_vs_qsd", n, args.n_paths, est.effective_samples,
-                 repr(tv), repr(est.stderr)])
-
     if spec.is_explicit:
         k = min(1, op.size - 1)
         h = lambda s: (s == k).astype(float)
@@ -221,9 +217,21 @@ def cmd_simulate(args):
     else:
         h = lambda y: y
         h_label = "y"
-    est_b = estimate_birkhoff(spec, x0, n, h, args.n_paths, seed=seed, lam_hint=lam)
-    rows.append([f"birkhoff_average[{h_label}]", n, args.n_paths,
-                 est_b.effective_samples, repr(est_b.value), repr(est_b.stderr)])
+    # one batch carries both the terminal states and the running sums of h
+    check_budget(n, n_paths, lam)
+    batch = simulate_batch(spec, x0, n, n_paths, seed=_seed_from(args), h=h)
+
+    est = summarize_yaglom(batch, spec, grid=op.grid)
+    tv = tv_distance(est.value, mu)
+    est_b = summarize_birkhoff(batch)
+    rows = [
+        ["yaglom_histogram", n, n_paths, est.effective_samples,
+         ";".join(repr(float(v)) for v in est.value), repr(est.stderr)],
+        ["yaglom_tv_vs_qsd", n, n_paths, est.effective_samples,
+         repr(tv), repr(est.stderr)],
+        [f"birkhoff_average[{h_label}]", n, n_paths,
+         est_b.effective_samples, repr(est_b.value), repr(est_b.stderr)],
+    ]
 
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "estimates.csv"), "w", newline="") as fp:

@@ -39,6 +39,15 @@ ESCAPE_TOL_DEFAULT = 1e-12
 CONTINUOUS_FAMILIES = ("affine_uniform", "cubic_uniform", "gaussian_shift", "tabulated")
 ALL_FAMILIES = CONTINUOUS_FAMILIES + ("explicit_matrix",)
 
+# the parameter names each family reads; any other name is an error
+_FAMILY_PARAMS = {
+    "affine_uniform": {"a", "b", "noise_halfwidth"},
+    "cubic_uniform": {"noise_halfwidth"},
+    "gaussian_shift": {"sigma"},
+    "tabulated": {"values"},
+    "explicit_matrix": {"matrix", "labels"},
+}
+
 
 @dataclass(frozen=True)
 class StateGrid:
@@ -108,6 +117,9 @@ class KernelSpec:
     def __post_init__(self):
         if self.family not in ALL_FAMILIES:
             raise InvalidDomain(f"unknown density family {self.family!r}")
+        bad = set(self.params) - _FAMILY_PARAMS[self.family]
+        if bad:
+            raise InvalidDomain(f"unknown params {sorted(bad)} for family {self.family}")
         if self.family != "explicit_matrix":
             lo, hi = self.domain
             if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:

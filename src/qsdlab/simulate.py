@@ -7,10 +7,19 @@ the conditioned law and conditioned time averages with no bias beyond the
 finite horizon.
 
 Randomness is counter-based: a Philox generator keyed by (seed, chunk index)
-with a fixed chunk size, so a trajectory's draws are a pure function of the
-seed and its global index.  Results are bit-identical for a given seed no
+with a fixed chunk size, so the draws of a chunk are a pure function of the
+seed and the chunk index.  Results are bit-identical for a given seed no
 matter how the chunks would be scheduled, and per-chunk partial sums are
 reduced in chunk order.
+
+The step loop keeps only the live paths of a chunk, in path order.  Each step
+draws one variate per live path, maps the draws to the next states (in place
+in the draw buffer for the density families; explicit chains use the
+inverse-CDF draw of ``sample_step``), counts the absorbed paths into the
+absorption-time histogram, and compresses the states and running sums with
+one boolean mask.  A step therefore costs in proportion to the paths still
+alive.  One batch carries both the terminal states and the running sums of a
+test function, so the Yaglom and Birkhoff summaries can share one batch.
 """
 
 import math
@@ -21,7 +30,7 @@ from typing import Optional
 import numpy as np
 from scipy.special import ndtri
 
-from .errors import NotApplicable, TooFewSurvivors
+from .errors import InvalidDomain, NotApplicable, TooFewSurvivors
 from .kernels import _map_centers
 
 CHUNK_SIZE = 1 << 20  # fixed: changing it changes the stream layout
@@ -36,15 +45,35 @@ def _chunk_generator(seed, chunk_index):
 
 
 def _noise_to_moves(spec, x, u):
-    """Map uniform draws u in [0,1) to proposed next states from x."""
+    """Map uniform draws u in [0,1) to proposed next states from x, in place in u."""
     p = spec.params
     if spec.family in ("affine_uniform", "cubic_uniform"):
         w = float(p["noise_halfwidth"])
-        return _map_centers(spec, x) + w * (2.0 * u - 1.0)
+        u *= 2.0
+        u -= 1.0
+        u *= w
+        u += _map_centers(spec, x)
+        return u
     if spec.family == "gaussian_shift":
         sigma = float(p.get("sigma", 1.0))
-        return x + sigma * ndtri(u)
+        ndtri(u, out=u)
+        u *= sigma
+        u += x
+        return u
     raise NotApplicable(f"cannot simulate family {spec.family!r}")
+
+
+def _inverse_cdf(cdf, state, u):
+    """Inverse-CDF draw on the rows ``cdf[state]`` of the cumulative row sums.
+
+    Counts the row's CDF values at or below u, one column at a time, so the
+    buckets are ``[cumsum(row)..., 1.0]``: a count equal to the number of
+    columns is the final bucket, absorption.
+    """
+    nxt = np.zeros(np.shape(u), dtype=np.int64)
+    for col in cdf.T:
+        nxt += u >= col[state]
+    return nxt
 
 
 def sample_step(spec, x, u):
@@ -52,17 +81,16 @@ def sample_step(spec, x, u):
 
     Random-map families move by ``f_omega(x)`` with omega the inverse-CDF
     image of u and absorb when the image leaves the domain.  Explicit chains
-    use inverse-CDF sampling over the row with CDF layout
-    ``[cumsum(row)..., 1.0]``, the final bucket being absorption.
+    use the inverse-CDF draw of ``simulate_batch`` on row x.
     Returns the new state, or the ABSORBED sentinel.
     """
     if spec.is_explicit:
-        q = np.asarray(spec.params["matrix"], dtype=float)
-        cdf = np.cumsum(q[int(x)])
-        j = int(np.searchsorted(cdf, u, side="right"))
-        return ABSORBED if j >= len(cdf) or u >= cdf[-1] else j
+        row = np.asarray(spec.params["matrix"], dtype=float)[[int(x)]]
+        j = int(_inverse_cdf(np.cumsum(row, axis=1), 0, u))
+        return ABSORBED if j >= row.shape[1] else j
     lo, hi = spec.domain
-    y = float(_noise_to_moves(spec, np.asarray([x]), np.asarray([u]))[0])
+    y = float(_noise_to_moves(spec, np.asarray([x], dtype=float),
+                              np.asarray([u], dtype=float))[0])
     return y if lo <= y <= hi else ABSORBED
 
 
@@ -93,19 +121,37 @@ class ConditionedEstimate:
     effective_samples: int
 
 
+def check_start(spec, x0):
+    """Return the start point as a state (int on explicit chains).
+
+    Raises InvalidDomain unless x0 is an integer state 0..n-1 of an explicit
+    chain, or a point of the closed domain of a continuous kernel.
+    """
+    if spec.is_explicit:
+        nstates = len(spec.params["matrix"])
+        if not (float(x0).is_integer() and 0 <= x0 < nstates):
+            raise InvalidDomain(f"start {x0!r} is not a state 0..{nstates - 1}")
+        return int(x0)
+    lo, hi = spec.domain
+    if not lo <= x0 <= hi:
+        raise InvalidDomain(f"start {x0!r} lies outside the domain [{lo}, {hi}]")
+    return float(x0)
+
+
 def simulate_batch(spec, x0, n, n_paths, seed=0, h=None):
     """Run n_paths rejection trajectories of length n from x0.
 
     ``h`` is an optional test function (vectorized over states / points)
-    whose running sum over steps 0..n-1 is accumulated per path.
+    whose running sum over steps 0..n-1 is accumulated per path.  Raises
+    InvalidDomain when x0 is not a state of the chain.
     """
     if n < 0 or n_paths < 1:
         raise ValueError("need n >= 0 and n_paths >= 1")
+    x0 = check_start(spec, x0)
     explicit = spec.is_explicit
     if explicit:
-        q = np.asarray(spec.params["matrix"], dtype=float)
-        cdf = np.cumsum(q, axis=1)
-        nstates = q.shape[0]
+        cdf = np.cumsum(np.asarray(spec.params["matrix"], dtype=float), axis=1)
+        nstates = cdf.shape[0]
     else:
         lo, hi = spec.domain
 
@@ -118,45 +164,41 @@ def simulate_batch(spec, x0, n, n_paths, seed=0, h=None):
     for c in range(n_chunks):
         k = min(CHUNK_SIZE, n_paths - c * CHUNK_SIZE)
         gen = _chunk_generator(seed, c)
-        if explicit:
-            state = np.full(k, int(x0), dtype=np.int64)
-        else:
-            state = np.full(k, float(x0))
+        # live paths only, in path order
+        state = np.full(k, x0, dtype=np.int64 if explicit else float)
         acc = np.zeros(k) if h is not None else None
-        alive = np.ones(k, dtype=bool)
         for step in range(n):
-            idx = np.flatnonzero(alive)
-            if idx.size == 0:
+            if state.size == 0:
                 break
             if h is not None:
-                acc[idx] += h(state[idx])
-            u = gen.random(idx.size)
+                acc += h(state)
+            u = gen.random(state.size)
             if explicit:
-                rows = cdf[state[idx]]
-                nxt = (u[:, None] >= rows).sum(axis=1)
-                dead = nxt >= nstates
-                state[idx[~dead]] = nxt[~dead]
+                y = _inverse_cdf(cdf, state, u)
+                live = y < nstates
             else:
-                y = _noise_to_moves(spec, state[idx], u)
-                dead = (y < lo) | (y > hi)
-                state[idx[~dead]] = y[~dead]
-            alive[idx[dead]] = False
-            tau_hist[step + 1] += int(dead.sum())
-        survivors += int(alive.sum())
-        terminals.append(state[alive].copy())
+                y = _noise_to_moves(spec, state, u)
+                live = ~((y < lo) | (y > hi))
+            tau_hist[step + 1] += state.size - int(np.count_nonzero(live))
+            state = y[live]
+            if h is not None:
+                acc = acc[live]
+        survivors += state.size
+        terminals.append(state)
         if h is not None:
-            sums.append(acc[alive].copy())
+            sums.append(acc)
 
     return TrajectoryBatch(
         seed=seed, n_steps=n, start=x0, n_paths=n_paths,
         survivor_count=survivors,
-        terminal_states=np.concatenate(terminals) if terminals else np.empty(0),
+        terminal_states=np.concatenate(terminals),
         running_sums=np.concatenate(sums) if sums is not None else None,
         tau_histogram=tau_hist,
     )
 
 
-def _check_budget(spec, n, n_paths, lam_hint):
+def check_budget(n, n_paths, lam_hint):
+    """Warn when fewer than 1000 paths are expected to survive n steps."""
     if lam_hint is not None:
         expected = n_paths * lam_hint ** n
         if expected < 1000:
@@ -172,18 +214,22 @@ def bin_to_grid(samples, grid):
     return counts.astype(float)
 
 
-def estimate_yaglom(spec, x0, n, n_paths, seed=0, lam_hint=None, grid=None):
-    """Histogram of the chain at time n over surviving paths.
+def _survivors(batch):
+    ns = batch.survivor_count
+    if ns < 100:
+        raise TooFewSurvivors(
+            f"{ns} survivors out of {batch.n_paths} paths at n={batch.n_steps}")
+    return ns
+
+
+def summarize_yaglom(batch, spec, grid=None):
+    """Histogram of the chain at time n over the surviving paths of ``batch``.
 
     Continuous-state samples are binned to the cells of ``grid`` so the
     result is comparable (in TV) with the discretized eigenmeasure.  Raises
     TooFewSurvivors below 100 surviving paths.
     """
-    _check_budget(spec, n, n_paths, lam_hint)
-    batch = simulate_batch(spec, x0, n, n_paths, seed=seed)
-    ns = batch.survivor_count
-    if ns < 100:
-        raise TooFewSurvivors(f"{ns} survivors out of {n_paths} paths at n={n}")
+    ns = _survivors(batch)
     if spec.is_explicit:
         nstates = np.asarray(spec.params["matrix"]).shape[0]
         counts = np.bincount(batch.terminal_states.astype(int), minlength=nstates).astype(float)
@@ -196,22 +242,32 @@ def estimate_yaglom(spec, x0, n, n_paths, seed=0, lam_hint=None, grid=None):
                                stderr=1.0 / math.sqrt(ns), effective_samples=ns)
 
 
-def estimate_birkhoff(spec, x0, n, h, n_paths, seed=0, lam_hint=None):
-    """Mean over surviving paths of the time average (1/n) sum h(X_i), i < n.
+def summarize_birkhoff(batch):
+    """Mean over the surviving paths of ``batch`` of (1/n) sum h(X_i), i < n.
 
-    The estimator is unbiased for the exact finite-horizon conditional
-    expectation; its distance to the quasi-ergodic integral of h shrinks
-    like 1/n.  Raises TooFewSurvivors below 100 surviving paths.
+    ``batch`` must carry the running sums of h.  The estimator is unbiased for
+    the exact finite-horizon conditional expectation; its distance to the
+    quasi-ergodic integral of h shrinks like 1/n.  Raises TooFewSurvivors
+    below 100 surviving paths.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    _check_budget(spec, n, n_paths, lam_hint)
-    batch = simulate_batch(spec, x0, n, n_paths, seed=seed, h=h)
-    ns = batch.survivor_count
-    if ns < 100:
-        raise TooFewSurvivors(f"{ns} survivors out of {n_paths} paths at n={n}")
+    n = batch.n_steps
+    if n < 1 or batch.running_sums is None:
+        raise ValueError("need a batch of n >= 1 steps simulated with h")
+    ns = _survivors(batch)
     vals = batch.running_sums / n
     mean = float(vals.mean())
     sd = float(vals.std(ddof=1)) if ns > 1 else float("inf")
     return ConditionedEstimate(kind="birkhoff_average", value=mean,
                                stderr=sd / math.sqrt(ns), effective_samples=ns)
+
+
+def estimate_yaglom(spec, x0, n, n_paths, seed=0, lam_hint=None, grid=None):
+    """Simulate a batch and return its Yaglom histogram (``summarize_yaglom``)."""
+    check_budget(n, n_paths, lam_hint)
+    return summarize_yaglom(simulate_batch(spec, x0, n, n_paths, seed=seed), spec, grid)
+
+
+def estimate_birkhoff(spec, x0, n, h, n_paths, seed=0, lam_hint=None):
+    """Simulate a batch and return its Birkhoff average (``summarize_birkhoff``)."""
+    check_budget(n, n_paths, lam_hint)
+    return summarize_birkhoff(simulate_batch(spec, x0, n, n_paths, seed=seed, h=h))

@@ -23,14 +23,6 @@ from .kernels import ALL_FAMILIES, KernelSpec
 _ALLOWED_KEYS = {"schema_version", "name", "domain", "measure", "family",
                  "params", "grid_size", "quadrature"}
 
-_FAMILY_PARAMS = {
-    "affine_uniform": {"a", "b", "noise_halfwidth"},
-    "cubic_uniform": {"noise_halfwidth"},
-    "gaussian_shift": {"sigma"},
-    "tabulated": {"values"},
-    "explicit_matrix": {"matrix", "labels"},
-}
-
 
 def spec_from_dict(doc):
     if not isinstance(doc, dict):
@@ -46,9 +38,6 @@ def spec_from_dict(doc):
     params = doc.get("params", {})
     if not isinstance(params, dict):
         raise SchemaError("params must be an object")
-    bad = set(params) - _FAMILY_PARAMS[family]
-    if bad:
-        raise SchemaError(f"unknown params {sorted(bad)} for family {family}")
 
     measure = doc.get("measure", "lebesgue")
     scale = 1.0

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 
@@ -5,8 +6,10 @@ import numpy as np
 import pytest
 
 import qsdlab as q
+from qsdlab import cli
 from qsdlab.cli import main
-from qsdlab.errors import SchemaError
+from qsdlab.errors import InvalidDomain, SchemaError
+from qsdlab.kernels import KernelSpec
 from qsdlab.specfile import dump_spec, load_spec, spec_from_dict, spec_to_dict
 
 
@@ -193,3 +196,86 @@ def test_checked_in_fixtures_match_oracle():
     assert np.allclose(doc["eta"], eta, atol=1e-12)
     assert doc["lambda"] == pytest.approx(lam, abs=1e-14)
     assert doc["m"] == m
+
+
+# -- one batch per simulate, and the exit-2 cases ------------------------------
+
+@pytest.mark.parametrize("name,n", [("sym2", 4), ("example21", 6)])
+def test_simulate_draws_one_batch_for_both_estimates(tmp_path, monkeypatch, name, n):
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("h") is not None)
+        return q.simulate_batch(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "simulate_batch", counted)
+    out = tmp_path / "s"
+    assert main(["simulate", "--spec", name, "--n", str(n), "--n-paths", "200000",
+                 "--seed", "11", "--out", str(out)]) == 0
+    assert calls == [True]
+
+    # the same rows from the two stand-alone estimators, each drawing its own batch
+    spec = q.get_spec(name)
+    op = q.build_operator(spec)
+    mu, lam = q.quasi_stationary_measure(q.peripheral_spectrum(op))
+    if spec.is_explicit:
+        x0, h, label = 0, (lambda s: (s == 1).astype(float)), "state:1"
+    else:
+        x0, h, label = 0.0, (lambda y: y), "y"
+    est = q.estimate_yaglom(spec, x0, n, 200_000, seed=11, lam_hint=lam, grid=op.grid)
+    est_b = q.estimate_birkhoff(spec, x0, n, h, 200_000, seed=11, lam_hint=lam)
+    with open(tmp_path / "two.csv", "w", newline="") as fp:
+        w = csv.writer(fp)
+        w.writerow(["kind", "n", "n_paths", "survivors", "value", "stderr"])
+        w.writerow(["yaglom_histogram", n, 200_000, est.effective_samples,
+                    ";".join(repr(float(v)) for v in est.value), repr(est.stderr)])
+        w.writerow(["yaglom_tv_vs_qsd", n, 200_000, est.effective_samples,
+                    repr(q.tv_distance(est.value, mu)), repr(est.stderr)])
+        w.writerow([f"birkhoff_average[{label}]", n, 200_000, est_b.effective_samples,
+                    repr(est_b.value), repr(est_b.stderr)])
+    assert (out / "estimates.csv").read_bytes() == (tmp_path / "two.csv").read_bytes()
+
+
+@pytest.mark.parametrize("flags", [["--n", "0"], ["--n-paths", "0"], ["--n", "-3"]])
+def test_simulate_empty_horizon_or_batch_exits_2(tmp_path, capsys, flags):
+    # checked before the spec is even resolved
+    assert main(["simulate", "--spec", str(tmp_path / "missing.json"),
+                 "--out", str(tmp_path / "s")] + flags) == 2
+    assert "ValidationError: simulate needs --n >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name,x0", [("sym2", "-1"), ("sym2", "5"), ("sym2", "0.7"),
+                                     ("example21", "1.5")])
+def test_simulate_bad_start_exits_2(tmp_path, capsys, monkeypatch, name, x0):
+    # refused before the operator is built and its spectrum solved
+    monkeypatch.setattr(cli, "build_operator", None)
+    assert main(["simulate", "--spec", name, "--n", "3", "--n-paths", "100000",
+                 "--x0", x0, "--out", str(tmp_path / "s")]) == 2
+    assert "InvalidDomain" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
+
+
+def test_grid_size_with_explicit_chain_exits_2(tmp_path, capsys):
+    spec_path = tmp_path / "sym2.json"
+    dump_spec(q.get_spec("sym2"), spec_path)
+    for spec in ("sym2", str(spec_path)):
+        for cmd in ("analyze", "verify-hypothesis", "yaglom"):
+            assert main([cmd, "--spec", spec, "--grid-size", "999",
+                         "--out", str(tmp_path / "o")]) == 2
+            assert "NotApplicable" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_kernel_spec_rejects_unread_params():
+    with pytest.raises(InvalidDomain, match="sigmma"):
+        KernelSpec(domain=(-1.0, 1.0), family="gaussian_shift", params={"sigmma": 2.0})
+    with pytest.raises(InvalidDomain, match="indicator_region"):
+        KernelSpec(domain=(-1.0, 1.0), family="gaussian_shift",
+                   params={"sigma": 1.0, "indicator_region": [-0.5, 0.5]})
+    with pytest.raises(InvalidDomain):
+        KernelSpec(domain=(0, 1), family="explicit_matrix",
+                   params={"matrix": [[0.5, 0.25], [0.25, 0.5]], "a": 2.0})
+    # spec files still report it as a schema error
+    with pytest.raises(SchemaError, match="sigmma"):
+        spec_from_dict({"family": "gaussian_shift", "domain": [-1, 1], "grid_size": 11,
+                        "params": {"sigmma": 2.0}})

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 
 import qsdlab as q
 from conftest import delta_at
-from qsdlab.errors import TooFewSurvivors
+from qsdlab import simulate
+from qsdlab.errors import InvalidDomain, TooFewSurvivors
 from qsdlab.oracle import FiniteChain, lobo_sum
 from qsdlab.simulate import ABSORBED, CHUNK_SIZE, bin_to_grid, simulate_batch
 
@@ -184,3 +186,91 @@ def test_chunk_boundary_crossing_is_deterministic():
     b2 = simulate_batch(spec, 0, 3, npaths, seed=8)
     assert b1.survivor_count == b2.survivor_count
     assert np.array_equal(b1.tau_histogram, b2.tau_histogram)
+
+
+# Digests of simulate_batch output recorded before the step loop kept only
+# the live paths: the compacted loop must reproduce every byte, so a seeded
+# batch never changes with the loop's layout.  Two chunks of paths each.
+_GOLDEN = {
+    ("example21", 0.3, 6): (28992, "9d4b6a10dc2e63aa", "133276d6459550d8", "dd24ebd24efaa104"),
+    ("example22cubic", 0.3, 4): (9687, "d0250dae7e0ed69a", "f1cccc2c0ffe581d", "3eb54c17b247e6c9"),
+    ("example23gauss", 0.0, 5): (104236, "a422a01d2942f1a1", "e5f6791f9908f734", "7a6b31844645b847"),
+    ("ds3", 1, 10): (61129, "35e9aef57dd45264", "020e24b5b2861972", "eb197f83a2653a5b"),
+    ("cycle3", 0, 6): (564043, "212b4166e88f1aa0", "f8e6c3e63bb9745e", "1db2ef6fec6faf1b"),
+}
+
+
+def _digest(a):
+    return hashlib.sha256(a.dtype.str.encode() + a.tobytes()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("key", sorted(_GOLDEN))
+def test_simulate_batch_golden_bytes(key):
+    name, x0, n = key
+    survivors, terminal, tau, sums = _GOLDEN[key]
+    spec = q.get_spec(name)
+    h = (lambda s: (s == 1).astype(float)) if spec.is_explicit else (lambda y: y * y)
+    plain = simulate_batch(spec, x0, n, CHUNK_SIZE + 12_345, seed=2024)
+    with_h = simulate_batch(spec, x0, n, CHUNK_SIZE + 12_345, seed=2024, h=h)
+    for b in (plain, with_h):
+        assert b.survivor_count == survivors
+        assert b.terminal_states.dtype == (np.int64 if spec.is_explicit else np.float64)
+        assert _digest(b.terminal_states) == terminal
+        assert _digest(b.tau_histogram) == tau
+    assert plain.running_sums is None
+    assert _digest(with_h.running_sums) == sums
+
+
+class _FixedDraws:
+    """Stands in for a chunk generator: every draw is the same u."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, m):
+        return np.full(m, self.u)
+
+
+@pytest.mark.parametrize("name", ["sym2", "ds3", "cycle3"])
+def test_sample_step_agrees_with_one_path_batch(name, monkeypatch):
+    spec = q.get_spec(name)
+    cdf = np.cumsum(np.asarray(spec.params["matrix"]), axis=1)
+    for x in range(len(cdf)):
+        # every CDF value exactly, the row total, past it, and between values
+        us = set(cdf[x]) | {0.0, 0.3, cdf[x, -1], np.nextafter(cdf[x, -1], 2.0), 0.999999}
+        for u in sorted(us):
+            monkeypatch.setattr(simulate, "_chunk_generator", lambda seed, c, u=u: _FixedDraws(u))
+            b = simulate_batch(spec, x, 1, 1)
+            step = q.sample_step(spec, x, u)
+            if step is ABSORBED:
+                assert b.survivor_count == 0 and b.tau_histogram[1] == 1, (x, u)
+                assert u >= cdf[x, -1]
+            else:
+                assert b.survivor_count == 1 and b.terminal_states[0] == step, (x, u)
+                assert int(np.sum(cdf[x] <= u)) == step
+
+
+def test_sample_step_on_cdf_values():
+    spec = q.get_spec("sym2")
+    # row 0 CDF: [0.5, 0.75]; a draw on a CDF value falls in the next bucket
+    assert q.sample_step(spec, 0, 0.5) == 1
+    assert q.sample_step(spec, 0, 0.75) is ABSORBED
+    assert q.sample_step(spec, 0, 1.0) is ABSORBED
+
+
+@pytest.mark.parametrize("name,x0", [("sym2", -1), ("sym2", 2), ("sym2", 5), ("sym2", 0.7),
+                                     ("ds3", float("nan")), ("example21", 1.5),
+                                     ("example21", -1.0000001), ("example23gauss", float("nan"))])
+def test_simulate_batch_rejects_bad_start(name, x0):
+    with pytest.raises(InvalidDomain):
+        simulate_batch(q.get_spec(name), x0, 3, 100, seed=1)
+
+
+def test_simulate_batch_accepts_integral_float_start():
+    spec = q.get_spec("ds3")
+    b = simulate_batch(spec, 1.0, 5, 10_000, seed=3)
+    ref = simulate_batch(spec, 1, 5, 10_000, seed=3)
+    assert b.start == 1 and b.terminal_states.dtype == np.int64
+    assert np.array_equal(b.terminal_states, ref.terminal_states)
+    # the closed domain includes its endpoints (escape points of example21)
+    assert simulate_batch(q.get_spec("example21"), 1.0, 1, 100, seed=3).survivor_count == 0
