@@ -2,8 +2,8 @@
 """Run the full analysis pipeline over every bundled system.
 
 Writes analyze + verify-hypothesis reports for each bundled kernel under
-out/<name>/ and prints a one-line summary per system.  Exits 1 when any
-system fails.
+out/<name>/ and the yaglom report under out/<name>/yaglom/, and prints a
+one-line summary per system.  Exits 1 when any system fails.
 """
 
 import argparse
@@ -21,6 +21,8 @@ def run(out_root):
         out = os.path.join(out_root, name)
         rc = cli(["analyze", "--spec", name, "--out", out, "--canonical"])
         rc |= cli(["verify-hypothesis", "--spec", name, "--out", out, "--canonical"])
+        rc |= cli(["yaglom", "--spec", name, "--out", os.path.join(out, "yaglom"),
+                   "--canonical"])
         if rc:
             print(f"{name}: FAILED (exit {rc})")
             failed += 1

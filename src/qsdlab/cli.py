@@ -34,6 +34,7 @@ from .oracle import FiniteChain, fixture_dict, lobo_leading_term, lobo_sum
 from .qsd import (
     cesaro_fit,
     cyclic_components,
+    default_n_max,
     fit_yaglom_rate,
     mass_decay_check,
     quasi_ergodic_measure,
@@ -50,6 +51,8 @@ from .simulate import (
 from .spectral import PERIPHERAL_TOL_DEFAULT, peripheral_spectrum
 
 SCHEMA_VERSION = 1
+# shortest rate-fit horizon at which both fit windows keep three points
+MIN_N_MAX = 5
 
 
 def _resolve_spec(value, grid_size=None):
@@ -94,7 +97,7 @@ def _rate_doc(fit):
             "passed": fit.passed}
 
 
-def _analysis_doc(spec, op, sd, args):
+def _analysis_doc(spec, op, sd, n_max):
     mu, lam = quasi_stationary_measure(sd)
     eta = quasi_ergodic_measure(sd)
     doc = {
@@ -110,19 +113,17 @@ def _analysis_doc(spec, op, sd, args):
         "rates": {},
         "decay": {},
     }
-    keep = op.nonescape_indices()
-    # generic start: off-center, so symmetric kernels do not annihilate the
-    # odd modes (a center start can reach the limit law in one step)
     nu0 = np.zeros(op.size)
-    nu0[keep[len(keep) // 4]] = 1.0
-    n_max = args.n_max or (200 if spec.is_explicit else 120)
     if sd.period_m == 1:
+        # generic start: off-center, so symmetric kernels do not annihilate
+        # the odd modes (a center start can reach the limit law in one step)
+        keep = op.nonescape_indices()
+        nu0[keep[len(keep) // 4]] = 1.0
         fit = fit_yaglom_rate(op, nu0, n_max=n_max, sd=sd)
         doc["rates"]["yaglom"] = _rate_doc(fit)
     else:
         part = cyclic_components(sd, op)
         doc["classes"] = [list(c) for c in part.classes]
-        nu0 = np.zeros(op.size)
         nu0[part.classes[0][0]] = 1.0
         fit = cesaro_fit(op, nu0, n_max=n_max, sd=sd, partition=part)
         doc["rates"]["cesaro"] = _rate_doc(fit)
@@ -134,16 +135,28 @@ def _analysis_doc(spec, op, sd, args):
     return doc, fit
 
 
-def cmd_analyze(args):
+def _analyze(args):
+    """The pipeline that analyze and yaglom share; writes the TV curve.
+
+    Returns the spectral data, the analysis document and the rate fit.
+    """
+    if args.n_max is not None and args.n_max < MIN_N_MAX:
+        raise ValidationError(f"--n-max must be at least {MIN_N_MAX}")
     spec = _resolve_spec(args.spec, args.grid_size)
     op = build_operator(spec)
     sd = peripheral_spectrum(op, peripheral_tol=args.peripheral_tol)
-    doc, fit = _analysis_doc(spec, op, sd, args)
+    n_max = default_n_max(op) if args.n_max is None else args.n_max
+    doc, fit = _analysis_doc(spec, op, sd, n_max)
     os.makedirs(args.out, exist_ok=True)
+    _write_curve(os.path.join(args.out, "tv_curve.csv"), fit.data)
+    return sd, doc, fit
+
+
+def cmd_analyze(args):
+    sd, doc, _ = _analyze(args)
     _write_json(doc, os.path.join(args.out, "analysis.json"), args.canonical)
     _write_json({"schema_version": SCHEMA_VERSION, **sd.to_json_dict()},
                 os.path.join(args.out, "spectral.json"), args.canonical)
-    _write_curve(os.path.join(args.out, "tv_curve.csv"), fit.data)
     return 0
 
 
@@ -179,22 +192,10 @@ def cmd_verify_hypothesis(args):
 
 
 def cmd_yaglom(args):
-    spec = _resolve_spec(args.spec, args.grid_size)
-    op = build_operator(spec)
-    sd = peripheral_spectrum(op, peripheral_tol=args.peripheral_tol)
-    keep = op.nonescape_indices()
-    nu0 = np.zeros(op.size)
-    nu0[keep[len(keep) // 4]] = 1.0
-    n_max = args.n_max or (200 if spec.is_explicit else 120)
-    if sd.period_m == 1:
-        fit = fit_yaglom_rate(op, nu0, n_max=n_max, sd=sd)
-    else:
-        fit = cesaro_fit(op, nu0, n_max=n_max, sd=sd)
-    doc = {"schema_version": SCHEMA_VERSION, "spec": specfile.spec_to_dict(spec),
-           "rate_fit": _rate_doc(fit)}
-    os.makedirs(args.out, exist_ok=True)
-    _write_json(doc, os.path.join(args.out, "yaglom.json"), args.canonical)
-    _write_curve(os.path.join(args.out, "tv_curve.csv"), fit.data)
+    _, doc, fit = _analyze(args)
+    _write_json({"schema_version": SCHEMA_VERSION, "spec": doc["spec"],
+                 "rate_fit": _rate_doc(fit)},
+                os.path.join(args.out, "yaglom.json"), args.canonical)
     return 0
 
 
@@ -245,18 +246,19 @@ def cmd_lobo(args):
     spec = _resolve_spec(args.spec)
     if not spec.is_explicit:
         raise ValidationError("the exact cumulative-sum table needs an explicit chain")
+    x0, h_state = check_start(spec, args.x0), check_start(spec, args.h_state)
     chain = FiniteChain(Q=np.asarray(spec.params["matrix"], dtype=float))
     h = np.zeros(chain.size)
-    h[args.h_state] = 1.0
+    h[h_state] = 1.0
     ns = [int(v) for v in args.n_list.split(",")]
     rows = []
     for n in ns:
-        exact = lobo_sum(chain, h, args.x0 or 0, n)
-        pred = lobo_leading_term(chain, h, args.x0 or 0, n)
+        exact = lobo_sum(chain, h, x0, n)
+        pred = lobo_leading_term(chain, h, x0, n)
         rows.append({"n": n, "exact": exact, "predicted": pred,
                      "ratio": exact / pred if pred else float("nan")})
     doc = {"schema_version": SCHEMA_VERSION, "spec": specfile.spec_to_dict(spec),
-           "h_state": args.h_state, "x0": args.x0 or 0, "table": rows}
+           "h_state": h_state, "x0": x0, "table": rows}
     os.makedirs(args.out, exist_ok=True)
     _write_json(doc, os.path.join(args.out, "lobo_table.json"), args.canonical)
     with open(os.path.join(args.out, "lobo_table.csv"), "w", newline="") as fp:

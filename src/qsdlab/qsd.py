@@ -30,7 +30,7 @@ from .errors import (
     ZeroEigenfunctionMass,
 )
 from .measures import tv_distance
-from .spectral import peripheral_spectrum, subdominant_rate
+from .spectral import _log_sum, _orbit, peripheral_spectrum, snap_phases, subdominant_rate
 
 TV_FIT_FLOOR = 1e-13
 
@@ -133,24 +133,30 @@ def yaglom_iterate(op, nu0, n, renormalize_each_step=True):
         raise ValueError("nu0 must be a probability vector")
     if n < 0:
         raise ValueError("n must be >= 0")
-    log_mass = 0.0
-    for _ in range(n):
-        nu = nu @ op.matrix
-        mass = nu.sum()
-        if renormalize_each_step:
-            if mass <= 0:
-                raise MassExtinct("survivor mass vanished")
-            log_mass += math.log(mass)
-            nu = nu / mass
-        elif mass < 1e-300:
-            raise MassExtinct("survivor mass underflowed; use renormalize-each-step mode")
+    laws, masses = _orbit(op.matrix, nu, n, np.sum if renormalize_each_step else None)
+    if n:
+        nu = laws[-1].copy()
     if renormalize_each_step:
-        normalization = math.exp(log_mass) if n > 0 else 1.0
+        if (masses <= 0).any():
+            raise MassExtinct("survivor mass vanished")
+        normalization = math.exp(_log_sum(masses))
     else:
+        if (laws.sum(axis=1) < 1e-300).any():
+            raise MassExtinct("survivor mass underflowed; use renormalize-each-step mode")
         normalization = nu.sum()
         if normalization > 0:
             nu = nu / normalization
     return ConditionedLaw(masses=nu, step_n=n, normalization=float(normalization))
+
+
+def _tv_rows(laws, q):
+    """tv_distance(law, q) for each row of laws, in one reduction."""
+    return 0.5 * np.abs(laws - q).sum(axis=1)
+
+
+def default_n_max(op):
+    """Default horizon of the rate fits: 200 steps on explicit chains, else 120."""
+    return 200 if op.spec.is_explicit else 120
 
 
 def _tail_points(values):
@@ -185,16 +191,12 @@ def fit_yaglom_rate(op, nu0, n_max=None, sd=None):
     if sd.period_m > 1:
         raise NotAperiodic("use cesaro_fit for cyclic chains")
     if n_max is None:
-        n_max = 200 if op.spec.is_explicit else 120
+        n_max = default_n_max(op)
     if float(np.asarray(nu0) @ sd.f0) <= 1e-14:
         raise ZeroEigenfunctionMass("nu0 carries no mass on the eigenfunction")
     mu, _ = quasi_stationary_measure(sd)
-    nu = np.asarray(nu0, dtype=float)
-    tvs = np.empty(n_max)
-    for k in range(n_max):
-        nu = nu @ op.matrix
-        nu = nu / nu.sum()
-        tvs[k] = tv_distance(nu, mu)
+    laws, _ = _orbit(op.matrix, np.asarray(nu0, dtype=float), n_max, np.sum)
+    tvs = _tv_rows(laws, mu)
     ns = np.arange(1, n_max + 1)
     tail = _tail_points(tvs)
     if tail.size < 3:
@@ -229,24 +231,14 @@ def cyclic_components(sd, op, angle_tol=1e-6):
         raise NotCyclic(f"interior escape nodes {interior_escape} violate the "
                         "zero-escape-mass requirement")
 
-    f1 = sd.right_eigs[1]
-    offenders = []
+    f1 = sd.right_eigs[1][keep]
+    slots, err = snap_phases(f1, m)
+    off = (np.abs(f1) < 1e-10 * np.abs(f1).max()) | (err > angle_tol)
+    if off.any():
+        raise SupportOverlap("phase clustering failed on some nodes",
+                             [int(i) for i in keep[off]])
     labels = np.full(op.size, -1)
-    fmax = np.abs(f1[keep]).max()
-    for i in keep:
-        z = f1[i]
-        if abs(z) < 1e-10 * fmax:
-            offenders.append(int(i))
-            continue
-        theta = math.atan2(z.imag, z.real) % (2 * math.pi)
-        j = int(round(theta * m / (2 * math.pi))) % m
-        err = abs((theta - 2 * math.pi * j / m + math.pi) % (2 * math.pi) - math.pi)
-        if err > angle_tol:
-            offenders.append(int(i))
-            continue
-        labels[i] = j
-    if offenders:
-        raise SupportOverlap("phase clustering failed on some nodes", offenders)
+    labels[keep] = slots
 
     classes = tuple(tuple(int(i) for i in np.flatnonzero(labels == j)) for j in range(m))
     if any(len(c) == 0 for c in classes):
@@ -329,15 +321,9 @@ def cesaro_fit(op, nu0, n_max=200, sd=None, partition=None):
     partition = partition or cyclic_components(sd, op)
     target = partition.cyclic_mean_measure()
 
-    nu = np.asarray(nu0, dtype=float)
-    running = np.zeros_like(nu)
-    ds = np.empty(n_max)
-    for k in range(1, n_max + 1):
-        nu = nu @ op.matrix
-        nu = nu / nu.sum()
-        running += nu
-        ds[k - 1] = tv_distance(running / k, target)
+    laws, _ = _orbit(op.matrix, np.asarray(nu0, dtype=float), n_max, np.sum)
     ns = np.arange(1, n_max + 1)
+    ds = _tv_rows(np.cumsum(laws, axis=0) / ns[:, None], target)
     nd = ns * ds
 
     tail = ns >= max(n_max // 2, 2)
@@ -363,11 +349,8 @@ def mass_decay_check(op, n_max=60):
     sup at k*n0 stays below alpha**k for every computed multiple.  Raises
     NeverSubunit for honestly stochastic chains (all row sums one).
     """
-    sups = np.empty(n_max)
-    v = np.ones(op.size)
-    for k in range(n_max):
-        v = op.matrix @ v
-        sups[k] = v.max()
+    survivors, _ = _orbit(op.matrix.T, np.ones(op.size), n_max)
+    sups = survivors.max(axis=1)
     below = np.flatnonzero(sups < 1 - 1e-12)
     if below.size == 0:
         raise NeverSubunit("survival mass never drops below one")

@@ -130,7 +130,7 @@ def check_start(spec, x0):
     if spec.is_explicit:
         nstates = len(spec.params["matrix"])
         if not (float(x0).is_integer() and 0 <= x0 < nstates):
-            raise InvalidDomain(f"start {x0!r} is not a state 0..{nstates - 1}")
+            raise InvalidDomain(f"{x0!r} is not a state 0..{nstates - 1}")
         return int(x0)
     lo, hi = spec.domain
     if not lo <= x0 <= hi:

@@ -10,7 +10,6 @@ m-th roots of unity for an irreducible nonnegative matrix), and the
 biorthonormalized left/right peripheral eigenpairs.
 """
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -105,6 +104,43 @@ def _nonnegative_real(vec, tol):
     return np.maximum(v, 0.0)
 
 
+def _orbit(matrix, v, n, scale=None):
+    """Forward orbit ``v_k = (v_{k-1} @ matrix) / s_k`` for k = 1..n.
+
+    Returns the iterates stacked as the rows of an (n, size) array and the
+    divisors s_k, where ``scale(w)`` gives s_k from the unscaled image w
+    (``None``: no division, every s_k is 1).  Pass ``A`` to evolve measures
+    and ``A.T`` to evolve functions: ``v @ A.T`` is bitwise ``A @ v``.  A zero
+    divisor turns its row and every later one into NaN; callers check the
+    divisors.
+    """
+    rows = np.empty((n, len(v)))
+    divisors = []
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for row in rows:
+            v = np.matmul(v, matrix, out=row)
+            if scale is not None:
+                divisors.append(scale(v))
+                v /= divisors[-1]
+    return rows, np.array(divisors) if scale is not None else np.ones(n)
+
+
+def _log_sum(values):
+    """Sum of math.log over values, added in order like a running total."""
+    total = 0.0
+    for s in values:
+        total += math.log(s)
+    return total
+
+
+def snap_phases(z, m):
+    """Nearest m-th root-of-unity slot j of each arg(z), and the angle error."""
+    theta = np.angle(z) % (2 * math.pi)
+    j = np.rint(theta * m / (2 * math.pi)).astype(int) % m
+    err = np.abs((theta - 2 * math.pi * j / m + math.pi) % (2 * math.pi) - math.pi)
+    return j, err
+
+
 def power_lambda_estimate(op, n=200, period=None):
     """Power-iteration estimate of the spectral radius from survivor masses.
 
@@ -114,24 +150,11 @@ def power_lambda_estimate(op, n=200, period=None):
     |log C| / n and is reported for reference.
     """
     m = period or 1
-    v = np.ones(op.size)
-    logscale = 0.0
-    for _ in range(n):
-        v = op.matrix @ v
-        s = np.abs(v).max()
-        if s == 0:
-            raise NonConvergent("survivor mass vanished during power iteration")
-        logscale += math.log(s)
-        v = v / s
-    root = math.exp(logscale / n)
-    w = v.copy()
-    extra = 0.0
-    for _ in range(m):
-        w = op.matrix @ w
-        s = np.abs(w).max()
-        extra += math.log(s)
-        w = w / s
-    ratio = math.exp(extra / m)
+    _, s = _orbit(op.matrix.T, np.ones(op.size), n + m, scale=lambda w: np.abs(w).max())
+    if not s.all():
+        raise NonConvergent("survivor mass vanished during power iteration")
+    root = math.exp(_log_sum(s[:n]) / n)
+    ratio = math.exp(_log_sum(s[n:]) / m)
     return ratio, root
 
 
@@ -185,19 +208,13 @@ def peripheral_spectrum(op, peripheral_tol=PERIPHERAL_TOL_DEFAULT,
     per = np.flatnonzero(np.abs(ev) >= lam * (1 - peripheral_tol))
     m = len(per)
 
-    # snap arguments to the m-th-root angles
-    slots = {}
-    for k in per:
-        theta = cmath.phase(ev[k] / lam) % (2 * math.pi)
-        j = int(round(theta * m / (2 * math.pi))) % m
-        snapped = 2 * math.pi * j / m
-        err = abs((theta - snapped + math.pi) % (2 * math.pi) - math.pi)
-        if err > ANGLE_SNAP_TOL or j in slots:
-            raise TolTooLoose(
-                f"peripheral eigenvalue {ev[k]:.6g} off the {m}-th root angles")
-        slots[j] = int(k)
-    if sorted(slots) != list(range(m)):
-        raise TolTooLoose("peripheral band does not fill the root-of-unity slots")
+    # snap arguments to the m-th-root angles, one eigenvalue per slot
+    slots, err = snap_phases(ev[per], m)
+    if err.max() > ANGLE_SNAP_TOL or len(set(slots.tolist())) < m:
+        raise TolTooLoose(
+            f"peripheral eigenvalues {ev[per]} do not fill the {m}-th root angles")
+    at_slot = np.empty(m, dtype=int)
+    at_slot[slots] = per
 
     if reach.graph_period and m != reach.graph_period:
         raise PeriodMismatch(
@@ -214,11 +231,8 @@ def peripheral_spectrum(op, peripheral_tol=PERIPHERAL_TOL_DEFAULT,
     n = op.size
     right = np.zeros((m, n), dtype=complex)
     left = np.zeros((m, n), dtype=complex)
-    half = m // 2
-    for j in sorted(slots):
-        if j > half or (m % 2 == 0 and j == half and j > 0 and right[j].any()):
-            continue
-        k = slots[j]
+    for j in range(m // 2 + 1):
+        k = at_slot[j]
         f = vr[:, k].astype(complex)
         kl = int(np.argmin(np.abs(evl - ev[k])))
         if abs(evl[kl] - ev[k]) > lam * 1e-6:
@@ -262,7 +276,7 @@ def peripheral_spectrum(op, peripheral_tol=PERIPHERAL_TOL_DEFAULT,
     if np.abs(biorth - np.eye(m)).max() > 1e-8:
         raise DefectiveMatrix("biorthogonalization failed beyond 1e-8")
 
-    raw = np.array([ev[slots[j]] for j in range(m)])
+    raw = ev[at_slot]
     return SpectralData(
         lam=lam, period_m=m, eigenvalues=snapped_vals, raw_eigenvalues=raw,
         right_eigs=right, left_eigs=left, subdominant_radius=sub,
@@ -302,13 +316,9 @@ def dirac_decomposition(sd, op, node, horizon):
     nu_c = delta.astype(complex) - coeff @ sd.left_eigs
     if np.abs(nu_c.imag).max() > 1e-10:
         raise DefectiveMatrix("Dirac remainder came out non-real")
-    nu = nu_c.real
-    curve = np.empty(horizon + 1)
-    v = nu.copy()
-    curve[0] = variation_norm(v)
-    for k in range(1, horizon + 1):
-        v = (v @ op.matrix) / sd.lam
-        curve[k] = variation_norm(v)
+    nu = nu_c.real.copy()
+    rows, _ = _orbit(op.matrix, nu, horizon, scale=lambda w: sd.lam)
+    curve = np.abs(np.vstack([nu, rows])).sum(axis=1)
     return DiracDecomposition(
         point_index=int(node), coefficients=coeff, remainder=nu,
         residual_norm=float(variation_norm(nu)), decay_curve=curve,

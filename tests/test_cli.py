@@ -279,3 +279,57 @@ def test_kernel_spec_rejects_unread_params():
     with pytest.raises(SchemaError, match="sigmma"):
         spec_from_dict({"family": "gaussian_shift", "domain": [-1, 1], "grid_size": 11,
                         "params": {"sigmma": 2.0}})
+
+
+def test_analyze_and_yaglom_fit_from_the_same_start(tmp_path):
+    # period-2 chain on 6 states with interleaved classes {0, 2, 4}, {1, 3, 5}:
+    # the off-centre node keep[len(keep) // 4] = 1 is not the first node of
+    # cyclic class 0, which is where the Cesaro fit starts
+    matrix = [[0.0, 0.117, 0.0, 0.213, 0.0, 0.57],
+              [0.129, 0.0, 0.297, 0.0, 0.373, 0.0],
+              [0.0, 0.436, 0.0, 0.124, 0.0, 0.34],
+              [0.207, 0.0, 0.267, 0.0, 0.326, 0.0],
+              [0.0, 0.311, 0.0, 0.14, 0.0, 0.449],
+              [0.386, 0.0, 0.14, 0.0, 0.274, 0.0]]
+    spec = tmp_path / "six.json"
+    spec.write_text(json.dumps({"family": "explicit_matrix", "params": {"matrix": matrix}}))
+    for cmd in ("analyze", "yaglom"):
+        assert main([cmd, "--spec", str(spec), "--out", str(tmp_path / cmd),
+                     "--canonical"]) == 0
+    doc = json.loads((tmp_path / "analyze" / "analysis.json").read_text())
+    assert doc["classes"] == [[0, 2, 4], [1, 3, 5]]
+    curve = (tmp_path / "analyze" / "tv_curve.csv").read_bytes()
+    assert curve == (tmp_path / "yaglom" / "tv_curve.csv").read_bytes()
+    rate = json.loads((tmp_path / "yaglom" / "yaglom.json").read_text())["rate_fit"]
+    assert rate == doc["rates"]["cesaro"]
+
+
+@pytest.mark.parametrize("cmd,name,n_max", [
+    ("analyze", "sym2", "0"), ("analyze", "sym2", "-5"), ("analyze", "sym2", "2"),
+    ("yaglom", "sym2", "4"), ("yaglom", "cycle2", "1"), ("analyze", "cycle2", "1"),
+])
+def test_short_rate_fit_horizon_exits_2(tmp_path, capsys, monkeypatch, cmd, name, n_max):
+    # refused before the operator is built and its spectrum solved
+    monkeypatch.setattr(cli, "build_operator", None)
+    assert main([cmd, "--spec", name, "--n-max", n_max,
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "ValidationError: --n-max must be at least 5" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("cmd,name", [("analyze", "sym2"), ("yaglom", "cycle2"),
+                                      ("yaglom", "cycle3")])
+def test_shortest_rate_fit_horizon_runs(tmp_path, cmd, name):
+    out = tmp_path / "o"
+    assert main([cmd, "--spec", name, "--n-max", "5", "--out", str(out)]) == 0
+    with open(out / "tv_curve.csv") as fp:
+        assert len(list(csv.reader(fp))) == 1 + 5
+
+
+@pytest.mark.parametrize("flag,value", [("--x0", "-1"), ("--x0", "5"),
+                                        ("--h-state", "-1"), ("--h-state", "7")])
+def test_lobo_state_out_of_range_exits_2(tmp_path, capsys, flag, value):
+    assert main(["lobo", "--spec", "sym2", flag, value,
+                 "--out", str(tmp_path / "l")]) == 2
+    assert "InvalidDomain" in capsys.readouterr().err
+    assert not (tmp_path / "l").exists()
