@@ -32,6 +32,7 @@ from .kernels import build_operator, check_h1_modulus, check_h2_reachability
 from .measures import tv_distance
 from .oracle import FiniteChain, fixture_dict, lobo_leading_term, lobo_sum
 from .qsd import (
+    MIN_N_MAX,
     cesaro_fit,
     cyclic_components,
     default_n_max,
@@ -51,8 +52,6 @@ from .simulate import (
 from .spectral import PERIPHERAL_TOL_DEFAULT, peripheral_spectrum
 
 SCHEMA_VERSION = 1
-# shortest rate-fit horizon at which both fit windows keep three points
-MIN_N_MAX = 5
 
 
 def _resolve_spec(value, grid_size=None):
@@ -69,10 +68,17 @@ def _resolve_spec(value, grid_size=None):
 
 
 def _seed_from(args):
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("QSDLAB_SEED")
-    return int(env) if env else 0
+    """--seed, else QSDLAB_SEED, else 0; a Philox key word, so 0 <= seed < 2**64."""
+    seed = args.seed
+    if seed is None:
+        env = os.environ.get("QSDLAB_SEED") or "0"
+        try:
+            seed = int(env)
+        except ValueError:
+            raise ValidationError(f"QSDLAB_SEED must be an integer, got {env!r}") from None
+    if not 0 <= seed < 2 ** 64:
+        raise ValidationError(f"seed must lie in 0..2**64-1, got {seed}")
+    return seed
 
 
 def _write_json(doc, path, canonical):
@@ -203,6 +209,7 @@ def cmd_simulate(args):
     n, n_paths = args.n, args.n_paths
     if n < 1 or n_paths < 1:
         raise ValidationError("simulate needs --n >= 1 and --n-paths >= 1")
+    seed = _seed_from(args)
     spec = _resolve_spec(args.spec, args.grid_size)
     if args.x0 is not None:
         x0 = check_start(spec, args.x0)  # before the eigensolve, not after
@@ -220,7 +227,7 @@ def cmd_simulate(args):
         h_label = "y"
     # one batch carries both the terminal states and the running sums of h
     check_budget(n, n_paths, lam)
-    batch = simulate_batch(spec, x0, n, n_paths, seed=_seed_from(args), h=h)
+    batch = simulate_batch(spec, x0, n, n_paths, seed=seed, h=h)
 
     est = summarize_yaglom(batch, spec, grid=op.grid)
     tv = tv_distance(est.value, mu)
@@ -243,14 +250,20 @@ def cmd_simulate(args):
 
 
 def cmd_lobo(args):
+    try:
+        ns = [int(v) for v in args.n_list.split(",")]
+    except ValueError:
+        raise ValidationError(
+            f"--n-list must be comma-separated integers, got {args.n_list!r}") from None
+    if min(ns) < 1:
+        raise ValidationError(f"--n-list entries must be at least 1, got {args.n_list!r}")
     spec = _resolve_spec(args.spec)
     if not spec.is_explicit:
         raise ValidationError("the exact cumulative-sum table needs an explicit chain")
     x0, h_state = check_start(spec, args.x0), check_start(spec, args.h_state)
-    chain = FiniteChain(Q=np.asarray(spec.params["matrix"], dtype=float))
+    chain = FiniteChain(Q=build_operator(spec).matrix)
     h = np.zeros(chain.size)
     h[h_state] = 1.0
-    ns = [int(v) for v in args.n_list.split(",")]
     rows = []
     for n in ns:
         exact = lobo_sum(chain, h, x0, n)

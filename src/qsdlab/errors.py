@@ -58,7 +58,7 @@ class NoSpectralGapWithinTol(NumericalError):
 
 
 class NonConvergent(NumericalError):
-    """Power-iteration cross-check disagrees with the dense eigensolve."""
+    """Dense eigensolve left the Perron pair's residuals above tolerance."""
 
 
 class PeriodMismatch(NumericalError):

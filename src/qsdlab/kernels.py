@@ -339,7 +339,10 @@ def build_operator(spec, escape_tol=ESCAPE_TOL_DEFAULT):
     quadrature grid and multiplied by the weights column-wise.
     """
     if spec.is_explicit:
-        q = np.asarray(spec.params["matrix"], dtype=float)
+        try:
+            q = np.asarray(spec.params["matrix"], dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise InvalidDomain(f"explicit matrix is not a numeric array: {exc}") from None
         if q.ndim != 2 or q.shape[0] != q.shape[1]:
             raise InvalidDomain("explicit matrix must be square")
         if q.min() < 0:

@@ -27,12 +27,15 @@ from .errors import (
     NotCyclic,
     NotPeriodic,
     SupportOverlap,
+    ValidationError,
     ZeroEigenfunctionMass,
 )
 from .measures import tv_distance
 from .spectral import _log_sum, _orbit, peripheral_spectrum, snap_phases, subdominant_rate
 
 TV_FIT_FLOOR = 1e-13
+# shortest rate-fit horizon at which both fit windows keep three points
+MIN_N_MAX = 5
 
 
 @dataclass(frozen=True)
@@ -159,6 +162,11 @@ def default_n_max(op):
     return 200 if op.spec.is_explicit else 120
 
 
+def _check_n_max(n_max):
+    if n_max < MIN_N_MAX:
+        raise ValidationError(f"n_max must be at least {MIN_N_MAX}, got {n_max}")
+
+
 def _tail_points(values):
     """Indices of the fit window: last half of the points still above the floor."""
     valid = np.flatnonzero(values > TV_FIT_FLOOR)
@@ -185,13 +193,14 @@ def fit_yaglom_rate(op, nu0, n_max=None, sd=None):
     least squares over the tail (the last half of the points above the
     numerical floor, so the transient is excluded).  PASS requires the fitted
     rate to reach 90% of the spectral prediction log(lam/subdominant) with
-    r^2 >= 0.98.
+    r^2 >= 0.98.  An n_max below MIN_N_MAX raises ValidationError.
     """
+    if n_max is None:
+        n_max = default_n_max(op)
+    _check_n_max(n_max)
     sd = sd or peripheral_spectrum(op)
     if sd.period_m > 1:
         raise NotAperiodic("use cesaro_fit for cyclic chains")
-    if n_max is None:
-        n_max = default_n_max(op)
     if float(np.asarray(nu0) @ sd.f0) <= 1e-14:
         raise ZeroEigenfunctionMass("nu0 carries no mass on the eigenfunction")
     mu, _ = quasi_stationary_measure(sd)
@@ -311,8 +320,10 @@ def cesaro_fit(op, nu0, n_max=200, sd=None, partition=None):
     measures, which is what the running average of the (perpetually
     oscillating) conditioned laws settles toward when started inside one
     class.  PASS requires n * TV to stay bounded over the tail with a trend
-    slope statistically <= 0.
+    slope statistically <= 0.  An n_max below MIN_N_MAX raises
+    ValidationError.
     """
+    _check_n_max(n_max)
     sd = sd or peripheral_spectrum(op)
     if sd.period_m < 2:
         raise NotPeriodic("chain is aperiodic; use fit_yaglom_rate")

@@ -16,12 +16,20 @@ Schema (all other top-level keys are a hard error)::
 """
 
 import json
+import operator
 
 from .errors import SchemaError
 from .kernels import ALL_FAMILIES, KernelSpec
 
 _ALLOWED_KEYS = {"schema_version", "name", "domain", "measure", "family",
                  "params", "grid_size", "quadrature"}
+
+
+def _number(value, what):
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise SchemaError(f"{what} must be a number, got {value!r}") from None
 
 
 def spec_from_dict(doc):
@@ -44,14 +52,14 @@ def spec_from_dict(doc):
     if isinstance(measure, dict):
         if set(measure) != {"name", "scale"} or measure["name"] != "lebesgue_scaled":
             raise SchemaError(f"bad measure object {measure}")
-        scale = float(measure["scale"])
+        scale = _number(measure["scale"], "measure scale")
         measure = "lebesgue_scaled"
     elif measure != "lebesgue":
         raise SchemaError(f"unknown measure {measure!r}")
 
     if family == "explicit_matrix":
-        if "matrix" not in params:
-            raise SchemaError("explicit_matrix needs params.matrix")
+        if not isinstance(params.get("matrix"), list):
+            raise SchemaError("explicit_matrix needs params.matrix as a list of rows")
         n = len(params["matrix"])
         domain = (0.0, float(max(n - 1, 1)))
         grid_size = n
@@ -61,10 +69,13 @@ def spec_from_dict(doc):
         domain = doc["domain"]
         if not (isinstance(domain, (list, tuple)) and len(domain) == 2):
             raise SchemaError("domain must be [lower, upper]")
-        domain = (float(domain[0]), float(domain[1]))
+        domain = (_number(domain[0], "domain bound"), _number(domain[1], "domain bound"))
         if "grid_size" not in doc:
             raise SchemaError("grid_size is required")
-        grid_size = int(doc["grid_size"])
+        try:
+            grid_size = operator.index(doc["grid_size"])
+        except TypeError:
+            raise SchemaError(f"grid_size must be an integer, got {doc['grid_size']!r}") from None
 
     try:
         return KernelSpec(domain=domain, family=family, params=params,

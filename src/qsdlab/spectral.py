@@ -169,20 +169,6 @@ def spectral_radius(op, reach=None):
     return sd.lam, sd.f0 / sd.f0.max(), sd.mu0
 
 
-def _check_perron_pair(op, lam, f0, mu0, period):
-    """Refuse a Perron pair (f0 sup-normed, mu0 a probability) that the dense
-    solve did not resolve: eigen residuals above 1e-10, or a spectral radius
-    that power iteration does not reproduce to 1e-6."""
-    res_f = np.abs(op.matrix @ f0 - lam * f0).max()
-    res_mu = variation_norm(mu0 @ op.matrix - lam * mu0)
-    if res_f > 1e-10 or res_mu > 1e-10:
-        raise NonConvergent(f"eigen residuals too large: {res_f:.2e}, {res_mu:.2e}")
-    ratio, _ = power_lambda_estimate(op, n=200, period=period or 1)
-    if abs(ratio - lam) > 1e-6:
-        raise NonConvergent(
-            f"power iteration gives {ratio!r}, dense eigensolve {lam!r}")
-
-
 def peripheral_spectrum(op, peripheral_tol=PERIPHERAL_TOL_DEFAULT,
                         gap_floor=GAP_FLOOR_DEFAULT, reach=None):
     """Extract the full peripheral eigenstructure of the operator.
@@ -192,9 +178,12 @@ def peripheral_spectrum(op, peripheral_tol=PERIPHERAL_TOL_DEFAULT,
     (PeriodMismatch otherwise), the band's arguments must sit on the m-th
     root angles within 1e-3 (TolTooLoose otherwise), and the largest
     non-peripheral modulus must stay below ``lam * (1 - gap_floor)``
-    (NoSpectralGapWithinTol otherwise).  The Perron pair must be a fixed
-    point of A / lam and of its adjoint to 1e-10 in sup/variation norm, and
-    lam must agree with power iteration to 1e-6 (NonConvergent otherwise).
+    (NoSpectralGapWithinTol otherwise).  The Perron pair must lie in the
+    nonnegative cone (DefectiveMatrix otherwise) and be a fixed point of
+    A / lam and of its adjoint to 1e-10, relative to sup f_0 and in variation
+    norm for the probability mu_0 (NonConvergent otherwise).  For an
+    irreducible nonnegative matrix the only nonnegative eigenvector belongs to
+    the spectral radius, so these checks certify lam without power iteration.
     """
     if gap_floor < peripheral_tol:
         raise NoSpectralGapWithinTol("gap_floor must be at least peripheral_tol")
@@ -243,7 +232,6 @@ def peripheral_spectrum(op, peripheral_tol=PERIPHERAL_TOL_DEFAULT,
             mu0 = _nonnegative_real(mu, tol=1e-8)
             if f0 is None or mu0 is None:
                 raise DefectiveMatrix("leading eigenpair leaves the cone")
-            _check_perron_pair(op, lam, f0 / f0.max(), mu0 / mu0.sum(), reach.graph_period)
             mu = mu0.astype(complex) / mu0.sum()
             f = f0.astype(complex)
         else:
@@ -272,6 +260,8 @@ def peripheral_spectrum(op, peripheral_tol=PERIPHERAL_TOL_DEFAULT,
                       for j in range(m)])
     res_l = np.array([variation_norm(left[j] @ op.matrix - snapped_vals[j] * left[j])
                       for j in range(m)])
+    if res_r[0] > 1e-10 * np.abs(right[0]).max() or res_l[0] > 1e-10:
+        raise NonConvergent(f"eigen residuals too large: {res_r[0]:.2e}, {res_l[0]:.2e}")
     biorth = np.array([[left[j] @ right[k] for k in range(m)] for j in range(m)])
     if np.abs(biorth - np.eye(m)).max() > 1e-8:
         raise DefectiveMatrix("biorthogonalization failed beyond 1e-8")

@@ -185,6 +185,17 @@ def test_fixtures_regeneration_deterministic(tmp_path):
     assert "ds3.json" in names and "example21.spec.json" in names
 
 
+def test_fixtures_regenerate_byte_for_byte(tmp_path):
+    here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    checked_in = os.path.join(here, "fixtures")
+    assert main(["fixtures", "--out", str(tmp_path)]) == 0
+    names = sorted(os.listdir(checked_in))
+    assert sorted(os.listdir(tmp_path)) == names
+    for n in names:
+        with open(os.path.join(checked_in, n), "rb") as fp:
+            assert (tmp_path / n).read_bytes() == fp.read(), n
+
+
 def test_checked_in_fixtures_match_oracle():
     here = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     path = os.path.join(here, "fixtures", "ds3.json")
@@ -333,3 +344,56 @@ def test_lobo_state_out_of_range_exits_2(tmp_path, capsys, flag, value):
                  "--out", str(tmp_path / "l")]) == 2
     assert "InvalidDomain" in capsys.readouterr().err
     assert not (tmp_path / "l").exists()
+
+
+_GAUSS = {"family": "gaussian_shift", "domain": [-1, 1], "grid_size": 11,
+          "params": {"sigma": 0.5}}
+
+
+@pytest.mark.parametrize("doc,error", [
+    ({**_GAUSS, "grid_size": "abc"}, "SchemaError: grid_size must be an integer"),
+    ({**_GAUSS, "grid_size": 2.7}, "SchemaError: grid_size must be an integer"),
+    ({**_GAUSS, "domain": ["a", 1]}, "SchemaError: domain bound must be a number"),
+    ({**_GAUSS, "measure": {"name": "lebesgue_scaled", "scale": "x"}},
+     "SchemaError: measure scale must be a number"),
+    ({"family": "explicit_matrix", "params": {"matrix": 5}},
+     "SchemaError: explicit_matrix needs params.matrix"),
+    ({"family": "explicit_matrix", "params": {"matrix": [[0.5, "a"], [0.2, 0.3]]}},
+     "InvalidDomain: explicit matrix is not a numeric array"),
+    ({"family": "explicit_matrix", "params": {"matrix": [[0.5, 0.1], [0.2]]}},
+     "InvalidDomain: explicit matrix is not a numeric array"),
+])
+def test_malformed_spec_file_exits_2(tmp_path, capsys, doc, error):
+    spec = tmp_path / "bad.json"
+    spec.write_text(json.dumps(doc))
+    assert main(["analyze", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
+    assert error in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("n_list", ["0", "60,abc", "60,-1", ""])
+def test_lobo_bad_n_list_exits_2(tmp_path, capsys, n_list):
+    # checked before the spec is even resolved
+    assert main(["lobo", "--spec", str(tmp_path / "missing.json"), "--n-list", n_list,
+                 "--out", str(tmp_path / "l")]) == 2
+    assert "ValidationError: --n-list" in capsys.readouterr().err
+    assert not (tmp_path / "l").exists()
+
+
+@pytest.mark.parametrize("flag,env", [
+    (["--seed", "-1"], None), (["--seed", str(2 ** 64)], None),
+    ([], "abc"), ([], "-1"), ([], "1.5"),
+])
+def test_simulate_bad_seed_exits_2(tmp_path, capsys, monkeypatch, flag, env):
+    if env is not None:
+        monkeypatch.setenv("QSDLAB_SEED", env)
+    # checked before the spec is even resolved
+    assert main(["simulate", "--spec", str(tmp_path / "missing.json"),
+                 "--out", str(tmp_path / "s")] + flag) == 2
+    assert "ValidationError" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
+
+
+def test_simulate_largest_seed_runs(tmp_path):
+    assert main(["simulate", "--spec", "sym2", "--n", "2", "--n-paths", "2000",
+                 "--seed", str(2 ** 64 - 1), "--out", str(tmp_path / "s")]) == 0

@@ -13,6 +13,7 @@ from qsdlab.errors import (
     NotAperiodic,
     NotCyclic,
     NotPeriodic,
+    ValidationError,
     ZeroEigenfunctionMass,
 )
 from qsdlab.kernels import KernelSpec, build_operator
@@ -189,6 +190,12 @@ def test_fit_refuses_escape_start(sds):
         q.fit_yaglom_rate(sd.op, nu0, sd=sd)
 
 
+@pytest.mark.parametrize("n_max", [0, 2, -3, q.qsd.MIN_N_MAX - 1])
+def test_fit_yaglom_short_horizon_is_validation_error(sds, n_max):
+    with pytest.raises(ValidationError, match="n_max must be at least"):
+        q.fit_yaglom_rate(sds["sym2"].op, np.array([1.0, 0.0]), n_max=n_max, sd=sds["sym2"])
+
+
 # -- cyclic structure ---------------------------------------------------------
 
 def test_cyclic_components_cycle3(sds):
@@ -294,6 +301,12 @@ def test_cesaro_cycle3_bounded(sds):
 def test_cesaro_refuses_aperiodic(sds):
     with pytest.raises(NotPeriodic):
         q.cesaro_fit(sds["sym2"].op, np.array([1.0, 0.0]), sd=sds["sym2"])
+
+
+@pytest.mark.parametrize("n_max", [0, 1, q.qsd.MIN_N_MAX - 1])
+def test_cesaro_short_horizon_is_validation_error(sds, n_max):
+    with pytest.raises(ValidationError, match="n_max must be at least"):
+        q.cesaro_fit(sds["cycle2"].op, np.array([1.0, 0.0]), n_max=n_max, sd=sds["cycle2"])
 
 
 # -- survival mass decay ------------------------------------------------------

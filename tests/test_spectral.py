@@ -2,12 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import qsdlab as q
+from qsdlab import spectral
 from qsdlab.errors import (
     EscapeNode,
+    IllConditionedEigenbasis,
+    NonConvergent,
     NoSpectralGapWithinTol,
     NumericalError,
     PeriodMismatch,
@@ -16,6 +19,7 @@ from qsdlab.errors import (
 )
 from qsdlab.kernels import KernelSpec, build_operator
 from qsdlab.measures import variation_norm
+from qsdlab.oracle import FiniteChain, exact_qsd_qed
 
 
 def explicit(matrix):
@@ -146,6 +150,113 @@ def test_jordan_block_refused():
     # upper-triangular double eigenvalue: typed refusal, never a silent answer
     with pytest.raises(NumericalError):
         q.peripheral_spectrum(explicit([[0.5, 0.25], [0.0, 0.5]]))
+
+
+# -- Perron pair against the exact oracle -------------------------------------
+
+def _rows(rng, n_rows, n_cols, lo, hi, mask=None):
+    """Positive random rows (zero off ``mask``) with row sums drawn from [lo, hi]."""
+    a = rng.uniform(0.05, 1.0, (n_rows, n_cols))
+    if mask is not None:
+        a *= mask
+    return a / a.sum(axis=1, keepdims=True) * rng.uniform(lo, hi, (n_rows, 1))
+
+
+def _weakly_coupled(rng, na, nb, gap):
+    """Two dense blocks with equal Perron roots, coupled so sub/lam is near 1 - gap."""
+    eps = gap / 2
+    rho = rng.uniform(0.5, 0.8)
+    a, b = (_rows(rng, k, k, 0.8, 0.95) for k in (na, nb))
+    a *= rho / np.abs(np.linalg.eigvals(a)).max()
+    b *= rho / np.abs(np.linalg.eigvals(b)).max()
+    qm = np.zeros((na + nb, na + nb))
+    qm[:na, :na] = (1 - eps) * a
+    qm[:na, na:] = eps * a.sum(axis=1)[:, None] * rng.dirichlet(np.ones(nb))[None, :]
+    qm[na:, na:] = (1 - eps) * b
+    qm[na:, :na] = eps * b.sum(axis=1)[:, None] * rng.dirichlet(np.ones(na))[None, :]
+    return qm
+
+
+@st.composite
+def irreducible_chains(draw):
+    """Irreducible aperiodic substochastic chains of 2-50 states.
+
+    dense: every entry positive; sparse: a random Hamiltonian cycle, the
+    diagonal and random extra edges; weak: two blocks of 1-25 states whose
+    coupling sets sub/lam near 1 - gap, gap log-uniform in [1e-4, 1e-1].
+    """
+    kind = draw(st.sampled_from(["dense", "sparse", "weak"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "weak":
+        gap = 10 ** draw(st.floats(-4, -1))
+        return _weakly_coupled(rng, draw(st.integers(1, 25)), draw(st.integers(1, 25)), gap)
+    n = draw(st.integers(2, 50))
+    if kind == "dense":
+        return _rows(rng, n, n, 0.1, 1.0)
+    mask = rng.random((n, n)) < draw(st.floats(0.02, 0.5))
+    cycle = rng.permutation(n)
+    mask[cycle, np.roll(cycle, 1)] = True
+    mask[np.arange(n), np.arange(n)] = True
+    return _rows(rng, n, n, 0.1, 1.0, mask)
+
+
+def assert_matches_oracle(a, exact):
+    mu, eta, lam, m = exact
+    sd = q.peripheral_spectrum(explicit(a.tolist()))
+    mu_s, lam_s = q.quasi_stationary_measure(sd)
+    assert sd.period_m == m
+    assert abs(lam_s - lam) <= 1e-9
+    assert np.abs(mu_s - mu).max() <= 1e-9
+    assert np.abs(q.quasi_ergodic_measure(sd) - eta).max() <= 1e-9
+
+
+def test_weakly_coupled_repro_matches_oracle():
+    # sub/lam = 0.967: a 3% gap, far outside the 1e-4 gap floor, where a
+    # 200-step power iteration still misses lam by 1.1e-6
+    a = np.array([[0.6, 0.01], [0.01, 0.598]])
+    sd = q.peripheral_spectrum(explicit(a.tolist()))
+    assert sd.subdominant_radius / sd.lam == pytest.approx(0.967, abs=1e-3)
+    assert_matches_oracle(a, exact_qsd_qed(FiniteChain(Q=a)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(irreducible_chains())
+def test_random_chains_match_oracle(a):
+    mods = np.sort(np.abs(np.linalg.eigvals(a)))[::-1]
+    assume(mods[1] < (1 - spectral.GAP_FLOOR_DEFAULT) * mods[0])
+    try:
+        exact = exact_qsd_qed(FiniteChain(Q=a))
+    except IllConditionedEigenbasis:
+        assume(False)
+    assert_matches_oracle(a, exact)
+
+
+def test_bundled_systems_need_no_power_iteration(ops, monkeypatch):
+    def no_power(*args, **kwargs):
+        raise AssertionError("power iteration ran inside peripheral_spectrum")
+
+    monkeypatch.setattr(spectral, "power_lambda_estimate", no_power)
+    for name, op in ops.items():
+        sd = q.peripheral_spectrum(op)
+        assert sd.residuals_right[0] <= 1e-10 * np.abs(sd.right_eigs[0]).max(), name
+
+
+@pytest.mark.parametrize("side", [1, 3])
+def test_unresolved_perron_pair_is_nonconvergent(sds, monkeypatch, side):
+    # a Perron vector off by 1e-7 relative stays in the cone but misses the
+    # 1e-10 residual gate, on the right (vr) or the left (vl) side
+    dense_eig = spectral._dense_eig
+
+    def perturbed(matrix):
+        out = list(dense_eig(matrix))
+        k = int(np.argmax(np.abs(out[side - 1])))
+        vec = out[side][:, k]
+        out[side][:, k] = vec * (1 + 1e-7 * np.arange(len(vec)))
+        return tuple(out)
+
+    monkeypatch.setattr(spectral, "_dense_eig", perturbed)
+    with pytest.raises(NonConvergent):
+        q.peripheral_spectrum(sds["ds3"].op)
 
 
 # -- adjoint pairing ----------------------------------------------------------
