@@ -27,10 +27,17 @@ import sys
 import numpy as np
 
 from . import registry, specfile
-from .errors import NumericalError, ValidationError
+from .errors import (
+    AllNodesEscape,
+    NeverSubunit,
+    NotApplicable,
+    NumericalError,
+    SizeLimitExceeded,
+    ValidationError,
+)
 from .kernels import build_operator, check_h1_modulus, check_h2_reachability
 from .measures import tv_distance
-from .oracle import FiniteChain, fixture_dict, lobo_leading_term, lobo_sum
+from .oracle import SIZE_CAP, FiniteChain, fixture_dict, lobo_leading_term, lobo_sum
 from .qsd import (
     MIN_N_MAX,
     cesaro_fit,
@@ -41,7 +48,6 @@ from .qsd import (
     quasi_ergodic_measure,
     quasi_stationary_measure,
 )
-from .errors import NeverSubunit, NotApplicable
 from .simulate import (
     check_budget,
     check_start,
@@ -261,7 +267,12 @@ def cmd_lobo(args):
     if not spec.is_explicit:
         raise ValidationError("the exact cumulative-sum table needs an explicit chain")
     x0, h_state = check_start(spec, args.x0), check_start(spec, args.h_state)
-    chain = FiniteChain(Q=build_operator(spec).matrix)
+    op = build_operator(spec)
+    if op.size > SIZE_CAP:
+        raise SizeLimitExceeded(f"the exact table is limited to {SIZE_CAP} states, got {op.size}")
+    if not op.escape.nonescape_mass_positive:
+        raise AllNodesEscape("no non-escape nodes")
+    chain = FiniteChain(Q=op.matrix)
     h = np.zeros(chain.size)
     h[h_state] = 1.0
     rows = []

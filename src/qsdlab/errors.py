@@ -58,7 +58,7 @@ class NoSpectralGapWithinTol(NumericalError):
 
 
 class NonConvergent(NumericalError):
-    """Dense eigensolve left the Perron pair's residuals above tolerance."""
+    """Perron pair's residuals above tolerance, or a singular inverse-iteration shift."""
 
 
 class PeriodMismatch(NumericalError):

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import InvalidDomain, NotApplicable, TooFewSurvivors
 from .kernels import _map_centers
@@ -55,6 +54,8 @@ def _noise_to_moves(spec, x, u):
         u += _map_centers(spec, x)
         return u
     if spec.family == "gaussian_shift":
+        from scipy.special import ndtri
+
         sigma = float(p.get("sigma", 1.0))
         ndtri(u, out=u)
         u *= sigma

@@ -1,6 +1,9 @@
 import csv
 import json
 import os
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -129,6 +132,7 @@ def test_size_cap_exits_2_before_any_eigensolve(tmp_path, monkeypatch, capsys):
         raise AssertionError("eigensolve ran past the size cap")
 
     monkeypatch.setattr(np.linalg, "eig", no_eig)
+    monkeypatch.setattr(np.linalg, "eigvals", no_eig)
     assert main(["analyze", "--spec", "example21", "--grid-size", "2001",
                  "--out", str(tmp_path / "o")]) == 2
     assert "SizeLimitExceeded" in capsys.readouterr().err
@@ -397,3 +401,36 @@ def test_simulate_bad_seed_exits_2(tmp_path, capsys, monkeypatch, flag, env):
 def test_simulate_largest_seed_runs(tmp_path):
     assert main(["simulate", "--spec", "sym2", "--n", "2", "--n-paths", "2000",
                  "--seed", str(2 ** 64 - 1), "--out", str(tmp_path / "s")]) == 0
+
+
+def _chain_file(tmp_path, matrix):
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps({"family": "explicit_matrix", "params": {"matrix": matrix}}))
+    return str(path)
+
+
+def test_lobo_above_oracle_cap_exits_2(tmp_path, capsys):
+    spec = _chain_file(tmp_path, np.full((60, 60), 0.9 / 60).tolist())
+    assert main(["lobo", "--spec", spec, "--out", str(tmp_path / "l")]) == 2
+    err = capsys.readouterr().err
+    assert "SizeLimitExceeded: the exact table is limited to 50 states, got 60" in err
+    assert not (tmp_path / "l").exists()
+
+
+@pytest.mark.parametrize("cmd", ["analyze", "lobo"])
+def test_all_escape_chain_exits_3(tmp_path, capsys, cmd):
+    spec = _chain_file(tmp_path, [[0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([cmd, "--spec", spec, "--out", str(tmp_path / "o")]) == 3
+    assert "AllNodesEscape: no non-escape nodes" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_import_leaves_scipy_special_unloaded():
+    # the Gaussian sampler and density import it where they need it
+    src = os.path.dirname(os.path.dirname(q.__file__))
+    code = "import sys, qsdlab.cli; print(sorted(m for m in sys.modules if 'scipy' in m))"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert "scipy.special" not in out.stdout

@@ -49,14 +49,16 @@ def test_grid_refinement_self_consistency():
     assert abs(lam401 - lam801) <= 1e-3
 
 
-def test_two_dense_eigensolves_per_call(sds, monkeypatch):
+def test_one_eigvals_and_no_eig_per_call(sds, monkeypatch):
     calls = []
-    eig = np.linalg.eig
-    monkeypatch.setattr(np.linalg, "eig", lambda a: calls.append(a.shape) or eig(a))
+    for name in ("eig", "eigvals"):
+        solve = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda a, name=name, solve=solve: calls.append(name) or solve(a))
     q.peripheral_spectrum(sds["ds3"].op)
-    assert len(calls) == 2
+    assert calls == ["eigvals"]
     q.spectral_radius(sds["ds3"].op)
-    assert len(calls) == 4
+    assert calls == ["eigvals", "eigvals"]
 
 
 def test_reducible_refused():
@@ -244,17 +246,16 @@ def test_bundled_systems_need_no_power_iteration(ops, monkeypatch):
 @pytest.mark.parametrize("side", [1, 3])
 def test_unresolved_perron_pair_is_nonconvergent(sds, monkeypatch, side):
     # a Perron vector off by 1e-7 relative stays in the cone but misses the
-    # 1e-10 residual gate, on the right (vr) or the left (vl) side
-    dense_eig = spectral._dense_eig
+    # 1e-10 residual gate, on the right (side 1, f) or the left (side 3, mu)
+    inverse_iteration = spectral._inverse_iteration
 
-    def perturbed(matrix):
-        out = list(dense_eig(matrix))
-        k = int(np.argmax(np.abs(out[side - 1])))
-        vec = out[side][:, k]
-        out[side][:, k] = vec * (1 + 1e-7 * np.arange(len(vec)))
+    def perturbed(matrix, beta):
+        out = list(inverse_iteration(matrix, beta))
+        vec = out[side // 2]
+        out[side // 2] = vec * (1 + 1e-7 * np.arange(len(vec)))
         return tuple(out)
 
-    monkeypatch.setattr(spectral, "_dense_eig", perturbed)
+    monkeypatch.setattr(spectral, "_inverse_iteration", perturbed)
     with pytest.raises(NonConvergent):
         q.peripheral_spectrum(sds["ds3"].op)
 
