@@ -28,10 +28,10 @@ import numpy as np
 
 from . import registry, specfile
 from .errors import (
-    AllNodesEscape,
     NeverSubunit,
     NotApplicable,
     NumericalError,
+    Reducible,
     SizeLimitExceeded,
     ValidationError,
 )
@@ -270,8 +270,9 @@ def cmd_lobo(args):
     op = build_operator(spec)
     if op.size > SIZE_CAP:
         raise SizeLimitExceeded(f"the exact table is limited to {SIZE_CAP} states, got {op.size}")
-    if not op.escape.nonescape_mass_positive:
-        raise AllNodesEscape("no non-escape nodes")
+    reach = check_h2_reachability(op)   # AllNodesEscape when every state dies at once
+    if not reach.strongly_connected:
+        raise Reducible(f"{reach.n_components} communicating classes")
     chain = FiniteChain(Q=op.matrix)
     h = np.zeros(chain.size)
     h[h_state] = 1.0

@@ -197,20 +197,23 @@ def _window_values(centers, nodes, lower, upper, halfwidth):
     touches the domain come out exactly zero.
     """
     c = np.asarray(centers, dtype=float)[:, None]
-    y = np.asarray(nodes, dtype=float)[None, :]
+    y = np.asarray(nodes, dtype=float)
     t = y - c
-    inside = np.abs(t) < halfwidth - JUMP_ATOL
-    at_left = np.abs(t + halfwidth) <= JUMP_ATOL
-    at_right = np.abs(t - halfwidth) <= JUMP_ATOL
+    buf = np.abs(t)
+    inside = buf < halfwidth - JUMP_ATOL
+    # |t + w| and |t - w| reuse the one scratch array
+    at_left = np.abs(np.add(t, halfwidth, out=buf), out=buf) <= JUMP_ATOL
+    at_right = np.abs(np.subtract(t, halfwidth, out=buf), out=buf) <= JUMP_ATOL
     has_below = y > lower + JUMP_ATOL
     has_above = y < upper - JUMP_ATOL
     n_sides = np.maximum(has_below.astype(float) + has_above.astype(float), 1.0)
-    n_sides = np.broadcast_to(n_sides, t.shape)
-    val = inside.astype(float)
+    val = t                 # t is spent: its memory takes the values
+    np.copyto(val, inside)
     # one-sided limits of the open-window indicator: left edge (below, above)
-    # = (0, 1); right edge = (1, 0)
-    val = np.where(at_left, np.broadcast_to(has_above, t.shape) / n_sides, val)
-    val = np.where(at_right, np.broadcast_to(has_below, t.shape) / n_sides, val)
+    # = (0, 1); right edge = (1, 0); edges are a few entries per row
+    for edge, side in ((at_left, has_above), (at_right, has_below)):
+        i, j = np.nonzero(edge)
+        val[i, j] = side[j] / n_sides[j]
     return val
 
 
@@ -240,15 +243,20 @@ def kernel_density(spec, x, y):
         w = float(p["noise_halfwidth"])
         if w <= 0:
             raise InvalidDomain("noise_halfwidth must be positive")
-        vals = _window_values(_map_centers(spec, x), y, lo, hi, w) / (2 * w)
+        vals = _window_values(_map_centers(spec, x), y, lo, hi, w)
+        vals /= 2 * w
     elif spec.family == "gaussian_shift":
         sigma = float(p.get("sigma", 1.0))
         if sigma <= 0:
             raise InvalidDomain("sigma must be positive")
-        t = (np.asarray(y, float)[None, :] - np.asarray(x, float)[:, None]) / sigma
-        vals = np.exp(-0.5 * t * t) / (sigma * math.sqrt(2 * math.pi))
+        vals = np.asarray(y, float)[None, :] - np.asarray(x, float)[:, None]
+        vals /= sigma
+        vals *= vals
+        vals *= -0.5            # exact scaling: bitwise (-0.5 t) t
+        np.exp(vals, out=vals)
+        vals /= sigma * math.sqrt(2 * math.pi)
     elif spec.family == "tabulated":
-        vals = np.asarray(p["values"], dtype=float)
+        vals = np.array(p["values"], dtype=float)   # a copy: scaled in place below
         if vals.shape != (np.size(x), np.size(y)):
             raise InvalidDomain("tabulated values must match the grid shape")
     else:  # pragma: no cover
@@ -257,7 +265,8 @@ def kernel_density(spec, x, y):
         raise NegativeDensity("density evaluated to a non-finite value")
     if vals.min() < 0:
         raise NegativeDensity("density evaluated below zero")
-    return vals / spec.measure_scale
+    vals /= spec.measure_scale
+    return vals
 
 
 def analytic_row_mass(spec, x):
@@ -360,7 +369,8 @@ def build_operator(spec, escape_tol=ESCAPE_TOL_DEFAULT):
             dens = _ulam_average_density(spec, grid)
         else:
             dens = kernel_density(spec, grid.nodes, grid.nodes)
-        matrix = dens * grid.weights[None, :]
+        matrix = dens
+        matrix *= grid.weights[None, :]
         row_error = _row_error_bound(spec, grid)
     op = DiscreteOperator(grid=grid, matrix=matrix, escape=_detect(matrix, escape_tol),
                           spec=spec, row_error=row_error)
@@ -494,8 +504,7 @@ def check_h2_reachability(op):
     keep = op.nonescape_indices()
     if keep.size == 0:
         raise AllNodesEscape("no non-escape nodes")
-    sub = op.matrix[np.ix_(keep, keep)]
-    adj = sub > op.escape.tolerance
+    adj = (op.matrix > op.escape.tolerance)[np.ix_(keep, keep)]
     # strongly connected components: peel off forward & backward reach
     unseen = np.ones(len(keep), dtype=bool)
     n_comp = 0

@@ -11,6 +11,7 @@ biorthonormalized left/right peripheral eigenpairs.
 """
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +33,8 @@ PERIPHERAL_TOL_DEFAULT = 1e-6
 GAP_FLOOR_DEFAULT = 1e-4
 ANGLE_SNAP_TOL = 1e-3
 DENSE_SIZE_LIMIT = 2000
+KRYLOV_MIN_SIZE = 512
+KRYLOV_SEPARATION = 0.9
 
 
 @dataclass(frozen=True)
@@ -48,7 +51,7 @@ class SpectralData:
     lam: float
     period_m: int
     eigenvalues: np.ndarray        # snapped peripheral eigenvalues, j = 0..m-1
-    raw_eigenvalues: np.ndarray    # as returned by the dense solve
+    raw_eigenvalues: np.ndarray    # as returned by the eigensolve
     right_eigs: np.ndarray         # shape (m, n) complex
     left_eigs: np.ndarray          # shape (m, n) complex
     subdominant_radius: float
@@ -84,15 +87,52 @@ class SpectralData:
         }
 
 
-def _dense_eig(matrix):
-    """Every eigenvalue of the matrix, from one eigenvector-free dense solve.
+def _dense_eig(matrix, period, peripheral_tol):
+    """Eigenvalues of the matrix: every one, or the top ``period + 3`` of them.
 
-    The peripheral eigenvectors come from :func:`_inverse_iteration`.
+    Below ``KRYLOV_MIN_SIZE`` nodes one eigenvector-free dense solve gives
+    every eigenvalue.  From there on ARPACK (``scipy.sparse.linalg.eigs``,
+    Lehoucq, Sorensen & Yang 1998) gives the ``period + 3`` of largest
+    modulus, which is all that :func:`peripheral_spectrum` reads, and they
+    are kept when they show a clear gap: the smallest modulus outside the
+    peripheral band is at most ``KRYLOV_SEPARATION`` times the largest.  A
+    compact operator's discretization has such a gap; a spectrum that clouds
+    below the band, or an ARPACK failure, falls back to the dense solve, as
+    does a period too close to the size for ARPACK.  SciPy is imported only
+    on the ARPACK path.  The peripheral eigenvectors come from
+    :func:`_inverse_iteration`.
     """
-    if matrix.shape[0] > DENSE_SIZE_LIMIT:
+    n = matrix.shape[0]
+    if n > DENSE_SIZE_LIMIT:
         raise SizeLimitExceeded(
-            f"dense eigensolve limited to {DENSE_SIZE_LIMIT} nodes, got {matrix.shape[0]}")
+            f"dense eigensolve limited to {DENSE_SIZE_LIMIT} nodes, got {n}")
+    if n >= KRYLOV_MIN_SIZE and period + 3 < n - 1:
+        from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigs
+
+        try:
+            ev = eigs(matrix, period + 3, which="LM", return_eigenvectors=False, tol=0,
+                      v0=np.random.default_rng(0).random(n))
+        except (ArpackNoConvergence, ArpackError):
+            pass
+        else:
+            mods = np.abs(ev)
+            rest = mods[mods < mods.max() * (1 - peripheral_tol)]
+            if rest.size and rest.min() <= KRYLOV_SEPARATION * rest.max():
+                return ev
     return np.linalg.eigvals(matrix)
+
+
+def _matmul(a, b):
+    """``a @ b`` for a real matrix and a vector that may be complex.
+
+    A complex vector is applied as its real and imaginary parts, so NumPy
+    never makes a complex copy of the matrix.
+    """
+    if np.iscomplexobj(a):
+        return a.real @ b + 1j * (a.imag @ b)
+    if np.iscomplexobj(b):
+        return a @ b.real + 1j * (a @ b.imag)
+    return a @ b
 
 
 def _inverse_iteration(matrix, beta):
@@ -106,23 +146,40 @@ def _inverse_iteration(matrix, beta):
     chain is singular; each step still damps the rest of the spectrum by
     1e-12 lam / gap.  The start is a fixed-seed random vector: a constant one
     has no component along f_j, j >= 1, on a block-cyclic chain whose
-    classes carry equal mass.  Arithmetic is real when beta is real.
+    classes carry equal mass.  Arithmetic is real when beta is real.  From
+    ``KRYLOV_MIN_SIZE`` nodes on the shifted matrix is LU-factored once
+    (``scipy.linalg.lu_factor``) and all six solves reuse the factors;
+    below, each is one ``np.linalg.solve``, which keeps SciPy out of small
+    runs.  A singular shifted matrix raises NonConvergent.
     """
     if beta.imag == 0:
         beta = beta.real
     n = len(matrix)
-    shifted = matrix.astype(np.result_type(matrix, beta))
+    shifted = matrix.astype(np.result_type(matrix, beta), order="F")
     shifted.flat[::n + 1] -= beta * (1 + 1e-12)
+    singular = f"shifted matrix is singular at eigenvalue {beta:.6g}"
+    if n >= KRYLOV_MIN_SIZE:
+        from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", LinAlgWarning)
+            try:
+                lu = lu_factor(shifted, overwrite_a=True)
+            except LinAlgWarning:
+                raise NonConvergent(singular) from None
+        solve = lambda v, trans: lu_solve(lu, v, trans=trans)
+    else:
+        solve = lambda v, trans: np.linalg.solve(shifted.T if trans else shifted, v)
     f = mu = np.random.default_rng(0).random(n)
     try:
         for _ in range(3):
-            f = np.linalg.solve(shifted, f)
+            f = solve(f, 0)
             f /= np.abs(f).max()
-            mu = np.linalg.solve(shifted.T, mu)
+            mu = solve(mu, 1)
             mu /= np.abs(mu).max()
     except np.linalg.LinAlgError:
-        raise NonConvergent(f"shifted matrix is singular at eigenvalue {beta:.6g}") from None
-    return matrix @ f / beta, mu @ matrix / beta
+        raise NonConvergent(singular) from None
+    return _matmul(matrix, f) / beta, _matmul(mu, matrix) / beta
 
 
 def _nonnegative_real(vec, tol):
@@ -205,10 +262,13 @@ def peripheral_spectrum(op, peripheral_tol=PERIPHERAL_TOL_DEFAULT,
                         gap_floor=GAP_FLOOR_DEFAULT, reach=None):
     """Extract the full peripheral eigenstructure of the operator.
 
-    One dense :func:`_dense_eig` gives every eigenvalue; f_j and mu_j for the
-    slots j <= m/2 come from :func:`_inverse_iteration` at the eigenvalue in
-    that slot, so each left/right pair shares its eigenvalue by construction,
-    and slots m - j are their complex conjugates.
+    :func:`_dense_eig` gives the eigenvalues: every one from a dense solve,
+    or, from ``KRYLOV_MIN_SIZE`` nodes on, the top graph period + 3 from
+    ARPACK when they show a clear gap below the peripheral band (else the
+    dense solve after all).  f_j and mu_j for the slots j <= m/2 come from
+    :func:`_inverse_iteration` at the eigenvalue in that slot, so each
+    left/right pair shares its eigenvalue by construction, and slots m - j
+    are their complex conjugates.  Every check below runs on either path.
 
     The peripheral band is ``|beta| >= lam * (1 - peripheral_tol)``.  The
     count m must match the graph period of the communicating class
@@ -227,7 +287,7 @@ def peripheral_spectrum(op, peripheral_tol=PERIPHERAL_TOL_DEFAULT,
     reach = reach or check_h2_reachability(op)
     if not reach.strongly_connected:
         raise Reducible(f"{reach.n_components} communicating classes")
-    ev = _dense_eig(op.matrix)
+    ev = _dense_eig(op.matrix, reach.graph_period, peripheral_tol)
     lam = float(np.abs(ev).max())
     if lam <= 0:
         raise NoSpectralGapWithinTol("spectral radius is zero")
@@ -289,9 +349,9 @@ def peripheral_spectrum(op, peripheral_tol=PERIPHERAL_TOL_DEFAULT,
             left[m - j] = np.conj(mu)
 
     snapped_vals = lam * np.exp(2j * math.pi * np.arange(m) / m)
-    res_r = np.array([np.abs(op.matrix @ right[j] - snapped_vals[j] * right[j]).max()
+    res_r = np.array([np.abs(_matmul(op.matrix, right[j]) - snapped_vals[j] * right[j]).max()
                       for j in range(m)])
-    res_l = np.array([variation_norm(left[j] @ op.matrix - snapped_vals[j] * left[j])
+    res_l = np.array([variation_norm(_matmul(left[j], op.matrix) - snapped_vals[j] * left[j])
                       for j in range(m)])
     if res_r[0] > 1e-10 * np.abs(right[0]).max() or res_l[0] > 1e-10:
         raise NonConvergent(f"eigen residuals too large: {res_r[0]:.2e}, {res_l[0]:.2e}")

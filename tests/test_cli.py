@@ -128,11 +128,14 @@ def test_numerical_refusal_exits_3(tmp_path):
 
 
 def test_size_cap_exits_2_before_any_eigensolve(tmp_path, monkeypatch, capsys):
-    def no_eig(a):
+    import scipy.sparse.linalg
+
+    def no_eig(a, *args, **kwargs):
         raise AssertionError("eigensolve ran past the size cap")
 
     monkeypatch.setattr(np.linalg, "eig", no_eig)
     monkeypatch.setattr(np.linalg, "eigvals", no_eig)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigs", no_eig)
     assert main(["analyze", "--spec", "example21", "--grid-size", "2001",
                  "--out", str(tmp_path / "o")]) == 2
     assert "SizeLimitExceeded" in capsys.readouterr().err
@@ -425,6 +428,14 @@ def test_all_escape_chain_exits_3(tmp_path, capsys, cmd):
         assert main([cmd, "--spec", spec, "--out", str(tmp_path / "o")]) == 3
     assert "AllNodesEscape: no non-escape nodes" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_lobo_refuses_reducible_chain_exits_3(tmp_path, capsys):
+    spec = _chain_file(tmp_path, [[0.5, 0.0], [0.0, 0.5]])
+    for cmd in ("analyze", "lobo"):
+        assert main([cmd, "--spec", spec, "--out", str(tmp_path / cmd)]) == 3
+        assert "Reducible: 2 communicating classes" in capsys.readouterr().err
+        assert not (tmp_path / cmd).exists()
 
 
 def test_cli_import_leaves_scipy_special_unloaded():

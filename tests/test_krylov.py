@@ -1,0 +1,220 @@
+"""The Krylov path of ``peripheral_spectrum`` against its dense path.
+
+From ``KRYLOV_MIN_SIZE`` nodes on, ``_dense_eig`` takes the top eigenvalues
+from ARPACK and ``_inverse_iteration`` LU-factors each shift once.  Raising
+``KRYLOV_MIN_SIZE`` past the operator's size runs the dense path instead:
+one ``np.linalg.eigvals`` and ``np.linalg.solve`` steps.  Where the Krylov
+values show a gap below the subdominant modulus the two paths differ in
+rounding only, so lam, m, the subdominant modulus and every f_j and mu_j
+must agree to 1e-12 relative.  Where they do not (a cloud of equal moduli
+below the peripheral band, or an ARPACK failure) the dense eigenvalues are
+used, bit for bit.
+"""
+
+import os
+import subprocess
+import sys
+import warnings
+
+import numpy as np
+import pytest
+import scipy.sparse.linalg
+
+import qsdlab as q
+from qsdlab import spectral
+from qsdlab.errors import NonConvergent
+from qsdlab.kernels import KernelSpec, build_operator
+
+REL_TOL = 1e-12
+
+
+def explicit(matrix):
+    return build_operator(KernelSpec(domain=(0, 1), family="explicit_matrix",
+                                     params={"matrix": matrix}))
+
+
+def _rows(rng, n_rows, n_cols):
+    """Positive random rows with row sums drawn from [0.5, 0.99]."""
+    a = rng.uniform(0.05, 1.0, (n_rows, n_cols))
+    return a / a.sum(axis=1, keepdims=True) * rng.uniform(0.5, 0.99, (n_rows, 1))
+
+
+def weak_chain(rng, na, nb, eps):
+    """Two dense blocks of row sum 0.7, coupled by eps: sub/lam = 1 - 2 eps."""
+    a, b = (_rows(rng, k, k) for k in (na, nb))
+    a *= 0.7 / a.sum(axis=1, keepdims=True)
+    b *= 0.7 / b.sum(axis=1, keepdims=True)
+    out = np.zeros((na + nb, na + nb))
+    out[:na, :na] = (1 - eps) * a
+    out[:na, na:] = eps * a.sum(axis=1)[:, None] * rng.dirichlet(np.ones(nb))[None, :]
+    out[na:, na:] = (1 - eps) * b
+    out[na:, :na] = eps * b.sum(axis=1)[:, None] * rng.dirichlet(np.ones(na))[None, :]
+    return out
+
+
+def smooth_cyclic_chain(sizes):
+    """Period len(sizes) through smooth Gaussian blocks: a separated, compact-like spectrum."""
+    starts = np.concatenate([[0], np.cumsum(sizes)])
+    out = np.zeros((starts[-1], starts[-1]))
+    for c, n in enumerate(sizes):
+        d = (c + 1) % len(sizes)
+        x, y = np.linspace(0, 1, n), np.linspace(0, 1, sizes[d])
+        block = np.exp(-(x[:, None] - y[None, :]) ** 2 / (0.02 + 0.03 * c))
+        block *= (0.6 + 0.3 * x[:, None] ** (c + 1)) / block.sum(axis=1, keepdims=True)
+        out[starts[c]:starts[c + 1], starts[d]:starts[d + 1]] = block
+    return out
+
+
+def cyclic_chain(rng, m, b):
+    """Period m through m random positive blocks: a cloud below the band."""
+    out = np.zeros((m * b, m * b))
+    for k in range(m):
+        nxt = (k + 1) % m
+        out[k * b:(k + 1) * b, nxt * b:(nxt + 1) * b] = _rows(rng, b, b)
+    return out
+
+
+def _spy(monkeypatch, module, name, calls=None):
+    """Record each call of ``module.name`` in ``calls`` (a new list by default)."""
+    calls = [] if calls is None else calls
+    real = getattr(module, name)
+
+    def spy(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+def dense_path(op, monkeypatch):
+    with monkeypatch.context() as mp:
+        mp.setattr(spectral, "KRYLOV_MIN_SIZE", op.size + 1)
+        return q.peripheral_spectrum(op)
+
+
+def assert_matches_dense(op, monkeypatch, krylov=True):
+    """Krylov run against the dense run; ``krylov``: the ARPACK values were kept."""
+    dense_calls = _spy(monkeypatch, np.linalg, "eigvals")
+    sd = q.peripheral_spectrum(op)
+    if krylov:
+        assert dense_calls == []
+    ref = dense_path(op, monkeypatch)
+    assert sd.period_m == ref.period_m
+    assert abs(sd.lam - ref.lam) <= REL_TOL * ref.lam
+    assert abs(sd.subdominant_radius - ref.subdominant_radius) <= REL_TOL * max(
+        ref.subdominant_radius, 1e-2 * ref.lam)
+    for new, old in ((sd.right_eigs, ref.right_eigs), (sd.left_eigs, ref.left_eigs)):
+        for j in range(sd.period_m):
+            assert np.abs(new[j] - old[j]).max() <= REL_TOL * np.abs(old[j]).max(), j
+    return sd
+
+
+@pytest.mark.parametrize("n", [513, 801])
+@pytest.mark.parametrize("name", ["example21", "example22cubic", "example23gauss"])
+def test_bundled_systems_match_dense_path(name, n, monkeypatch):
+    assert_matches_dense(build_operator(q.get_spec(name, grid_size=n)), monkeypatch)
+
+
+@pytest.mark.parametrize("na,nb,eps", [(260, 270, 6e-5), (300, 250, 5e-3)])
+def test_weakly_coupled_chains_match_dense_path(na, nb, eps, monkeypatch):
+    sd = assert_matches_dense(explicit(weak_chain(np.random.default_rng(na), na, nb, eps)),
+                              monkeypatch)
+    assert 1 - 2.5 * eps < sd.subdominant_radius / sd.lam < 1 - 1.5 * eps
+
+
+@pytest.mark.parametrize("sizes,krylov", [((260, 270), True), ((170, 171, 172), False)])
+def test_separated_block_cyclic_chain_matches_dense_path(sizes, krylov, monkeypatch):
+    # with period m every modulus comes m times, so for m = 3 the three
+    # values after the band are equal and the gap test falls back; its
+    # complex shifts still take one LU each, with the plain transpose for mu
+    sd = assert_matches_dense(explicit(smooth_cyclic_chain(sizes)), monkeypatch, krylov)
+    assert sd.period_m == len(sizes)
+
+
+def test_rank_one_chain_matches_dense_path(monkeypatch):
+    rng = np.random.default_rng(7)
+    a = rng.uniform(0.3, 0.9, 600)[:, None] * rng.dirichlet(np.ones(600))[None, :]
+    # a rank-one operator has nothing but rounding below lam; ARPACK may
+    # or may not see a gap in that noise
+    sd = assert_matches_dense(explicit(a), monkeypatch, krylov=False)
+    assert spectral.subdominant_rate(sd) == float("inf")
+
+
+def _bitwise_equal(a, b):
+    for field in ("lam", "period_m", "subdominant_radius"):
+        assert getattr(a, field) == getattr(b, field), field
+    for field in ("eigenvalues", "raw_eigenvalues", "right_eigs", "left_eigs",
+                  "residuals_right", "residuals_left"):
+        assert getattr(a, field).tobytes() == getattr(b, field).tobytes(), field
+
+
+def _no_convergence(*args, **kwargs):
+    raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", np.array([]), None)
+
+
+def _arpack_error(*args, **kwargs):
+    raise scipy.sparse.linalg.ArpackError(-9999)
+
+
+@pytest.mark.parametrize("make", [
+    lambda rng: _rows(rng, 512, 512),
+    lambda rng: cyclic_chain(rng, 2, 256),
+], ids=["dense", "cyclic2"])
+def test_cloud_spectrum_falls_back_to_dense_eigenvalues(make, monkeypatch):
+    op = explicit(make(np.random.default_rng(11)))
+    with monkeypatch.context() as mp:
+        calls = _spy(mp, np.linalg, "eigvals", _spy(mp, scipy.sparse.linalg, "eigs"))
+        sd = q.peripheral_spectrum(op)
+        assert calls == ["eigs", "eigvals"]
+    monkeypatch.setattr(scipy.sparse.linalg, "eigs", _no_convergence)
+    _bitwise_equal(sd, q.peripheral_spectrum(op))
+
+
+@pytest.mark.parametrize("failure", [_no_convergence, _arpack_error])
+def test_arpack_failure_falls_back_to_dense_eigenvalues(failure, monkeypatch):
+    op = build_operator(q.get_spec("example21", grid_size=513))
+    krylov = q.peripheral_spectrum(op)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigs", failure)
+    calls = _spy(monkeypatch, np.linalg, "eigvals")
+    sd = q.peripheral_spectrum(op)
+    assert calls == ["eigvals"]
+    assert abs(sd.lam - krylov.lam) <= REL_TOL * krylov.lam
+    assert np.abs(sd.left_eigs[0] - krylov.left_eigs[0]).max() <= REL_TOL * sd.mu0.max()
+
+
+def test_period_near_size_takes_dense_eigenvalues():
+    # ARPACK needs k = period + 3 < n - 1 (an n-cycle has period n); past
+    # that scipy warns and runs a full eig
+    n = spectral.KRYLOV_MIN_SIZE
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ev = spectral._dense_eig(np.diag(np.linspace(0.1, 0.9, n)), n - 4,
+                                 spectral.PERIPHERAL_TOL_DEFAULT)
+    assert len(ev) == n
+
+
+def test_singular_lu_factor_is_nonconvergent():
+    # lu_factor only warns on an exactly singular matrix; the shift makes
+    # this one exactly zero
+    beta = 0.5
+    matrix = np.eye(spectral.KRYLOV_MIN_SIZE) * (beta * (1 + 1e-12))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonConvergent, match="singular"):
+            spectral._inverse_iteration(matrix, np.complex128(beta))
+
+
+def test_small_analyze_leaves_scipy_unloaded(tmp_path):
+    src = os.path.dirname(os.path.dirname(q.__file__))
+    code = (
+        "import sys\n"
+        "from qsdlab.cli import main\n"
+        f"assert main(['analyze', '--spec', 'sym2', '--out', {str(tmp_path / 'a')!r}]) == 0\n"
+        "assert main(['analyze', '--spec', 'example21', '--grid-size', '401',\n"
+        f"             '--out', {str(tmp_path / 'b')!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"
