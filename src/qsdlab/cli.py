@@ -272,7 +272,7 @@ def cmd_lobo(args):
         raise SizeLimitExceeded(f"the exact table is limited to {SIZE_CAP} states, got {op.size}")
     reach = check_h2_reachability(op)   # AllNodesEscape when every state dies at once
     if not reach.strongly_connected:
-        raise Reducible(f"{reach.n_components} communicating classes")
+        raise Reducible(reach.reducible_message)
     chain = FiniteChain(Q=op.matrix)
     h = np.zeros(chain.size)
     h[h_state] = 1.0

@@ -354,6 +354,8 @@ def build_operator(spec, escape_tol=ESCAPE_TOL_DEFAULT):
             raise InvalidDomain(f"explicit matrix is not a numeric array: {exc}") from None
         if q.ndim != 2 or q.shape[0] != q.shape[1]:
             raise InvalidDomain("explicit matrix must be square")
+        if not np.isfinite(q).all():
+            raise InvalidDomain("explicit matrix has NaN or infinite entries")
         if q.min() < 0:
             raise NegativeDensity("explicit matrix has negative entries")
         rows = q.sum(axis=1)
@@ -472,6 +474,13 @@ class ReachabilityReport:
     def verdict(self):
         return "PASS" if (self.strongly_connected and self.nonescape_mass_positive) else "FAIL"
 
+    @property
+    def reducible_message(self):
+        """Why the non-escape nodes are not one communicating class."""
+        if self.n_components == 1:
+            return "the only non-escape state has no self-loop"
+        return f"{self.n_components} communicating classes"
+
 
 def _bfs_levels(adj, source):
     """Breadth-first search from ``source`` along ``adj``.
@@ -507,19 +516,20 @@ def check_h2_reachability(op):
     adj = (op.matrix > op.escape.tolerance)[np.ix_(keep, keep)]
     # strongly connected components: peel off forward & backward reach
     unseen = np.ones(len(keep), dtype=bool)
-    n_comp = 0
+    periods = []   # from each forward search: the graph period when there is one class
     while unseen.any():
         i = int(np.flatnonzero(unseen)[0])
-        unseen &= ~((_bfs_levels(adj, i)[0] >= 0) & (_bfs_levels(adj.T, i)[0] >= 0))
-        n_comp += 1
+        level, period = _bfs_levels(adj, i)
+        unseen &= ~((level >= 0) & (_bfs_levels(adj.T, i)[0] >= 0))
+        periods.append(period)
+    n_comp = len(periods)
     connected = n_comp == 1 and (len(keep) > 1 or bool(adj[0, 0]))
-    period = _bfs_levels(adj, 0)[1] if connected else 0
     return ReachabilityReport(
         n_nodes=op.size,
         escape_indices=tuple(sorted(op.escape.indices)),
         strongly_connected=connected,
         n_components=n_comp,
-        graph_period=period,
+        graph_period=periods[0] if connected else 0,
         all_nodes_reach_all=connected,
         nonescape_mass_positive=op.escape.nonescape_mass_positive,
     )

@@ -136,7 +136,7 @@ def yaglom_iterate(op, nu0, n, renormalize_each_step=True):
         raise ValueError("nu0 must be a probability vector")
     if n < 0:
         raise ValueError("n must be >= 0")
-    laws, masses = _orbit(op.matrix, nu, n, np.sum if renormalize_each_step else None)
+    laws, masses = _orbit(op.matrix, nu, n, np.add.reduce if renormalize_each_step else None)
     if n:
         nu = laws[-1].copy()
     if renormalize_each_step:
@@ -204,7 +204,7 @@ def fit_yaglom_rate(op, nu0, n_max=None, sd=None):
     if float(np.asarray(nu0) @ sd.f0) <= 1e-14:
         raise ZeroEigenfunctionMass("nu0 carries no mass on the eigenfunction")
     mu, _ = quasi_stationary_measure(sd)
-    laws, _ = _orbit(op.matrix, np.asarray(nu0, dtype=float), n_max, np.sum)
+    laws, _ = _orbit(op.matrix, np.asarray(nu0, dtype=float), n_max, np.add.reduce)
     tvs = _tv_rows(laws, mu)
     ns = np.arange(1, n_max + 1)
     tail = _tail_points(tvs)
@@ -332,7 +332,7 @@ def cesaro_fit(op, nu0, n_max=200, sd=None, partition=None):
     partition = partition or cyclic_components(sd, op)
     target = partition.cyclic_mean_measure()
 
-    laws, _ = _orbit(op.matrix, np.asarray(nu0, dtype=float), n_max, np.sum)
+    laws, _ = _orbit(op.matrix, np.asarray(nu0, dtype=float), n_max, np.add.reduce)
     ns = np.arange(1, n_max + 1)
     ds = _tv_rows(np.cumsum(laws, axis=0) / ns[:, None], target)
     nd = ns * ds

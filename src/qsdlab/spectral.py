@@ -11,7 +11,6 @@ biorthonormalized left/right peripheral eigenpairs.
 """
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +34,9 @@ ANGLE_SNAP_TOL = 1e-3
 DENSE_SIZE_LIMIT = 2000
 KRYLOV_MIN_SIZE = 512
 KRYLOV_SEPARATION = 0.9
+KRYLOV_STEPS = 60
+KRYLOV_RESIDUAL = 1e-14
+RITZ_GAP = 1e-2
 
 
 @dataclass(frozen=True)
@@ -87,39 +89,115 @@ class SpectralData:
         }
 
 
+def _arnoldi(matrix, k, need):
+    """The ``k`` largest-modulus Ritz values of the matrix and their Ritz vectors.
+
+    Unrestarted Arnoldi (Saad, *Numerical Methods for Large Eigenvalue
+    Problems*, 2nd ed. 2011, ch. 6) from the fixed-seed random start, each
+    new direction orthogonalized twice by classical Gram-Schmidt, for at most
+    ``KRYLOV_STEPS`` steps.  After each step from the k-th on, the run stops
+    when the residual estimate ``|h_{j+1,j} y_j|`` of the ``need`` largest
+    Ritz pairs is at most ``KRYLOV_RESIDUAL`` times the largest modulus.  A
+    breakdown (``h_{j+1,j}`` that small) leaves an invariant subspace whose
+    Ritz values are exact; a random start reaches every eigenvalue, so the
+    values it lacks are zero and are padded as such.  Returns the values in
+    decreasing modulus and the Ritz vectors, sup-normalized, as the rows of
+    an array; or None when the run does not converge.
+    """
+    n = len(matrix)
+    basis = np.empty((KRYLOV_STEPS + 1, n))
+    hess = np.zeros((KRYLOV_STEPS + 1, KRYLOV_STEPS))
+    v = np.random.default_rng(0).random(n)
+    basis[0] = v / np.linalg.norm(v)
+    for j in range(KRYLOV_STEPS):
+        w = matrix @ basis[j]
+        for _ in range(2):
+            h = basis[:j + 1] @ w
+            w -= h @ basis[:j + 1]
+            hess[:j + 1, j] += h
+        hess[j + 1, j] = norm = np.linalg.norm(w)
+        theta, y = np.linalg.eig(hess[:j + 1, :j + 1])
+        order = np.argsort(-np.abs(theta), kind="stable")[:k]
+        tol = KRYLOV_RESIDUAL * abs(theta[order[0]])
+        breakdown = norm <= tol
+        if breakdown or (j + 1 >= k and norm * np.abs(y[j, order[:need]]).max() <= tol):
+            vecs = y[:, order].T @ basis[:j + 1]
+            vecs /= np.abs(vecs).max(axis=1, keepdims=True)
+            return np.concatenate([theta[order], np.zeros(k - len(order))]), vecs
+        basis[j + 1] = w / norm
+    return None
+
+
+def _band_slots(ev, peripheral_tol):
+    """Indices of the m values in the peripheral band of ev, and their m-th root slots.
+
+    The band is ``|beta| >= lam * (1 - peripheral_tol)``; returns the
+    indices, the slot of each and its angle error, as :func:`snap_phases`.
+    """
+    mods = np.abs(ev)
+    band = np.flatnonzero(mods >= mods.max() * (1 - peripheral_tol))
+    return (band, *snap_phases(ev[band], len(band)))
+
+
+def _krylov_eig(matrix, period, peripheral_tol):
+    """Top eigenvalues with right and left Ritz vectors for the band, or None.
+
+    Runs :func:`_arnoldi` for the ``2 period + 2`` largest values, so that
+    for a block-cyclic chain the gap test sees the orbit after the
+    subdominant one.  The values are kept when the smallest modulus outside
+    the peripheral band is at most ``KRYLOV_SEPARATION`` times the largest,
+    as a compact operator's discretization shows.  The left vectors come
+    from a second run on ``A.T``, paired with the right ones by root-of-unity
+    slot; its band must fill the same slots.  Returns the values and a dict
+    from the index of each band value to its ``(f, mu)`` Ritz vectors.  A
+    Ritz vector is off by about 1e-16 lam / (lam - sub); when the subdominant
+    modulus sub is within ``RITZ_GAP`` lam of lam, the dict is None and
+    :func:`_inverse_iteration` gives the vectors instead.
+    """
+    k, need = 2 * period + 2, period + 1
+    right = _arnoldi(matrix, k, need)
+    if right is None:
+        return None
+    ev, f = right
+    mods = np.abs(ev)
+    rest = mods[mods < mods.max() * (1 - peripheral_tol)]
+    if not (rest.size and rest.min() <= KRYLOV_SEPARATION * rest.max()):
+        return None
+    if rest.max() > (1 - RITZ_GAP) * mods.max():
+        return ev, None
+    left = _arnoldi(matrix.T, k, need)
+    if left is None:
+        return None
+    band, slots, _ = _band_slots(ev, peripheral_tol)
+    band_l, slots_l, _ = _band_slots(left[0], peripheral_tol)
+    if len(band_l) != len(band) or set(slots_l.tolist()) != set(slots.tolist()):
+        return None
+    mu_at = dict(zip(slots_l.tolist(), left[1][band_l]))
+    return ev, {i: (f[i], mu_at[s]) for i, s in zip(band.tolist(), slots.tolist())}
+
+
 def _dense_eig(matrix, period, peripheral_tol):
-    """Eigenvalues of the matrix: every one, or the top ``period + 3`` of them.
+    """Eigenvalues of the matrix, with the band's Ritz vectors when they came from Arnoldi.
 
     Below ``KRYLOV_MIN_SIZE`` nodes one eigenvector-free dense solve gives
-    every eigenvalue.  From there on ARPACK (``scipy.sparse.linalg.eigs``,
-    Lehoucq, Sorensen & Yang 1998) gives the ``period + 3`` of largest
-    modulus, which is all that :func:`peripheral_spectrum` reads, and they
-    are kept when they show a clear gap: the smallest modulus outside the
-    peripheral band is at most ``KRYLOV_SEPARATION`` times the largest.  A
-    compact operator's discretization has such a gap; a spectrum that clouds
-    below the band, or an ARPACK failure, falls back to the dense solve, as
-    does a period too close to the size for ARPACK.  SciPy is imported only
-    on the ARPACK path.  The peripheral eigenvectors come from
-    :func:`_inverse_iteration`.
+    every eigenvalue.  From there on :func:`_krylov_eig` gives the top
+    ``2 period + 2`` and the peripheral Ritz vectors, which is all that
+    :func:`peripheral_spectrum` reads; a spectrum without a clear gap below
+    the band, a run that does not converge, a left band that does not match
+    the right one, or a period too large for ``KRYLOV_STEPS`` falls back to
+    the dense solve.  Returns the eigenvalues and either the dict of Ritz
+    vectors by eigenvalue index or None: eigenvectors then come from
+    :func:`_inverse_iteration`.  Everything stays in NumPy.
     """
     n = matrix.shape[0]
     if n > DENSE_SIZE_LIMIT:
         raise SizeLimitExceeded(
             f"dense eigensolve limited to {DENSE_SIZE_LIMIT} nodes, got {n}")
-    if n >= KRYLOV_MIN_SIZE and period + 3 < n - 1:
-        from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigs
-
-        try:
-            ev = eigs(matrix, period + 3, which="LM", return_eigenvectors=False, tol=0,
-                      v0=np.random.default_rng(0).random(n))
-        except (ArpackNoConvergence, ArpackError):
-            pass
-        else:
-            mods = np.abs(ev)
-            rest = mods[mods < mods.max() * (1 - peripheral_tol)]
-            if rest.size and rest.min() <= KRYLOV_SEPARATION * rest.max():
-                return ev
-    return np.linalg.eigvals(matrix)
+    if n >= KRYLOV_MIN_SIZE and 2 * period + 2 < KRYLOV_STEPS:
+        krylov = _krylov_eig(matrix, period, peripheral_tol)
+        if krylov is not None:
+            return krylov
+    return np.linalg.eigvals(matrix), None
 
 
 def _matmul(a, b):
@@ -135,51 +213,45 @@ def _matmul(a, b):
     return a @ b
 
 
+def _forward_step(matrix, f, mu, beta):
+    """``(A f / beta, mu A / beta)`` from sup-normalized vectors near the eigenvalue beta.
+
+    The step puts exact zeros on zero rows (in f) and zero columns (in mu).
+    Arithmetic is real when beta is real.
+    """
+    if beta.imag == 0:
+        beta, f, mu = beta.real, f.real, mu.real
+    return _matmul(matrix, f) / beta, _matmul(mu, matrix) / beta
+
+
 def _inverse_iteration(matrix, beta):
     """Right and left eigenvectors ``(f, mu)`` of the matrix at its eigenvalue beta.
 
-    Shifted inverse iteration (Ipsen, SIAM Review 39, 1997): three solves
-    with ``A - beta (1 + 1e-12) I`` for f and three with its transpose for
-    mu, each normalized by sup, then one forward step ``A f / beta`` and
-    ``mu A / beta``, which puts exact zeros on zero rows and columns.  The
-    offset keeps the shift off beta itself, where the matrix of an exact
-    chain is singular; each step still damps the rest of the spectrum by
-    1e-12 lam / gap.  The start is a fixed-seed random vector: a constant one
-    has no component along f_j, j >= 1, on a block-cyclic chain whose
-    classes carry equal mass.  Arithmetic is real when beta is real.  From
-    ``KRYLOV_MIN_SIZE`` nodes on the shifted matrix is LU-factored once
-    (``scipy.linalg.lu_factor``) and all six solves reuse the factors;
-    below, each is one ``np.linalg.solve``, which keeps SciPy out of small
-    runs.  A singular shifted matrix raises NonConvergent.
+    Shifted inverse iteration (Ipsen, SIAM Review 39, 1997): three
+    ``np.linalg.solve`` with ``A - beta (1 + 1e-12) I`` for f and three with
+    its transpose for mu, each normalized by sup, then
+    :func:`_forward_step`.  The offset keeps the shift off beta itself, where
+    the matrix of an exact chain is singular; each step still damps the rest
+    of the spectrum by 1e-12 lam / gap.  The start is a fixed-seed random
+    vector: a constant one has no component along f_j, j >= 1, on a
+    block-cyclic chain whose classes carry equal mass.  Arithmetic is real
+    when beta is real.  A singular shifted matrix raises NonConvergent.
     """
     if beta.imag == 0:
         beta = beta.real
     n = len(matrix)
-    shifted = matrix.astype(np.result_type(matrix, beta), order="F")
+    shifted = matrix.astype(np.result_type(matrix, beta))
     shifted.flat[::n + 1] -= beta * (1 + 1e-12)
-    singular = f"shifted matrix is singular at eigenvalue {beta:.6g}"
-    if n >= KRYLOV_MIN_SIZE:
-        from scipy.linalg import LinAlgWarning, lu_factor, lu_solve
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", LinAlgWarning)
-            try:
-                lu = lu_factor(shifted, overwrite_a=True)
-            except LinAlgWarning:
-                raise NonConvergent(singular) from None
-        solve = lambda v, trans: lu_solve(lu, v, trans=trans)
-    else:
-        solve = lambda v, trans: np.linalg.solve(shifted.T if trans else shifted, v)
     f = mu = np.random.default_rng(0).random(n)
     try:
         for _ in range(3):
-            f = solve(f, 0)
+            f = np.linalg.solve(shifted, f)
             f /= np.abs(f).max()
-            mu = solve(mu, 1)
+            mu = np.linalg.solve(shifted.T, mu)
             mu /= np.abs(mu).max()
     except np.linalg.LinAlgError:
-        raise NonConvergent(singular) from None
-    return _matmul(matrix, f) / beta, _matmul(mu, matrix) / beta
+        raise NonConvergent(f"shifted matrix is singular at eigenvalue {beta:.6g}") from None
+    return _forward_step(matrix, f, mu, beta)
 
 
 def _nonnegative_real(vec, tol):
@@ -204,14 +276,14 @@ def _orbit(matrix, v, n, scale=None):
     divisors.
     """
     rows = np.empty((n, len(v)))
-    divisors = []
+    divisors = np.ones(n)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for row in rows:
-            v = np.matmul(v, matrix, out=row)
+        for k, row in enumerate(rows):
+            v = np.dot(v, matrix, out=row)
             if scale is not None:
-                divisors.append(scale(v))
-                v /= divisors[-1]
-    return rows, np.array(divisors) if scale is not None else np.ones(n)
+                divisors[k] = scale(v)
+                v /= divisors[k]
+    return rows, divisors
 
 
 def _log_sum(values):
@@ -263,12 +335,14 @@ def peripheral_spectrum(op, peripheral_tol=PERIPHERAL_TOL_DEFAULT,
     """Extract the full peripheral eigenstructure of the operator.
 
     :func:`_dense_eig` gives the eigenvalues: every one from a dense solve,
-    or, from ``KRYLOV_MIN_SIZE`` nodes on, the top graph period + 3 from
-    ARPACK when they show a clear gap below the peripheral band (else the
-    dense solve after all).  f_j and mu_j for the slots j <= m/2 come from
-    :func:`_inverse_iteration` at the eigenvalue in that slot, so each
-    left/right pair shares its eigenvalue by construction, and slots m - j
-    are their complex conjugates.  Every check below runs on either path.
+    or, from ``KRYLOV_MIN_SIZE`` nodes on, the top 2 graph period + 2 from
+    NumPy Arnoldi runs on A and A.T when they show a clear gap below the
+    peripheral band (else the dense solve after all).  f_j and mu_j for the
+    slots j <= m/2 come from the right and left Ritz vectors in that slot on
+    the Arnoldi path and from :func:`_inverse_iteration` at the eigenvalue in
+    that slot on the dense one, each finished by :func:`_forward_step`, so
+    each left/right pair shares its eigenvalue, and slots m - j are their
+    complex conjugates.  Every check below runs on either path.
 
     The peripheral band is ``|beta| >= lam * (1 - peripheral_tol)``.  The
     count m must match the graph period of the communicating class
@@ -286,16 +360,14 @@ def peripheral_spectrum(op, peripheral_tol=PERIPHERAL_TOL_DEFAULT,
         raise NoSpectralGapWithinTol("gap_floor must be at least peripheral_tol")
     reach = reach or check_h2_reachability(op)
     if not reach.strongly_connected:
-        raise Reducible(f"{reach.n_components} communicating classes")
-    ev = _dense_eig(op.matrix, reach.graph_period, peripheral_tol)
+        raise Reducible(reach.reducible_message)
+    ev, ritz = _dense_eig(op.matrix, reach.graph_period, peripheral_tol)
     lam = float(np.abs(ev).max())
     if lam <= 0:
         raise NoSpectralGapWithinTol("spectral radius is zero")
-    per = np.flatnonzero(np.abs(ev) >= lam * (1 - peripheral_tol))
-    m = len(per)
-
     # snap arguments to the m-th-root angles, one eigenvalue per slot
-    slots, err = snap_phases(ev[per], m)
+    per, slots, err = _band_slots(ev, peripheral_tol)
+    m = len(per)
     if err.max() > ANGLE_SNAP_TOL or len(set(slots.tolist())) < m:
         raise TolTooLoose(
             f"peripheral eigenvalues {ev[per]} do not fill the {m}-th root angles")
@@ -319,7 +391,10 @@ def peripheral_spectrum(op, peripheral_tol=PERIPHERAL_TOL_DEFAULT,
     left = np.zeros((m, n), dtype=complex)
     for j in range(m // 2 + 1):
         k = at_slot[j]
-        f, mu = _inverse_iteration(op.matrix, ev[k])
+        if ritz is None:
+            f, mu = _inverse_iteration(op.matrix, ev[k])
+        else:
+            f, mu = _forward_step(op.matrix, *ritz[k], ev[k])
         if j == 0:
             f0 = _nonnegative_real(f, tol=1e-8)
             mu0 = _nonnegative_real(mu, tol=1e-8)

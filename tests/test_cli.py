@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import qsdlab as q
-from qsdlab import cli
+from qsdlab import cli, spectral
 from qsdlab.cli import main
 from qsdlab.errors import InvalidDomain, SchemaError
 from qsdlab.kernels import KernelSpec
@@ -128,14 +128,12 @@ def test_numerical_refusal_exits_3(tmp_path):
 
 
 def test_size_cap_exits_2_before_any_eigensolve(tmp_path, monkeypatch, capsys):
-    import scipy.sparse.linalg
-
     def no_eig(a, *args, **kwargs):
         raise AssertionError("eigensolve ran past the size cap")
 
     monkeypatch.setattr(np.linalg, "eig", no_eig)
     monkeypatch.setattr(np.linalg, "eigvals", no_eig)
-    monkeypatch.setattr(scipy.sparse.linalg, "eigs", no_eig)
+    monkeypatch.setattr(spectral, "_arnoldi", no_eig)
     assert main(["analyze", "--spec", "example21", "--grid-size", "2001",
                  "--out", str(tmp_path / "o")]) == 2
     assert "SizeLimitExceeded" in capsys.readouterr().err
@@ -445,3 +443,22 @@ def test_cli_import_leaves_scipy_special_unloaded():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
     assert "scipy.special" not in out.stdout
+
+
+@pytest.mark.parametrize("cmd", ["analyze", "lobo"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_matrix_exits_2(tmp_path, capsys, cmd, bad):
+    spec = _chain_file(tmp_path, [[bad, 0.2], [0.3, 0.4]])
+    assert main([cmd, "--spec", spec, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "InvalidDomain: explicit matrix has NaN or infinite entries" in err
+    assert "Traceback" not in err and not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("cmd", ["analyze", "lobo"])
+def test_lone_state_without_self_loop_is_reducible(tmp_path, capsys, cmd):
+    spec = _chain_file(tmp_path, [[0.0, 1.0], [0.0, 0.0]])
+    assert main([cmd, "--spec", spec, "--out", str(tmp_path / "o")]) == 3
+    assert ("Reducible: the only non-escape state has no self-loop"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "o").exists()

@@ -1,14 +1,15 @@
 """The Krylov path of ``peripheral_spectrum`` against its dense path.
 
 From ``KRYLOV_MIN_SIZE`` nodes on, ``_dense_eig`` takes the top eigenvalues
-from ARPACK and ``_inverse_iteration`` LU-factors each shift once.  Raising
-``KRYLOV_MIN_SIZE`` past the operator's size runs the dense path instead:
-one ``np.linalg.eigvals`` and ``np.linalg.solve`` steps.  Where the Krylov
-values show a gap below the subdominant modulus the two paths differ in
-rounding only, so lam, m, the subdominant modulus and every f_j and mu_j
-must agree to 1e-12 relative.  Where they do not (a cloud of equal moduli
-below the peripheral band, or an ARPACK failure) the dense eigenvalues are
-used, bit for bit.
+and the peripheral Ritz vectors from two NumPy Arnoldi runs, on ``A`` and on
+``A.T``.  Raising ``KRYLOV_MIN_SIZE`` past the operator's size runs the
+dense path instead: one ``np.linalg.eigvals`` and ``np.linalg.solve``
+steps.  Where the Krylov values show a gap below the subdominant modulus the
+two paths differ in rounding only, so lam, m, the subdominant modulus and
+every f_j and mu_j must agree to 1e-12 relative.  Where they do not (a cloud
+of equal moduli below the peripheral band, a run that does not converge, or
+left and right bands that do not match) the dense eigenvalues are used, bit
+for bit.
 """
 
 import os
@@ -18,7 +19,6 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg
 
 import qsdlab as q
 from qsdlab import spectral
@@ -94,7 +94,7 @@ def dense_path(op, monkeypatch):
 
 
 def assert_matches_dense(op, monkeypatch, krylov=True):
-    """Krylov run against the dense run; ``krylov``: the ARPACK values were kept."""
+    """Krylov run against the dense run; ``krylov``: the Arnoldi values were kept."""
     dense_calls = _spy(monkeypatch, np.linalg, "eigvals")
     sd = q.peripheral_spectrum(op)
     if krylov:
@@ -123,11 +123,26 @@ def test_weakly_coupled_chains_match_dense_path(na, nb, eps, monkeypatch):
     assert 1 - 2.5 * eps < sd.subdominant_radius / sd.lam < 1 - 1.5 * eps
 
 
-@pytest.mark.parametrize("sizes,krylov", [((260, 270), True), ((170, 171, 172), False)])
+@pytest.mark.parametrize("make,calls", [
+    (lambda: explicit(weak_chain(np.random.default_rng(260), 260, 270, 6e-5)),
+     ["_arnoldi", "_inverse_iteration"]),
+    (lambda: build_operator(q.get_spec("example21", grid_size=513)), ["_arnoldi", "_arnoldi"]),
+], ids=["weak", "example21"])
+def test_ritz_vectors_only_past_the_ritz_gap(make, calls, monkeypatch):
+    # a Ritz vector is off by about 1e-16 lam / (lam - sub): with sub/lam
+    # = 0.99988 that is 1e-12, so inverse iteration at the Arnoldi values
+    # gives the vectors, and the left run is skipped
+    op = make()
+    seen = _spy(monkeypatch, spectral, "_inverse_iteration", _spy(monkeypatch, spectral, "_arnoldi"))
+    q.peripheral_spectrum(op)
+    assert seen == calls
+
+
+@pytest.mark.parametrize("sizes,krylov", [((260, 270), True), ((170, 171, 172), True),
+                                          ((130, 128, 129, 131), True)])
 def test_separated_block_cyclic_chain_matches_dense_path(sizes, krylov, monkeypatch):
-    # with period m every modulus comes m times, so for m = 3 the three
-    # values after the band are equal and the gap test falls back; its
-    # complex shifts still take one LU each, with the plain transpose for mu
+    # with period m every modulus comes m times; the 2m + 2 Ritz values let
+    # the gap test see the orbit after the subdominant one
     sd = assert_matches_dense(explicit(smooth_cyclic_chain(sizes)), monkeypatch, krylov)
     assert sd.period_m == len(sizes)
 
@@ -135,10 +150,31 @@ def test_separated_block_cyclic_chain_matches_dense_path(sizes, krylov, monkeypa
 def test_rank_one_chain_matches_dense_path(monkeypatch):
     rng = np.random.default_rng(7)
     a = rng.uniform(0.3, 0.9, 600)[:, None] * rng.dirichlet(np.ones(600))[None, :]
-    # a rank-one operator has nothing but rounding below lam; ARPACK may
-    # or may not see a gap in that noise
-    sd = assert_matches_dense(explicit(a), monkeypatch, krylov=False)
+    # the Arnoldi run breaks down after two steps: the values it lacks are
+    # zero, and the Krylov values are kept
+    sd = assert_matches_dense(explicit(a), monkeypatch)
     assert spectral.subdominant_rate(sd) == float("inf")
+
+
+def test_rank_one_breakdown_pads_zeros():
+    rng = np.random.default_rng(7)
+    a = rng.uniform(0.3, 0.9, 600)[:, None] * rng.dirichlet(np.ones(600))[None, :]
+    values, vectors = spectral._arnoldi(a, 4, 2)
+    assert len(values) == 4 and len(vectors) == 2 and not values[2:].any()
+
+
+def test_unseparated_values_fall_back(monkeypatch):
+    # moduli past the band all within 0.9 of each other: no clear gap
+    real = spectral._arnoldi
+
+    def arnoldi(*args):
+        values, vectors = real(*args)
+        return np.concatenate([values[:2], values[1] * np.array([0.98, 0.95])]), vectors
+
+    monkeypatch.setattr(spectral, "_arnoldi", arnoldi)
+    calls = _spy(monkeypatch, np.linalg, "eigvals", _spy(monkeypatch, spectral, "_arnoldi"))
+    q.peripheral_spectrum(build_operator(q.get_spec("example21", grid_size=513)))
+    assert calls == ["_arnoldi", "eigvals"]
 
 
 def _bitwise_equal(a, b):
@@ -149,14 +185,6 @@ def _bitwise_equal(a, b):
         assert getattr(a, field).tobytes() == getattr(b, field).tobytes(), field
 
 
-def _no_convergence(*args, **kwargs):
-    raise scipy.sparse.linalg.ArpackNoConvergence("no convergence", np.array([]), None)
-
-
-def _arpack_error(*args, **kwargs):
-    raise scipy.sparse.linalg.ArpackError(-9999)
-
-
 @pytest.mark.parametrize("make", [
     lambda rng: _rows(rng, 512, 512),
     lambda rng: cyclic_chain(rng, 2, 256),
@@ -164,39 +192,77 @@ def _arpack_error(*args, **kwargs):
 def test_cloud_spectrum_falls_back_to_dense_eigenvalues(make, monkeypatch):
     op = explicit(make(np.random.default_rng(11)))
     with monkeypatch.context() as mp:
-        calls = _spy(mp, np.linalg, "eigvals", _spy(mp, scipy.sparse.linalg, "eigs"))
+        calls = _spy(mp, np.linalg, "eigvals", _spy(mp, spectral, "_arnoldi"))
         sd = q.peripheral_spectrum(op)
-        assert calls == ["eigs", "eigvals"]
-    monkeypatch.setattr(scipy.sparse.linalg, "eigs", _no_convergence)
+        assert calls == ["_arnoldi", "eigvals"]
+    monkeypatch.setattr(spectral, "_arnoldi", lambda *args: None)
     _bitwise_equal(sd, q.peripheral_spectrum(op))
 
 
-@pytest.mark.parametrize("failure", [_no_convergence, _arpack_error])
-def test_arpack_failure_falls_back_to_dense_eigenvalues(failure, monkeypatch):
+@pytest.mark.parametrize("failing", [0, 1], ids=["right", "left"])
+def test_nonconverged_arnoldi_falls_back_to_dense_eigenvalues(failing, monkeypatch):
     op = build_operator(q.get_spec("example21", grid_size=513))
     krylov = q.peripheral_spectrum(op)
-    monkeypatch.setattr(scipy.sparse.linalg, "eigs", failure)
+    real, runs = spectral._arnoldi, []
+
+    def arnoldi(*args):
+        runs.append(None)
+        return None if len(runs) - 1 == failing else real(*args)
+
+    monkeypatch.setattr(spectral, "_arnoldi", arnoldi)
     calls = _spy(monkeypatch, np.linalg, "eigvals")
     sd = q.peripheral_spectrum(op)
-    assert calls == ["eigvals"]
+    assert len(runs) == failing + 1 and calls == ["eigvals"]
     assert abs(sd.lam - krylov.lam) <= REL_TOL * krylov.lam
     assert np.abs(sd.left_eigs[0] - krylov.left_eigs[0]).max() <= REL_TOL * sd.mu0.max()
 
 
-def test_period_near_size_takes_dense_eigenvalues():
-    # ARPACK needs k = period + 3 < n - 1 (an n-cycle has period n); past
-    # that scipy warns and runs a full eig
+def test_arnoldi_out_of_steps_returns_none(monkeypatch):
+    matrix = build_operator(q.get_spec("example21", grid_size=513)).matrix
+    assert spectral._arnoldi(matrix, 4, 2) is not None
+    monkeypatch.setattr(spectral, "KRYLOV_STEPS", 6)
+    assert spectral._arnoldi(matrix, 4, 2) is None
+
+
+def test_left_band_on_other_slots_falls_back(monkeypatch):
+    op = explicit(smooth_cyclic_chain((260, 270)))
+    real, runs = spectral._arnoldi, []
+
+    def arnoldi(*args):
+        values, vectors = real(*args)
+        runs.append(None)
+        if len(runs) == 2:
+            # the left band shrinks to lam alone: one slot instead of two
+            values = values * np.where(values.real < 0, 0.5, 1)
+        return values, vectors
+
+    monkeypatch.setattr(spectral, "_arnoldi", arnoldi)
+    calls = _spy(monkeypatch, np.linalg, "eigvals")
+    sd = q.peripheral_spectrum(op)
+    assert len(runs) == 2 and calls == ["eigvals"] and sd.period_m == 2
+
+
+def test_zero_row_chain_has_exact_zeros_on_krylov_path(monkeypatch):
+    a = build_operator(q.get_spec("example21", grid_size=600)).matrix.copy()
+    a[[17, 421]] = 0.0
+    sd = assert_matches_dense(explicit(a), monkeypatch)
+    assert not np.any(sd.right_eigs[:, [17, 421]])
+    assert q.quasi_ergodic_measure(sd)[[17, 421]].tolist() == [0.0, 0.0]
+
+
+def test_period_near_size_takes_dense_eigenvalues(monkeypatch):
+    # 2 period + 2 Ritz values would not fit in KRYLOV_STEPS (an n-cycle has period n)
+    calls = _spy(monkeypatch, spectral, "_arnoldi")
     n = spectral.KRYLOV_MIN_SIZE
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        ev = spectral._dense_eig(np.diag(np.linspace(0.1, 0.9, n)), n - 4,
-                                 spectral.PERIPHERAL_TOL_DEFAULT)
-    assert len(ev) == n
+        ev, ritz = spectral._dense_eig(np.diag(np.linspace(0.1, 0.9, n)), n - 4,
+                                       spectral.PERIPHERAL_TOL_DEFAULT)
+    assert len(ev) == n and ritz is None and calls == []
 
 
-def test_singular_lu_factor_is_nonconvergent():
-    # lu_factor only warns on an exactly singular matrix; the shift makes
-    # this one exactly zero
+def test_exactly_singular_shift_is_nonconvergent():
+    # the 1e-12 offset makes this shifted matrix exactly zero
     beta = 0.5
     matrix = np.eye(spectral.KRYLOV_MIN_SIZE) * (beta * (1 + 1e-12))
     with warnings.catch_warnings():
@@ -213,6 +279,20 @@ def test_small_analyze_leaves_scipy_unloaded(tmp_path):
         f"assert main(['analyze', '--spec', 'sym2', '--out', {str(tmp_path / 'a')!r}]) == 0\n"
         "assert main(['analyze', '--spec', 'example21', '--grid-size', '401',\n"
         f"             '--out', {str(tmp_path / 'b')!r}]) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "[]"
+
+
+def test_krylov_analyze_leaves_scipy_unloaded(tmp_path):
+    src = os.path.dirname(os.path.dirname(q.__file__))
+    code = (
+        "import sys\n"
+        "from qsdlab.cli import main\n"
+        "assert main(['analyze', '--spec', 'example21', '--grid-size', '1601',\n"
+        f"             '--out', {str(tmp_path / 'a')!r}]) == 0\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
