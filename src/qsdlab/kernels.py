@@ -340,7 +340,29 @@ def _row_error_bound(spec, grid):
     return (0, math.inf)
 
 
-def build_operator(spec, escape_tol=ESCAPE_TOL_DEFAULT):
+def _explicit_matrix(spec):
+    """The explicit chain's matrix as a float array; every reader of it calls this.
+
+    Raises InvalidDomain (not numeric, square and finite), NegativeDensity or
+    RowSumExceedsOne.
+    """
+    try:
+        q = np.asarray(spec.params["matrix"], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidDomain(f"explicit matrix is not a numeric array: {exc}") from None
+    if q.ndim != 2 or q.shape[0] != q.shape[1]:
+        raise InvalidDomain("explicit matrix must be square")
+    if not np.isfinite(q).all():
+        raise InvalidDomain("explicit matrix has NaN or infinite entries")
+    if q.min() < 0:
+        raise NegativeDensity("explicit matrix has negative entries")
+    rows = q.sum(axis=1)
+    if rows.max() > 1 + 1e-12:
+        raise RowSumExceedsOne(f"row sum {rows.max()} exceeds one")
+    return q
+
+
+def build_operator(spec):
     """Realize a KernelSpec as a DiscreteOperator.
 
     For explicit matrices the matrix is passed through verbatim with nodes
@@ -348,22 +370,9 @@ def build_operator(spec, escape_tol=ESCAPE_TOL_DEFAULT):
     quadrature grid and multiplied by the weights column-wise.
     """
     if spec.is_explicit:
-        try:
-            q = np.asarray(spec.params["matrix"], dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise InvalidDomain(f"explicit matrix is not a numeric array: {exc}") from None
-        if q.ndim != 2 or q.shape[0] != q.shape[1]:
-            raise InvalidDomain("explicit matrix must be square")
-        if not np.isfinite(q).all():
-            raise InvalidDomain("explicit matrix has NaN or infinite entries")
-        if q.min() < 0:
-            raise NegativeDensity("explicit matrix has negative entries")
-        rows = q.sum(axis=1)
-        if rows.max() > 1 + 1e-12:
-            raise RowSumExceedsOne(f"row sum {rows.max()} exceeds one")
-        n = q.shape[0]
+        matrix = _explicit_matrix(spec)
+        n = matrix.shape[0]
         grid = StateGrid(0.0, max(n - 1, 1), np.arange(n, dtype=float), np.ones(n))
-        matrix = q
         row_error = (2, 0.0)
     else:
         grid = _quadrature_grid(spec)
@@ -374,9 +383,9 @@ def build_operator(spec, escape_tol=ESCAPE_TOL_DEFAULT):
         matrix = dens
         matrix *= grid.weights[None, :]
         row_error = _row_error_bound(spec, grid)
-    op = DiscreteOperator(grid=grid, matrix=matrix, escape=_detect(matrix, escape_tol),
-                          spec=spec, row_error=row_error)
-    return op
+    return DiscreteOperator(grid=grid, matrix=matrix,
+                            escape=_detect(matrix, ESCAPE_TOL_DEFAULT),
+                            spec=spec, row_error=row_error)
 
 
 def _detect(matrix, tol):

@@ -34,6 +34,8 @@ from .measures import tv_distance
 from .spectral import _log_sum, _orbit, peripheral_spectrum, snap_phases, subdominant_rate
 
 TV_FIT_FLOOR = 1e-13
+# largest angle between an eigenfunction phase and its m-th root slot
+PHASE_SNAP_TOL = 1e-6
 # shortest rate-fit horizon at which both fit windows keep three points
 MIN_N_MAX = 5
 
@@ -193,7 +195,9 @@ def fit_yaglom_rate(op, nu0, n_max=None, sd=None):
     least squares over the tail (the last half of the points above the
     numerical floor, so the transient is excluded).  PASS requires the fitted
     rate to reach 90% of the spectral prediction log(lam/subdominant) with
-    r^2 >= 0.98.  An n_max below MIN_N_MAX raises ValidationError.
+    r^2 >= 0.98; a law at the floor within two steps passes at an infinite
+    rate when so is the prediction (a rank-one chain).  An n_max below
+    MIN_N_MAX raises ValidationError.
     """
     if n_max is None:
         n_max = default_n_max(op)
@@ -207,17 +211,20 @@ def fit_yaglom_rate(op, nu0, n_max=None, sd=None):
     laws, _ = _orbit(op.matrix, np.asarray(nu0, dtype=float), n_max, np.add.reduce)
     tvs = _tv_rows(laws, mu)
     ns = np.arange(1, n_max + 1)
+    data = np.column_stack([ns, tvs])
     tail = _tail_points(tvs)
+    alpha = subdominant_rate(sd)
+    if tail.size < 3 and math.isinf(alpha):   # subdominant spectrum {0}
+        return RateFit("exponential", math.inf, 0.0, 1.0, data, passed=True)
     if tail.size < 3:
         raise ZeroEigenfunctionMass("conditioned law hit the floor immediately")
     rate, const, r2 = _loglinear_fit(ns[tail].astype(float), tvs[tail])
-    alpha = subdominant_rate(sd)
     passed = bool(math.isfinite(alpha) and rate >= 0.9 * alpha and r2 >= 0.98)
     return RateFit(model="exponential", fitted_rate=rate, fitted_constant=const,
-                   r_squared=r2, data=np.column_stack([ns, tvs]), passed=passed)
+                   r_squared=r2, data=data, passed=passed)
 
 
-def cyclic_components(sd, op, angle_tol=1e-6):
+def cyclic_components(sd, op):
     """Recover the cyclic classes of a period-m chain from eigenfunction phases.
 
     Nodes are assigned to classes by snapping the argument of the first
@@ -226,23 +233,16 @@ def cyclic_components(sd, op, angle_tol=1e-6):
     zero) is reported through SupportOverlap.  The construction is validated
     structurally: class measures are the restrictions of mu to the classes,
     the one-step action must send each class measure onto the next class
-    (single m-cycle), and one-step mass from a node reaches class C_i exactly
-    when the node lies in C_{i-1}.
+    (single m-cycle, no mass into the escape set), and one-step mass from a
+    node reaches class C_i exactly when the node lies in C_{i-1}.
     """
     m = sd.period_m
     if m < 2:
         raise NotCyclic("chain is aperiodic (m = 1)")
     keep = op.nonescape_indices()
-    lo, hi = op.grid.lower, op.grid.upper
-    interior_escape = [i for i in sorted(op.escape.indices)
-                       if op.grid.nodes[i] not in (lo, hi)]
-    if interior_escape:
-        raise NotCyclic(f"interior escape nodes {interior_escape} violate the "
-                        "zero-escape-mass requirement")
-
     f1 = sd.right_eigs[1][keep]
     slots, err = snap_phases(f1, m)
-    off = (np.abs(f1) < 1e-10 * np.abs(f1).max()) | (err > angle_tol)
+    off = (np.abs(f1) < 1e-10 * np.abs(f1).max()) | (err > PHASE_SNAP_TOL)
     if off.any():
         raise SupportOverlap("phase clustering failed on some nodes",
                              [int(i) for i in keep[off]])

@@ -30,7 +30,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidDomain, NotApplicable, TooFewSurvivors
-from .kernels import _map_centers
+from .kernels import _explicit_matrix, _map_centers
 
 CHUNK_SIZE = 1 << 20  # fixed: changing it changes the stream layout
 
@@ -86,7 +86,7 @@ def sample_step(spec, x, u):
     Returns the new state, or the ABSORBED sentinel.
     """
     if spec.is_explicit:
-        row = np.asarray(spec.params["matrix"], dtype=float)[[int(x)]]
+        row = _explicit_matrix(spec)[[int(x)]]
         j = int(_inverse_cdf(np.cumsum(row, axis=1), 0, u))
         return ABSORBED if j >= row.shape[1] else j
     lo, hi = spec.domain
@@ -144,17 +144,18 @@ def simulate_batch(spec, x0, n, n_paths, seed=0, h=None):
 
     ``h`` is an optional test function (vectorized over states / points)
     whose running sum over steps 0..n-1 is accumulated per path.  Raises
-    InvalidDomain when x0 is not a state of the chain.
+    InvalidDomain when x0 is not a state of the chain, and the errors of
+    ``build_operator`` for an invalid explicit matrix.
     """
     if n < 0 or n_paths < 1:
         raise ValueError("need n >= 0 and n_paths >= 1")
-    x0 = check_start(spec, x0)
     explicit = spec.is_explicit
     if explicit:
-        cdf = np.cumsum(np.asarray(spec.params["matrix"], dtype=float), axis=1)
+        cdf = np.cumsum(_explicit_matrix(spec), axis=1)
         nstates = cdf.shape[0]
     else:
         lo, hi = spec.domain
+    x0 = check_start(spec, x0)
 
     terminals = []
     sums = [] if h is not None else None
@@ -232,7 +233,7 @@ def summarize_yaglom(batch, spec, grid=None):
     """
     ns = _survivors(batch)
     if spec.is_explicit:
-        nstates = np.asarray(spec.params["matrix"]).shape[0]
+        nstates = _explicit_matrix(spec).shape[0]
         counts = np.bincount(batch.terminal_states.astype(int), minlength=nstates).astype(float)
     else:
         if grid is None:

@@ -139,65 +139,43 @@ def _band_slots(ev, peripheral_tol):
     return (band, *snap_phases(ev[band], len(band)))
 
 
-def _krylov_eig(matrix, period, peripheral_tol):
-    """Top eigenvalues with right and left Ritz vectors for the band, or None.
+def _eigenvalues(matrix, period, peripheral_tol):
+    """Eigenvalues of the matrix, and their right Ritz vectors as rows or None.
 
-    Runs :func:`_arnoldi` for the ``2 period + 2`` largest values, so that
-    for a block-cyclic chain the gap test sees the orbit after the
-    subdominant one.  The values are kept when the smallest modulus outside
-    the peripheral band is at most ``KRYLOV_SEPARATION`` times the largest,
-    as a compact operator's discretization shows.  The left vectors come
-    from a second run on ``A.T``, paired with the right ones by root-of-unity
-    slot; its band must fill the same slots.  Returns the values and a dict
-    from the index of each band value to its ``(f, mu)`` Ritz vectors.  A
-    Ritz vector is off by about 1e-16 lam / (lam - sub); when the subdominant
-    modulus sub is within ``RITZ_GAP`` lam of lam, the dict is None and
-    :func:`_inverse_iteration` gives the vectors instead.
-    """
-    k, need = 2 * period + 2, period + 1
-    right = _arnoldi(matrix, k, need)
-    if right is None:
-        return None
-    ev, f = right
-    mods = np.abs(ev)
-    rest = mods[mods < mods.max() * (1 - peripheral_tol)]
-    if not (rest.size and rest.min() <= KRYLOV_SEPARATION * rest.max()):
-        return None
-    if rest.max() > (1 - RITZ_GAP) * mods.max():
-        return ev, None
-    left = _arnoldi(matrix.T, k, need)
-    if left is None:
-        return None
-    band, slots, _ = _band_slots(ev, peripheral_tol)
-    band_l, slots_l, _ = _band_slots(left[0], peripheral_tol)
-    if len(band_l) != len(band) or set(slots_l.tolist()) != set(slots.tolist()):
-        return None
-    mu_at = dict(zip(slots_l.tolist(), left[1][band_l]))
-    return ev, {i: (f[i], mu_at[s]) for i, s in zip(band.tolist(), slots.tolist())}
-
-
-def _dense_eig(matrix, period, peripheral_tol):
-    """Eigenvalues of the matrix, with the band's Ritz vectors when they came from Arnoldi.
-
-    Below ``KRYLOV_MIN_SIZE`` nodes one eigenvector-free dense solve gives
-    every eigenvalue.  From there on :func:`_krylov_eig` gives the top
-    ``2 period + 2`` and the peripheral Ritz vectors, which is all that
-    :func:`peripheral_spectrum` reads; a spectrum without a clear gap below
-    the band, a run that does not converge, a left band that does not match
-    the right one, or a period too large for ``KRYLOV_STEPS`` falls back to
-    the dense solve.  Returns the eigenvalues and either the dict of Ritz
-    vectors by eigenvalue index or None: eigenvectors then come from
-    :func:`_inverse_iteration`.  Everything stays in NumPy.
+    One eigenvector-free dense solve gives every eigenvalue, unless from
+    ``KRYLOV_MIN_SIZE`` nodes on :func:`_arnoldi` converges on the top
+    ``2 period + 2`` (for a block-cyclic chain the gap test then sees the
+    orbit after the subdominant one) with the smallest modulus outside the
+    peripheral band at most ``KRYLOV_SEPARATION`` times the largest, as a
+    compact operator's discretization shows.
     """
     n = matrix.shape[0]
     if n > DENSE_SIZE_LIMIT:
         raise SizeLimitExceeded(
             f"dense eigensolve limited to {DENSE_SIZE_LIMIT} nodes, got {n}")
     if n >= KRYLOV_MIN_SIZE and 2 * period + 2 < KRYLOV_STEPS:
-        krylov = _krylov_eig(matrix, period, peripheral_tol)
-        if krylov is not None:
-            return krylov
+        right = _arnoldi(matrix, 2 * period + 2, period + 1)
+        if right is not None:
+            mods = np.abs(right[0])
+            rest = mods[mods < mods.max() * (1 - peripheral_tol)]
+            if rest.size and rest.min() <= KRYLOV_SEPARATION * rest.max():
+                return right
     return np.linalg.eigvals(matrix), None
+
+
+def _left_ritz(matrix, k, m, peripheral_tol):
+    """Left Ritz vectors of the m peripheral values, in root-of-unity slot order, or None.
+
+    Runs :func:`_arnoldi` on ``A.T`` for the ``k`` largest values; None when
+    the run does not converge or its band does not fill the m slots.
+    """
+    left = _arnoldi(matrix.T, k, m + 1)
+    if left is None:
+        return None
+    band, slots, _ = _band_slots(left[0], peripheral_tol)
+    if len(band) != m or set(slots.tolist()) != set(range(m)):
+        return None
+    return left[1][band[np.argsort(slots)]]
 
 
 def _matmul(a, b):
@@ -229,11 +207,11 @@ def _inverse_iteration(matrix, beta):
 
     Shifted inverse iteration (Ipsen, SIAM Review 39, 1997): three
     ``np.linalg.solve`` with ``A - beta (1 + 1e-12) I`` for f and three with
-    its transpose for mu, each normalized by sup, then
-    :func:`_forward_step`.  The offset keeps the shift off beta itself, where
-    the matrix of an exact chain is singular; each step still damps the rest
-    of the spectrum by 1e-12 lam / gap.  The start is a fixed-seed random
-    vector: a constant one has no component along f_j, j >= 1, on a
+    its transpose for mu, each normalized by sup; the caller finishes them
+    with :func:`_forward_step`.  The offset keeps the shift off beta itself,
+    where the matrix of an exact chain is singular; each step still damps
+    the rest of the spectrum by 1e-12 lam / gap.  The start is a fixed-seed
+    random vector: a constant one has no component along f_j, j >= 1, on a
     block-cyclic chain whose classes carry equal mass.  Arithmetic is real
     when beta is real.  A singular shifted matrix raises NonConvergent.
     """
@@ -251,7 +229,7 @@ def _inverse_iteration(matrix, beta):
             mu /= np.abs(mu).max()
     except np.linalg.LinAlgError:
         raise NonConvergent(f"shifted matrix is singular at eigenvalue {beta:.6g}") from None
-    return _forward_step(matrix, f, mu, beta)
+    return f, mu
 
 
 def _nonnegative_real(vec, tol):
@@ -334,15 +312,18 @@ def peripheral_spectrum(op, peripheral_tol=PERIPHERAL_TOL_DEFAULT,
                         gap_floor=GAP_FLOOR_DEFAULT, reach=None):
     """Extract the full peripheral eigenstructure of the operator.
 
-    :func:`_dense_eig` gives the eigenvalues: every one from a dense solve,
-    or, from ``KRYLOV_MIN_SIZE`` nodes on, the top 2 graph period + 2 from
-    NumPy Arnoldi runs on A and A.T when they show a clear gap below the
-    peripheral band (else the dense solve after all).  f_j and mu_j for the
-    slots j <= m/2 come from the right and left Ritz vectors in that slot on
-    the Arnoldi path and from :func:`_inverse_iteration` at the eigenvalue in
-    that slot on the dense one, each finished by :func:`_forward_step`, so
-    each left/right pair shares its eigenvalue, and slots m - j are their
-    complex conjugates.  Every check below runs on either path.
+    Three stages.  :func:`_eigenvalues` gives the eigenvalues: every one
+    from a dense solve, or, from ``KRYLOV_MIN_SIZE`` nodes on, the top
+    2 graph period + 2 from a NumPy Arnoldi run on A when they show a clear
+    gap below the peripheral band (else the dense solve after all).  The
+    checks on the values run next.  Only then are the vectors chosen, here
+    alone: for the slots j <= m/2, the right Ritz vectors and the left
+    ones of :func:`_left_ritz` when the values came from Arnoldi with the
+    subdominant modulus at most ``1 - RITZ_GAP`` times lam and the left run
+    fills the same slots, else :func:`_inverse_iteration` at the same
+    values.  Either pair is finished by one :func:`_forward_step`, so each
+    left/right pair shares its eigenvalue, and slots m - j are their complex
+    conjugates.
 
     The peripheral band is ``|beta| >= lam * (1 - peripheral_tol)``.  The
     count m must match the graph period of the communicating class
@@ -361,7 +342,7 @@ def peripheral_spectrum(op, peripheral_tol=PERIPHERAL_TOL_DEFAULT,
     reach = reach or check_h2_reachability(op)
     if not reach.strongly_connected:
         raise Reducible(reach.reducible_message)
-    ev, ritz = _dense_eig(op.matrix, reach.graph_period, peripheral_tol)
+    ev, ritz = _eigenvalues(op.matrix, reach.graph_period, peripheral_tol)
     lam = float(np.abs(ev).max())
     if lam <= 0:
         raise NoSpectralGapWithinTol("spectral radius is zero")
@@ -374,15 +355,20 @@ def peripheral_spectrum(op, peripheral_tol=PERIPHERAL_TOL_DEFAULT,
     at_slot = np.empty(m, dtype=int)
     at_slot[slots] = per
 
-    if reach.graph_period and m != reach.graph_period:
+    if m != reach.graph_period:
         raise PeriodMismatch(
             f"{m} peripheral eigenvalues but graph period {reach.graph_period}")
 
-    rest = np.abs(ev)[[k for k in range(len(ev)) if k not in set(per)]]
+    rest = np.delete(np.abs(ev), per)
     sub = float(rest.max()) if rest.size else 0.0
     if sub >= lam * (1 - gap_floor):
         raise NoSpectralGapWithinTol(
             f"subdominant modulus {sub:.6g} inside the gap floor of {lam:.6g}")
+
+    # a Ritz vector is off by about 1e-16 lam / (lam - sub)
+    left_ritz = None
+    if ritz is not None and sub <= (1 - RITZ_GAP) * lam:
+        left_ritz = _left_ritz(op.matrix, len(ev), m, peripheral_tol)
 
     keep = op.nonescape_indices()
     i0 = int(keep[0])
@@ -391,10 +377,11 @@ def peripheral_spectrum(op, peripheral_tol=PERIPHERAL_TOL_DEFAULT,
     left = np.zeros((m, n), dtype=complex)
     for j in range(m // 2 + 1):
         k = at_slot[j]
-        if ritz is None:
+        if left_ritz is None:
             f, mu = _inverse_iteration(op.matrix, ev[k])
         else:
-            f, mu = _forward_step(op.matrix, *ritz[k], ev[k])
+            f, mu = ritz[k], left_ritz[j]
+        f, mu = _forward_step(op.matrix, f, mu, ev[k])
         if j == 0:
             f0 = _nonnegative_real(f, tol=1e-8)
             mu0 = _nonnegative_real(mu, tol=1e-8)

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -462,3 +463,51 @@ def test_lone_state_without_self_loop_is_reducible(tmp_path, capsys, cmd):
     assert ("Reducible: the only non-escape state has no self-loop"
             in capsys.readouterr().err)
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("matrix", [
+    [[0.5]],
+    [[0.3, 0.3], [0.3, 0.3]],
+    [[0.5, 0.5], [0.0, 0.0]],
+    [[0.1, 0.2, 0.3], [0.05, 0.1, 0.15], [0.1, 0.2, 0.3]],
+], ids=["1", "2", "zero_row", "3"])
+@pytest.mark.parametrize("cmd,report", [("analyze", "analysis.json"), ("yaglom", "yaglom.json")])
+def test_rank_one_chain_reports_an_infinite_rate(tmp_path, cmd, report, matrix):
+    # the conditioned law equals mu after one step: nothing is left to fit
+    spec = _chain_file(tmp_path, matrix)
+    out = tmp_path / "o"
+    assert main([cmd, "--spec", spec, "--out", str(out)]) == 0
+    for path in out.iterdir():
+        assert not re.search(r"\bnan\b", path.read_text(), re.IGNORECASE), path.name
+    doc = (out / report).read_text()
+    assert '"rate": Infinity' in doc and '"passed": true' in doc
+
+
+def _relabelled(matrix, perm):
+    """The chain with state i renamed to the position of i in perm."""
+    return np.asarray(matrix)[np.ix_(perm, perm)].tolist()
+
+
+def test_cyclic_verdict_does_not_depend_on_the_escape_state_position(tmp_path):
+    # state 1 never receives mass; relabelled, the escape state comes last
+    matrix, perm = [[0, 0, 0.5], [0, 0, 0], [0.5, 0, 0]], [0, 2, 1]
+    docs = []
+    for k, chain in enumerate((matrix, _relabelled(matrix, perm))):
+        out = tmp_path / str(k)
+        assert main(["analyze", "--spec", _chain_file(tmp_path, chain), "--out", str(out)]) == 0
+        docs.append(json.loads((out / "analysis.json").read_text()))
+    a, b = docs
+    assert a["lambda"] == b["lambda"] and a["m"] == b["m"] == 2
+    assert a["rates"] == b["rates"] and a["rates"]["cesaro"]["passed"]
+    for field in ("qsd", "qed"):
+        assert b[field] == [a[field][i] for i in perm], field
+    assert b["classes"] == [[perm.index(i) for i in c] for c in a["classes"]]
+
+
+def test_cyclic_chain_leaking_into_the_escape_state_is_not_cyclic(tmp_path, capsys):
+    matrix = [[0, 0.2, 0.5], [0, 0, 0], [0.5, 0.2, 0]]
+    for k, chain in enumerate((matrix, _relabelled(matrix, [0, 2, 1]))):
+        out = tmp_path / str(k)
+        assert main(["analyze", "--spec", _chain_file(tmp_path, chain), "--out", str(out)]) == 3
+        assert "NotCyclic: image of class 0 spreads across classes" in capsys.readouterr().err
+        assert not out.exists()

@@ -1,15 +1,17 @@
 """The Krylov path of ``peripheral_spectrum`` against its dense path.
 
-From ``KRYLOV_MIN_SIZE`` nodes on, ``_dense_eig`` takes the top eigenvalues
-and the peripheral Ritz vectors from two NumPy Arnoldi runs, on ``A`` and on
-``A.T``.  Raising ``KRYLOV_MIN_SIZE`` past the operator's size runs the
-dense path instead: one ``np.linalg.eigvals`` and ``np.linalg.solve``
-steps.  Where the Krylov values show a gap below the subdominant modulus the
-two paths differ in rounding only, so lam, m, the subdominant modulus and
-every f_j and mu_j must agree to 1e-12 relative.  Where they do not (a cloud
-of equal moduli below the peripheral band, a run that does not converge, or
-left and right bands that do not match) the dense eigenvalues are used, bit
-for bit.
+From ``KRYLOV_MIN_SIZE`` nodes on, ``_eigenvalues`` takes the top
+eigenvalues and the right Ritz vectors from a NumPy Arnoldi run on ``A``,
+and ``_left_ritz`` the left ones from a second run on ``A.T``.  Raising
+``KRYLOV_MIN_SIZE`` past the operator's size runs the dense path instead:
+one ``np.linalg.eigvals`` and ``np.linalg.solve`` steps.  Where the Krylov
+values show a gap below the subdominant modulus the two paths differ in
+rounding only, so lam, m, the subdominant modulus and every f_j and mu_j
+must agree to 1e-12 relative.  Where they do not (a cloud of equal moduli
+below the peripheral band, or a right run that does not converge) the dense
+eigenvalues are used, bit for bit.  A left run that does not converge, or
+whose band fills other slots, keeps the Arnoldi values and takes inverse
+iteration at them.
 """
 
 import os
@@ -22,7 +24,7 @@ import pytest
 
 import qsdlab as q
 from qsdlab import spectral
-from qsdlab.errors import NonConvergent
+from qsdlab.errors import NonConvergent, NoSpectralGapWithinTol
 from qsdlab.kernels import KernelSpec, build_operator
 
 REL_TOL = 1e-12
@@ -99,7 +101,12 @@ def assert_matches_dense(op, monkeypatch, krylov=True):
     sd = q.peripheral_spectrum(op)
     if krylov:
         assert dense_calls == []
-    ref = dense_path(op, monkeypatch)
+    assert_close(sd, dense_path(op, monkeypatch))
+    return sd
+
+
+def assert_close(sd, ref):
+    """lam, m, the subdominant modulus and every f_j and mu_j agree to REL_TOL."""
     assert sd.period_m == ref.period_m
     assert abs(sd.lam - ref.lam) <= REL_TOL * ref.lam
     assert abs(sd.subdominant_radius - ref.subdominant_radius) <= REL_TOL * max(
@@ -107,7 +114,6 @@ def assert_matches_dense(op, monkeypatch, krylov=True):
     for new, old in ((sd.right_eigs, ref.right_eigs), (sd.left_eigs, ref.left_eigs)):
         for j in range(sd.period_m):
             assert np.abs(new[j] - old[j]).max() <= REL_TOL * np.abs(old[j]).max(), j
-    return sd
 
 
 @pytest.mark.parametrize("n", [513, 801])
@@ -199,20 +205,57 @@ def test_cloud_spectrum_falls_back_to_dense_eigenvalues(make, monkeypatch):
     _bitwise_equal(sd, q.peripheral_spectrum(op))
 
 
-@pytest.mark.parametrize("failing", [0, 1], ids=["right", "left"])
-def test_nonconverged_arnoldi_falls_back_to_dense_eigenvalues(failing, monkeypatch):
-    op = build_operator(q.get_spec("example21", grid_size=513))
-    krylov = q.peripheral_spectrum(op)
+def _recording_arnoldi(monkeypatch, edit):
+    """Patch ``_arnoldi`` to return ``edit(run index, result)``; returns the list of results."""
     real, runs = spectral._arnoldi, []
 
     def arnoldi(*args):
-        runs.append(None)
-        return None if len(runs) - 1 == failing else real(*args)
+        runs.append(edit(len(runs), real(*args)))
+        return runs[-1]
 
     monkeypatch.setattr(spectral, "_arnoldi", arnoldi)
+    return runs
+
+
+def _inverse_iteration_values(monkeypatch):
+    """Record the eigenvalue of each ``_inverse_iteration`` call."""
+    real, values = spectral._inverse_iteration, []
+
+    def inverse_iteration(matrix, beta):
+        values.append(complex(beta))
+        return real(matrix, beta)
+
+    monkeypatch.setattr(spectral, "_inverse_iteration", inverse_iteration)
+    return values
+
+
+def assert_inverse_iteration_at_arnoldi_values(op, edit, monkeypatch):
+    """A left run edited by ``edit`` gives way to inverse iteration at the right run's values."""
+    ref = dense_path(op, monkeypatch)
+    runs = _recording_arnoldi(monkeypatch, edit)
+    calls = _spy(monkeypatch, np.linalg, "eigvals")
+    values = _inverse_iteration_values(monkeypatch)
+    sd = q.peripheral_spectrum(op)
+    assert len(runs) == 2 and calls == []
+    assert sorted(values, key=np.angle) == sorted(
+        map(complex, sd.raw_eigenvalues[:sd.period_m // 2 + 1]), key=np.angle)
+    assert set(values) <= set(map(complex, runs[0][0]))
+    assert_close(sd, ref)
+    return sd
+
+
+@pytest.mark.parametrize("failing", [0, 1], ids=["right", "left"])
+def test_nonconverged_arnoldi_falls_back_to_dense_eigenvalues(failing, monkeypatch):
+    op = build_operator(q.get_spec("example21", grid_size=513))
+    if failing:
+        assert_inverse_iteration_at_arnoldi_values(
+            op, lambda run, result: None if run == 1 else result, monkeypatch)
+        return
+    krylov = q.peripheral_spectrum(op)
+    runs = _recording_arnoldi(monkeypatch, lambda run, result: None)
     calls = _spy(monkeypatch, np.linalg, "eigvals")
     sd = q.peripheral_spectrum(op)
-    assert len(runs) == failing + 1 and calls == ["eigvals"]
+    assert len(runs) == 1 and calls == ["eigvals"]
     assert abs(sd.lam - krylov.lam) <= REL_TOL * krylov.lam
     assert np.abs(sd.left_eigs[0] - krylov.left_eigs[0]).max() <= REL_TOL * sd.mu0.max()
 
@@ -225,21 +268,26 @@ def test_arnoldi_out_of_steps_returns_none(monkeypatch):
 
 
 def test_left_band_on_other_slots_falls_back(monkeypatch):
+    def edit(run, result):
+        if run == 0:
+            return result
+        # the left band shrinks to lam alone: one slot instead of two
+        values, vectors = result
+        return values * np.where(values.real < 0, 0.5, 1), vectors
+
     op = explicit(smooth_cyclic_chain((260, 270)))
-    real, runs = spectral._arnoldi, []
+    sd = assert_inverse_iteration_at_arnoldi_values(op, edit, monkeypatch)
+    assert sd.period_m == 2
 
-    def arnoldi(*args):
-        values, vectors = real(*args)
-        runs.append(None)
-        if len(runs) == 2:
-            # the left band shrinks to lam alone: one slot instead of two
-            values = values * np.where(values.real < 0, 0.5, 1)
-        return values, vectors
 
-    monkeypatch.setattr(spectral, "_arnoldi", arnoldi)
-    calls = _spy(monkeypatch, np.linalg, "eigvals")
-    sd = q.peripheral_spectrum(op)
-    assert len(runs) == 2 and calls == ["eigvals"] and sd.period_m == 2
+def test_krylov_refusal_skips_the_left_run(monkeypatch):
+    # example21 has sub/lam = 1/2: a gap floor of 0.6 refuses it on the
+    # Krylov values, before any vector is computed
+    op = build_operator(q.get_spec("example21", grid_size=513))
+    calls = _spy(monkeypatch, np.linalg, "eigvals", _spy(monkeypatch, spectral, "_arnoldi"))
+    with pytest.raises(NoSpectralGapWithinTol, match="inside the gap floor"):
+        q.peripheral_spectrum(op, gap_floor=0.6)
+    assert calls == ["_arnoldi"]
 
 
 def test_zero_row_chain_has_exact_zeros_on_krylov_path(monkeypatch):
@@ -256,8 +304,8 @@ def test_period_near_size_takes_dense_eigenvalues(monkeypatch):
     n = spectral.KRYLOV_MIN_SIZE
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        ev, ritz = spectral._dense_eig(np.diag(np.linspace(0.1, 0.9, n)), n - 4,
-                                       spectral.PERIPHERAL_TOL_DEFAULT)
+        ev, ritz = spectral._eigenvalues(np.diag(np.linspace(0.1, 0.9, n)), n - 4,
+                                         spectral.PERIPHERAL_TOL_DEFAULT)
     assert len(ev) == n and ritz is None and calls == []
 
 

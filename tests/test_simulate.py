@@ -7,7 +7,8 @@ import pytest
 import qsdlab as q
 from conftest import delta_at
 from qsdlab import simulate
-from qsdlab.errors import InvalidDomain, TooFewSurvivors
+from qsdlab.errors import InvalidDomain, NegativeDensity, RowSumExceedsOne, TooFewSurvivors
+from qsdlab.kernels import KernelSpec, build_operator
 from qsdlab.oracle import FiniteChain, lobo_sum
 from qsdlab.simulate import ABSORBED, CHUNK_SIZE, bin_to_grid, simulate_batch
 
@@ -274,3 +275,20 @@ def test_simulate_batch_accepts_integral_float_start():
     assert np.array_equal(b.terminal_states, ref.terminal_states)
     # the closed domain includes its endpoints (escape points of example21)
     assert simulate_batch(q.get_spec("example21"), 1.0, 1, 100, seed=3).survivor_count == 0
+
+
+@pytest.mark.parametrize("matrix,error", [
+    ([[0.9, 0.9], [0.3, 0.4]], RowSumExceedsOne),
+    ([[-0.1, 0.5], [0.3, 0.4]], NegativeDensity),
+    ([[float("nan"), 0.5], [0.3, 0.4]], InvalidDomain),
+], ids=["row_sum_1.8", "negative", "nan"])
+@pytest.mark.parametrize("read", [
+    build_operator,
+    lambda spec: simulate_batch(spec, 0, 5, 1000),
+    lambda spec: q.sample_step(spec, 0, 0.5),
+    lambda spec: simulate.summarize_yaglom(simulate_batch(q.get_spec("sym2"), 0, 1, 1000), spec),
+], ids=["build_operator", "simulate_batch", "sample_step", "summarize_yaglom"])
+def test_invalid_explicit_matrix_is_refused_by_every_reader(read, matrix, error):
+    spec = KernelSpec(domain=(0, 1), family="explicit_matrix", params={"matrix": matrix})
+    with pytest.raises(error):
+        read(spec)
