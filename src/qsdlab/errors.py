@@ -103,14 +103,6 @@ class NotCyclic(NumericalError):
     """Cyclic class structure absent or broken by discretization."""
 
 
-class SupportOverlap(NumericalError):
-    """Phase clustering could not separate the peripheral supports."""
-
-    def __init__(self, message, offending_nodes=()):
-        super().__init__(message)
-        self.offending_nodes = tuple(offending_nodes)
-
-
 class NeverSubunit(NumericalError):
     """sup_x of the n-step survival mass never drops below one."""
 

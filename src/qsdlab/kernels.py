@@ -130,6 +130,8 @@ class KernelSpec:
             raise InvalidDomain(f"unknown reference measure {self.measure!r}")
         if self.measure_scale <= 0:
             raise InvalidDomain("measure_scale must be positive")
+        if self.measure == "lebesgue" and self.measure_scale != 1.0:
+            raise InvalidDomain("measure_scale other than 1 needs measure 'lebesgue_scaled'")
         if self.quadrature not in ("trapezoid", "ulam"):
             raise InvalidDomain(f"unknown quadrature {self.quadrature!r}")
 
@@ -469,7 +471,14 @@ def check_h1_modulus(spec, probes=64, deltas=None):
 
 @dataclass(frozen=True)
 class ReachabilityReport:
-    """Directed-graph audit of irreducibility on the non-escape nodes."""
+    """Directed-graph audit of irreducibility on the non-escape nodes.
+
+    ``node_class`` is the one place that assigns cyclic classes: for a
+    single communicating class of period p, node v gets its breadth-first
+    level from the first non-escape node, mod p, so every edge leads from
+    class c to class c + 1 mod p.  It is -1 on escape nodes, and on every
+    node when the graph is not strongly connected.
+    """
 
     n_nodes: int
     escape_indices: tuple
@@ -478,6 +487,7 @@ class ReachabilityReport:
     graph_period: int
     all_nodes_reach_all: bool
     nonescape_mass_positive: bool
+    node_class: np.ndarray   # per node: cyclic class in 0..graph_period-1, or -1
 
     @property
     def verdict(self):
@@ -517,7 +527,8 @@ def check_h2_reachability(op):
 
     Edges are entries of the discretized kernel above the escape tolerance.
     Reports the number of strongly connected components and, for a single
-    communicating class, its graph period.
+    communicating class, its graph period and each node's cyclic class
+    (see :class:`ReachabilityReport`), from the first forward search.
     """
     keep = op.nonescape_indices()
     if keep.size == 0:
@@ -530,9 +541,15 @@ def check_h2_reachability(op):
         i = int(np.flatnonzero(unseen)[0])
         level, period = _bfs_levels(adj, i)
         unseen &= ~((level >= 0) & (_bfs_levels(adj.T, i)[0] >= 0))
+        if not periods:
+            first_level = level
         periods.append(period)
     n_comp = len(periods)
     connected = n_comp == 1 and (len(keep) > 1 or bool(adj[0, 0]))
+    node_class = np.full(op.size, -1)
+    if connected:
+        node_class[keep] = first_level % periods[0]
+    node_class.setflags(write=False)
     return ReachabilityReport(
         n_nodes=op.size,
         escape_indices=tuple(sorted(op.escape.indices)),
@@ -541,4 +558,5 @@ def check_h2_reachability(op):
         graph_period=periods[0] if connected else 0,
         all_nodes_reach_all=connected,
         nonescape_mass_positive=op.escape.nonescape_mass_positive,
+        node_class=node_class,
     )

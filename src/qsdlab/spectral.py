@@ -45,9 +45,10 @@ class SpectralData:
 
     ``right_eigs[j]`` and ``left_eigs[j]`` satisfy (up to the recorded
     residuals) ``A f_j = lam w^j f_j`` and ``mu_j A = lam w^j mu_j`` with
-    ``w = exp(2 pi i / m)``, normalized so that mu_0 is a probability vector,
-    ``<mu_j, f_k> = delta_jk``, and f_j has a real positive value at the
-    first non-escape node.  Pairs j and m - j are complex conjugates.
+    ``w = exp(2 pi i / m)``, normalized so that mu_0 is a probability vector
+    and ``<mu_j, f_k> = delta_jk``; ``f_j = D^j f_0`` and ``mu_j = mu_0 D^-j``
+    on the non-escape nodes, ``D = diag(w^class)`` with the classes of
+    ``reach.node_class``.  Pairs j and m - j are complex conjugates.
     """
 
     lam: float
@@ -61,8 +62,12 @@ class SpectralData:
     residuals_left: np.ndarray
     peripheral_tol: float
     gap_floor: float
-    graph_period: int
+    reach: object                  # the ReachabilityReport: graph period and node classes
     op: object                     # the DiscreteOperator this was computed from
+
+    @property
+    def graph_period(self):
+        return self.reach.graph_period
 
     @property
     def f0(self):
@@ -164,7 +169,7 @@ def _eigenvalues(matrix, period, peripheral_tol):
 
 
 def _left_ritz(matrix, k, m, peripheral_tol):
-    """Left Ritz vectors of the m peripheral values, in root-of-unity slot order, or None.
+    """Left Ritz vector of the Perron value (slot 0 of m peripheral values), or None.
 
     Runs :func:`_arnoldi` on ``A.T`` for the ``k`` largest values; None when
     the run does not converge or its band does not fill the m slots.
@@ -175,7 +180,7 @@ def _left_ritz(matrix, k, m, peripheral_tol):
     band, slots, _ = _band_slots(left[0], peripheral_tol)
     if len(band) != m or set(slots.tolist()) != set(range(m)):
         return None
-    return left[1][band[np.argsort(slots)]]
+    return left[1][band[np.argmin(slots)]]
 
 
 def _matmul(a, b):
@@ -316,13 +321,17 @@ def peripheral_spectrum(op, peripheral_tol=PERIPHERAL_TOL_DEFAULT,
     from a dense solve, or, from ``KRYLOV_MIN_SIZE`` nodes on, the top
     2 graph period + 2 from a NumPy Arnoldi run on A when they show a clear
     gap below the peripheral band (else the dense solve after all).  The
-    checks on the values run next.  Only then are the vectors chosen, here
-    alone: for the slots j <= m/2, the right Ritz vectors and the left
-    ones of :func:`_left_ritz` when the values came from Arnoldi with the
-    subdominant modulus at most ``1 - RITZ_GAP`` times lam and the left run
-    fills the same slots, else :func:`_inverse_iteration` at the same
-    values.  Either pair is finished by one :func:`_forward_step`, so each
-    left/right pair shares its eigenvalue, and slots m - j are their complex
+    checks on the values run next.  Only then is the Perron pair chosen, here
+    alone: the right Ritz vector and the left one of :func:`_left_ritz` when
+    the values came from Arnoldi with the subdominant modulus at most
+    ``1 - RITZ_GAP`` times lam and the left run fills the same slots, else
+    :func:`_inverse_iteration` at lam.  No other eigenvector is solved for:
+    for an irreducible nonnegative matrix the peripheral pairs are
+    ``f_j = D^j f_0`` and ``mu_j = mu_0 D^-j`` with ``D = diag(w^class)``
+    (Schaefer, *Banach Lattices and Positive Operators*, 1974, ch. V), the
+    classes being those of the reachability audit.  Every pair j <= m/2 is
+    finished by one :func:`_forward_step` at its eigenvalue, which also
+    sets its entries on escape nodes, and slots m - j are the complex
     conjugates.
 
     The peripheral band is ``|beta| >= lam * (1 - peripheral_tol)``.  The
@@ -336,6 +345,9 @@ def peripheral_spectrum(op, peripheral_tol=PERIPHERAL_TOL_DEFAULT,
     norm for the probability mu_0 (NonConvergent otherwise).  For an
     irreducible nonnegative matrix the only nonnegative eigenvector belongs to
     the spectral radius, so these checks certify lam without power iteration.
+    Residuals are recorded for every j.  The pairs must be biorthonormal to
+    1e-8 (DefectiveMatrix otherwise): for j >= 1 that holds exactly when
+    every class carries the same mass 1/m of eta = f_0 mu_0.
     """
     if gap_floor < peripheral_tol:
         raise NoSpectralGapWithinTol("gap_floor must be at least peripheral_tol")
@@ -369,46 +381,33 @@ def peripheral_spectrum(op, peripheral_tol=PERIPHERAL_TOL_DEFAULT,
     left_ritz = None
     if ritz is not None and sub <= (1 - RITZ_GAP) * lam:
         left_ritz = _left_ritz(op.matrix, len(ev), m, peripheral_tol)
+    k = at_slot[0]
+    if left_ritz is None:
+        f, mu = _inverse_iteration(op.matrix, ev[k])
+    else:
+        f, mu = ritz[k], left_ritz
+    f, mu = _forward_step(op.matrix, f, mu, ev[k])
+    f0 = _nonnegative_real(f, tol=1e-8)
+    mu0 = _nonnegative_real(mu, tol=1e-8)
+    if f0 is None or mu0 is None:
+        raise DefectiveMatrix("leading eigenpair leaves the cone")
+    mu = mu0.astype(complex) / mu0.sum()
+    f = f0.astype(complex)
+    pairing = mu @ f
+    if abs(pairing) < 1e-12 * (np.abs(mu).sum() * np.abs(f).max()):
+        raise DefectiveMatrix(f"peripheral eigenvalue {ev[k]:.6g} looks defective")
+    f = f / pairing              # mu_0 stays a probability vector
 
-    keep = op.nonescape_indices()
-    i0 = int(keep[0])
-    n = op.size
-    right = np.zeros((m, n), dtype=complex)
-    left = np.zeros((m, n), dtype=complex)
-    for j in range(m // 2 + 1):
-        k = at_slot[j]
-        if left_ritz is None:
-            f, mu = _inverse_iteration(op.matrix, ev[k])
-        else:
-            f, mu = ritz[k], left_ritz[j]
-        f, mu = _forward_step(op.matrix, f, mu, ev[k])
-        if j == 0:
-            f0 = _nonnegative_real(f, tol=1e-8)
-            mu0 = _nonnegative_real(mu, tol=1e-8)
-            if f0 is None or mu0 is None:
-                raise DefectiveMatrix("leading eigenpair leaves the cone")
-            mu = mu0.astype(complex) / mu0.sum()
-            f = f0.astype(complex)
-        else:
-            # align phase and magnitude with f_0 at the first non-escape node:
-            # makes the family consistent under the discrete Fourier transform
-            # that produces the disjointly supported cyclic generators
-            anchor = f[i0]
-            if abs(anchor) < 1e-13 * np.abs(f).max():
-                raise DefectiveMatrix("cannot fix the phase at the first non-escape node")
-            f = f * (right[0][i0] / anchor)
-        pairing = mu @ f
-        if abs(pairing) < 1e-12 * (np.abs(mu).sum() * np.abs(f).max()):
-            raise DefectiveMatrix(f"peripheral eigenvalue {ev[k]:.6g} looks defective")
-        if j == 0:
-            f = f / pairing          # mu_0 stays a probability vector
-        else:
-            mu = mu / pairing
-        right[j] = f
-        left[j] = mu
-        if j != 0 and (m - j) != j:
-            right[m - j] = np.conj(f)
-            left[m - j] = np.conj(mu)
+    # f_j = D^j f_0 and mu_j = mu_0 D^-j with D = diag(w^class): one forward
+    # step each, which also sets the entries on escape nodes
+    right = np.empty((m, op.size), dtype=complex)
+    left = np.empty((m, op.size), dtype=complex)
+    right[0], left[0] = f, mu
+    twist = np.exp(2j * math.pi * reach.node_class / m)
+    for j in range(1, m // 2 + 1):   # for even m slot m/2 is real, its own conjugate
+        right[j], left[j] = _forward_step(op.matrix, f * twist ** j, mu / twist ** j,
+                                          ev[at_slot[j]])
+        right[m - j], left[m - j] = np.conj(right[j]), np.conj(left[j])
 
     snapped_vals = lam * np.exp(2j * math.pi * np.arange(m) / m)
     res_r = np.array([np.abs(_matmul(op.matrix, right[j]) - snapped_vals[j] * right[j]).max()
@@ -426,8 +425,7 @@ def peripheral_spectrum(op, peripheral_tol=PERIPHERAL_TOL_DEFAULT,
         lam=lam, period_m=m, eigenvalues=snapped_vals, raw_eigenvalues=raw,
         right_eigs=right, left_eigs=left, subdominant_radius=sub,
         residuals_right=res_r, residuals_left=res_l,
-        peripheral_tol=peripheral_tol, gap_floor=gap_floor,
-        graph_period=reach.graph_period, op=op,
+        peripheral_tol=peripheral_tol, gap_floor=gap_floor, reach=reach, op=op,
     )
 
 

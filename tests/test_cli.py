@@ -53,6 +53,13 @@ def test_missing_file_is_schema_error():
         load_spec("/nonexistent/spec.json")
 
 
+def test_unscaled_measure_with_a_scale_is_refused():
+    # spec_to_dict writes no scale for the plain measure, so the pair would be lost
+    with pytest.raises(InvalidDomain, match="lebesgue_scaled"):
+        KernelSpec(domain=(0, 1), family="gaussian_shift", measure="lebesgue",
+                   measure_scale=2.0)
+
+
 def test_scaled_measure_parsed():
     spec = spec_from_dict({"family": "gaussian_shift", "domain": [0, 1],
                            "grid_size": 11, "params": {"sigma": 1.0},
@@ -470,10 +477,12 @@ def test_lone_state_without_self_loop_is_reducible(tmp_path, capsys, cmd):
     [[0.3, 0.3], [0.3, 0.3]],
     [[0.5, 0.5], [0.0, 0.0]],
     [[0.1, 0.2, 0.3], [0.05, 0.1, 0.15], [0.1, 0.2, 0.3]],
-], ids=["1", "2", "zero_row", "3"])
+    [[0.3, 0.3], [0.3, 0.3000001]],
+], ids=["1", "2", "zero_row", "3", "near"])
 @pytest.mark.parametrize("cmd,report", [("analyze", "analysis.json"), ("yaglom", "yaglom.json")])
 def test_rank_one_chain_reports_an_infinite_rate(tmp_path, cmd, report, matrix):
-    # the conditioned law equals mu after one step: nothing is left to fit
+    # the conditioned law equals mu after one step (after two, to the floor,
+    # for the nearly rank-one chain): nothing is left to fit
     spec = _chain_file(tmp_path, matrix)
     out = tmp_path / "o"
     assert main([cmd, "--spec", spec, "--out", str(out)]) == 0
@@ -511,3 +520,16 @@ def test_cyclic_chain_leaking_into_the_escape_state_is_not_cyclic(tmp_path, caps
         assert main(["analyze", "--spec", _chain_file(tmp_path, chain), "--out", str(out)]) == 3
         assert "NotCyclic: image of class 0 spreads across classes" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_cyclic_classes_do_not_depend_on_the_eigenfunction_size(tmp_path):
+    # f_0 is about 2.6e-11 on state 2, which the classes of the reachability
+    # audit place as well as any other state
+    matrix = [[0, 0.5, 0], [0.5, 0, 0.3], [0, 1e-11, 0]]
+    out = tmp_path / "o"
+    assert main(["analyze", "--spec", _chain_file(tmp_path, matrix), "--out", str(out)]) == 0
+    doc = json.loads((out / "analysis.json").read_text())
+    assert doc["m"] == 2 and doc["classes"] == [[0, 2], [1]]
+    mu, _, lam, m = q.exact_qsd_qed(q.FiniteChain(Q=np.array(matrix)))
+    assert m == 2 and abs(doc["lambda"] - lam) <= 1e-12
+    assert np.abs(np.array(doc["qsd"]) - mu).max() <= 1e-9

@@ -273,3 +273,26 @@ def test_h2_matches_csgraph_and_trace_period(adj):
             lengths.append(length)
         walk = (walk.astype(int) @ sub.astype(int)) > 0
     assert rep.graph_period == np.gcd.reduce(lengths)
+
+
+@settings(max_examples=300, deadline=None)
+@given(digraphs())
+@example(np.array([[True]]))
+@example(np.array([[False, True], [True, False]]))
+def test_h2_node_class_steps_by_one_along_every_edge(adj):
+    n = adj.shape[0]
+    op = build_operator(KernelSpec(domain=(0, 1), family="explicit_matrix",
+                                   params={"matrix": (adj * (0.9 / n)).tolist()}))
+    keep = np.flatnonzero(adj.any(axis=1))
+    if keep.size == 0:
+        return
+    rep = q.check_h2_reachability(op)
+    cls = rep.node_class
+    assert cls.shape == (n,) and (cls[sorted(op.escape.indices)] == -1).all()
+    if not rep.strongly_connected:
+        assert (cls == -1).all()
+        return
+    p = rep.graph_period
+    assert cls[keep[0]] == 0 and set(cls[keep].tolist()) == set(range(p))
+    u, v = np.nonzero(adj[np.ix_(keep, keep)])
+    assert (cls[keep[v]] == (cls[keep[u]] + 1) % p).all()

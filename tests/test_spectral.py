@@ -127,6 +127,23 @@ def test_conjugate_pair_storage(sds):
     assert z.imag == pytest.approx(0.0, abs=1e-12) and z.real > 0
 
 
+def test_cyclic_pairs_twist_the_perron_pair_by_the_audit_classes(sds, monkeypatch):
+    # f_j = D^j f_0 and mu_j = mu_0 D^-j with D = diag(w^class): one solve, for slot 0
+    real, values = spectral._inverse_iteration, []
+    monkeypatch.setattr(spectral, "_inverse_iteration",
+                        lambda a, beta: values.append(complex(beta)) or real(a, beta))
+    ring = np.roll(np.eye(4), 1, axis=1) * np.array([[0.5], [0.7], [0.6], [0.9]])
+    for op in (sds["cycle2"].op, sds["cycle3"].op, explicit(ring.tolist())):
+        values.clear()
+        sd = q.peripheral_spectrum(op)
+        m = sd.period_m
+        assert values == [complex(sd.raw_eigenvalues[0])] and m == sd.graph_period
+        twist = np.exp(2j * math.pi * sd.reach.node_class / m)
+        for j in range(m):
+            assert np.abs(sd.right_eigs[j] - twist ** j * sd.f0).max() <= 1e-12 * sd.f0.max()
+            assert np.abs(sd.left_eigs[j] - sd.mu0 / twist ** j).max() <= 1e-12
+
+
 def test_near_degenerate_gap_refused():
     eps = 1e-6
     with pytest.raises(NoSpectralGapWithinTol):
