@@ -18,7 +18,6 @@ from .kernels import (
     build_operator,
     check_h1_modulus,
     check_h2_reachability,
-    detect_escape_set,
 )
 from .measures import tv_distance, variation_norm
 from .oracle import FiniteChain, exact_qsd_qed, exact_spectrum, lobo_sum
@@ -49,7 +48,6 @@ from .spectral import (
     SpectralData,
     dirac_decomposition,
     peripheral_spectrum,
-    power_lambda_estimate,
     spectral_radius,
     subdominant_rate,
 )

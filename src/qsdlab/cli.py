@@ -19,6 +19,7 @@ Exit codes: 0 success, 2 validation/schema error, 3 numerical refusal.
 
 import argparse
 import csv
+import dataclasses
 import datetime
 import json
 import os
@@ -55,7 +56,7 @@ from .simulate import (
     summarize_birkhoff,
     summarize_yaglom,
 )
-from .spectral import PERIPHERAL_TOL_DEFAULT, peripheral_spectrum
+from .spectral import peripheral_spectrum
 
 SCHEMA_VERSION = 1
 
@@ -65,9 +66,8 @@ def _resolve_spec(value, grid_size=None):
         spec = registry.get_spec(value, grid_size=grid_size)
     except KeyError:
         spec = specfile.load_spec(value)
-        if grid_size and not spec.is_explicit:
-            spec = specfile.spec_from_dict(
-                {**specfile.spec_to_dict(spec), "grid_size": grid_size})
+        if grid_size is not None and not spec.is_explicit:
+            spec = dataclasses.replace(spec, grid_size=grid_size)
     if grid_size is not None and spec.is_explicit:
         raise NotApplicable("--grid-size does not apply to an explicit chain")
     return spec
@@ -156,7 +156,7 @@ def _analyze(args):
         raise ValidationError(f"--n-max must be at least {MIN_N_MAX}")
     spec = _resolve_spec(args.spec, args.grid_size)
     op = build_operator(spec)
-    sd = peripheral_spectrum(op, peripheral_tol=args.peripheral_tol)
+    sd = peripheral_spectrum(op)
     n_max = default_n_max(op) if args.n_max is None else args.n_max
     doc, fit = _analysis_doc(spec, op, sd, n_max)
     os.makedirs(args.out, exist_ok=True)
@@ -222,7 +222,7 @@ def cmd_simulate(args):
     else:
         x0 = 0 if spec.is_explicit else float(np.mean(spec.domain))
     op = build_operator(spec)
-    sd = peripheral_spectrum(op, peripheral_tol=args.peripheral_tol)
+    sd = peripheral_spectrum(op)
     mu, lam = quasi_stationary_measure(sd)
     if spec.is_explicit:
         k = min(1, op.size - 1)
@@ -324,7 +324,6 @@ def build_parser():
     sp = sub.add_parser("analyze", help="spectral pipeline report")
     common(sp)
     sp.add_argument("--n-max", type=int, default=None)
-    sp.add_argument("--peripheral-tol", type=float, default=PERIPHERAL_TOL_DEFAULT)
     sp.set_defaults(func=cmd_analyze)
 
     sp = sub.add_parser("verify-hypothesis", help="continuity/reachability audits")
@@ -334,12 +333,10 @@ def build_parser():
     sp = sub.add_parser("yaglom", help="conditioned-law TV curve and rate fit")
     common(sp)
     sp.add_argument("--n-max", type=int, default=None)
-    sp.add_argument("--peripheral-tol", type=float, default=PERIPHERAL_TOL_DEFAULT)
     sp.set_defaults(func=cmd_yaglom)
 
     sp = sub.add_parser("simulate", help="Monte Carlo cross-check")
     common(sp)
-    sp.add_argument("--peripheral-tol", type=float, default=PERIPHERAL_TOL_DEFAULT)
     sp.add_argument("--n-paths", type=int, default=10 ** 5)
     sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--n", type=int, default=10, help="time horizon")

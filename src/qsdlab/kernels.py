@@ -1,7 +1,7 @@
 """Absorbed Markov kernels on a compact interval, and their discretization.
 
 A kernel is described declaratively by a :class:`KernelSpec` (density family +
-parameters + reference measure + grid size) and realized as a
+parameters + grid size; the reference measure is Lebesgue) and realized as a
 :class:`DiscreteOperator`: a quadrature grid together with the matrix
 
     matrix[i, j] = g(node_i, node_j) * weight_j
@@ -35,23 +35,25 @@ from .errors import (
 JUMP_ATOL = 1e-9
 
 ESCAPE_TOL_DEFAULT = 1e-12
+H1_PROBES = 64
 
 CONTINUOUS_FAMILIES = ("affine_uniform", "cubic_uniform", "gaussian_shift", "tabulated")
 ALL_FAMILIES = CONTINUOUS_FAMILIES + ("explicit_matrix",)
 
-# the parameter names each family reads; any other name is an error
+# the parameter names each family reads: every one is required, any other
+# name is an error
 _FAMILY_PARAMS = {
     "affine_uniform": {"a", "b", "noise_halfwidth"},
     "cubic_uniform": {"noise_halfwidth"},
     "gaussian_shift": {"sigma"},
     "tabulated": {"values"},
-    "explicit_matrix": {"matrix", "labels"},
+    "explicit_matrix": {"matrix"},
 }
 
 
 @dataclass(frozen=True)
 class StateGrid:
-    """Quadrature abscissae and weights for the reference measure on [lower, upper]."""
+    """Quadrature abscissae and weights for Lebesgue measure on [lower, upper]."""
 
     lower: float
     upper: float
@@ -91,7 +93,7 @@ class StateGrid:
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Declarative description of an absorbed kernel P(x, dy) = g(x, y) rho(dy).
+    """Declarative description of an absorbed kernel P(x, dy) = g(x, y) dy.
 
     Families
     --------
@@ -99,18 +101,16 @@ class KernelSpec:
     cubic_uniform    params noise_halfwidth       : x -> x**3 + U[-w, w]
     gaussian_shift   params sigma                 : density N(y; x, sigma^2)
     tabulated        params values (N x N row-major list) : g sampled on the grid
-    explicit_matrix  params matrix [, labels]     : finite substochastic chain
+    explicit_matrix  params matrix                : finite substochastic chain
 
-    ``measure_scale`` scales the reference measure (lebesgue_scaled(c)); the
-    kernel itself is unchanged because densities are divided by the same c.
+    Each family takes exactly the parameters listed: a missing or unknown one
+    raises InvalidDomain.
     """
 
     domain: tuple
     family: str
     params: dict = field(default_factory=dict)
     grid_size: int = 201
-    measure: str = "lebesgue"
-    measure_scale: float = 1.0
     quadrature: str = "trapezoid"
     name: Optional[str] = None
 
@@ -120,18 +120,15 @@ class KernelSpec:
         bad = set(self.params) - _FAMILY_PARAMS[self.family]
         if bad:
             raise InvalidDomain(f"unknown params {sorted(bad)} for family {self.family}")
+        missing = _FAMILY_PARAMS[self.family] - set(self.params)
+        if missing:
+            raise InvalidDomain(f"missing params {sorted(missing)} for family {self.family}")
         if self.family != "explicit_matrix":
             lo, hi = self.domain
             if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
                 raise InvalidDomain(f"domain must satisfy lower < upper, got {self.domain}")
             if self.grid_size < 2:
                 raise InvalidDomain("grid_size must be >= 2")
-        if self.measure not in ("lebesgue", "lebesgue_scaled"):
-            raise InvalidDomain(f"unknown reference measure {self.measure!r}")
-        if self.measure_scale <= 0:
-            raise InvalidDomain("measure_scale must be positive")
-        if self.measure == "lebesgue" and self.measure_scale != 1.0:
-            raise InvalidDomain("measure_scale other than 1 needs measure 'lebesgue_scaled'")
         if self.quadrature not in ("trapezoid", "ulam"):
             raise InvalidDomain(f"unknown quadrature {self.quadrature!r}")
 
@@ -234,8 +231,8 @@ def _map_centers(spec, x):
 def kernel_density(spec, x, y):
     """Evaluate g(x, y) for a continuous family on arrays of points.
 
-    Returns a len(x) x len(y) array.  Densities are taken with respect to the
-    (possibly scaled) reference measure of ``spec``.
+    Returns a len(x) x len(y) array of densities with respect to Lebesgue
+    measure.
     """
     if spec.is_explicit:
         raise NotApplicable("explicit_matrix has no pointwise density")
@@ -248,7 +245,7 @@ def kernel_density(spec, x, y):
         vals = _window_values(_map_centers(spec, x), y, lo, hi, w)
         vals /= 2 * w
     elif spec.family == "gaussian_shift":
-        sigma = float(p.get("sigma", 1.0))
+        sigma = float(p["sigma"])
         if sigma <= 0:
             raise InvalidDomain("sigma must be positive")
         vals = np.asarray(y, float)[None, :] - np.asarray(x, float)[:, None]
@@ -258,7 +255,7 @@ def kernel_density(spec, x, y):
         np.exp(vals, out=vals)
         vals /= sigma * math.sqrt(2 * math.pi)
     elif spec.family == "tabulated":
-        vals = np.array(p["values"], dtype=float)   # a copy: scaled in place below
+        vals = np.array(p["values"], dtype=float)   # a copy: weighted in place later
         if vals.shape != (np.size(x), np.size(y)):
             raise InvalidDomain("tabulated values must match the grid shape")
     else:  # pragma: no cover
@@ -267,7 +264,6 @@ def kernel_density(spec, x, y):
         raise NegativeDensity("density evaluated to a non-finite value")
     if vals.min() < 0:
         raise NegativeDensity("density evaluated below zero")
-    vals /= spec.measure_scale
     return vals
 
 
@@ -286,7 +282,7 @@ def analytic_row_mass(spec, x):
     if spec.family == "gaussian_shift":
         from scipy.special import ndtr
 
-        sigma = float(spec.params.get("sigma", 1.0))
+        sigma = float(spec.params["sigma"])
         return ndtr((hi - x) / sigma) - ndtr((lo - x) / sigma)
     return None
 
@@ -294,7 +290,6 @@ def analytic_row_mass(spec, x):
 def _quadrature_grid(spec):
     lo, hi = spec.domain
     n = spec.grid_size
-    scale = spec.measure_scale
     if spec.quadrature == "trapezoid":
         nodes = np.linspace(lo, hi, n)
         h = (hi - lo) / (n - 1)
@@ -304,7 +299,7 @@ def _quadrature_grid(spec):
         h = (hi - lo) / n
         nodes = lo + h * (np.arange(n) + 0.5)
         weights = np.full(n, h)
-    return StateGrid(lo, hi, nodes, weights * scale)
+    return StateGrid(lo, hi, nodes, weights)
 
 
 def _ulam_average_density(spec, grid, sub=4):
@@ -336,7 +331,7 @@ def _row_error_bound(spec, grid):
         w = float(spec.params["noise_halfwidth"])
         return (1, 1.0 / (2 * w))  # two jumps between nodes, height 1/(2w)
     if spec.family == "gaussian_shift":
-        sigma = float(spec.params.get("sigma", 1.0))
+        sigma = float(spec.params["sigma"])
         peak_dd = 1.0 / (sigma ** 3 * math.sqrt(2 * math.pi))
         return (2, (hi - lo) * peak_dd / 12.0)
     return (0, math.inf)
@@ -397,20 +392,6 @@ def _detect(matrix, tol):
                      nonescape_mass_positive=len(idx) < len(rows))
 
 
-def detect_escape_set(op, tol=ESCAPE_TOL_DEFAULT):
-    """Flag nodes whose row mass is at most ``tol``.
-
-    Raises AllNodesEscape in the degenerate case where every node is flagged
-    (everything is absorbed within two steps and there is nothing to study).
-    """
-    if tol <= 0:
-        raise InvalidDomain("tol must be positive")
-    es = _detect(op.matrix, tol)
-    if not es.nonescape_mass_positive:
-        raise AllNodesEscape("every row mass is below tolerance")
-    return es
-
-
 # ---------------------------------------------------------------------------
 # Hypothesis audits
 
@@ -429,29 +410,26 @@ class ModulusReport:
         return list(zip(self.deltas.tolist(), self.sup_distances.tolist()))
 
 
-def check_h1_modulus(spec, probes=64, deltas=None):
+def check_h1_modulus(spec):
     """Probe the uniform L1 continuity of the density in its first argument.
 
-    For a ladder of separations delta, reports the largest discretized
-    L1 distance between g(x, .) and g(z, .) over probed pairs with
-    |x - z| <= delta.  A finite probe set can only sample the modulus, so the
-    report records the probe count and grid step rather than claiming proof;
-    the verdict is PASS when the sampled modulus decreases to the grid floor.
+    For the separations delta = (upper - lower) / 8 / 2**k, k = 0..5, down
+    to half the grid step, reports the largest discretized L1 distance
+    between g(x, .) and g(x + delta, .) over ``H1_PROBES`` equispaced x.  A
+    finite probe set can only sample the modulus, so the report records the
+    probe count and grid step rather than claiming proof; the verdict is PASS
+    when the sampled modulus decreases to the grid floor.
     """
     if spec.is_explicit:
         raise NotApplicable("modulus audit applies to density families only")
-    if probes < 2:
-        raise InvalidDomain("probes must be >= 2")
     lo, hi = spec.domain
     grid = _quadrature_grid(spec)
     h = grid.step
-    if deltas is None:
-        top = (hi - lo) / 8
-        deltas = [top / 2 ** k for k in range(6)]
-        deltas = [d for d in deltas if d >= h / 2] or [h]
-    deltas = np.asarray(sorted(deltas, reverse=True), dtype=float)
+    top = (hi - lo) / 8
+    deltas = [top / 2 ** k for k in range(6)]
+    deltas = np.asarray([d for d in deltas if d >= h / 2] or [h])
 
-    xs = np.linspace(lo, hi, probes)
+    xs = np.linspace(lo, hi, H1_PROBES)
     gx = kernel_density(spec, xs, grid.nodes)
     sups = []
     for d in deltas:
@@ -465,7 +443,7 @@ def check_h1_modulus(spec, probes=64, deltas=None):
     floor = 4 * h * max(float(gx.max()), 1.0)
     shrinks = sups[-1] <= max(0.5 * sups[0], floor)
     verdict = "PASS" if (nonincreasing and shrinks) else "FAIL"
-    return ModulusReport(deltas=deltas, sup_distances=sups, probes=probes,
+    return ModulusReport(deltas=deltas, sup_distances=sups, probes=H1_PROBES,
                          grid_step=h, verdict=verdict)
 
 
@@ -485,7 +463,6 @@ class ReachabilityReport:
     strongly_connected: bool
     n_components: int
     graph_period: int
-    all_nodes_reach_all: bool
     nonescape_mass_positive: bool
     node_class: np.ndarray   # per node: cyclic class in 0..graph_period-1, or -1
 
@@ -556,7 +533,6 @@ def check_h2_reachability(op):
         strongly_connected=connected,
         n_components=n_comp,
         graph_period=periods[0] if connected else 0,
-        all_nodes_reach_all=connected,
         nonescape_mass_positive=op.escape.nonescape_mass_positive,
         node_class=node_class,
     )

@@ -31,7 +31,7 @@ from .errors import (
     ZeroEigenfunctionMass,
 )
 from .measures import tv_distance
-from .spectral import _log_sum, _orbit, peripheral_spectrum, subdominant_rate
+from .spectral import _orbit, peripheral_spectrum, subdominant_rate
 
 TV_FIT_FLOOR = 1e-13
 # shortest rate-fit horizon at which both fit windows keep three points
@@ -124,32 +124,33 @@ def quasi_ergodic_measure(sd):
     return eta / eta.sum()
 
 
-def yaglom_iterate(op, nu0, n, renormalize_each_step=True):
+def _log_sum(values):
+    """Sum of math.log over values, added in order like a running total."""
+    total = 0.0
+    for s in values:
+        total += math.log(s)
+    return total
+
+
+def yaglom_iterate(op, nu0, n):
     """Conditioned law after n steps started from the measure nu0.
 
-    The default renormalizes the survivor mass away every step, which leaves
-    the conditioned law unchanged but avoids underflow of lam**n; the raw
-    mode keeps the actual survivor mass and raises MassExtinct on underflow.
+    The survivor mass is renormalized away every step, which leaves the
+    conditioned law unchanged and keeps lam**n from underflowing in the
+    iterates; ``normalization`` is the survivor mass of nu0 after n steps,
+    the product of the step masses.  A step mass of zero raises MassExtinct.
     """
     nu = np.asarray(nu0, dtype=float)
     if nu.min() < 0 or not math.isclose(nu.sum(), 1.0, rel_tol=0, abs_tol=1e-9):
         raise ValueError("nu0 must be a probability vector")
     if n < 0:
         raise ValueError("n must be >= 0")
-    laws, masses = _orbit(op.matrix, nu, n, np.add.reduce if renormalize_each_step else None)
+    laws, masses = _orbit(op.matrix, nu, n, np.add.reduce)
+    if (masses <= 0).any():
+        raise MassExtinct("survivor mass vanished")
     if n:
         nu = laws[-1].copy()
-    if renormalize_each_step:
-        if (masses <= 0).any():
-            raise MassExtinct("survivor mass vanished")
-        normalization = math.exp(_log_sum(masses))
-    else:
-        if (laws.sum(axis=1) < 1e-300).any():
-            raise MassExtinct("survivor mass underflowed; use renormalize-each-step mode")
-        normalization = nu.sum()
-        if normalization > 0:
-            nu = nu / normalization
-    return ConditionedLaw(masses=nu, step_n=n, normalization=float(normalization))
+    return ConditionedLaw(masses=nu, step_n=n, normalization=math.exp(_log_sum(masses)))
 
 
 def _tv_rows(laws, q):

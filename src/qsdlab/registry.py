@@ -44,19 +44,21 @@ def builtin_names():
 
 
 def get_spec(name, grid_size=None):
-    """Resolve a bundled name to a KernelSpec."""
+    """Resolve a bundled name to a KernelSpec; grid_size None takes the default."""
+    if grid_size is None:
+        grid_size = _DEFAULT_GRID.get(name)
     if name == "example21":
         return KernelSpec(domain=(-1.0, 1.0), family="affine_uniform",
                           params={"a": 2.0, "b": 0.0, "noise_halfwidth": 1.0},
-                          grid_size=grid_size or _DEFAULT_GRID[name], name=name)
+                          grid_size=grid_size, name=name)
     if name == "example22cubic":
         return KernelSpec(domain=(-2.0, 2.0), family="cubic_uniform",
                           params={"noise_halfwidth": 6.0},
-                          grid_size=grid_size or _DEFAULT_GRID[name], name=name)
+                          grid_size=grid_size, name=name)
     if name == "example23gauss":
         return KernelSpec(domain=(-1.0, 1.0), family="gaussian_shift",
                           params={"sigma": 1.0},
-                          grid_size=grid_size or _DEFAULT_GRID[name], name=name)
+                          grid_size=grid_size, name=name)
     if name in _EXPLICIT:
         q = _EXPLICIT[name]
         return KernelSpec(domain=(0.0, float(len(q) - 1)), family="explicit_matrix",

@@ -56,7 +56,7 @@ def _noise_to_moves(spec, x, u):
     if spec.family == "gaussian_shift":
         from scipy.special import ndtri
 
-        sigma = float(p.get("sigma", 1.0))
+        sigma = float(p["sigma"])
         ndtri(u, out=u)
         u *= sigma
         u += x

@@ -6,10 +6,11 @@ Schema (all other top-level keys are a hard error)::
       "schema_version": 1,            # optional, must be 1 if present
       "name": "...",                  # optional
       "domain": [lower, upper],       # required except for explicit_matrix
-      "measure": "lebesgue"           # or {"name": "lebesgue_scaled", "scale": c}
+      "measure": "lebesgue",          # optional, the only reference measure
       "family": "affine_uniform" | "cubic_uniform" | "gaussian_shift"
                 | "tabulated" | "explicit_matrix",
-      "params": {...},                # family parameters; matrices as nested lists
+      "params": {...},                # every parameter of the family, no other;
+                                      # matrices as nested lists
       "grid_size": N,                 # required for density families
       "quadrature": "trapezoid"       # optional: or "ulam"
     }
@@ -46,16 +47,8 @@ def spec_from_dict(doc):
     params = doc.get("params", {})
     if not isinstance(params, dict):
         raise SchemaError("params must be an object")
-
-    measure = doc.get("measure", "lebesgue")
-    scale = 1.0
-    if isinstance(measure, dict):
-        if set(measure) != {"name", "scale"} or measure["name"] != "lebesgue_scaled":
-            raise SchemaError(f"bad measure object {measure}")
-        scale = _number(measure["scale"], "measure scale")
-        measure = "lebesgue_scaled"
-    elif measure != "lebesgue":
-        raise SchemaError(f"unknown measure {measure!r}")
+    if doc.get("measure", "lebesgue") != "lebesgue":
+        raise SchemaError(f"unknown measure {doc['measure']!r}")
 
     if family == "explicit_matrix":
         if not isinstance(params.get("matrix"), list):
@@ -79,8 +72,7 @@ def spec_from_dict(doc):
 
     try:
         return KernelSpec(domain=domain, family=family, params=params,
-                          grid_size=grid_size, measure=measure, measure_scale=scale,
-                          quadrature=doc.get("quadrature", "trapezoid"),
+                          grid_size=grid_size, quadrature=doc.get("quadrature", "trapezoid"),
                           name=doc.get("name"))
     except Exception as exc:
         raise SchemaError(str(exc)) from exc
@@ -99,8 +91,6 @@ def spec_to_dict(spec):
         doc["grid_size"] = spec.grid_size
         if spec.quadrature != "trapezoid":
             doc["quadrature"] = spec.quadrature
-    if spec.measure == "lebesgue_scaled":
-        doc["measure"] = {"name": "lebesgue_scaled", "scale": spec.measure_scale}
     return doc
 
 

@@ -60,8 +60,6 @@ class SpectralData:
     subdominant_radius: float
     residuals_right: np.ndarray
     residuals_left: np.ndarray
-    peripheral_tol: float
-    gap_floor: float
     reach: object                  # the ReachabilityReport: graph period and node classes
     op: object                     # the DiscreteOperator this was computed from
 
@@ -133,18 +131,18 @@ def _arnoldi(matrix, k, need):
     return None
 
 
-def _band_slots(ev, peripheral_tol):
+def _band_slots(ev):
     """Indices of the m values in the peripheral band of ev, and their m-th root slots.
 
-    The band is ``|beta| >= lam * (1 - peripheral_tol)``; returns the
+    The band is ``|beta| >= lam * (1 - PERIPHERAL_TOL_DEFAULT)``; returns the
     indices, the slot of each and its angle error, as :func:`snap_phases`.
     """
     mods = np.abs(ev)
-    band = np.flatnonzero(mods >= mods.max() * (1 - peripheral_tol))
+    band = np.flatnonzero(mods >= mods.max() * (1 - PERIPHERAL_TOL_DEFAULT))
     return (band, *snap_phases(ev[band], len(band)))
 
 
-def _eigenvalues(matrix, period, peripheral_tol):
+def _eigenvalues(matrix, period):
     """Eigenvalues of the matrix, and their right Ritz vectors as rows or None.
 
     One eigenvector-free dense solve gives every eigenvalue, unless from
@@ -162,13 +160,13 @@ def _eigenvalues(matrix, period, peripheral_tol):
         right = _arnoldi(matrix, 2 * period + 2, period + 1)
         if right is not None:
             mods = np.abs(right[0])
-            rest = mods[mods < mods.max() * (1 - peripheral_tol)]
+            rest = mods[mods < mods.max() * (1 - PERIPHERAL_TOL_DEFAULT)]
             if rest.size and rest.min() <= KRYLOV_SEPARATION * rest.max():
                 return right
     return np.linalg.eigvals(matrix), None
 
 
-def _left_ritz(matrix, k, m, peripheral_tol):
+def _left_ritz(matrix, k, m):
     """Left Ritz vector of the Perron value (slot 0 of m peripheral values), or None.
 
     Runs :func:`_arnoldi` on ``A.T`` for the ``k`` largest values; None when
@@ -177,7 +175,7 @@ def _left_ritz(matrix, k, m, peripheral_tol):
     left = _arnoldi(matrix.T, k, m + 1)
     if left is None:
         return None
-    band, slots, _ = _band_slots(left[0], peripheral_tol)
+    band, slots, _ = _band_slots(left[0])
     if len(band) != m or set(slots.tolist()) != set(range(m)):
         return None
     return left[1][band[np.argmin(slots)]]
@@ -269,37 +267,12 @@ def _orbit(matrix, v, n, scale=None):
     return rows, divisors
 
 
-def _log_sum(values):
-    """Sum of math.log over values, added in order like a running total."""
-    total = 0.0
-    for s in values:
-        total += math.log(s)
-    return total
-
-
 def snap_phases(z, m):
     """Nearest m-th root-of-unity slot j of each arg(z), and the angle error."""
     theta = np.angle(z) % (2 * math.pi)
     j = np.rint(theta * m / (2 * math.pi)).astype(int) % m
     err = np.abs((theta - 2 * math.pi * j / m + math.pi) % (2 * math.pi) - math.pi)
     return j, err
-
-
-def power_lambda_estimate(op, n=200, period=None):
-    """Power-iteration estimate of the spectral radius from survivor masses.
-
-    Returns ``(ratio_estimate, root_estimate)``: the period-aware one-step
-    ratio ``(||A^(n+m) 1|| / ||A^n 1||)^(1/m)`` which converges geometrically,
-    and the n-th-root form ``||A^n 1||^(1/n)`` whose error decays only like
-    |log C| / n and is reported for reference.
-    """
-    m = period or 1
-    _, s = _orbit(op.matrix.T, np.ones(op.size), n + m, scale=lambda w: np.abs(w).max())
-    if not s.all():
-        raise NonConvergent("survivor mass vanished during power iteration")
-    root = math.exp(_log_sum(s[:n]) / n)
-    ratio = math.exp(_log_sum(s[n:]) / m)
-    return ratio, root
 
 
 def spectral_radius(op, reach=None):
@@ -313,8 +286,7 @@ def spectral_radius(op, reach=None):
     return sd.lam, sd.f0 / sd.f0.max(), sd.mu0
 
 
-def peripheral_spectrum(op, peripheral_tol=PERIPHERAL_TOL_DEFAULT,
-                        gap_floor=GAP_FLOOR_DEFAULT, reach=None):
+def peripheral_spectrum(op, reach=None):
     """Extract the full peripheral eigenstructure of the operator.
 
     Three stages.  :func:`_eigenvalues` gives the eigenvalues: every one
@@ -334,11 +306,11 @@ def peripheral_spectrum(op, peripheral_tol=PERIPHERAL_TOL_DEFAULT,
     sets its entries on escape nodes, and slots m - j are the complex
     conjugates.
 
-    The peripheral band is ``|beta| >= lam * (1 - peripheral_tol)``.  The
-    count m must match the graph period of the communicating class
+    The peripheral band is ``|beta| >= lam * (1 - PERIPHERAL_TOL_DEFAULT)``.
+    The count m must match the graph period of the communicating class
     (PeriodMismatch otherwise), the band's arguments must sit on the m-th
     root angles within 1e-3 (TolTooLoose otherwise), and the largest
-    non-peripheral modulus must stay below ``lam * (1 - gap_floor)``
+    non-peripheral modulus must stay below ``lam * (1 - GAP_FLOOR_DEFAULT)``
     (NoSpectralGapWithinTol otherwise).  The Perron pair must lie in the
     nonnegative cone (DefectiveMatrix otherwise) and be a fixed point of
     A / lam and of its adjoint to 1e-10, relative to sup f_0 and in variation
@@ -349,17 +321,15 @@ def peripheral_spectrum(op, peripheral_tol=PERIPHERAL_TOL_DEFAULT,
     1e-8 (DefectiveMatrix otherwise): for j >= 1 that holds exactly when
     every class carries the same mass 1/m of eta = f_0 mu_0.
     """
-    if gap_floor < peripheral_tol:
-        raise NoSpectralGapWithinTol("gap_floor must be at least peripheral_tol")
     reach = reach or check_h2_reachability(op)
     if not reach.strongly_connected:
         raise Reducible(reach.reducible_message)
-    ev, ritz = _eigenvalues(op.matrix, reach.graph_period, peripheral_tol)
+    ev, ritz = _eigenvalues(op.matrix, reach.graph_period)
     lam = float(np.abs(ev).max())
     if lam <= 0:
         raise NoSpectralGapWithinTol("spectral radius is zero")
     # snap arguments to the m-th-root angles, one eigenvalue per slot
-    per, slots, err = _band_slots(ev, peripheral_tol)
+    per, slots, err = _band_slots(ev)
     m = len(per)
     if err.max() > ANGLE_SNAP_TOL or len(set(slots.tolist())) < m:
         raise TolTooLoose(
@@ -373,14 +343,14 @@ def peripheral_spectrum(op, peripheral_tol=PERIPHERAL_TOL_DEFAULT,
 
     rest = np.delete(np.abs(ev), per)
     sub = float(rest.max()) if rest.size else 0.0
-    if sub >= lam * (1 - gap_floor):
+    if sub >= lam * (1 - GAP_FLOOR_DEFAULT):
         raise NoSpectralGapWithinTol(
             f"subdominant modulus {sub:.6g} inside the gap floor of {lam:.6g}")
 
     # a Ritz vector is off by about 1e-16 lam / (lam - sub)
     left_ritz = None
     if ritz is not None and sub <= (1 - RITZ_GAP) * lam:
-        left_ritz = _left_ritz(op.matrix, len(ev), m, peripheral_tol)
+        left_ritz = _left_ritz(op.matrix, len(ev), m)
     k = at_slot[0]
     if left_ritz is None:
         f, mu = _inverse_iteration(op.matrix, ev[k])
@@ -424,8 +394,7 @@ def peripheral_spectrum(op, peripheral_tol=PERIPHERAL_TOL_DEFAULT,
     return SpectralData(
         lam=lam, period_m=m, eigenvalues=snapped_vals, raw_eigenvalues=raw,
         right_eigs=right, left_eigs=left, subdominant_radius=sub,
-        residuals_right=res_r, residuals_left=res_l,
-        peripheral_tol=peripheral_tol, gap_floor=gap_floor, reach=reach, op=op,
+        residuals_right=res_r, residuals_left=res_l, reach=reach, op=op,
     )
 
 

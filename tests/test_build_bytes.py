@@ -2,7 +2,7 @@
 
 ``ref_matrix`` keeps the straightforward construction: the window indicator
 with two full ``np.where`` passes for the edge values, out-of-place division
-by the noise width and the measure scale, and an out-of-place product with
+by the noise width, and an out-of-place product with
 the quadrature weights.  ``build_operator`` fills the few edge entries by
 index and scales in place to keep fewer N x N temporaries alive; both must
 give the same bytes.
@@ -41,12 +41,12 @@ def ref_density(spec, x, y):
         w = float(p["noise_halfwidth"])
         vals = ref_window_values(_map_centers(spec, x), y, lo, hi, w) / (2 * w)
     elif spec.family == "gaussian_shift":
-        sigma = float(p.get("sigma", 1.0))
+        sigma = float(p["sigma"])
         t = (np.asarray(y, float)[None, :] - np.asarray(x, float)[:, None]) / sigma
         vals = np.exp(-0.5 * t * t) / (sigma * math.sqrt(2 * math.pi))
     else:
         vals = np.asarray(p["values"], dtype=float)
-    return vals / spec.measure_scale
+    return vals
 
 
 def ref_matrix(spec):
@@ -76,9 +76,8 @@ SPECS = {
     "example23gauss@801": q.get_spec("example23gauss", grid_size=801),
     "example21-ulam@100": _ulam("example21", 100),
     "example22cubic-ulam@101": _ulam("example22cubic", 101),
-    "example23gauss-scaled@301": KernelSpec(domain=(-1.0, 1.0), family="gaussian_shift",
-                                            params={"sigma": 0.3}, grid_size=301,
-                                            measure="lebesgue_scaled", measure_scale=3.0),
+    "example23gauss-sigma0.3@301": KernelSpec(domain=(-1.0, 1.0), family="gaussian_shift",
+                                              params={"sigma": 0.3}, grid_size=301),
 }
 
 
@@ -91,7 +90,7 @@ def test_matrix_bytes_match_reference(name):
 def test_tabulated_values_are_not_scaled_in_place():
     values = np.array([[1.0, 2.0], [3.0, 4.0]])
     spec = KernelSpec(domain=(0.0, 1.0), family="tabulated", params={"values": values},
-                      grid_size=2, measure="lebesgue_scaled", measure_scale=4.0)
+                      grid_size=2)
     matrix = q.build_operator(spec).matrix
     assert matrix.tobytes() == ref_matrix(spec).tobytes()
     assert values.tolist() == [[1.0, 2.0], [3.0, 4.0]]

@@ -54,18 +54,15 @@ def test_missing_file_is_schema_error():
 
 
 def test_unscaled_measure_with_a_scale_is_refused():
-    # spec_to_dict writes no scale for the plain measure, so the pair would be lost
-    with pytest.raises(InvalidDomain, match="lebesgue_scaled"):
-        KernelSpec(domain=(0, 1), family="gaussian_shift", measure="lebesgue",
-                   measure_scale=2.0)
-
-
-def test_scaled_measure_parsed():
-    spec = spec_from_dict({"family": "gaussian_shift", "domain": [0, 1],
-                           "grid_size": 11, "params": {"sigma": 1.0},
-                           "measure": {"name": "lebesgue_scaled", "scale": 2.0}})
-    assert spec.measure == "lebesgue_scaled" and spec.measure_scale == 2.0
-    assert spec_to_dict(spec)["measure"] == {"name": "lebesgue_scaled", "scale": 2.0}
+    # Lebesgue is the only reference measure: a scale given with it is refused,
+    # not dropped
+    with pytest.raises(SchemaError, match="unknown measure"):
+        spec_from_dict({"family": "gaussian_shift", "domain": [0, 1], "grid_size": 11,
+                        "params": {"sigma": 1.0},
+                        "measure": {"name": "lebesgue", "scale": 2.0}})
+    spec = spec_from_dict({"family": "gaussian_shift", "domain": [0, 1], "grid_size": 11,
+                           "params": {"sigma": 1.0}, "measure": "lebesgue"})
+    assert "measure" not in spec_to_dict(spec)
 
 
 # -- CLI ----------------------------------------------------------------------
@@ -105,6 +102,7 @@ def test_verify_hypothesis_verdicts_have_evidence(tmp_path):
     doc = json.loads((out / "hypothesis_report.json").read_text())
     assert doc["h1"]["verdict"] == "PASS"
     assert len(doc["h1"]["deltas"]) == len(doc["h1"]["sup_distances"]) > 0
+    assert doc["h1"]["probes"] == 64
     assert doc["h2"]["verdict"] == "PASS"
     assert doc["h2"]["graph_period"] == 1
     assert doc["h2"]["escape_indices"] == [0, 100]
@@ -151,11 +149,17 @@ def test_size_cap_exits_2_before_any_eigensolve(tmp_path, monkeypatch, capsys):
     ["analyze", "--spec", "sym2", "--format", "json"],
     ["analyze", "--spec", "sym2", "--n-paths", "10"],
     ["fixtures", "--n-paths", "10"],
+    ["analyze", "--spec", "sym2", "--peripheral-tol", "1e-6"],
+    ["yaglom", "--spec", "sym2", "--peripheral-tol", "1e-6"],
+    ["simulate", "--spec", "sym2", "--peripheral-tol", "1e-6"],
 ])
-def test_ignored_flags_rejected(tmp_path, argv):
+def test_ignored_flags_rejected(tmp_path, capsys, argv):
     with pytest.raises(SystemExit) as exc:
         main(argv + ["--out", str(tmp_path)])
     assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: unrecognized arguments: {argv[-2]}" in err
+    assert "Traceback" not in err
 
 
 def test_simulate_csv_and_env_seed(tmp_path, monkeypatch):
@@ -367,20 +371,39 @@ _GAUSS = {"family": "gaussian_shift", "domain": [-1, 1], "grid_size": 11,
     ({**_GAUSS, "grid_size": "abc"}, "SchemaError: grid_size must be an integer"),
     ({**_GAUSS, "grid_size": 2.7}, "SchemaError: grid_size must be an integer"),
     ({**_GAUSS, "domain": ["a", 1]}, "SchemaError: domain bound must be a number"),
-    ({**_GAUSS, "measure": {"name": "lebesgue_scaled", "scale": "x"}},
-     "SchemaError: measure scale must be a number"),
+    ({**_GAUSS, "measure": {"name": "lebesgue_scaled", "scale": 2.0}},
+     "SchemaError: unknown measure"),
     ({"family": "explicit_matrix", "params": {"matrix": 5}},
      "SchemaError: explicit_matrix needs params.matrix"),
     ({"family": "explicit_matrix", "params": {"matrix": [[0.5, "a"], [0.2, 0.3]]}},
      "InvalidDomain: explicit matrix is not a numeric array"),
     ({"family": "explicit_matrix", "params": {"matrix": [[0.5, 0.1], [0.2]]}},
      "InvalidDomain: explicit matrix is not a numeric array"),
+    ({"family": "explicit_matrix", "params": {"matrix": [[0.5]], "labels": ["a"]}},
+     "SchemaError: unknown params ['labels'] for family explicit_matrix"),
+    ({"family": "affine_uniform", "domain": [-1, 1], "grid_size": 11,
+      "params": {"a": 2.0, "b": 0.0}},
+     "SchemaError: missing params ['noise_halfwidth'] for family affine_uniform"),
+    ({**_GAUSS, "params": {}}, "SchemaError: missing params ['sigma'] for family gaussian_shift"),
 ])
 def test_malformed_spec_file_exits_2(tmp_path, capsys, doc, error):
     spec = tmp_path / "bad.json"
     spec.write_text(json.dumps(doc))
     assert main(["analyze", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
-    assert error in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert error in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("cmd", ["analyze", "verify-hypothesis", "yaglom", "simulate"])
+@pytest.mark.parametrize("bundled", [True, False])
+def test_grid_size_zero_exits_2(tmp_path, capsys, cmd, bundled):
+    spec = "example21"
+    if not bundled:
+        spec = str(tmp_path / "ex21.json")
+        dump_spec(q.get_spec("example21"), spec)
+    assert main([cmd, "--spec", spec, "--grid-size", "0", "--out", str(tmp_path / "o")]) == 2
+    assert "InvalidDomain: grid_size must be >= 2" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
 
 

@@ -284,8 +284,9 @@ def test_krylov_refusal_skips_the_left_run(monkeypatch):
     # Krylov values, before any vector is computed
     op = build_operator(q.get_spec("example21", grid_size=513))
     calls = _spy(monkeypatch, np.linalg, "eigvals", _spy(monkeypatch, spectral, "_arnoldi"))
+    monkeypatch.setattr(spectral, "GAP_FLOOR_DEFAULT", 0.6)
     with pytest.raises(NoSpectralGapWithinTol, match="inside the gap floor"):
-        q.peripheral_spectrum(op, gap_floor=0.6)
+        q.peripheral_spectrum(op)
     assert calls == ["_arnoldi"]
 
 
@@ -303,8 +304,7 @@ def test_period_near_size_takes_dense_eigenvalues(monkeypatch):
     n = spectral.KRYLOV_MIN_SIZE
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        ev, ritz = spectral._eigenvalues(np.diag(np.linspace(0.1, 0.9, n)), n - 4,
-                                         spectral.PERIPHERAL_TOL_DEFAULT)
+        ev, ritz = spectral._eigenvalues(np.diag(np.linspace(0.1, 0.9, n)), n - 4)
     assert len(ev) == n and ritz is None and calls == []
 
 

@@ -3,8 +3,8 @@
 The reference functions below are the hand-written power loops that
 ``spectral._orbit`` replaced, kept verbatim so every output derived from
 powers of A can be checked bit for bit against them: the conditioned laws
-and their survivor masses, both rate-fit curves, the Dirac decay curve, the
-power-iteration pair and the survivor-mass sups.
+and their survivor masses, both rate-fit curves, the Dirac decay curve and
+the survivor-mass sups.
 """
 
 import math
@@ -15,32 +15,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qsdlab as q
-from qsdlab.errors import MassExtinct, NeverSubunit, NonConvergent, QsdlabError
+from qsdlab.errors import MassExtinct, NeverSubunit, QsdlabError
 from qsdlab.kernels import KernelSpec, build_operator
 from qsdlab.measures import tv_distance, variation_norm
 
 
 # -- reference loops -----------------------------------------------------------
 
-def ref_yaglom_iterate(op, nu0, n, renormalize_each_step=True):
+def ref_yaglom_iterate(op, nu0, n):
     nu = np.asarray(nu0, dtype=float)
     log_mass = 0.0
     for _ in range(n):
         nu = nu @ op.matrix
         mass = nu.sum()
-        if renormalize_each_step:
-            if mass <= 0:
-                raise MassExtinct("survivor mass vanished")
-            log_mass += math.log(mass)
-            nu = nu / mass
-        elif mass < 1e-300:
-            raise MassExtinct("survivor mass underflowed")
-    if renormalize_each_step:
-        normalization = math.exp(log_mass) if n > 0 else 1.0
-    else:
-        normalization = nu.sum()
-        if normalization > 0:
-            nu = nu / normalization
+        if mass <= 0:
+            raise MassExtinct("survivor mass vanished")
+        log_mass += math.log(mass)
+        nu = nu / mass
+    normalization = math.exp(log_mass) if n > 0 else 1.0
     return nu, float(normalization)
 
 
@@ -74,29 +66,6 @@ def ref_decay_curve(op, lam, nu, horizon):
         v = (v @ op.matrix) / lam
         curve[k] = variation_norm(v)
     return curve
-
-
-def ref_power_lambda(op, n=200, period=None):
-    m = period or 1
-    v = np.ones(op.size)
-    logscale = 0.0
-    for _ in range(n):
-        v = op.matrix @ v
-        s = np.abs(v).max()
-        if s == 0:
-            raise NonConvergent("survivor mass vanished during power iteration")
-        logscale += math.log(s)
-        v = v / s
-    root = math.exp(logscale / n)
-    w = v.copy()
-    extra = 0.0
-    for _ in range(m):
-        w = op.matrix @ w
-        s = np.abs(w).max()
-        extra += math.log(s)
-        w = w / s
-    ratio = math.exp(extra / m)
-    return ratio, root
 
 
 def ref_sup_masses(op, n_max=60):
@@ -137,14 +106,10 @@ def _start(op):
 
 def check_loops(op, nu0, n=40):
     """Orbit-based outputs that need no spectrum, against the references."""
-    for renorm in (True, False):
-        law = _outcome(q.yaglom_iterate, op, nu0, n, renormalize_each_step=renorm)
-        if not isinstance(law, type):
-            law = (law.masses, law.normalization)
-        assert _same(law, _outcome(ref_yaglom_iterate, op, nu0, n, renorm))
-    for period in (None, 2, 3):
-        assert _same(_outcome(q.power_lambda_estimate, op, n=200, period=period),
-                     _outcome(ref_power_lambda, op, n=200, period=period))
+    law = _outcome(q.yaglom_iterate, op, nu0, n)
+    if not isinstance(law, type):
+        law = (law.masses, law.normalization)
+    assert _same(law, _outcome(ref_yaglom_iterate, op, nu0, n))
     decay = _outcome(q.mass_decay_check, op, n_max=60)
     ref = ref_sup_masses(op, 60)
     if decay is NeverSubunit:
@@ -189,23 +154,15 @@ def test_orbit_matches_loops_on_bundled(sds, name):
     check_spectral_loops(sd, nu0)
 
 
-def test_orbit_raw_underflow_still_refused(sds):
-    op = sds["sym2"].op
-    nu0 = np.array([1.0, 0.0])
-    with pytest.raises(MassExtinct):
-        ref_yaglom_iterate(op, nu0, 3000, renormalize_each_step=False)
-    with pytest.raises(MassExtinct):
-        q.yaglom_iterate(op, nu0, 3000, renormalize_each_step=False)
-
-
-def test_power_estimate_vanishing_mass_is_nonconvergent():
+def test_vanishing_mass_is_mass_extinct():
     # nilpotent chain: the survivor mass is exactly zero after two steps
     op = build_operator(KernelSpec(domain=(0.0, 2.0), family="explicit_matrix",
                                    params={"matrix": [[0, 0.5, 0], [0, 0, 0.5], [0, 0, 0]]}))
-    with pytest.raises(NonConvergent):
-        q.power_lambda_estimate(op, n=10)
+    nu0 = np.array([1.0, 0.0, 0.0])
     with pytest.raises(MassExtinct):
-        q.yaglom_iterate(op, np.array([1.0, 0.0, 0.0]), 5)
+        ref_yaglom_iterate(op, nu0, 5)
+    with pytest.raises(MassExtinct):
+        q.yaglom_iterate(op, nu0, 5)
 
 
 @st.composite

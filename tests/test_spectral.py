@@ -150,19 +150,19 @@ def test_near_degenerate_gap_refused():
         q.peripheral_spectrum(explicit([[0.5, eps], [eps, 0.5]]))
 
 
-def test_loose_band_angle_check():
+def test_loose_band_angle_check(monkeypatch):
     # widening the band on an aperiodic chain pulls in the real subdominant
     # eigenvalue whose angle duplicates the j=0 slot
+    monkeypatch.setattr(spectral, "PERIPHERAL_TOL_DEFAULT", 0.7)
     with pytest.raises(TolTooLoose):
-        q.peripheral_spectrum(explicit([[0.5, 0.25], [0.25, 0.5]]),
-                              peripheral_tol=0.7, gap_floor=0.7)
+        q.peripheral_spectrum(explicit([[0.5, 0.25], [0.25, 0.5]]))
 
 
-def test_loose_band_period_mismatch():
+def test_loose_band_period_mismatch(monkeypatch):
     e = 0.01
+    monkeypatch.setattr(spectral, "PERIPHERAL_TOL_DEFAULT", 3 * e)
     with pytest.raises(PeriodMismatch):
-        q.peripheral_spectrum(explicit([[e, 1 - e], [1 - e, e]]),
-                              peripheral_tol=3 * e, gap_floor=3 * e)
+        q.peripheral_spectrum(explicit([[e, 1 - e], [1 - e, e]]))
 
 
 def test_jordan_block_refused():
@@ -254,7 +254,7 @@ def test_bundled_systems_need_no_power_iteration(ops, monkeypatch):
     def no_power(*args, **kwargs):
         raise AssertionError("power iteration ran inside peripheral_spectrum")
 
-    monkeypatch.setattr(spectral, "power_lambda_estimate", no_power)
+    monkeypatch.setattr(spectral, "_orbit", no_power)
     for name, op in ops.items():
         sd = q.peripheral_spectrum(op)
         assert sd.residuals_right[0] <= 1e-10 * np.abs(sd.right_eigs[0]).max(), name
@@ -290,17 +290,6 @@ def test_adjoint_consistency(n, seed):
     lhs = (nu @ a) @ phi
     rhs = nu @ (a @ phi)
     assert lhs == pytest.approx(rhs, rel=1e-14, abs=1e-14)
-
-
-# -- power iteration ----------------------------------------------------------
-
-def test_power_ratio_matches_dense(sds):
-    for name in ("sym2", "cycle2", "cycle3", "ds3", "example21_201", "example22_201"):
-        sd = sds[name]
-        ratio, root = q.power_lambda_estimate(sd.op, n=200, period=sd.graph_period)
-        assert abs(ratio - sd.lam) <= 1e-4, name
-        # the n-th-root form converges like |log C| / n: only 1e-2 at n=200
-        assert abs(root - sd.lam) <= 1e-2, name
 
 
 # -- Dirac decomposition ------------------------------------------------------
