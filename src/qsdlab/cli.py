@@ -194,8 +194,8 @@ def cmd_verify_hypothesis(args):
             "strongly_connected": reach.strongly_connected,
             "n_components": reach.n_components,
             "graph_period": reach.graph_period,
-            "escape_indices": list(reach.escape_indices),
-            "nonescape_mass_positive": reach.nonescape_mass_positive,
+            "escape_indices": sorted(op.escape.indices),
+            "nonescape_mass_positive": op.escape.nonescape_mass_positive,
         },
     }
     os.makedirs(args.out, exist_ok=True)
@@ -358,7 +358,10 @@ def build_parser():
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:   # a usage error (2) or --help (0), already printed
+        return exc.code
     try:
         return args.func(args)
     except ValidationError as exc:

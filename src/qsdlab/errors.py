@@ -77,10 +77,6 @@ class EscapeNode(ValidationError):
     pass
 
 
-class DegenerateEigenfunction(NumericalError):
-    pass
-
-
 class ZeroEigenfunctionMass(ValidationError):
     """Starting measure has no overlap with the leading eigenfunction."""
 
@@ -88,7 +84,7 @@ class ZeroEigenfunctionMass(ValidationError):
 # -- conditioned evolution --------------------------------------------------
 
 class MassExtinct(NumericalError):
-    """Raw survivor mass underflowed; use renormalize-each-step mode."""
+    """Survivor mass reached zero: every path of the start measure has died."""
 
 
 class NotAperiodic(ValidationError):
@@ -100,7 +96,7 @@ class NotPeriodic(ValidationError):
 
 
 class NotCyclic(NumericalError):
-    """Cyclic class structure absent or broken by discretization."""
+    """Aperiodic chain, or class measures that one step does not cycle to 1e-8."""
 
 
 class NeverSubunit(NumericalError):

@@ -16,6 +16,7 @@ is absorbed in one step almost surely.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -129,8 +130,26 @@ class KernelSpec:
                 raise InvalidDomain(f"domain must satisfy lower < upper, got {self.domain}")
             if self.grid_size < 2:
                 raise InvalidDomain("grid_size must be >= 2")
+            self._check_params()
         if self.quadrature not in ("trapezoid", "ulam"):
             raise InvalidDomain(f"unknown quadrature {self.quadrature!r}")
+
+    def _check_params(self):
+        """Scalars finite reals (not bool), widths positive, a finite N x N table."""
+        for key, value in self.params.items():
+            if key == "values":
+                try:
+                    table = np.asarray(value, dtype=float)
+                except (TypeError, ValueError):
+                    table = None
+                n = self.grid_size
+                if table is None or table.shape != (n, n) or not np.isfinite(table).all():
+                    raise InvalidDomain(f"values must be a finite {n} x {n} table")
+            elif (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                  or not math.isfinite(value)):
+                raise InvalidDomain(f"{key} must be a finite number, got {value!r}")
+            elif key in ("noise_halfwidth", "sigma") and value <= 0:
+                raise InvalidDomain(f"{key} must be positive, got {value!r}")
 
     @property
     def is_explicit(self):
@@ -240,14 +259,10 @@ def kernel_density(spec, x, y):
     p = spec.params
     if spec.family in ("affine_uniform", "cubic_uniform"):
         w = float(p["noise_halfwidth"])
-        if w <= 0:
-            raise InvalidDomain("noise_halfwidth must be positive")
         vals = _window_values(_map_centers(spec, x), y, lo, hi, w)
         vals /= 2 * w
     elif spec.family == "gaussian_shift":
         sigma = float(p["sigma"])
-        if sigma <= 0:
-            raise InvalidDomain("sigma must be positive")
         vals = np.asarray(y, float)[None, :] - np.asarray(x, float)[:, None]
         vals /= sigma
         vals *= vals
@@ -458,17 +473,14 @@ class ReachabilityReport:
     node when the graph is not strongly connected.
     """
 
-    n_nodes: int
-    escape_indices: tuple
     strongly_connected: bool
     n_components: int
     graph_period: int
-    nonescape_mass_positive: bool
     node_class: np.ndarray   # per node: cyclic class in 0..graph_period-1, or -1
 
     @property
     def verdict(self):
-        return "PASS" if (self.strongly_connected and self.nonescape_mass_positive) else "FAIL"
+        return "PASS" if self.strongly_connected else "FAIL"
 
     @property
     def reducible_message(self):
@@ -528,11 +540,8 @@ def check_h2_reachability(op):
         node_class[keep] = first_level % periods[0]
     node_class.setflags(write=False)
     return ReachabilityReport(
-        n_nodes=op.size,
-        escape_indices=tuple(sorted(op.escape.indices)),
         strongly_connected=connected,
         n_components=n_comp,
         graph_period=periods[0] if connected else 0,
-        nonescape_mass_positive=op.escape.nonescape_mass_positive,
         node_class=node_class,
     )

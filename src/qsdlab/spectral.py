@@ -312,14 +312,17 @@ def peripheral_spectrum(op, reach=None):
     root angles within 1e-3 (TolTooLoose otherwise), and the largest
     non-peripheral modulus must stay below ``lam * (1 - GAP_FLOOR_DEFAULT)``
     (NoSpectralGapWithinTol otherwise).  The Perron pair must lie in the
-    nonnegative cone (DefectiveMatrix otherwise) and be a fixed point of
-    A / lam and of its adjoint to 1e-10, relative to sup f_0 and in variation
-    norm for the probability mu_0 (NonConvergent otherwise).  For an
+    nonnegative cone (DefectiveMatrix otherwise) and pass the residual gates
+    ``|A f_0 - lam f_0| <= 1e-10 sup f_0`` and, in variation norm,
+    ``|mu_0 A - lam mu_0| <= 1e-10 lam`` (NonConvergent otherwise): for an
     irreducible nonnegative matrix the only nonnegative eigenvector belongs to
-    the spectral radius, so these checks certify lam without power iteration.
-    Residuals are recorded for every j.  The pairs must be biorthonormal to
-    1e-8 (DefectiveMatrix otherwise): for j >= 1 that holds exactly when
-    every class carries the same mass 1/m of eta = f_0 mu_0.
+    the spectral radius, so they certify lam without power iteration.  The
+    left gate is the certificate :mod:`qsdlab.qsd` reads: it bounds
+    ``|<mu_0, A 1> - lam|`` by 1e-10 lam and ``TV(mu_0 A / |mu_0 A|, mu_0)``
+    by 1e-10 / (1 - 1e-10).  Residuals are recorded for every j.  The pairs
+    must be biorthonormal to 1e-8 (DefectiveMatrix otherwise): for j >= 1
+    that holds exactly when every class carries the same mass 1/m of
+    eta = f_0 mu_0.
     """
     reach = reach or check_h2_reachability(op)
     if not reach.strongly_connected:
@@ -384,7 +387,7 @@ def peripheral_spectrum(op, reach=None):
                       for j in range(m)])
     res_l = np.array([variation_norm(_matmul(left[j], op.matrix) - snapped_vals[j] * left[j])
                       for j in range(m)])
-    if res_r[0] > 1e-10 * np.abs(right[0]).max() or res_l[0] > 1e-10:
+    if res_r[0] > 1e-10 * np.abs(right[0]).max() or res_l[0] > 1e-10 * lam:
         raise NonConvergent(f"eigen residuals too large: {res_r[0]:.2e}, {res_l[0]:.2e}")
     biorth = np.array([[left[j] @ right[k] for k in range(m)] for j in range(m)])
     if np.abs(biorth - np.eye(m)).max() > 1e-8:

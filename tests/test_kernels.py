@@ -44,6 +44,20 @@ def test_invalid_domain_rejected():
                    grid_size=1)
 
 
+@pytest.mark.parametrize("family,params", [
+    ("gaussian_shift", {"sigma": -1.0}),
+    ("gaussian_shift", {"sigma": np.float64("nan")}),
+    ("cubic_uniform", {"noise_halfwidth": 0}),
+    ("affine_uniform", {"a": 2.0, "b": False, "noise_halfwidth": 1.0}),
+    ("tabulated", {"values": np.ones((3, 3))}),
+])
+def test_library_spec_with_a_bad_value_is_refused(family, params):
+    # a spec built in the library, not read from a file, is checked too, so
+    # simulate_batch never sees it
+    with pytest.raises(InvalidDomain):
+        KernelSpec(domain=(0.0, 1.0), family=family, params=params, grid_size=5)
+
+
 def test_negative_density_rejected():
     bad = KernelSpec(domain=(0.0, 1.0), family="tabulated",
                      params={"values": [[1.0, -0.5], [0.0, 1.0]]}, grid_size=2)

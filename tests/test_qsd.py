@@ -263,6 +263,48 @@ def test_eta_j_independent_of_j(sds):
             assert np.abs(prod - base).max() < 1e-8, name
 
 
+def _leaking_cyclic_chain(rng):
+    """Block-cyclic chain of period 2-4, equal blocks of 1-3 states, relabelled.
+
+    One extra state has a zero row; every state of 1..m of the classes sends
+    part of its mass there.  Equal blocks keep the matrix diagonalizable, as
+    the eigenvector-based oracle needs.
+    """
+    m, b = int(rng.integers(2, 5)), int(rng.integers(1, 4))
+    n = m * b
+    a = np.zeros((n + 1, n + 1))
+    for k in range(m):
+        nxt = (k + 1) % m
+        rows = rng.uniform(0.05, 1.0, (b, b))
+        rows *= rng.uniform(0.4, 0.8, (b, 1)) / rows.sum(axis=1, keepdims=True)
+        a[k * b:(k + 1) * b, nxt * b:(nxt + 1) * b] = rows
+    for k in rng.choice(m, size=int(rng.integers(1, m + 1)), replace=False):
+        a[k * b:(k + 1) * b, n] = rng.uniform(0.05, 0.2, b)
+    perm = rng.permutation(n + 1)
+    return a[np.ix_(perm, perm)], m
+
+
+def test_leaking_cyclic_chains_match_the_oracle():
+    # mass that a class sends into the dying state is death, not a broken
+    # cycle: every chain is answered, as the oracle answers it
+    rng = np.random.default_rng(2024)
+    for trial in range(50):
+        matrix, m = _leaking_cyclic_chain(rng)
+        mu, eta, lam, m_exact = q.exact_qsd_qed(q.FiniteChain(Q=matrix))
+        op = build_operator(KernelSpec(domain=(0, 1), family="explicit_matrix",
+                                       params={"matrix": matrix.tolist()}))
+        sd = q.peripheral_spectrum(op)
+        qsd, rate = q.quasi_stationary_measure(sd)
+        assert sd.period_m == m_exact == m and abs(rate - lam) <= 1e-10, trial
+        assert np.abs(qsd - mu).max() <= 1e-10, trial
+        assert np.abs(q.quasi_ergodic_measure(sd) - eta).max() <= 1e-10, trial
+        part = q.cyclic_components(sd, op)
+        assert np.abs(part.class_measures.sum(axis=1) - 1).max() <= 1e-12, trial
+        nu0 = np.zeros(op.size)
+        nu0[part.classes[0][0]] = 1.0
+        assert q.cesaro_fit(op, nu0, n_max=200, sd=sd, partition=part).passed, trial
+
+
 def test_cyclic_refused_for_aperiodic(sds):
     with pytest.raises(NotCyclic):
         q.cyclic_components(sds["sym2"], sds["sym2"].op)
