@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Grid-refinement study of the survival rate for the continuous kernels.
 
-Prints lambda(N) and the refinement deltas; the affine doubling kernel is
-resolved exactly at every grid (deltas at roundoff) while the cubic kernel
-converges first-order because its window edges fall between nodes.
+Prints lambda(N) and the refinement deltas.  The affine doubling kernel is
+resolved exactly at every grid (deltas at roundoff).  The Gaussian kernel
+converges at second order: each doubling shrinks the delta 4x.  The cubic
+kernel shows no steady order at these sizes, because its window edges fall
+between nodes: on 51 -> 401 nodes the observed orders are 1.42, then 2.58.
 """
 
 import argparse

@@ -12,7 +12,6 @@ directions.
 from . import errors
 from .kernels import (
     DiscreteOperator,
-    EscapeSet,
     KernelSpec,
     StateGrid,
     build_operator,

@@ -118,7 +118,7 @@ def _analysis_doc(spec, op, sd, n_max):
         "lambda": lam,
         "m": sd.period_m,
         "subdominant_radius": sd.subdominant_radius,
-        "escape_indices": sorted(op.escape.indices),
+        "escape_indices": sorted(op.escape),
         "qsd": mu.tolist(),
         "qed": eta.tolist(),
         "classes": None,
@@ -182,9 +182,8 @@ def cmd_verify_hypothesis(args):
               "deltas": rep.deltas.tolist(),
               "sup_distances": rep.sup_distances.tolist(),
               "probes": rep.probes, "grid_step": rep.grid_step}
-    except NotApplicable:
-        h1 = {"verdict": "INDETERMINATE",
-              "note": "finite chains have no density to probe"}
+    except NotApplicable as exc:
+        h1 = {"verdict": "INDETERMINATE", "note": str(exc)}
     doc = {
         "schema_version": SCHEMA_VERSION,
         "spec": specfile.spec_to_dict(spec),
@@ -194,8 +193,9 @@ def cmd_verify_hypothesis(args):
             "strongly_connected": reach.strongly_connected,
             "n_components": reach.n_components,
             "graph_period": reach.graph_period,
-            "escape_indices": sorted(op.escape.indices),
-            "nonescape_mass_positive": op.escape.nonescape_mass_positive,
+            "escape_indices": sorted(op.escape),
+            # the audit raised AllNodesEscape when this would be false
+            "nonescape_mass_positive": len(op.escape) < op.size,
         },
     }
     os.makedirs(args.out, exist_ok=True)

@@ -105,7 +105,8 @@ class KernelSpec:
     explicit_matrix  params matrix                : finite substochastic chain
 
     Each family takes exactly the parameters listed: a missing or unknown one
-    raises InvalidDomain.
+    raises InvalidDomain, as does an explicit chain with a quadrature other
+    than the default.
     """
 
     domain: tuple
@@ -133,6 +134,8 @@ class KernelSpec:
             self._check_params()
         if self.quadrature not in ("trapezoid", "ulam"):
             raise InvalidDomain(f"unknown quadrature {self.quadrature!r}")
+        if self.is_explicit and self.quadrature != "trapezoid":
+            raise InvalidDomain("quadrature does not apply to an explicit chain")
 
     def _check_params(self):
         """Scalars finite reals (not bool), widths positive, a finite N x N table."""
@@ -157,33 +160,19 @@ class KernelSpec:
 
 
 @dataclass(frozen=True)
-class EscapeSet:
-    """Grid nodes whose one-step survival mass is (numerically) zero."""
-
-    indices: frozenset
-    tolerance: float
-    nonescape_mass_positive: bool
-
-    def __contains__(self, i):
-        return i in self.indices
-
-
-@dataclass(frozen=True)
 class DiscreteOperator:
     """Finite-rank realization of the kernel on a quadrature grid.
 
     ``matrix @ f`` acts on grid functions; ``nu @ matrix`` acts on grid
-    measures (the adjoint).  Immutable after construction.
-
-    ``row_error`` is ``(order, constant)``: the row masses match the exact
-    kernel masses within ``constant * step**order`` (order 0 means unknown).
+    measures (the adjoint).  ``escape`` is the frozenset of escape nodes, the
+    rows whose mass is at most ``ESCAPE_TOL_DEFAULT``.  Immutable after
+    construction.
     """
 
     grid: StateGrid
     matrix: np.ndarray
-    escape: EscapeSet
+    escape: frozenset
     spec: KernelSpec
-    row_error: tuple = (0, math.inf)
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=float)
@@ -198,7 +187,7 @@ class DiscreteOperator:
         return self.matrix.sum(axis=1)
 
     def nonescape_indices(self):
-        return np.array(sorted(set(range(self.size)) - self.escape.indices), dtype=int)
+        return np.array(sorted(set(range(self.size)) - self.escape), dtype=int)
 
 
 # ---------------------------------------------------------------------------
@@ -236,15 +225,12 @@ def _window_values(centers, nodes, lower, upper, halfwidth):
 
 
 def _map_centers(spec, x):
+    """Window centers of the two window families: a x + b, or x**3 (cubic)."""
     x = np.asarray(x, dtype=float)
     p = spec.params
     if spec.family == "affine_uniform":
         return p["a"] * x + p["b"]
-    if spec.family == "cubic_uniform":
-        return x ** 3
-    if spec.family == "gaussian_shift":
-        return x
-    raise NotApplicable(f"{spec.family} has no deterministic part")
+    return x ** 3
 
 
 def kernel_density(spec, x, y):
@@ -253,11 +239,9 @@ def kernel_density(spec, x, y):
     Returns a len(x) x len(y) array of densities with respect to Lebesgue
     measure.
     """
-    if spec.is_explicit:
-        raise NotApplicable("explicit_matrix has no pointwise density")
-    lo, hi = spec.domain
     p = spec.params
     if spec.family in ("affine_uniform", "cubic_uniform"):
+        lo, hi = spec.domain
         w = float(p["noise_halfwidth"])
         vals = _window_values(_map_centers(spec, x), y, lo, hi, w)
         vals /= 2 * w
@@ -273,8 +257,8 @@ def kernel_density(spec, x, y):
         vals = np.array(p["values"], dtype=float)   # a copy: weighted in place later
         if vals.shape != (np.size(x), np.size(y)):
             raise InvalidDomain("tabulated values must match the grid shape")
-    else:  # pragma: no cover
-        raise NotApplicable(spec.family)
+    else:
+        raise NotApplicable(f"{spec.family} has no pointwise density")
     if not np.all(np.isfinite(vals)):
         raise NegativeDensity("density evaluated to a non-finite value")
     if vals.min() < 0:
@@ -317,8 +301,8 @@ def _quadrature_grid(spec):
     return StateGrid(lo, hi, nodes, weights)
 
 
-def _ulam_average_density(spec, grid, sub=4):
-    """Cell-averaged density: mean of g over sub x sub points per cell pair.
+def _ulam_average_density(spec, grid):
+    """Cell-averaged density: mean of g over 4 x 4 points per cell pair.
 
     Point sampling at cell centers loses partial-cell overlaps of narrow
     window tails (breaking reachability near the domain corners), so the
@@ -327,29 +311,11 @@ def _ulam_average_density(spec, grid, sub=4):
     lo, hi = spec.domain
     n = spec.grid_size
     h = (hi - lo) / n
+    sub = 4
     offsets = (np.arange(sub) + 0.5) / sub * h - h / 2
     pts = (grid.nodes[:, None] + offsets[None, :]).ravel()
     dens = kernel_density(spec, pts, pts)
     return dens.reshape(n, sub, n, sub).mean(axis=(1, 3))
-
-
-def _row_error_bound(spec, grid):
-    h = grid.step
-    lo, hi = spec.domain
-    if spec.quadrature == "ulam":
-        return (0, math.inf)  # no pointwise claim for cell averages
-    if spec.family == "affine_uniform":
-        # window edges either align with nodes or clip at the domain; the
-        # half-value rule then makes the trapezoid row sums exact
-        return (2, 0.0)
-    if spec.family == "cubic_uniform":
-        w = float(spec.params["noise_halfwidth"])
-        return (1, 1.0 / (2 * w))  # two jumps between nodes, height 1/(2w)
-    if spec.family == "gaussian_shift":
-        sigma = float(spec.params["sigma"])
-        peak_dd = 1.0 / (sigma ** 3 * math.sqrt(2 * math.pi))
-        return (2, (hi - lo) * peak_dd / 12.0)
-    return (0, math.inf)
 
 
 def _explicit_matrix(spec):
@@ -385,7 +351,6 @@ def build_operator(spec):
         matrix = _explicit_matrix(spec)
         n = matrix.shape[0]
         grid = StateGrid(0.0, max(n - 1, 1), np.arange(n, dtype=float), np.ones(n))
-        row_error = (2, 0.0)
     else:
         grid = _quadrature_grid(spec)
         if spec.quadrature == "ulam" and spec.family != "tabulated":
@@ -394,17 +359,13 @@ def build_operator(spec):
             dens = kernel_density(spec, grid.nodes, grid.nodes)
         matrix = dens
         matrix *= grid.weights[None, :]
-        row_error = _row_error_bound(spec, grid)
     return DiscreteOperator(grid=grid, matrix=matrix,
-                            escape=_detect(matrix, ESCAPE_TOL_DEFAULT),
-                            spec=spec, row_error=row_error)
+                            escape=_detect(matrix, ESCAPE_TOL_DEFAULT), spec=spec)
 
 
 def _detect(matrix, tol):
-    rows = matrix.sum(axis=1)
-    idx = frozenset(int(i) for i in np.flatnonzero(rows <= tol))
-    return EscapeSet(indices=idx, tolerance=tol,
-                     nonescape_mass_positive=len(idx) < len(rows))
+    """The escape nodes: the frozenset of rows whose mass is at most ``tol``."""
+    return frozenset(int(i) for i in np.flatnonzero(matrix.sum(axis=1) <= tol))
 
 
 # ---------------------------------------------------------------------------
@@ -433,10 +394,14 @@ def check_h1_modulus(spec):
     between g(x, .) and g(x + delta, .) over ``H1_PROBES`` equispaced x.  A
     finite probe set can only sample the modulus, so the report records the
     probe count and grid step rather than claiming proof; the verdict is PASS
-    when the sampled modulus decreases to the grid floor.
+    when the sampled modulus decreases to the grid floor.  Raises
+    NotApplicable, with the reason, for a finite chain or a tabulated density,
+    which has no values off the grid nodes.
     """
     if spec.is_explicit:
-        raise NotApplicable("modulus audit applies to density families only")
+        raise NotApplicable("finite chains have no density to probe")
+    if spec.family == "tabulated":
+        raise NotApplicable("a tabulated density exists only on the grid nodes")
     lo, hi = spec.domain
     grid = _quadrature_grid(spec)
     h = grid.step
@@ -522,7 +487,7 @@ def check_h2_reachability(op):
     keep = op.nonescape_indices()
     if keep.size == 0:
         raise AllNodesEscape("no non-escape nodes")
-    adj = (op.matrix > op.escape.tolerance)[np.ix_(keep, keep)]
+    adj = (op.matrix > ESCAPE_TOL_DEFAULT)[np.ix_(keep, keep)]
     # strongly connected components: peel off forward & backward reach
     unseen = np.ones(len(keep), dtype=bool)
     periods = []   # from each forward search: the graph period when there is one class

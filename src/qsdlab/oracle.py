@@ -19,10 +19,9 @@ ORACLE_VERSION = "oracle_finite@0.1.0"
 
 @dataclass(frozen=True)
 class FiniteChain:
-    """Substochastic matrix with optional state labels."""
+    """Substochastic matrix of a small finite chain."""
 
     Q: np.ndarray
-    labels: tuple = ()
 
     def __post_init__(self):
         q = np.asarray(self.Q, dtype=float)
@@ -36,9 +35,6 @@ class FiniteChain:
             raise ValueError("Q must be entrywise nonnegative")
         if q.sum(axis=1).max() > 1 + 1e-12:
             raise ValueError("rows must sum to at most one")
-        if not self.labels:
-            object.__setattr__(self, "labels",
-                               tuple(str(i) for i in range(q.shape[0])))
 
     @property
     def size(self):
@@ -168,7 +164,7 @@ def fixture_dict(name, chain):
     return {
         "name": name,
         "Q": [[float(v) for v in row] for row in chain.Q],
-        "labels": list(chain.labels),
+        "labels": [str(i) for i in range(chain.size)],
         "mu": [float(v) for v in mu],
         "eta": [float(v) for v in eta],
         "lambda": lam,

@@ -231,7 +231,7 @@ def cyclic_components(sd, op):
     classes = tuple(tuple(int(i) for i in np.flatnonzero(labels == j)) for j in range(m))
 
     mu = sd.mu0
-    dying = np.array(sorted(op.escape.indices), dtype=int)
+    dying = np.array(sorted(op.escape), dtype=int)
     class_measures = np.zeros((m, op.size))
     for j, cls in enumerate(classes):
         cls, prev = list(cls), list(classes[j - 1])

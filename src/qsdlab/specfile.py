@@ -5,7 +5,7 @@ Schema (all other top-level keys are a hard error)::
     {
       "schema_version": 1,            # optional, must be 1 if present
       "name": "...",                  # optional
-      "domain": [lower, upper],       # required except for explicit_matrix
+      "domain": [lower, upper],       # required for density families
       "measure": "lebesgue",          # optional, the only reference measure
       "family": "affine_uniform" | "cubic_uniform" | "gaussian_shift"
                 | "tabulated" | "explicit_matrix",
@@ -14,6 +14,9 @@ Schema (all other top-level keys are a hard error)::
       "grid_size": N,                 # required for density families
       "quadrature": "trapezoid"       # optional: or "ulam"
     }
+
+An ``explicit_matrix`` document takes none of ``domain``, ``measure``,
+``grid_size`` and ``quadrature``: its states are the matrix rows.
 """
 
 import json
@@ -51,6 +54,9 @@ def spec_from_dict(doc):
         raise SchemaError(f"unknown measure {doc['measure']!r}")
 
     if family == "explicit_matrix":
+        ignored = {"domain", "grid_size", "quadrature", "measure"} & set(doc)
+        if ignored:
+            raise SchemaError(f"fields {sorted(ignored)} do not apply to explicit_matrix")
         if not isinstance(params.get("matrix"), list):
             raise SchemaError("explicit_matrix needs params.matrix as a list of rows")
         n = len(params["matrix"])

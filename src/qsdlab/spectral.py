@@ -275,14 +275,14 @@ def snap_phases(z, m):
     return j, err
 
 
-def spectral_radius(op, reach=None):
+def spectral_radius(op):
     """Spectral radius with its nonnegative right eigenfunction and eigenmeasure.
 
     Returns ``(lam, f0, mu0)`` with f0 >= 0 scaled to sup-norm one and mu0 a
     probability vector, taken from :func:`peripheral_spectrum` and so subject
     to all of its checks.
     """
-    sd = peripheral_spectrum(op, reach=reach)
+    sd = peripheral_spectrum(op)
     return sd.lam, sd.f0 / sd.f0.max(), sd.mu0
 
 
@@ -420,7 +420,7 @@ class DiracDecomposition:
 
 def dirac_decomposition(sd, op, node, horizon):
     """Decompose the point mass at ``node`` against the peripheral eigenpairs."""
-    if node in op.escape.indices:
+    if node in op.escape:
         raise EscapeNode(f"node {node} is in the escape set")
     if horizon < 1:
         raise ValueError("horizon must be >= 1")

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import re
 import subprocess
@@ -407,6 +408,17 @@ _TABLE = {"family": "tabulated", "domain": [0, 1], "grid_size": 2,
      "SchemaError: values must be a finite 2 x 2 table"),
     ({**_TABLE, "params": {"values": [[1.0, 1.0, 1.0]]}},
      "SchemaError: values must be a finite 2 x 2 table"),
+    ({"family": "explicit_matrix", "params": {"matrix": [[0.5]]}, "domain": [5, 9]},
+     "SchemaError: fields ['domain'] do not apply to explicit_matrix"),
+    ({"family": "explicit_matrix", "params": {"matrix": [[0.5]]}, "grid_size": 1},
+     "SchemaError: fields ['grid_size'] do not apply to explicit_matrix"),
+    ({"family": "explicit_matrix", "params": {"matrix": [[0.5]]}, "quadrature": "trapezoid"},
+     "SchemaError: fields ['quadrature'] do not apply to explicit_matrix"),
+    ({"family": "explicit_matrix", "params": {"matrix": [[0.5]]}, "measure": "lebesgue"},
+     "SchemaError: fields ['measure'] do not apply to explicit_matrix"),
+    ({"family": "explicit_matrix", "params": {"matrix": [[0.5]]},
+      "quadrature": "ulam", "domain": [5, 9], "grid_size": 77},
+     "SchemaError: fields ['domain', 'grid_size', 'quadrature'] do not apply to explicit_matrix"),
 ])
 def test_malformed_spec_file_exits_2(tmp_path, capsys, doc, error):
     spec = tmp_path / "bad.json"
@@ -415,6 +427,38 @@ def test_malformed_spec_file_exits_2(tmp_path, capsys, doc, error):
     err = capsys.readouterr().err
     assert error in err and "Traceback" not in err
     assert not (tmp_path / "o").exists()
+
+
+def test_kernel_spec_explicit_chain_rejects_quadrature():
+    with pytest.raises(InvalidDomain, match="quadrature does not apply to an explicit chain"):
+        KernelSpec(domain=(0, 1), family="explicit_matrix",
+                   params={"matrix": [[0.5, 0.25], [0.25, 0.5]]}, quadrature="ulam")
+
+
+@pytest.mark.parametrize("doc,note", [
+    ({**_TABLE, "grid_size": 3, "params": {"values": [[1.0] * 3] * 3}},
+     "a tabulated density exists only on the grid nodes"),
+    ({"family": "explicit_matrix", "params": {"matrix": [[0.5, 0.25], [0.25, 0.5]]}},
+     "finite chains have no density to probe"),
+], ids=["tabulated", "explicit"])
+def test_h1_indeterminate_names_the_reason(tmp_path, doc, note):
+    # a table has values only on the grid nodes, and the H1 probe looks between them
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))
+    out = tmp_path / "v"
+    assert main(["verify-hypothesis", "--spec", str(spec), "--out", str(out),
+                 "--canonical"]) == 0
+    rep = json.loads((out / "hypothesis_report.json").read_text())
+    assert rep["h1"] == {"verdict": "INDETERMINATE", "note": note}
+    assert rep["h2"]["verdict"] == "PASS" and rep["h2"]["nonescape_mass_positive"]
+    assert main(["analyze", "--spec", str(spec), "--out", str(tmp_path / "a")]) == 0
+
+
+def test_lobo_on_a_density_family_exits_2(tmp_path, capsys):
+    assert main(["lobo", "--spec", "example21", "--out", str(tmp_path / "l")]) == 2
+    err = capsys.readouterr().err
+    assert "ValidationError: the exact cumulative-sum table needs an explicit chain" in err
+    assert not (tmp_path / "l").exists()
 
 
 @pytest.mark.parametrize("cmd", ["analyze", "verify-hypothesis", "yaglom", "simulate"])
@@ -535,6 +579,16 @@ def test_rank_one_chain_reports_an_infinite_rate(tmp_path, cmd, report, matrix):
         assert not re.search(r"\bnan\b", path.read_text(), re.IGNORECASE), path.name
     doc = (out / report).read_text()
     assert '"rate": Infinity' in doc and '"passed": true' in doc
+
+
+def test_stochastic_chain_never_loses_mass(tmp_path):
+    # no state leaks, so the survival mass never falls below one
+    spec = _chain_file(tmp_path, [[0.5, 0.5], [0.5, 0.5]])
+    out = tmp_path / "o"
+    assert main(["analyze", "--spec", spec, "--out", str(out), "--canonical"]) == 0
+    doc = json.loads((out / "analysis.json").read_text())
+    assert doc["decay"] == {"n0": None, "alpha": None, "never_subunit": True}
+    assert doc["rates"]["yaglom"]["rate"] == math.inf and doc["rates"]["yaglom"]["passed"]
 
 
 def _relabelled(matrix, perm):

@@ -72,7 +72,7 @@ def assert_matches_reference(op, sd=None):
     for new, ref in ((sd.right_eigs, right), (sd.left_eigs, left)):
         for j in range(sd.period_m):
             assert np.abs(new[j] - ref[j]).max() <= REL_TOL * np.abs(ref[j]).max(), j
-    escape = sorted(op.escape.indices)
+    escape = sorted(op.escape)
     assert not np.any(sd.right_eigs[:, escape])
     return sd
 

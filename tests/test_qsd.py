@@ -15,7 +15,7 @@ from qsdlab.errors import (
     ValidationError,
     ZeroEigenfunctionMass,
 )
-from qsdlab.kernels import KernelSpec, build_operator
+from qsdlab.kernels import ESCAPE_TOL_DEFAULT, KernelSpec, build_operator
 from qsdlab.measures import tv_distance
 
 
@@ -116,7 +116,7 @@ def test_conditioned_law_mass_at_escape_nodes_is_grid_small(sds):
     law = q.yaglom_iterate(op, delta_at(op, 0.3), 5)
     h = op.grid.step
     dens_sup = (law.masses / op.grid.weights).max()
-    escape_mass = sum(law.masses[z] for z in op.escape.indices)
+    escape_mass = sum(law.masses[z] for z in op.escape)
     assert escape_mass <= 1.1 * h * dens_sup
 
 
@@ -224,7 +224,7 @@ def test_cyclic_one_step_support_pattern(sds):
             if x in src:
                 assert into[x] > 0
             else:
-                assert into[x] <= sd.op.escape.tolerance
+                assert into[x] <= ESCAPE_TOL_DEFAULT
 
 
 def test_fourier_reconstruction_identities(sds):

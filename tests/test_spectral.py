@@ -112,7 +112,7 @@ def test_leading_pair_in_cone_and_support(sds):
     keep = op.nonescape_indices()
     assert sd.f0.min() >= 0
     assert sd.f0[keep].min() > 0
-    for z in op.escape.indices:
+    for z in op.escape:
         assert abs(sd.f0[z]) <= 1e-12
     assert sd.mu0.min() >= 0
     assert sd.mu0.sum() == pytest.approx(1.0, abs=1e-12)
