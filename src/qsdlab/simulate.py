@@ -12,14 +12,19 @@ seed and the chunk index.  Results are bit-identical for a given seed no
 matter how the chunks would be scheduled, and per-chunk partial sums are
 reduced in chunk order.
 
-The step loop keeps only the live paths of a chunk, in path order.  Each step
-draws one variate per live path, maps the draws to the next states (in place
-in the draw buffer for the density families; explicit chains use the
-inverse-CDF draw of ``sample_step``), counts the absorbed paths into the
-absorption-time histogram, and compresses the states and running sums with
-one boolean mask.  A step therefore costs in proportion to the paths still
-alive.  One batch carries both the terminal states and the running sums of a
-test function, so the Yaglom and Birkhoff summaries can share one batch.
+The step loop keeps only the live paths of a chunk, in path order, in one
+state array and one running-sum array per chunk.  Each step walks them in
+blocks of ``BLOCK_SIZE`` live paths, small enough that a block's temporaries
+stay in cache.  For each block it adds the test function to the running sums,
+draws one variate per path, maps the draws to the next states (in place in
+the draw buffer for the density families; explicit chains use the
+inverse-CDF draw of ``sample_step``), and writes the survivors' states and
+sums back in place at a cursor that never passes the block's start.  The
+absorbed paths of the step go into the absorption-time histogram.  A step
+therefore costs in proportion to the paths still alive, and the draws a path
+receives do not depend on the block size.  One batch carries both the
+terminal states and the running sums of a test function, so the Yaglom and
+Birkhoff summaries can share one batch.
 """
 
 import math
@@ -33,6 +38,7 @@ from .errors import InvalidDomain, NotApplicable, TooFewSurvivors
 from .kernels import _explicit_matrix, _map_centers
 
 CHUNK_SIZE = 1 << 20  # fixed: changing it changes the stream layout
+BLOCK_SIZE = 1 << 16  # live paths per block of the step loop; not part of the stream layout
 
 #: Sentinel returned by sample_step when the move leaves the domain.
 ABSORBED = type("_Absorbed", (), {"__repr__": lambda self: "ABSORBED"})()
@@ -69,9 +75,10 @@ def _inverse_cdf(cdf, state, u):
 
     Counts the row's CDF values at or below u, one column at a time, so the
     buckets are ``[cumsum(row)..., 1.0]``: a count equal to the number of
-    columns is the final bucket, absorption.
+    columns is the final bucket, absorption.  The count is kept in the
+    smallest unsigned type that holds the number of columns.
     """
-    nxt = np.zeros(np.shape(u), dtype=np.int64)
+    nxt = np.zeros(np.shape(u), dtype=np.min_scalar_type(cdf.shape[1]))
     for col in cdf.T:
         nxt += u >= col[state]
     return nxt
@@ -139,61 +146,81 @@ def check_start(spec, x0):
     return float(x0)
 
 
+def _step_chunk(move, gen, state, acc, h, n, tau_hist):
+    """Step the paths of one chunk n times in place; return copies of the survivors.
+
+    ``move(s, u)`` maps states and draws to the next states and their live
+    mask.  Survivors are written back at the cursor ``w``, which never passes
+    the start ``a`` of the block being read, so no unread state is overwritten.
+    The copies let the chunk-sized arrays go as soon as the chunk is done.
+    """
+    m = state.size
+    for step in range(n):
+        if m == 0:
+            break
+        w = 0
+        for a in range(0, m, BLOCK_SIZE):
+            b = min(a + BLOCK_SIZE, m)
+            s = state[a:b]
+            if h is not None:
+                acc[a:b] += h(s)
+            y, live = move(s, gen.random(b - a))
+            keep = np.flatnonzero(live)
+            state[w:w + keep.size] = y[keep]
+            if h is not None:
+                acc[w:w + keep.size] = acc[a:b][keep]
+            w += keep.size
+        tau_hist[step + 1] += m - w
+        m = w
+    return state[:m].copy(), (acc[:m].copy() if acc is not None else None)
+
+
 def simulate_batch(spec, x0, n, n_paths, seed=0, h=None):
     """Run n_paths rejection trajectories of length n from x0.
 
-    ``h`` is an optional test function (vectorized over states / points)
-    whose running sum over steps 0..n-1 is accumulated per path.  Raises
+    ``h`` is an optional test function whose running sum over steps 0..n-1 is
+    accumulated per path.  It must act elementwise on an array of states /
+    points, since it is called on one block of live paths at a time.  Raises
     InvalidDomain when x0 is not a state of the chain, and the errors of
     ``build_operator`` for an invalid explicit matrix.
     """
     if n < 0 or n_paths < 1:
         raise ValueError("need n >= 0 and n_paths >= 1")
-    explicit = spec.is_explicit
-    if explicit:
+    if spec.is_explicit:
         cdf = np.cumsum(_explicit_matrix(spec), axis=1)
         nstates = cdf.shape[0]
+        dtype = np.int64
+
+        def move(s, u):
+            y = _inverse_cdf(cdf, s, u)
+            return y, y < nstates
     else:
         lo, hi = spec.domain
+        dtype = float
+
+        def move(s, u):
+            y = _noise_to_moves(spec, s, u)
+            return y, ~((y < lo) | (y > hi))
     x0 = check_start(spec, x0)
 
     terminals = []
     sums = [] if h is not None else None
     tau_hist = np.zeros(n + 1, dtype=np.int64)
-    survivors = 0
 
     n_chunks = (n_paths + CHUNK_SIZE - 1) // CHUNK_SIZE
     for c in range(n_chunks):
         k = min(CHUNK_SIZE, n_paths - c * CHUNK_SIZE)
-        gen = _chunk_generator(seed, c)
-        # live paths only, in path order
-        state = np.full(k, x0, dtype=np.int64 if explicit else float)
-        acc = np.zeros(k) if h is not None else None
-        for step in range(n):
-            if state.size == 0:
-                break
-            if h is not None:
-                acc += h(state)
-            u = gen.random(state.size)
-            if explicit:
-                y = _inverse_cdf(cdf, state, u)
-                live = y < nstates
-            else:
-                y = _noise_to_moves(spec, state, u)
-                live = ~((y < lo) | (y > hi))
-            tau_hist[step + 1] += state.size - int(np.count_nonzero(live))
-            state = y[live]
-            if h is not None:
-                acc = acc[live]
-        survivors += state.size
+        state, acc = _step_chunk(move, _chunk_generator(seed, c), np.full(k, x0, dtype=dtype),
+                                 np.zeros(k) if h is not None else None, h, n, tau_hist)
         terminals.append(state)
         if h is not None:
             sums.append(acc)
 
+    terminal_states = np.concatenate(terminals)
     return TrajectoryBatch(
         seed=seed, n_steps=n, start=x0, n_paths=n_paths,
-        survivor_count=survivors,
-        terminal_states=np.concatenate(terminals),
+        survivor_count=terminal_states.size,
+        terminal_states=terminal_states,
         running_sums=np.concatenate(sums) if sums is not None else None,
         tau_histogram=tau_hist,
     )

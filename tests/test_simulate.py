@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -249,6 +250,54 @@ def test_sample_step_agrees_with_one_path_batch(name, monkeypatch):
             else:
                 assert b.survivor_count == 1 and b.terminal_states[0] == step, (x, u)
                 assert int(np.sum(cdf[x] <= u)) == step
+
+
+class _Draws:
+    """Stands in for a chunk generator: hands out the given draws in order."""
+
+    def __init__(self, u):
+        self.u, self.i = np.asarray(u, dtype=float), 0
+
+    def random(self, m):
+        self.i += m
+        return self.u[self.i - m:self.i]
+
+
+def test_wide_chain_counts_past_255_columns(monkeypatch):
+    # 300 columns: the inverse-CDF count no longer fits in one byte
+    rng = np.random.default_rng(300)
+    matrix = rng.dirichlet(np.ones(300), size=300) * 0.9
+    spec = KernelSpec(domain=(0, 299), family="explicit_matrix", params={"matrix": matrix})
+    cdf = np.cumsum(matrix, axis=1)
+    for x in (0, 123, 299):
+        # every CDF value exactly, the points between them, the row total and past it
+        us = np.concatenate([[0.0], cdf[x], (cdf[x, :-1] + cdf[x, 1:]) / 2,
+                             [np.nextafter(cdf[x, -1], 2.0), 0.999999]])
+        want = np.array([int(np.sum(cdf[x] <= u)) for u in us])
+        monkeypatch.setattr(simulate, "_chunk_generator", lambda seed, c, us=us: _Draws(us))
+        b = simulate_batch(spec, x, 1, us.size)
+        assert b.terminal_states.dtype == np.int64
+        assert np.array_equal(b.terminal_states, want[want < 300])
+        assert b.tau_histogram[1] == np.count_nonzero(want == 300)
+        assert {299, 300} <= set(want.tolist())  # the last column and absorption
+        for u, j in zip(us, want):
+            step = q.sample_step(spec, x, u)
+            assert (step is ABSORBED) if j == 300 else (step == j), (x, u)
+
+
+@pytest.mark.parametrize("name,x0,n", [("ds3", 0, 20), ("sym2", 0, 4), ("example21", 0.5, 10)])
+def test_step_loop_peak_memory(name, x0, n):
+    # one chunk with running sums: the state and sum arrays (two chunk-sized
+    # arrays of 8-byte values) plus per-block temporaries and the survivors' copies
+    spec = q.get_spec(name)
+    h = (lambda s: (s == 1).astype(float)) if spec.is_explicit else (lambda y: y)
+    tracemalloc.start()
+    try:
+        simulate_batch(spec, x0, n, CHUNK_SIZE, seed=3, h=h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 8 * CHUNK_SIZE, peak / (8 * CHUNK_SIZE)
 
 
 def test_sample_step_on_cdf_values():

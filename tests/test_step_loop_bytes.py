@@ -1,0 +1,137 @@
+"""The blocked step loop reproduces the plain step loop byte for byte.
+
+``ref_simulate_batch`` keeps the straightforward loop: each step runs over
+all live paths of a chunk at once, counts the inverse-CDF draw in an int64
+array, and compresses the states and running sums with one boolean mask into
+new arrays.  ``simulate_batch`` walks the live paths in blocks of
+``BLOCK_SIZE``, counts in the smallest unsigned type and writes the survivors
+back in place; both must give the same bytes for any block size.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import qsdlab as q
+from qsdlab import simulate
+from qsdlab.kernels import KernelSpec, _explicit_matrix
+from qsdlab.simulate import (BLOCK_SIZE, CHUNK_SIZE, _chunk_generator, _noise_to_moves,
+                             check_start, simulate_batch)
+
+
+def ref_inverse_cdf(cdf, state, u):
+    nxt = np.zeros(np.shape(u), dtype=np.int64)
+    for col in cdf.T:
+        nxt += u >= col[state]
+    return nxt
+
+
+def ref_simulate_batch(spec, x0, n, n_paths, seed=0, h=None):
+    explicit = spec.is_explicit
+    if explicit:
+        cdf = np.cumsum(_explicit_matrix(spec), axis=1)
+        nstates = cdf.shape[0]
+    else:
+        lo, hi = spec.domain
+    x0 = check_start(spec, x0)
+    terminals = []
+    sums = [] if h is not None else None
+    tau_hist = np.zeros(n + 1, dtype=np.int64)
+    n_chunks = (n_paths + CHUNK_SIZE - 1) // CHUNK_SIZE
+    for c in range(n_chunks):
+        k = min(CHUNK_SIZE, n_paths - c * CHUNK_SIZE)
+        gen = _chunk_generator(seed, c)
+        state = np.full(k, x0, dtype=np.int64 if explicit else float)
+        acc = np.zeros(k) if h is not None else None
+        for step in range(n):
+            if state.size == 0:
+                break
+            if h is not None:
+                acc += h(state)
+            u = gen.random(state.size)
+            if explicit:
+                y = ref_inverse_cdf(cdf, state, u)
+                live = y < nstates
+            else:
+                y = _noise_to_moves(spec, state, u)
+                live = ~((y < lo) | (y > hi))
+            tau_hist[step + 1] += state.size - int(np.count_nonzero(live))
+            state = y[live]
+            if h is not None:
+                acc = acc[live]
+        terminals.append(state)
+        if h is not None:
+            sums.append(acc)
+    terminal = np.concatenate(terminals)
+    return terminal.size, terminal, tau_hist, np.concatenate(sums) if sums is not None else None
+
+
+def assert_same_bytes(spec, x0, n, n_paths, seed, h):
+    survivors, terminal, tau, sums = ref_simulate_batch(spec, x0, n, n_paths, seed=seed, h=h)
+    b = simulate_batch(spec, x0, n, n_paths, seed=seed, h=h)
+    assert b.survivor_count == survivors
+    assert b.terminal_states.dtype == terminal.dtype
+    assert b.terminal_states.tobytes() == terminal.tobytes()
+    assert b.tau_histogram.tobytes() == tau.tobytes()
+    if h is None:
+        assert b.running_sums is None
+    else:
+        assert b.running_sums.dtype == sums.dtype
+        assert b.running_sums.tobytes() == sums.tobytes()
+
+
+# (system, start, horizon): one per continuous family
+CONTINUOUS = [("example21", 0.3, 6), ("example22cubic", 0.3, 4), ("example23gauss", 0.0, 5)]
+
+
+@pytest.mark.parametrize("block", [BLOCK_SIZE, 1000, 4099])
+@pytest.mark.parametrize("size", ["1", "block-1", "block+1", "two chunks"])
+@pytest.mark.parametrize("system", CONTINUOUS, ids=[s for s, _, _ in CONTINUOUS])
+def test_continuous_families_match_plain_loop(system, size, block, monkeypatch):
+    name, x0, n = system
+    monkeypatch.setattr(simulate, "BLOCK_SIZE", block)
+    n_paths = {"1": 1, "block-1": block - 1, "block+1": block + 1,
+               "two chunks": CHUNK_SIZE + 12_345}[size]
+    spec = q.get_spec(name)
+    for h in (None, lambda y: y * y):
+        assert_same_bytes(spec, x0, n, n_paths, 11, h)
+
+
+# a row entry: zero, dust (down to the smallest subnormal) or an ordinary weight
+_ENTRY = st.one_of(st.just(0.0), st.sampled_from([5e-324, 1e-300, 1e-17]),
+                   st.floats(0.01, 1.0))
+
+
+@st.composite
+def explicit_chains(draw):
+    size = draw(st.integers(1, 8))
+    rows = []
+    for _ in range(size):
+        if draw(st.booleans()) and draw(st.booleans()):
+            rows.append([0.0] * size)
+            continue
+        row = np.array(draw(st.lists(_ENTRY, min_size=size, max_size=size)))
+        total = row.sum()
+        if total > 1.0:
+            row = row / total * draw(st.sampled_from([1.0, 0.999, 0.5]))
+        rows.append(row.tolist())
+    return KernelSpec(domain=(0, max(size - 1, 1)), family="explicit_matrix",
+                      params={"matrix": rows})
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=explicit_chains(), data=st.data(),
+       block=st.sampled_from([BLOCK_SIZE, 1000, 4099]))
+def test_explicit_chains_match_plain_loop(spec, data, block):
+    size = len(spec.params["matrix"])
+    x0 = data.draw(st.integers(0, size - 1))
+    n = data.draw(st.integers(0, 8))
+    n_paths = data.draw(st.sampled_from([1, block - 1, block + 1, 3 * block + 7]))
+    k = data.draw(st.integers(0, size - 1))
+    h = data.draw(st.sampled_from([None, lambda s: (s == k).astype(float),
+                                   lambda s: np.sqrt(s + 0.5)]))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "BLOCK_SIZE", block)
+        assert_same_bytes(spec, x0, n, n_paths, 5, h)
+
