@@ -29,6 +29,8 @@ import numpy as np
 
 from . import registry, specfile
 from .errors import (
+    EscapeNode,
+    MassExtinct,
     NeverSubunit,
     NotApplicable,
     NumericalError,
@@ -63,14 +65,12 @@ SCHEMA_VERSION = 1
 
 def _resolve_spec(value, grid_size=None):
     try:
-        spec = registry.get_spec(value, grid_size=grid_size)
+        spec = registry.get_spec(value)
     except KeyError:
         spec = specfile.load_spec(value)
-        if grid_size is not None and not spec.is_explicit:
-            spec = dataclasses.replace(spec, grid_size=grid_size)
     if grid_size is not None and spec.is_explicit:
         raise NotApplicable("--grid-size does not apply to an explicit chain")
-    return spec
+    return spec if grid_size is None else dataclasses.replace(spec, grid_size=grid_size)
 
 
 def _seed_from(args):
@@ -90,17 +90,18 @@ def _seed_from(args):
 def _write_json(doc, path, canonical):
     if not canonical:
         doc = {**doc, "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat()}
+    os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "w") as fp:
         json.dump(doc, fp, indent=2, sort_keys=True)
         fp.write("\n")
 
 
-def _write_curve(path, rows):
+def _write_csv(path, header, rows):
+    os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "w", newline="") as fp:
         w = csv.writer(fp)
-        w.writerow(["n", "tv"])
-        for n, tv in rows:
-            w.writerow([int(n), repr(float(tv))])
+        w.writerow(header)
+        w.writerows(rows)
 
 
 def _rate_doc(fit):
@@ -159,8 +160,8 @@ def _analyze(args):
     sd = peripheral_spectrum(op)
     n_max = default_n_max(op) if args.n_max is None else args.n_max
     doc, fit = _analysis_doc(spec, op, sd, n_max)
-    os.makedirs(args.out, exist_ok=True)
-    _write_curve(os.path.join(args.out, "tv_curve.csv"), fit.data)
+    _write_csv(os.path.join(args.out, "tv_curve.csv"), ["n", "tv"],
+               ([int(n), repr(float(tv))] for n, tv in fit.data))
     return sd, doc, fit
 
 
@@ -198,7 +199,6 @@ def cmd_verify_hypothesis(args):
             "nonescape_mass_positive": len(op.escape) < op.size,
         },
     }
-    os.makedirs(args.out, exist_ok=True)
     _write_json(doc, os.path.join(args.out, "hypothesis_report.json"), args.canonical)
     return 0
 
@@ -246,12 +246,8 @@ def cmd_simulate(args):
         [f"birkhoff_average[{h_label}]", n, n_paths,
          est_b.effective_samples, repr(est_b.value), repr(est_b.stderr)],
     ]
-
-    os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "estimates.csv"), "w", newline="") as fp:
-        w = csv.writer(fp)
-        w.writerow(["kind", "n", "n_paths", "survivors", "value", "stderr"])
-        w.writerows(rows)
+    _write_csv(os.path.join(args.out, "estimates.csv"),
+               ["kind", "n", "n_paths", "survivors", "value", "stderr"], rows)
     return 0
 
 
@@ -273,6 +269,9 @@ def cmd_lobo(args):
     reach = check_h2_reachability(op)   # AllNodesEscape when every state dies at once
     if not reach.strongly_connected:
         raise Reducible(reach.reducible_message)
+    for flag, state in (("--x0", x0), ("--h-state", h_state)):
+        if state in op.escape:  # both terms vanish there: no ratio to report
+            raise EscapeNode(f"{flag} {state} is in the escape set")
     chain = FiniteChain(Q=op.matrix)
     h = np.zeros(chain.size)
     h[h_state] = 1.0
@@ -280,25 +279,20 @@ def cmd_lobo(args):
     for n in ns:
         exact = lobo_sum(chain, h, x0, n)
         pred = lobo_leading_term(chain, h, x0, n)
-        rows.append({"n": n, "exact": exact, "predicted": pred,
-                     "ratio": exact / pred if pred else float("nan")})
+        if not pred:
+            raise MassExtinct(f"the survival mass from state {x0} underflows to zero by n = {n}")
+        rows.append({"n": n, "exact": exact, "predicted": pred, "ratio": exact / pred})
     doc = {"schema_version": SCHEMA_VERSION, "spec": specfile.spec_to_dict(spec),
            "h_state": h_state, "x0": x0, "table": rows}
-    os.makedirs(args.out, exist_ok=True)
     _write_json(doc, os.path.join(args.out, "lobo_table.json"), args.canonical)
-    with open(os.path.join(args.out, "lobo_table.csv"), "w", newline="") as fp:
-        w = csv.writer(fp)
-        w.writerow(["n", "exact", "predicted", "ratio"])
-        for r in rows:
-            w.writerow([r["n"], repr(r["exact"]), repr(r["predicted"]), repr(r["ratio"])])
+    _write_csv(os.path.join(args.out, "lobo_table.csv"), ["n", "exact", "predicted", "ratio"],
+               ([r["n"], repr(r["exact"]), repr(r["predicted"]), repr(r["ratio"])] for r in rows))
     return 0
 
 
 def cmd_fixtures(args):
-    os.makedirs(args.out, exist_ok=True)
     for name in ("sym2", "cycle2", "cycle3", "ds3"):
-        spec = registry.get_spec(name)
-        chain = FiniteChain(Q=np.asarray(spec.params["matrix"], dtype=float))
+        chain = FiniteChain(Q=registry.get_spec(name).matrix)
         _write_json(fixture_dict(name, chain),
                     os.path.join(args.out, f"{name}.json"), canonical=True)
     for name in registry.builtin_names():

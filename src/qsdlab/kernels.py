@@ -17,7 +17,7 @@ is absorbed in one step almost surely.
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import KW_ONLY, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -62,8 +62,8 @@ class StateGrid:
     weights: np.ndarray
 
     def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        weights = np.asarray(self.weights, dtype=float)
+        nodes = np.array(self.nodes, dtype=float)      # copies: the caller's arrays stay writable
+        weights = np.array(self.weights, dtype=float)
         nodes.setflags(write=False)
         weights.setflags(write=False)
         object.__setattr__(self, "nodes", nodes)
@@ -104,17 +104,22 @@ class KernelSpec:
     tabulated        params values (N x N row-major list) : g sampled on the grid
     explicit_matrix  params matrix                : finite substochastic chain
 
-    Each family takes exactly the parameters listed: a missing or unknown one
-    raises InvalidDomain, as does an explicit chain with a quadrature other
-    than the default.
+    Fields are keyword-only.  Each family takes exactly the parameters
+    listed: a missing or unknown one raises InvalidDomain.  A density family
+    needs ``domain`` and ``grid_size``.  An explicit chain's matrix is checked
+    here, once, and kept as the read-only copy ``matrix`` that every reader
+    uses; its n states fix ``domain`` = (0, max(n - 1, 1)) and ``grid_size`` =
+    n, and any other value, or a non-default quadrature, raises InvalidDomain.
     """
 
-    domain: tuple
+    _: KW_ONLY
+    domain: Optional[tuple] = None
     family: str
     params: dict = field(default_factory=dict)
-    grid_size: int = 201
+    grid_size: Optional[int] = None
     quadrature: str = "trapezoid"
     name: Optional[str] = None
+    matrix: Optional[np.ndarray] = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.family not in ALL_FAMILIES:
@@ -125,7 +130,16 @@ class KernelSpec:
         missing = _FAMILY_PARAMS[self.family] - set(self.params)
         if missing:
             raise InvalidDomain(f"missing params {sorted(missing)} for family {self.family}")
-        if self.family != "explicit_matrix":
+        if self.is_explicit:
+            q = _explicit_matrix(self.params["matrix"])
+            n, domain = len(q), (0.0, float(max(len(q) - 1, 1)))
+            if self.grid_size not in (None, n) or tuple(self.domain or domain) != domain:
+                raise InvalidDomain(f"a {n}-state chain has domain {domain} and grid_size {n}")
+            for key, value in (("matrix", q), ("domain", domain), ("grid_size", n)):
+                object.__setattr__(self, key, value)
+        else:
+            if self.domain is None or self.grid_size is None:
+                raise InvalidDomain(f"{self.family} needs a domain and a grid_size")
             lo, hi = self.domain
             if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
                 raise InvalidDomain(f"domain must satisfy lower < upper, got {self.domain}")
@@ -318,18 +332,18 @@ def _ulam_average_density(spec, grid):
     return dens.reshape(n, sub, n, sub).mean(axis=(1, 3))
 
 
-def _explicit_matrix(spec):
-    """The explicit chain's matrix as a float array; every reader of it calls this.
+def _explicit_matrix(value):
+    """A read-only float copy of an explicit chain's matrix, once validated.
 
-    Raises InvalidDomain (not numeric, square and finite), NegativeDensity or
-    RowSumExceedsOne.
+    Called by ``KernelSpec`` alone.  Raises InvalidDomain (not numeric,
+    square and finite), NegativeDensity or RowSumExceedsOne.
     """
     try:
-        q = np.asarray(spec.params["matrix"], dtype=float)
+        q = np.array(value, dtype=float)
     except (TypeError, ValueError) as exc:
         raise InvalidDomain(f"explicit matrix is not a numeric array: {exc}") from None
-    if q.ndim != 2 or q.shape[0] != q.shape[1]:
-        raise InvalidDomain("explicit matrix must be square")
+    if q.ndim != 2 or q.shape[0] != q.shape[1] or not q.size:
+        raise InvalidDomain("explicit matrix must be square and non-empty")
     if not np.isfinite(q).all():
         raise InvalidDomain("explicit matrix has NaN or infinite entries")
     if q.min() < 0:
@@ -337,6 +351,7 @@ def _explicit_matrix(spec):
     rows = q.sum(axis=1)
     if rows.max() > 1 + 1e-12:
         raise RowSumExceedsOne(f"row sum {rows.max()} exceeds one")
+    q.setflags(write=False)
     return q
 
 
@@ -348,9 +363,9 @@ def build_operator(spec):
     quadrature grid and multiplied by the weights column-wise.
     """
     if spec.is_explicit:
-        matrix = _explicit_matrix(spec)
-        n = matrix.shape[0]
-        grid = StateGrid(0.0, max(n - 1, 1), np.arange(n, dtype=float), np.ones(n))
+        matrix = spec.matrix
+        n = spec.grid_size
+        grid = StateGrid(*spec.domain, np.arange(n, dtype=float), np.ones(n))
     else:
         grid = _quadrature_grid(spec)
         if spec.quadrature == "ulam" and spec.family != "tabulated":

@@ -24,7 +24,7 @@ class FiniteChain:
     Q: np.ndarray
 
     def __post_init__(self):
-        q = np.asarray(self.Q, dtype=float)
+        q = np.array(self.Q, dtype=float)   # a copy: the caller's array stays writable
         q.setflags(write=False)
         object.__setattr__(self, "Q", q)
         if q.ndim != 2 or q.shape[0] != q.shape[1]:

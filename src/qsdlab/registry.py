@@ -60,7 +60,6 @@ def get_spec(name, grid_size=None):
                           params={"sigma": 1.0},
                           grid_size=grid_size, name=name)
     if name in _EXPLICIT:
-        q = _EXPLICIT[name]
-        return KernelSpec(domain=(0.0, float(len(q) - 1)), family="explicit_matrix",
-                          params={"matrix": q}, grid_size=len(q), name=name)
+        return KernelSpec(family="explicit_matrix", params={"matrix": _EXPLICIT[name]},
+                          grid_size=grid_size, name=name)
     raise KeyError(f"unknown bundled spec {name!r}; known: {builtin_names()}")

@@ -35,7 +35,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidDomain, NotApplicable, TooFewSurvivors
-from .kernels import _explicit_matrix, _map_centers
+from .kernels import _map_centers
 
 CHUNK_SIZE = 1 << 20  # fixed: changing it changes the stream layout
 BLOCK_SIZE = 1 << 16  # live paths per block of the step loop; not part of the stream layout
@@ -89,13 +89,13 @@ def sample_step(spec, x, u):
 
     Random-map families move by ``f_omega(x)`` with omega the inverse-CDF
     image of u and absorb when the image leaves the domain.  Explicit chains
-    use the inverse-CDF draw of ``simulate_batch`` on row x.
+    take the inverse-CDF draw of ``simulate_batch`` on row x alone: the count
+    of the row's CDF values at or below u.
     Returns the new state, or the ABSORBED sentinel.
     """
     if spec.is_explicit:
-        row = _explicit_matrix(spec)[[int(x)]]
-        j = int(_inverse_cdf(np.cumsum(row, axis=1), 0, u))
-        return ABSORBED if j >= row.shape[1] else j
+        j = int(np.count_nonzero(np.cumsum(spec.matrix[int(x)]) <= u))
+        return ABSORBED if j >= spec.grid_size else j
     lo, hi = spec.domain
     y = float(_noise_to_moves(spec, np.asarray([x], dtype=float),
                               np.asarray([u], dtype=float))[0])
@@ -136,9 +136,8 @@ def check_start(spec, x0):
     chain, or a point of the closed domain of a continuous kernel.
     """
     if spec.is_explicit:
-        nstates = len(spec.params["matrix"])
-        if not (float(x0).is_integer() and 0 <= x0 < nstates):
-            raise InvalidDomain(f"{x0!r} is not a state 0..{nstates - 1}")
+        if not (float(x0).is_integer() and 0 <= x0 < spec.grid_size):
+            raise InvalidDomain(f"{x0!r} is not a state 0..{spec.grid_size - 1}")
         return int(x0)
     lo, hi = spec.domain
     if not lo <= x0 <= hi:
@@ -181,19 +180,17 @@ def simulate_batch(spec, x0, n, n_paths, seed=0, h=None):
     ``h`` is an optional test function whose running sum over steps 0..n-1 is
     accumulated per path.  It must act elementwise on an array of states /
     points, since it is called on one block of live paths at a time.  Raises
-    InvalidDomain when x0 is not a state of the chain, and the errors of
-    ``build_operator`` for an invalid explicit matrix.
+    InvalidDomain when x0 is not a state of the chain.
     """
     if n < 0 or n_paths < 1:
         raise ValueError("need n >= 0 and n_paths >= 1")
     if spec.is_explicit:
-        cdf = np.cumsum(_explicit_matrix(spec), axis=1)
-        nstates = cdf.shape[0]
+        cdf = np.cumsum(spec.matrix, axis=1)
         dtype = np.int64
 
         def move(s, u):
             y = _inverse_cdf(cdf, s, u)
-            return y, y < nstates
+            return y, y < spec.grid_size
     else:
         lo, hi = spec.domain
         dtype = float
@@ -260,8 +257,7 @@ def summarize_yaglom(batch, spec, grid=None):
     """
     ns = _survivors(batch)
     if spec.is_explicit:
-        nstates = _explicit_matrix(spec).shape[0]
-        counts = np.bincount(batch.terminal_states.astype(int), minlength=nstates).astype(float)
+        counts = np.bincount(batch.terminal_states.astype(int), minlength=spec.grid_size)
     else:
         if grid is None:
             raise ValueError("grid required to bin continuous samples")

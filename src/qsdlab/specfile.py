@@ -16,7 +16,8 @@ Schema (all other top-level keys are a hard error)::
     }
 
 An ``explicit_matrix`` document takes none of ``domain``, ``measure``,
-``grid_size`` and ``quadrature``: its states are the matrix rows.
+``grid_size`` and ``quadrature``: its states are the matrix rows.  Any value
+``KernelSpec`` refuses, a bad matrix too, is reported as a SchemaError.
 """
 
 import json
@@ -53,15 +54,13 @@ def spec_from_dict(doc):
     if doc.get("measure", "lebesgue") != "lebesgue":
         raise SchemaError(f"unknown measure {doc['measure']!r}")
 
+    domain = grid_size = None   # an explicit chain's come from its matrix
     if family == "explicit_matrix":
         ignored = {"domain", "grid_size", "quadrature", "measure"} & set(doc)
         if ignored:
             raise SchemaError(f"fields {sorted(ignored)} do not apply to explicit_matrix")
         if not isinstance(params.get("matrix"), list):
             raise SchemaError("explicit_matrix needs params.matrix as a list of rows")
-        n = len(params["matrix"])
-        domain = (0.0, float(max(n - 1, 1)))
-        grid_size = n
     else:
         if "domain" not in doc:
             raise SchemaError("domain is required")

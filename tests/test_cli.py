@@ -300,7 +300,7 @@ def test_kernel_spec_rejects_unread_params():
         KernelSpec(domain=(-1.0, 1.0), family="gaussian_shift",
                    params={"sigma": 1.0, "indicator_region": [-0.5, 0.5]})
     with pytest.raises(InvalidDomain):
-        KernelSpec(domain=(0, 1), family="explicit_matrix",
+        KernelSpec(family="explicit_matrix",
                    params={"matrix": [[0.5, 0.25], [0.25, 0.5]], "a": 2.0})
     # spec files still report it as a schema error
     with pytest.raises(SchemaError, match="sigmma"):
@@ -362,6 +362,33 @@ def test_lobo_state_out_of_range_exits_2(tmp_path, capsys, flag, value):
     assert not (tmp_path / "l").exists()
 
 
+@pytest.mark.parametrize("matrix,flags,refused", [
+    ([[0.4, 0.3, 0.1], [0.2, 0.4, 0.2], [0, 0, 0]], ["--x0", "2"], "--x0 2"),
+    ([[0.4, 0.3, 0.1], [0.2, 0.4, 0.2], [0, 0, 0]], ["--h-state", "2"], "--h-state 2"),
+    ([[0, 0, 0], [0.3, 0.4, 0.2], [0.2, 0.3, 0.4]], [], "--x0 0"),
+], ids=["x0", "h_state", "default_x0"])
+def test_lobo_on_an_escape_state_exits_2(tmp_path, capsys, matrix, flags, refused):
+    # the exact sum and the leading term both vanish there: no ratio exists
+    spec = _chain_file(tmp_path, matrix)
+    assert main(["lobo", "--spec", spec, "--out", str(tmp_path / "l")] + flags) == 2
+    err = capsys.readouterr().err
+    assert f"EscapeNode: {refused} is in the escape set" in err and "Traceback" not in err
+    assert not (tmp_path / "l").exists()
+
+
+def test_lobo_refuses_a_survival_mass_that_underflows(tmp_path, capsys):
+    # lam is about 0.011, so lam**240 is below the smallest double
+    spec = _chain_file(tmp_path, [[0.01, 0.001], [0.002, 0.01]])
+    assert main(["lobo", "--spec", spec, "--out", str(tmp_path / "l")]) == 3
+    assert "MassExtinct: the survival mass from state 0 underflows to zero by n = 240" in (
+        capsys.readouterr().err)
+    assert not (tmp_path / "l").exists()
+    out = tmp_path / "short"
+    assert main(["lobo", "--spec", spec, "--n-list", "60,120", "--out", str(out)]) == 0
+    rows = json.loads((out / "lobo_table.json").read_text())["table"]
+    assert [r["n"] for r in rows] == [60, 120] and all(r["predicted"] > 0 for r in rows)
+
+
 _GAUSS = {"family": "gaussian_shift", "domain": [-1, 1], "grid_size": 11,
           "params": {"sigma": 0.5}}
 _AFFINE = {"family": "affine_uniform", "domain": [-1, 1], "grid_size": 11,
@@ -378,10 +405,12 @@ _TABLE = {"family": "tabulated", "domain": [0, 1], "grid_size": 2,
      "SchemaError: unknown measure"),
     ({"family": "explicit_matrix", "params": {"matrix": 5}},
      "SchemaError: explicit_matrix needs params.matrix"),
-    ({"family": "explicit_matrix", "params": {"matrix": [[0.5, "a"], [0.2, 0.3]]}},
-     "InvalidDomain: explicit matrix is not a numeric array"),
-    ({"family": "explicit_matrix", "params": {"matrix": [[0.5, 0.1], [0.2]]}},
-     "InvalidDomain: explicit matrix is not a numeric array"),
+    pytest.param({"family": "explicit_matrix", "params": {"matrix": [[0.5, "a"], [0.2, 0.3]]}},
+                 "SchemaError: explicit matrix is not a numeric array",
+                 id="doc5-SchemaError: non-numeric entry"),
+    pytest.param({"family": "explicit_matrix", "params": {"matrix": [[0.5, 0.1], [0.2]]}},
+                 "SchemaError: explicit matrix is not a numeric array",
+                 id="doc6-SchemaError: ragged rows"),
     ({"family": "explicit_matrix", "params": {"matrix": [[0.5]], "labels": ["a"]}},
      "SchemaError: unknown params ['labels'] for family explicit_matrix"),
     ({"family": "affine_uniform", "domain": [-1, 1], "grid_size": 11,
@@ -431,7 +460,7 @@ def test_malformed_spec_file_exits_2(tmp_path, capsys, doc, error):
 
 def test_kernel_spec_explicit_chain_rejects_quadrature():
     with pytest.raises(InvalidDomain, match="quadrature does not apply to an explicit chain"):
-        KernelSpec(domain=(0, 1), family="explicit_matrix",
+        KernelSpec(family="explicit_matrix",
                    params={"matrix": [[0.5, 0.25], [0.25, 0.5]]}, quadrature="ulam")
 
 
@@ -548,7 +577,7 @@ def test_non_finite_matrix_exits_2(tmp_path, capsys, cmd, bad):
     spec = _chain_file(tmp_path, [[bad, 0.2], [0.3, 0.4]])
     assert main([cmd, "--spec", spec, "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
-    assert "InvalidDomain: explicit matrix has NaN or infinite entries" in err
+    assert "SchemaError: explicit matrix has NaN or infinite entries" in err
     assert "Traceback" not in err and not (tmp_path / "o").exists()
 
 

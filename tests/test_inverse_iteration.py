@@ -60,7 +60,7 @@ def ref_peripheral_pairs(op, peripheral_tol=spectral.PERIPHERAL_TOL_DEFAULT):
 
 
 def explicit(matrix):
-    return build_operator(KernelSpec(domain=(0, 1), family="explicit_matrix",
+    return build_operator(KernelSpec(family="explicit_matrix",
                                      params={"matrix": np.asarray(matrix).tolist()}))
 
 

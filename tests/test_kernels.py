@@ -15,7 +15,8 @@ from qsdlab.errors import (
     NotApplicable,
     RowSumExceedsOne,
 )
-from qsdlab.kernels import KernelSpec, _detect, analytic_row_mass, build_operator
+from qsdlab.kernels import KernelSpec, StateGrid, _detect, analytic_row_mass, build_operator
+from qsdlab.oracle import FiniteChain
 
 
 def spec21(n=101):
@@ -36,9 +37,9 @@ def test_trapezoid_weights_integrate_reference_measure():
 
 
 def test_invalid_domain_rejected():
-    with pytest.raises(InvalidDomain):
+    with pytest.raises(InvalidDomain, match="lower < upper"):
         KernelSpec(domain=(1.0, -1.0), family="affine_uniform",
-                   params={"a": 2.0, "b": 0.0, "noise_halfwidth": 1.0})
+                   params={"a": 2.0, "b": 0.0, "noise_halfwidth": 1.0}, grid_size=5)
     with pytest.raises(InvalidDomain, match="grid_size"):
         KernelSpec(domain=(0.0, 1.0), family="gaussian_shift", params={"sigma": 1.0},
                    grid_size=1)
@@ -66,7 +67,7 @@ def test_negative_density_rejected():
 
 
 def test_explicit_matrix_passthrough():
-    spec = KernelSpec(domain=(0, 1), family="explicit_matrix",
+    spec = KernelSpec(family="explicit_matrix",
                       params={"matrix": [[0.5, 0.25], [0.25, 0.5]]})
     op = build_operator(spec)
     assert np.array_equal(op.matrix, [[0.5, 0.25], [0.25, 0.5]])
@@ -75,11 +76,70 @@ def test_explicit_matrix_passthrough():
     assert np.array_equal(op.grid.weights, [1.0, 1.0])
 
 
+@pytest.mark.parametrize("given", [{"domain": (-1.0, 1.0)}, {"grid_size": 11}, {}])
+def test_density_family_needs_a_domain_and_a_grid_size(given):
+    with pytest.raises(InvalidDomain, match="needs a domain and a grid_size"):
+        KernelSpec(family="gaussian_shift", params={"sigma": 1.0}, **given)
+
+
+def test_kernel_spec_fields_are_keyword_only():
+    with pytest.raises(TypeError):
+        KernelSpec((-1.0, 1.0), "gaussian_shift", {"sigma": 1.0}, 11)
+
+
+def test_explicit_chain_takes_its_domain_and_grid_size_from_the_matrix():
+    q3 = np.array([[0.5, 0.25, 0.0], [0.25, 0.5, 0.0], [0.0, 0.3, 0.3]])
+    spec = KernelSpec(family="explicit_matrix", params={"matrix": q3})
+    assert spec.domain == (0.0, 2.0) and spec.grid_size == 3
+    assert np.array_equal(spec.matrix, q3) and spec.matrix.dtype == float
+    assert not spec.matrix.flags.writeable and not np.shares_memory(spec.matrix, q3)
+    # the derived values may be passed as well, as the benchmark's chains do
+    named = KernelSpec(domain=(0.0, 2.0), family="explicit_matrix", params={"matrix": q3},
+                       grid_size=3)
+    assert named == spec and named.domain == spec.domain and named.grid_size == 3
+    one = KernelSpec(family="explicit_matrix", params={"matrix": [[0.5]]})
+    assert one.domain == (0.0, 1.0) and one.grid_size == 1
+    assert q.get_spec("sym2", grid_size=2) == q.get_spec("sym2")
+
+
+@pytest.mark.parametrize("given", [
+    {"domain": (5, 9), "grid_size": 77}, {"domain": (5, 9)}, {"grid_size": 77},
+    {"domain": (0.0, 2.0)}, {"grid_size": 3}, {"domain": (0.0, 1.0), "grid_size": 3},
+])
+def test_explicit_chain_refuses_any_other_domain_or_grid_size(given):
+    with pytest.raises(InvalidDomain, match="a 2-state chain has domain"):
+        KernelSpec(family="explicit_matrix", params={"matrix": [[0.5, 0.25], [0.25, 0.5]]},
+                   **given)
+
+
+@pytest.mark.parametrize("matrix", [np.zeros((0, 0)), [], [[]], [[0.5, 0.25]]])
+def test_explicit_matrix_must_be_square_and_non_empty(matrix):
+    with pytest.raises(InvalidDomain, match="square and non-empty"):
+        KernelSpec(family="explicit_matrix", params={"matrix": matrix})
+
+
+def test_bundled_chain_refuses_a_grid_size():
+    with pytest.raises(InvalidDomain):
+        q.get_spec("sym2", grid_size=5)
+
+
+def test_constructors_copy_the_callers_arrays():
+    a = np.array([[0.5, 0.25], [0.25, 0.5]])
+    nodes, weights = np.array([0.0, 0.5, 1.0]), np.array([0.25, 0.5, 0.25])
+    kept = [x.copy() for x in (a, nodes, weights)]
+    op = build_operator(KernelSpec(family="explicit_matrix", params={"matrix": a}))
+    chain = FiniteChain(Q=a)
+    grid = StateGrid(0.0, 1.0, nodes, weights)
+    for x, before in zip((a, nodes, weights), kept):
+        assert x.flags.writeable and np.array_equal(x, before)
+    for copy, x in ((op.matrix, a), (chain.Q, a), (grid.nodes, nodes), (grid.weights, weights)):
+        assert not copy.flags.writeable and not np.shares_memory(copy, x)
+
+
 def test_explicit_row_sum_guard():
-    spec = KernelSpec(domain=(0, 1), family="explicit_matrix",
-                      params={"matrix": [[0.9, 0.2], [0.0, 0.5]]})
+    # refused where the spec is made, so build_operator never sees it
     with pytest.raises(RowSumExceedsOne):
-        build_operator(spec)
+        KernelSpec(family="explicit_matrix", params={"matrix": [[0.9, 0.2], [0.0, 0.5]]})
 
 
 def test_affine_entries_are_half_window_indicators():
@@ -160,13 +220,13 @@ def test_escape_empty_for_gaussian():
 
 
 def test_escape_zero_row_explicit():
-    spec = KernelSpec(domain=(0, 1), family="explicit_matrix",
+    spec = KernelSpec(family="explicit_matrix",
                       params={"matrix": [[0.0, 0.0], [0.3, 0.3]]})
     assert sorted(build_operator(spec).escape) == [0]
 
 
 def test_all_nodes_escape_degenerate():
-    spec = KernelSpec(domain=(0, 1), family="explicit_matrix",
+    spec = KernelSpec(family="explicit_matrix",
                       params={"matrix": [[0.0, 0.0], [0.0, 0.0]]})
     with pytest.raises(AllNodesEscape):
         q.check_h2_reachability(build_operator(spec))
@@ -219,14 +279,14 @@ def test_h2_affine_connected_aperiodic(ops):
 
 
 def test_h2_two_cycle_period():
-    spec = KernelSpec(domain=(0, 1), family="explicit_matrix",
+    spec = KernelSpec(family="explicit_matrix",
                       params={"matrix": [[0.0, 1.0], [1.0, 0.0]]})
     rep = q.check_h2_reachability(build_operator(spec))
     assert rep.n_components == 1 and rep.graph_period == 2
 
 
 def test_h2_disconnected_fails():
-    spec = KernelSpec(domain=(0, 1), family="explicit_matrix",
+    spec = KernelSpec(family="explicit_matrix",
                       params={"matrix": [[0.5, 0.0], [0.0, 0.5]]})
     rep = q.check_h2_reachability(build_operator(spec))
     assert rep.n_components == 2
@@ -252,7 +312,7 @@ def digraphs(draw):
 @example(np.array([[False, True], [False, False]]))
 def test_h2_matches_csgraph_and_trace_period(adj):
     n = adj.shape[0]
-    op = build_operator(KernelSpec(domain=(0, 1), family="explicit_matrix",
+    op = build_operator(KernelSpec(family="explicit_matrix",
                                    params={"matrix": (adj * (0.9 / n)).tolist()}))
     keep = np.flatnonzero(adj.any(axis=1))
     if keep.size == 0:
@@ -283,7 +343,7 @@ def test_h2_matches_csgraph_and_trace_period(adj):
 @example(np.array([[False, True], [True, False]]))
 def test_h2_node_class_steps_by_one_along_every_edge(adj):
     n = adj.shape[0]
-    op = build_operator(KernelSpec(domain=(0, 1), family="explicit_matrix",
+    op = build_operator(KernelSpec(family="explicit_matrix",
                                    params={"matrix": (adj * (0.9 / n)).tolist()}))
     keep = np.flatnonzero(adj.any(axis=1))
     if keep.size == 0:

@@ -31,7 +31,7 @@ REL_TOL = 1e-12
 
 
 def explicit(matrix):
-    return build_operator(KernelSpec(domain=(0, 1), family="explicit_matrix",
+    return build_operator(KernelSpec(family="explicit_matrix",
                                      params={"matrix": matrix}))
 
 

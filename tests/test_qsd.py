@@ -31,7 +31,7 @@ def test_qsd_sym2(sds):
 
 
 def test_qsd_row_stochastic_is_stationary():
-    op = build_operator(KernelSpec(domain=(0, 1), family="explicit_matrix",
+    op = build_operator(KernelSpec(family="explicit_matrix",
                                    params={"matrix": [[0.3, 0.7], [0.6, 0.4]]}))
     sd = q.peripheral_spectrum(op)
     mu, lam = q.quasi_stationary_measure(sd)
@@ -291,7 +291,7 @@ def test_leaking_cyclic_chains_match_the_oracle():
     for trial in range(50):
         matrix, m = _leaking_cyclic_chain(rng)
         mu, eta, lam, m_exact = q.exact_qsd_qed(q.FiniteChain(Q=matrix))
-        op = build_operator(KernelSpec(domain=(0, 1), family="explicit_matrix",
+        op = build_operator(KernelSpec(family="explicit_matrix",
                                        params={"matrix": matrix.tolist()}))
         sd = q.peripheral_spectrum(op)
         qsd, rate = q.quasi_stationary_measure(sd)
@@ -362,7 +362,7 @@ def test_mass_decay_example22_exact_third(sds):
 
 
 def test_mass_decay_row_stochastic_never_subunit():
-    op = build_operator(KernelSpec(domain=(0, 1), family="explicit_matrix",
+    op = build_operator(KernelSpec(family="explicit_matrix",
                                    params={"matrix": [[0.3, 0.7], [0.6, 0.4]]}))
     with pytest.raises(NeverSubunit):
         q.mass_decay_check(op, n_max=30)

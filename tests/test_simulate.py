@@ -7,7 +7,8 @@ import pytest
 
 import qsdlab as q
 from conftest import delta_at
-from qsdlab import simulate
+from qsdlab import kernels, simulate
+from qsdlab.cli import main
 from qsdlab.errors import InvalidDomain, NegativeDensity, RowSumExceedsOne, TooFewSurvivors
 from qsdlab.kernels import KernelSpec, build_operator
 from qsdlab.oracle import FiniteChain, lobo_sum
@@ -338,6 +339,34 @@ def test_simulate_batch_accepts_integral_float_start():
     lambda spec: simulate.summarize_yaglom(simulate_batch(q.get_spec("sym2"), 0, 1, 1000), spec),
 ], ids=["build_operator", "simulate_batch", "sample_step", "summarize_yaglom"])
 def test_invalid_explicit_matrix_is_refused_by_every_reader(read, matrix, error):
-    spec = KernelSpec(domain=(0, 1), family="explicit_matrix", params={"matrix": matrix})
+    # refused where the spec is made, so no reader can be handed it
     with pytest.raises(error):
-        read(spec)
+        KernelSpec(family="explicit_matrix", params={"matrix": matrix})
+    # nor later: the spec keeps a validated copy, so writing the invalid rows
+    # into the caller's list does not reach the reader
+    rows = [[0.5, 0.25], [0.25, 0.5]]
+    spec = KernelSpec(family="explicit_matrix", params={"matrix": rows})
+    rows[:] = matrix
+    read(spec)
+    assert spec.matrix.tolist() == [[0.5, 0.25], [0.25, 0.5]]
+
+
+def test_explicit_matrix_is_validated_once_per_spec(tmp_path, monkeypatch):
+    # the spec checks its matrix once; every reader then uses the checked copy
+    matrix = q.get_spec("ds3").params["matrix"]
+    calls = []
+    validate = kernels._explicit_matrix
+    monkeypatch.setattr(kernels, "_explicit_matrix",
+                        lambda value: calls.append(value) or validate(value))
+    spec = KernelSpec(family="explicit_matrix", params={"matrix": matrix})
+    assert len(calls) == 1
+    batch = simulate_batch(spec, 1, 4, 5000, seed=2)
+    build_operator(spec)
+    q.sample_step(spec, 1, 0.3)
+    simulate.summarize_yaglom(batch, spec)
+    assert len(calls) == 1
+    # one simulate run: one spec, one check
+    calls.clear()
+    assert main(["simulate", "--spec", "ds3", "--n", "4", "--n-paths", "5000",
+                 "--out", str(tmp_path / "s")]) == 0
+    assert len(calls) == 1

@@ -23,7 +23,7 @@ from qsdlab.oracle import FiniteChain, exact_qsd_qed
 
 
 def explicit(matrix):
-    return build_operator(KernelSpec(domain=(0, 1), family="explicit_matrix",
+    return build_operator(KernelSpec(family="explicit_matrix",
                                      params={"matrix": matrix}))
 
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import qsdlab as q
 from qsdlab import simulate
-from qsdlab.kernels import KernelSpec, _explicit_matrix
+from qsdlab.kernels import KernelSpec
 from qsdlab.simulate import (BLOCK_SIZE, CHUNK_SIZE, _chunk_generator, _noise_to_moves,
                              check_start, simulate_batch)
 
@@ -30,7 +30,7 @@ def ref_inverse_cdf(cdf, state, u):
 def ref_simulate_batch(spec, x0, n, n_paths, seed=0, h=None):
     explicit = spec.is_explicit
     if explicit:
-        cdf = np.cumsum(_explicit_matrix(spec), axis=1)
+        cdf = np.cumsum(spec.matrix, axis=1)
         nstates = cdf.shape[0]
     else:
         lo, hi = spec.domain
