@@ -216,24 +216,50 @@ def _window_values(centers, nodes, lower, upper, halfwidth):
     inside [lower, upper] exists and is used alone.  This keeps trapezoid row
     sums exact when edges align with nodes and makes rows whose window only
     touches the domain come out exactly zero.
+
+    ``nodes`` must be nondecreasing; InvalidDomain otherwise.  Row i reads
+    t_j = fl(node_j - c_i), which is then nondecreasing in j because
+    rounding is monotone, and so is any fl(t_j + s).  Each of the three tests
+    on t therefore holds on one contiguous run of columns per row: inside,
+    |t| < w - JUMP_ATOL (that is, -(w - JUMP_ATOL) < t < w - JUMP_ATOL), the
+    left edge |fl(t + w)| <= JUMP_ATOL, and the right edge |fl(t - w)| <=
+    JUMP_ATOL.  One binary search over all rows finds the six run ends by
+    evaluating those same floating-point expressions at O(N log N) points.
+    The row is 1 on the inside run and 0 elsewhere; the left-edge and then
+    the right-edge entries, a few per row, overwrite it.  A NaN or infinite
+    center fails every test and gives a zero row.
     """
-    c = np.asarray(centers, dtype=float)[:, None]
+    c = np.asarray(centers, dtype=float)
     y = np.asarray(nodes, dtype=float)
-    t = y - c
-    buf = np.abs(t)
-    inside = buf < halfwidth - JUMP_ATOL
-    # |t + w| and |t - w| reuse the one scratch array
-    at_left = np.abs(np.add(t, halfwidth, out=buf), out=buf) <= JUMP_ATOL
-    at_right = np.abs(np.subtract(t, halfwidth, out=buf), out=buf) <= JUMP_ATOL
+    if not np.all(y[1:] >= y[:-1]):
+        raise InvalidDomain("window nodes must be nondecreasing")
+    rows, n = c.size, y.size
+    inner = halfwidth - JUMP_ATOL
+    # run k is first[2k] <= j < first[2k + 1], where first[r] counts the leading
+    # columns with fl(t + shift[r]) < floor[r]; key > v is key >= nextafter(v, inf)
+    shift = np.array([0.0, 0.0, halfwidth, halfwidth, -halfwidth, -halfwidth])[:, None]
+    above = np.nextafter(JUMP_ATOL, np.inf)
+    floor = np.array([np.nextafter(-inner, np.inf), inner,
+                      -JUMP_ATOL, above, -JUMP_ATOL, above])[:, None]
+    first = np.zeros((6, rows), dtype=np.intp)
+    for step in (1 << k for k in reversed(range(n.bit_length()))):
+        probe = first + (step - 1)
+        key = y[np.minimum(probe, n - 1)] - c
+        key += shift
+        first += step * ((probe < n) & (key < floor))
+    start, stop = first[0], np.maximum(first[1], first[0])
+    # each row is three runs, 0 then 1 then 0, written in one pass
+    runs = np.stack([start, stop - start, n - stop], axis=1).ravel()
+    val = np.repeat(np.tile([0.0, 1.0, 0.0], rows), runs).reshape(rows, n)
     has_below = y > lower + JUMP_ATOL
     has_above = y < upper - JUMP_ATOL
     n_sides = np.maximum(has_below.astype(float) + has_above.astype(float), 1.0)
-    val = t                 # t is spent: its memory takes the values
-    np.copyto(val, inside)
     # one-sided limits of the open-window indicator: left edge (below, above)
-    # = (0, 1); right edge = (1, 0); edges are a few entries per row
-    for edge, side in ((at_left, has_above), (at_right, has_below)):
-        i, j = np.nonzero(edge)
+    # = (0, 1); right edge = (1, 0)
+    for j0, j1, side in ((first[2], first[3], has_above), (first[4], first[5], has_below)):
+        width = np.maximum(j1 - j0, 0)
+        i = np.repeat(np.arange(rows), width)
+        j = np.arange(width.sum()) + np.repeat(j0 - (np.cumsum(width) - width), width)
         val[i, j] = side[j] / n_sides[j]
     return val
 
@@ -273,9 +299,11 @@ def kernel_density(spec, x, y):
             raise InvalidDomain("tabulated values must match the grid shape")
     else:
         raise NotApplicable(f"{spec.family} has no pointwise density")
-    if not np.all(np.isfinite(vals)):
+    # min and max propagate NaN: no N x N temporary for the finiteness test
+    vmin, vmax = vals.min(), vals.max()
+    if not (np.isfinite(vmin) and np.isfinite(vmax)):
         raise NegativeDensity("density evaluated to a non-finite value")
-    if vals.min() < 0:
+    if vmin < 0:
         raise NegativeDensity("density evaluated below zero")
     return vals
 
@@ -502,7 +530,7 @@ def check_h2_reachability(op):
     keep = op.nonescape_indices()
     if keep.size == 0:
         raise AllNodesEscape("no non-escape nodes")
-    adj = (op.matrix > ESCAPE_TOL_DEFAULT)[np.ix_(keep, keep)]
+    adj = (op.matrix > ESCAPE_TOL_DEFAULT)[keep][:, keep]
     # strongly connected components: peel off forward & backward reach
     unseen = np.ones(len(keep), dtype=bool)
     periods = []   # from each forward search: the graph period when there is one class

@@ -121,7 +121,7 @@ def _communicating_ok(q):
     alive = np.flatnonzero(q.sum(axis=1) > 0)
     if alive.size == 0:
         return False
-    adj = q[np.ix_(alive, alive)] > 0
+    adj = (q > 0)[alive][:, alive]
     reach = adj.astype(np.float32)
     k = 1
     while k < alive.size:
