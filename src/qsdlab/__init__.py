@@ -43,9 +43,7 @@ from .simulate import (
     simulate_batch,
 )
 from .spectral import (
-    DiracDecomposition,
     SpectralData,
-    dirac_decomposition,
     peripheral_spectrum,
     spectral_radius,
     subdominant_rate,

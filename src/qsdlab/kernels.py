@@ -78,10 +78,6 @@ class StateGrid:
             raise InvalidDomain("weights must be nonnegative with positive total")
 
     @property
-    def size(self):
-        return self.nodes.size
-
-    @property
     def step(self):
         """Mesh width; uniform for the built-in grids."""
         return float(np.diff(self.nodes).max())
@@ -109,7 +105,8 @@ class KernelSpec:
     needs ``domain`` and ``grid_size``.  An explicit chain's matrix is checked
     here, once, and kept as the read-only copy ``matrix`` that every reader
     uses; its n states fix ``domain`` = (0, max(n - 1, 1)) and ``grid_size`` =
-    n, and any other value, or a non-default quadrature, raises InvalidDomain.
+    n, and any other value raises InvalidDomain.  A density family is sampled
+    on the trapezoid grid of ``grid_size`` equispaced nodes.
     """
 
     _: KW_ONLY
@@ -117,7 +114,6 @@ class KernelSpec:
     family: str
     params: dict = field(default_factory=dict)
     grid_size: Optional[int] = None
-    quadrature: str = "trapezoid"
     name: Optional[str] = None
     matrix: Optional[np.ndarray] = field(default=None, init=False, compare=False, repr=False)
 
@@ -146,10 +142,6 @@ class KernelSpec:
             if self.grid_size < 2:
                 raise InvalidDomain("grid_size must be >= 2")
             self._check_params()
-        if self.quadrature not in ("trapezoid", "ulam"):
-            raise InvalidDomain(f"unknown quadrature {self.quadrature!r}")
-        if self.is_explicit and self.quadrature != "trapezoid":
-            raise InvalidDomain("quadrature does not apply to an explicit chain")
 
     def _check_params(self):
         """Scalars finite reals (not bool), widths positive, a finite N x N table."""
@@ -196,9 +188,6 @@ class DiscreteOperator:
     @property
     def size(self):
         return self.matrix.shape[0]
-
-    def row_masses(self):
-        return self.matrix.sum(axis=1)
 
     def nonescape_indices(self):
         return np.array(sorted(set(range(self.size)) - self.escape), dtype=int)
@@ -329,35 +318,14 @@ def analytic_row_mass(spec, x):
 
 
 def _quadrature_grid(spec):
+    """The trapezoid grid: ``grid_size`` equispaced nodes, end weights halved."""
     lo, hi = spec.domain
     n = spec.grid_size
-    if spec.quadrature == "trapezoid":
-        nodes = np.linspace(lo, hi, n)
-        h = (hi - lo) / (n - 1)
-        weights = np.full(n, h)
-        weights[0] = weights[-1] = h / 2
-    else:  # ulam: one cell per node, node at the cell center
-        h = (hi - lo) / n
-        nodes = lo + h * (np.arange(n) + 0.5)
-        weights = np.full(n, h)
+    nodes = np.linspace(lo, hi, n)
+    h = (hi - lo) / (n - 1)
+    weights = np.full(n, h)
+    weights[0] = weights[-1] = h / 2
     return StateGrid(lo, hi, nodes, weights)
-
-
-def _ulam_average_density(spec, grid):
-    """Cell-averaged density: mean of g over 4 x 4 points per cell pair.
-
-    Point sampling at cell centers loses partial-cell overlaps of narrow
-    window tails (breaking reachability near the domain corners), so the
-    Ulam variant averages the density over each cell in both arguments.
-    """
-    lo, hi = spec.domain
-    n = spec.grid_size
-    h = (hi - lo) / n
-    sub = 4
-    offsets = (np.arange(sub) + 0.5) / sub * h - h / 2
-    pts = (grid.nodes[:, None] + offsets[None, :]).ravel()
-    dens = kernel_density(spec, pts, pts)
-    return dens.reshape(n, sub, n, sub).mean(axis=(1, 3))
 
 
 def _explicit_matrix(value):
@@ -396,19 +364,22 @@ def build_operator(spec):
         grid = StateGrid(*spec.domain, np.arange(n, dtype=float), np.ones(n))
     else:
         grid = _quadrature_grid(spec)
-        if spec.quadrature == "ulam" and spec.family != "tabulated":
-            dens = _ulam_average_density(spec, grid)
-        else:
-            dens = kernel_density(spec, grid.nodes, grid.nodes)
-        matrix = dens
+        matrix = kernel_density(spec, grid.nodes, grid.nodes)
         matrix *= grid.weights[None, :]
     return DiscreteOperator(grid=grid, matrix=matrix,
                             escape=_detect(matrix, ESCAPE_TOL_DEFAULT), spec=spec)
 
 
 def _detect(matrix, tol):
-    """The escape nodes: the frozenset of rows whose mass is at most ``tol``."""
-    return frozenset(int(i) for i in np.flatnonzero(matrix.sum(axis=1) <= tol))
+    """The escape nodes: the frozenset of rows whose mass is at most ``tol``.
+
+    A row mass that is not finite (finite densities whose product with the
+    weights overflows) raises InvalidDomain.
+    """
+    rows = matrix.sum(axis=1)
+    if not np.isfinite(rows).all():
+        raise InvalidDomain("row masses overflow: the density times the weights is not finite")
+    return frozenset(int(i) for i in np.flatnonzero(rows <= tol))
 
 
 # ---------------------------------------------------------------------------
@@ -424,9 +395,6 @@ class ModulusReport:
     probes: int
     grid_step: float
     verdict: str  # PASS | FAIL
-
-    def table(self):
-        return list(zip(self.deltas.tolist(), self.sup_distances.tolist()))
 
 
 def check_h1_modulus(spec):

@@ -6,7 +6,6 @@ with :mod:`qsdlab.spectral` beyond the LAPACK backend.  Single-threaded,
 capped at 50 states, determinism over speed.
 """
 
-import math
 from dataclasses import dataclass
 
 import numpy as np

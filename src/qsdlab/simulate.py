@@ -111,7 +111,6 @@ class TrajectoryBatch:
     running test-function sums are kept for survivors only.
     """
 
-    seed: int
     n_steps: int
     start: float
     n_paths: int
@@ -123,7 +122,6 @@ class TrajectoryBatch:
 
 @dataclass(frozen=True)
 class ConditionedEstimate:
-    kind: str               # "yaglom_histogram" | "birkhoff_average"
     value: object           # histogram array or scalar
     stderr: float
     effective_samples: int
@@ -215,7 +213,7 @@ def simulate_batch(spec, x0, n, n_paths, seed=0, h=None):
 
     terminal_states = np.concatenate(terminals)
     return TrajectoryBatch(
-        seed=seed, n_steps=n, start=x0, n_paths=n_paths,
+        n_steps=n, start=x0, n_paths=n_paths,
         survivor_count=terminal_states.size,
         terminal_states=terminal_states,
         running_sums=np.concatenate(sums) if sums is not None else None,
@@ -224,12 +222,16 @@ def simulate_batch(spec, x0, n, n_paths, seed=0, h=None):
 
 
 def check_budget(n, n_paths, lam_hint):
-    """Warn when fewer than 1000 paths are expected to survive n steps."""
+    """Warn when fewer than 1000 paths are expected to survive n steps.
+
+    The expectation n_paths * lam_hint**n is compared in log space, so no
+    lam_hint > 0 overflows it.
+    """
     if lam_hint is not None:
-        expected = n_paths * lam_hint ** n
-        if expected < 1000:
+        log_expected = math.log(n_paths) + n * math.log(lam_hint)
+        if log_expected < math.log(1000):
             warnings.warn(
-                f"expected survivors {expected:.1f} < 1000 at n={n}; "
+                f"expected survivors {math.exp(log_expected):.1f} < 1000 at n={n}; "
                 "increase n_paths or lower n", stacklevel=3)
 
 
@@ -263,7 +265,7 @@ def summarize_yaglom(batch, spec, grid=None):
             raise ValueError("grid required to bin continuous samples")
         counts = bin_to_grid(batch.terminal_states, grid)
     hist = counts / counts.sum()
-    return ConditionedEstimate(kind="yaglom_histogram", value=hist,
+    return ConditionedEstimate(value=hist,
                                stderr=1.0 / math.sqrt(ns), effective_samples=ns)
 
 
@@ -282,7 +284,7 @@ def summarize_birkhoff(batch):
     vals = batch.running_sums / n
     mean = float(vals.mean())
     sd = float(vals.std(ddof=1)) if ns > 1 else float("inf")
-    return ConditionedEstimate(kind="birkhoff_average", value=mean,
+    return ConditionedEstimate(value=mean,
                                stderr=sd / math.sqrt(ns), effective_samples=ns)
 
 

@@ -6,18 +6,17 @@ Schema (all other top-level keys are a hard error)::
       "schema_version": 1,            # optional, must be 1 if present
       "name": "...",                  # optional
       "domain": [lower, upper],       # required for density families
-      "measure": "lebesgue",          # optional, the only reference measure
       "family": "affine_uniform" | "cubic_uniform" | "gaussian_shift"
                 | "tabulated" | "explicit_matrix",
       "params": {...},                # every parameter of the family, no other;
                                       # matrices as nested lists
-      "grid_size": N,                 # required for density families
-      "quadrature": "trapezoid"       # optional: or "ulam"
+      "grid_size": N                  # required for density families
     }
 
-An ``explicit_matrix`` document takes none of ``domain``, ``measure``,
-``grid_size`` and ``quadrature``: its states are the matrix rows.  Any value
-``KernelSpec`` refuses, a bad matrix too, is reported as a SchemaError.
+The reference measure is Lebesgue and the quadrature the trapezoid rule;
+neither is a key.  An ``explicit_matrix`` document takes neither ``domain``
+nor ``grid_size``: its states are the matrix rows.  Any value ``KernelSpec``
+refuses, a bad matrix too, is reported as a SchemaError.
 """
 
 import json
@@ -26,8 +25,7 @@ import operator
 from .errors import SchemaError
 from .kernels import ALL_FAMILIES, KernelSpec
 
-_ALLOWED_KEYS = {"schema_version", "name", "domain", "measure", "family",
-                 "params", "grid_size", "quadrature"}
+_ALLOWED_KEYS = {"schema_version", "name", "domain", "family", "params", "grid_size"}
 
 
 def _number(value, what):
@@ -51,12 +49,10 @@ def spec_from_dict(doc):
     params = doc.get("params", {})
     if not isinstance(params, dict):
         raise SchemaError("params must be an object")
-    if doc.get("measure", "lebesgue") != "lebesgue":
-        raise SchemaError(f"unknown measure {doc['measure']!r}")
 
     domain = grid_size = None   # an explicit chain's come from its matrix
     if family == "explicit_matrix":
-        ignored = {"domain", "grid_size", "quadrature", "measure"} & set(doc)
+        ignored = {"domain", "grid_size"} & set(doc)
         if ignored:
             raise SchemaError(f"fields {sorted(ignored)} do not apply to explicit_matrix")
         if not isinstance(params.get("matrix"), list):
@@ -77,8 +73,7 @@ def spec_from_dict(doc):
 
     try:
         return KernelSpec(domain=domain, family=family, params=params,
-                          grid_size=grid_size, quadrature=doc.get("quadrature", "trapezoid"),
-                          name=doc.get("name"))
+                          grid_size=grid_size, name=doc.get("name"))
     except Exception as exc:
         raise SchemaError(str(exc)) from exc
 
@@ -94,8 +89,6 @@ def spec_to_dict(spec):
     if not spec.is_explicit:
         doc["domain"] = [spec.domain[0], spec.domain[1]]
         doc["grid_size"] = spec.grid_size
-        if spec.quadrature != "trapezoid":
-            doc["quadrature"] = spec.quadrature
     return doc
 
 

@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import (
     DefectiveMatrix,
-    EscapeNode,
     NonConvergent,
     NoSpectralGapWithinTol,
     PeriodMismatch,
@@ -54,7 +53,6 @@ class SpectralData:
     lam: float
     period_m: int
     eigenvalues: np.ndarray        # snapped peripheral eigenvalues, j = 0..m-1
-    raw_eigenvalues: np.ndarray    # as returned by the eigensolve
     right_eigs: np.ndarray         # shape (m, n) complex
     left_eigs: np.ndarray          # shape (m, n) complex
     subdominant_radius: float
@@ -387,56 +385,16 @@ def peripheral_spectrum(op, reach=None):
                       for j in range(m)])
     res_l = np.array([variation_norm(_matmul(left[j], op.matrix) - snapped_vals[j] * left[j])
                       for j in range(m)])
-    if res_r[0] > 1e-10 * np.abs(right[0]).max() or res_l[0] > 1e-10 * lam:
+    if not (res_r[0] <= 1e-10 * np.abs(right[0]).max() and res_l[0] <= 1e-10 * lam):  # or NaN
         raise NonConvergent(f"eigen residuals too large: {res_r[0]:.2e}, {res_l[0]:.2e}")
     biorth = np.array([[left[j] @ right[k] for k in range(m)] for j in range(m)])
     if np.abs(biorth - np.eye(m)).max() > 1e-8:
         raise DefectiveMatrix("biorthogonalization failed beyond 1e-8")
 
-    raw = ev[at_slot]
     return SpectralData(
-        lam=lam, period_m=m, eigenvalues=snapped_vals, raw_eigenvalues=raw,
+        lam=lam, period_m=m, eigenvalues=snapped_vals,
         right_eigs=right, left_eigs=left, subdominant_radius=sub,
         residuals_right=res_r, residuals_left=res_l, reach=reach, op=op,
-    )
-
-
-@dataclass(frozen=True)
-class DiracDecomposition:
-    """Split of a point mass into peripheral eigenmeasures plus remainder.
-
-    ``coefficients[j] = f_j(node)`` and the remainder
-    ``nu = delta_node - sum_j f_j(node) mu_j`` carries everything that decays
-    strictly faster than lam^n; ``decay_curve[k] = ||nu A^k|| / lam^k`` in the
-    full variation norm.
-    """
-
-    point_index: int
-    coefficients: np.ndarray
-    remainder: np.ndarray
-    residual_norm: float
-    decay_curve: np.ndarray
-
-
-def dirac_decomposition(sd, op, node, horizon):
-    """Decompose the point mass at ``node`` against the peripheral eigenpairs."""
-    if node in op.escape:
-        raise EscapeNode(f"node {node} is in the escape set")
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    m, n = sd.period_m, op.size
-    coeff = np.array([sd.right_eigs[j][node] for j in range(m)])
-    delta = np.zeros(n)
-    delta[node] = 1.0
-    nu_c = delta.astype(complex) - coeff @ sd.left_eigs
-    if np.abs(nu_c.imag).max() > 1e-10:
-        raise DefectiveMatrix("Dirac remainder came out non-real")
-    nu = nu_c.real.copy()
-    rows, _ = _orbit(op.matrix, nu, horizon, scale=lambda w: sd.lam)
-    curve = np.abs(np.vstack([nu, rows])).sum(axis=1)
-    return DiracDecomposition(
-        point_index=int(node), coefficients=coeff, remainder=nu,
-        residual_norm=float(variation_norm(nu)), decay_curve=curve,
     )
 
 

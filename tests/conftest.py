@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import qsdlab as q
+from qsdlab import spectral
 
 
 @pytest.fixture(scope="session")
@@ -20,6 +21,20 @@ def ops():
 def sds(ops):
     """Peripheral spectra for the session operators."""
     return {name: q.peripheral_spectrum(op) for name, op in ops.items()}
+
+
+def perron_values(monkeypatch):
+    """Spy on ``spectral._eigenvalues``: the slot-0 (Perron) value of each call's eigenvalues."""
+    real, values = spectral._eigenvalues, []
+
+    def eigenvalues(matrix, period):
+        out = real(matrix, period)
+        band, slots, _ = spectral._band_slots(out[0])
+        values.append(complex(out[0][band[slots == 0][0]]))
+        return out
+
+    monkeypatch.setattr(spectral, "_eigenvalues", eigenvalues)
+    return values
 
 
 def delta_at(op, x0):

@@ -51,21 +51,7 @@ def ref_density(spec, x, y):
 
 def ref_matrix(spec):
     grid = _quadrature_grid(spec)
-    if spec.quadrature == "ulam" and spec.family != "tabulated":
-        n, sub = spec.grid_size, 4
-        h = (spec.domain[1] - spec.domain[0]) / n
-        offsets = (np.arange(sub) + 0.5) / sub * h - h / 2
-        pts = (grid.nodes[:, None] + offsets[None, :]).ravel()
-        dens = ref_density(spec, pts, pts).reshape(n, sub, n, sub).mean(axis=(1, 3))
-    else:
-        dens = ref_density(spec, grid.nodes, grid.nodes)
-    return dens * grid.weights[None, :]
-
-
-def _ulam(name, n):
-    spec = q.get_spec(name, grid_size=n)
-    return KernelSpec(domain=spec.domain, family=spec.family, params=spec.params,
-                      grid_size=n, quadrature="ulam")
+    return ref_density(spec, grid.nodes, grid.nodes) * grid.weights[None, :]
 
 
 SPECS = {
@@ -74,8 +60,6 @@ SPECS = {
     "example21@400": q.get_spec("example21", grid_size=400),
     "example22cubic@801": q.get_spec("example22cubic", grid_size=801),
     "example23gauss@801": q.get_spec("example23gauss", grid_size=801),
-    "example21-ulam@100": _ulam("example21", 100),
-    "example22cubic-ulam@101": _ulam("example22cubic", 101),
     "example23gauss-sigma0.3@301": KernelSpec(domain=(-1.0, 1.0), family="gaussian_shift",
                                               params={"sigma": 0.3}, grid_size=301),
 }

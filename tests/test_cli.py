@@ -15,7 +15,7 @@ from qsdlab import cli, spectral
 from qsdlab.cli import main
 from qsdlab.errors import InvalidDomain, SchemaError
 from qsdlab.kernels import KernelSpec
-from qsdlab.specfile import dump_spec, load_spec, spec_from_dict, spec_to_dict
+from qsdlab.specfile import dump_spec, load_spec, spec_from_dict
 
 
 # -- spec files ---------------------------------------------------------------
@@ -55,15 +55,12 @@ def test_missing_file_is_schema_error():
 
 
 def test_unscaled_measure_with_a_scale_is_refused():
-    # Lebesgue is the only reference measure: a scale given with it is refused,
-    # not dropped
-    with pytest.raises(SchemaError, match="unknown measure"):
-        spec_from_dict({"family": "gaussian_shift", "domain": [0, 1], "grid_size": 11,
-                        "params": {"sigma": 1.0},
-                        "measure": {"name": "lebesgue", "scale": 2.0}})
-    spec = spec_from_dict({"family": "gaussian_shift", "domain": [0, 1], "grid_size": 11,
-                           "params": {"sigma": 1.0}, "measure": "lebesgue"})
-    assert "measure" not in spec_to_dict(spec)
+    # Lebesgue is the only reference measure and no key names it: a measure
+    # field, with a scale or without, is refused, not dropped
+    for measure in ({"name": "lebesgue", "scale": 2.0}, "lebesgue"):
+        with pytest.raises(SchemaError, match=re.escape("unknown fields ['measure']")):
+            spec_from_dict({"family": "gaussian_shift", "domain": [0, 1], "grid_size": 11,
+                            "params": {"sigma": 1.0}, "measure": measure})
 
 
 # -- CLI ----------------------------------------------------------------------
@@ -402,7 +399,7 @@ _TABLE = {"family": "tabulated", "domain": [0, 1], "grid_size": 2,
     ({**_GAUSS, "grid_size": 2.7}, "SchemaError: grid_size must be an integer"),
     ({**_GAUSS, "domain": ["a", 1]}, "SchemaError: domain bound must be a number"),
     ({**_GAUSS, "measure": {"name": "lebesgue_scaled", "scale": 2.0}},
-     "SchemaError: unknown measure"),
+     "SchemaError: unknown fields ['measure']"),
     ({"family": "explicit_matrix", "params": {"matrix": 5}},
      "SchemaError: explicit_matrix needs params.matrix"),
     pytest.param({"family": "explicit_matrix", "params": {"matrix": [[0.5, "a"], [0.2, 0.3]]}},
@@ -442,12 +439,12 @@ _TABLE = {"family": "tabulated", "domain": [0, 1], "grid_size": 2,
     ({"family": "explicit_matrix", "params": {"matrix": [[0.5]]}, "grid_size": 1},
      "SchemaError: fields ['grid_size'] do not apply to explicit_matrix"),
     ({"family": "explicit_matrix", "params": {"matrix": [[0.5]]}, "quadrature": "trapezoid"},
-     "SchemaError: fields ['quadrature'] do not apply to explicit_matrix"),
+     "SchemaError: unknown fields ['quadrature']"),
     ({"family": "explicit_matrix", "params": {"matrix": [[0.5]]}, "measure": "lebesgue"},
-     "SchemaError: fields ['measure'] do not apply to explicit_matrix"),
+     "SchemaError: unknown fields ['measure']"),
     ({"family": "explicit_matrix", "params": {"matrix": [[0.5]]},
       "quadrature": "ulam", "domain": [5, 9], "grid_size": 77},
-     "SchemaError: fields ['domain', 'grid_size', 'quadrature'] do not apply to explicit_matrix"),
+     "SchemaError: unknown fields ['quadrature']"),
 ])
 def test_malformed_spec_file_exits_2(tmp_path, capsys, doc, error):
     spec = tmp_path / "bad.json"
@@ -458,10 +455,11 @@ def test_malformed_spec_file_exits_2(tmp_path, capsys, doc, error):
     assert not (tmp_path / "o").exists()
 
 
-def test_kernel_spec_explicit_chain_rejects_quadrature():
-    with pytest.raises(InvalidDomain, match="quadrature does not apply to an explicit chain"):
-        KernelSpec(family="explicit_matrix",
-                   params={"matrix": [[0.5, 0.25], [0.25, 0.5]]}, quadrature="ulam")
+def test_kernel_spec_takes_no_quadrature():
+    # the trapezoid rule is the one quadrature: there is no field to set
+    with pytest.raises(TypeError):
+        KernelSpec(domain=(0, 1), family="gaussian_shift", params={"sigma": 1.0},
+                   grid_size=11, quadrature="trapezoid")
 
 
 @pytest.mark.parametrize("doc,note", [
@@ -672,3 +670,28 @@ def test_cyclic_classes_do_not_depend_on_the_eigenfunction_size(tmp_path):
     mu, _, lam, m = q.exact_qsd_qed(q.FiniteChain(Q=np.array(matrix)))
     assert m == 2 and abs(doc["lambda"] - lam) <= 1e-12
     assert np.abs(np.array(doc["qsd"]) - mu).max() <= 1e-9
+
+
+def test_simulate_survival_rate_beyond_float_range_runs(tmp_path, capsys):
+    # lambda is about 2.5e199, so n_paths * lambda**3 overflows a float: the
+    # survivor budget is compared in log space
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"family": "cubic_uniform", "domain": [-1e200, 1e200],
+                                "grid_size": 5, "params": {"noise_halfwidth": 1.0}}))
+    out = tmp_path / "s"
+    assert main(["simulate", "--spec", str(path), "--n", "3", "--n-paths", "2000",
+                 "--out", str(out)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert (out / "estimates.csv").exists()
+
+
+@pytest.mark.parametrize("cmd", ["analyze", "verify-hypothesis", "yaglom", "simulate"])
+def test_weighted_matrix_overflow_exits_2(tmp_path, capsys, cmd):
+    # finite table values times the quadrature weights (5e11) overflow
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"family": "tabulated", "domain": [0, 1e12], "grid_size": 3,
+                                "params": {"values": [[1e300] * 3] * 3}}))
+    assert main([cmd, "--spec", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "InvalidDomain: row masses overflow" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()

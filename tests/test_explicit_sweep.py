@@ -1,10 +1,11 @@
-"""Explicit spec files of 1-8 states through every subcommand of the CLI.
+"""Drawn spec files through every subcommand of the CLI.
 
-Whatever the chain, a run exits 0 (answered), 2 (refused input) or 3
-(numerical refusal), never with an uncaught exception; a refused run leaves
-no output directory, and no file that an answered run writes holds NaN.
-Infinity is allowed: it is the rate of a chain whose conditioned law settles
-at once.
+Explicit chains of 1-8 states, and documents of the four density families
+with domains, parameters and tables from 1e-300 to 1e300 in size.  Whatever
+the document, a run exits 0 (answered), 2 (refused input) or 3 (numerical
+refusal), never with an uncaught exception; a refused run leaves no output
+directory, and no file that an answered run writes holds NaN.  Infinity is
+allowed: it is the rate of a chain whose conditioned law settles at once.
 """
 
 import contextlib
@@ -15,7 +16,7 @@ import re
 import tempfile
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qsdlab.cli import main
@@ -25,6 +26,13 @@ _ENTRY = st.one_of(st.just(0.0), st.sampled_from([5e-324, 1e-300, 1e-17]),
                    st.floats(0.01, 1.0))
 # what a malformed file puts in one entry
 _BAD_ENTRY = st.sampled_from(["a", None, float("nan"), float("inf"), -0.5, True])
+# a magnitude from 1e-300 to 1e300, or an ordinary one
+_SIZE = st.one_of(st.floats(0.05, 20.0), st.builds(lambda m, k: m * 10.0 ** k,
+                                                   st.floats(1.0, 9.99), st.integers(-300, 300)))
+_SIGNED = st.builds(lambda sign, x: sign * x, st.sampled_from([-1.0, 1.0]), _SIZE)
+# a tabulated density value: zero, dust, an ordinary value or an overflowing one
+_TABLE_ENTRY = st.one_of(st.just(0.0), st.sampled_from([5e-324, 1e-300, 1e-17, 1e300]),
+                         st.floats(0.01, 10.0))
 
 RUNS = [
     ["analyze"],
@@ -67,13 +75,30 @@ def explicit_documents(draw):
     return {"family": "explicit_matrix", "params": {"matrix": rows}}
 
 
-@settings(max_examples=200, deadline=None)
-@given(doc=explicit_documents(), data=st.data())
-def test_explicit_spec_files_exit_cleanly_without_nan(doc, data):
-    # lobo also starts from, and sums the indicator of, drawn states
-    states = st.integers(0, len(doc["params"]["matrix"]) - 1).map(str)
-    runs = RUNS + [["lobo", "--n-list", "5,10", "--x0", data.draw(states),
-                    "--h-state", data.draw(states)]]
+@st.composite
+def density_documents(draw):
+    family = draw(st.sampled_from(["affine_uniform", "cubic_uniform", "gaussian_shift",
+                                   "tabulated"]))
+    lower = draw(st.one_of(st.just(0.0), _SIGNED))
+    domain = [lower, lower + draw(_SIZE)]     # the width may round away: lower == upper
+    if not draw(st.integers(0, 7)):
+        domain.reverse()
+    size = draw(st.integers(2, 6 if family == "tabulated" else 40))
+    if family == "affine_uniform":
+        params = {"a": draw(_SIGNED), "b": draw(st.one_of(st.just(0.0), _SIGNED)),
+                  "noise_halfwidth": draw(_SIZE)}
+    elif family == "cubic_uniform":
+        params = {"noise_halfwidth": draw(_SIZE)}
+    elif family == "gaussian_shift":
+        params = {"sigma": draw(_SIZE)}
+    else:
+        params = {"values": [draw(st.lists(_TABLE_ENTRY, min_size=size, max_size=size))
+                             for _ in range(size)]}
+    return {"family": family, "domain": domain, "grid_size": size, "params": params}
+
+
+def check_runs(doc, runs):
+    """Run the document through each subcommand: a clean exit, and no NaN in any answer."""
     with tempfile.TemporaryDirectory() as tmp:
         spec = os.path.join(tmp, "chain.json")
         with open(spec, "w") as fp:
@@ -92,3 +117,24 @@ def test_explicit_spec_files_exit_cleanly_without_nan(doc, data):
                 with open(os.path.join(out, name)) as fp:
                     text = fp.read()
                 assert not re.search(r"\bnan\b", text, re.IGNORECASE), (run, name)
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=explicit_documents(), data=st.data())
+def test_explicit_spec_files_exit_cleanly_without_nan(doc, data):
+    # lobo also starts from, and sums the indicator of, drawn states
+    states = st.integers(0, len(doc["params"]["matrix"]) - 1).map(str)
+    check_runs(doc, RUNS + [["lobo", "--n-list", "5,10", "--x0", data.draw(states),
+                             "--h-state", data.draw(states)]])
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=density_documents())
+# the inverse iteration overflows to a NaN Perron pair: refused, not reported
+@example(doc={"family": "tabulated", "domain": [0, 1e8], "grid_size": 2,
+              "params": {"values": [[0, 0], [1e300, 0.01]]}})
+# lambda**2 overflows in the check of the cyclic class scalings
+@example(doc={"family": "tabulated", "domain": [0, 1e-100], "grid_size": 2,
+              "params": {"values": [[0, 3e300], [3e300, 0]]}})
+def test_density_spec_files_exit_cleanly_without_nan(doc):
+    check_runs(doc, RUNS)

@@ -3,8 +3,8 @@
 The reference functions below are the hand-written power loops that
 ``spectral._orbit`` replaced, kept verbatim so every output derived from
 powers of A can be checked bit for bit against them: the conditioned laws
-and their survivor masses, both rate-fit curves, the Dirac decay curve and
-the survivor-mass sups.
+and their survivor masses, both rate-fit curves and the survivor-mass
+sups.
 """
 
 import math
@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import qsdlab as q
 from qsdlab.errors import MassExtinct, NeverSubunit, QsdlabError
 from qsdlab.kernels import KernelSpec, build_operator
-from qsdlab.measures import tv_distance, variation_norm
+from qsdlab.measures import tv_distance
 
 
 # -- reference loops -----------------------------------------------------------
@@ -56,16 +56,6 @@ def ref_cesaro_ds(op, nu0, n_max, target):
         running += nu
         ds[k - 1] = tv_distance(running / k, target)
     return np.column_stack([np.arange(1, n_max + 1), ds])
-
-
-def ref_decay_curve(op, lam, nu, horizon):
-    curve = np.empty(horizon + 1)
-    v = nu.copy()
-    curve[0] = variation_norm(v)
-    for k in range(1, horizon + 1):
-        v = (v @ op.matrix) / lam
-        curve[k] = variation_norm(v)
-    return curve
 
 
 def ref_sup_masses(op, n_max=60):
@@ -118,8 +108,8 @@ def check_loops(op, nu0, n=40):
         assert _same(decay.sup_masses, ref)
 
 
-def check_spectral_loops(sd, nu0, horizon=50):
-    """Rate-fit curves and the Dirac decay curve against the references."""
+def check_spectral_loops(sd, nu0):
+    """Rate-fit curves against the references."""
     op = sd.op
     if sd.period_m == 1:
         fit = _outcome(q.fit_yaglom_rate, op, nu0, n_max=120, sd=sd)
@@ -133,10 +123,6 @@ def check_spectral_loops(sd, nu0, horizon=50):
             if not isinstance(fit, type):
                 target = part.cyclic_mean_measure()
                 assert _same(fit.data, ref_cesaro_ds(op, nu0, 120, target))
-    node = int(np.flatnonzero(nu0)[0])
-    dec = _outcome(q.dirac_decomposition, sd, op, node, horizon)
-    if not isinstance(dec, type):
-        assert _same(dec.decay_curve, ref_decay_curve(op, sd.lam, dec.remainder, horizon))
 
 
 SESSION_OPS = ["sym2", "cycle2", "cycle3", "ds3",

@@ -53,7 +53,7 @@ def test_survival_rate_identity(sds):
     for name in ("sym2", "cycle2", "ds3", "example22_201"):
         sd = sds[name]
         mu, lam = q.quasi_stationary_measure(sd)
-        assert abs(lam - float(mu @ sd.op.row_masses())) <= 1e-10
+        assert abs(lam - float(mu @ sd.op.matrix.sum(axis=1))) <= 1e-10
 
 
 # -- quasi-ergodic measure ----------------------------------------------------
@@ -351,14 +351,12 @@ def test_mass_decay_sym2(sds):
     rep = q.mass_decay_check(sds["sym2"].op, n_max=40)
     assert rep.n0 == 1
     assert rep.alpha == pytest.approx(0.75, abs=1e-12)
-    assert rep.envelope_ok
 
 
 def test_mass_decay_example22_exact_third(sds):
     rep = q.mass_decay_check(sds["example22_201"].op, n_max=30)
     assert rep.n0 == 1
     assert rep.alpha == pytest.approx(1.0 / 3.0, abs=1e-10)
-    assert rep.envelope_ok
 
 
 def test_mass_decay_row_stochastic_never_subunit():

@@ -6,9 +6,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import qsdlab as q
+from conftest import perron_values
 from qsdlab import spectral
 from qsdlab.errors import (
-    EscapeNode,
     IllConditionedEigenbasis,
     NonConvergent,
     NoSpectralGapWithinTol,
@@ -18,7 +18,6 @@ from qsdlab.errors import (
     TolTooLoose,
 )
 from qsdlab.kernels import KernelSpec, build_operator
-from qsdlab.measures import variation_norm
 from qsdlab.oracle import FiniteChain, exact_qsd_qed
 
 
@@ -132,12 +131,14 @@ def test_cyclic_pairs_twist_the_perron_pair_by_the_audit_classes(sds, monkeypatc
     real, values = spectral._inverse_iteration, []
     monkeypatch.setattr(spectral, "_inverse_iteration",
                         lambda a, beta: values.append(complex(beta)) or real(a, beta))
+    perron = perron_values(monkeypatch)
     ring = np.roll(np.eye(4), 1, axis=1) * np.array([[0.5], [0.7], [0.6], [0.9]])
     for op in (sds["cycle2"].op, sds["cycle3"].op, explicit(ring.tolist())):
         values.clear()
+        perron.clear()
         sd = q.peripheral_spectrum(op)
         m = sd.period_m
-        assert values == [complex(sd.raw_eigenvalues[0])] and m == sd.graph_period
+        assert values == perron and len(values) == 1 and m == sd.graph_period
         twist = np.exp(2j * math.pi * sd.reach.node_class / m)
         for j in range(m):
             assert np.abs(sd.right_eigs[j] - twist ** j * sd.f0).max() <= 1e-12 * sd.f0.max()
@@ -290,47 +291,6 @@ def test_adjoint_consistency(n, seed):
     lhs = (nu @ a) @ phi
     rhs = nu @ (a @ phi)
     assert lhs == pytest.approx(rhs, rel=1e-14, abs=1e-14)
-
-
-# -- Dirac decomposition ------------------------------------------------------
-
-def test_dirac_sym2_hand_values(sds):
-    sd = sds["sym2"]
-    dd = q.dirac_decomposition(sd, sd.op, node=0, horizon=12)
-    # delta_0 - f(0) mu = (0.5, -0.5): full variation 1, decays at (1/3)^n
-    assert dd.coefficients[0] == pytest.approx(1.0, abs=1e-12)
-    assert np.allclose(dd.remainder, [0.5, -0.5], atol=1e-12)
-    assert dd.residual_norm == pytest.approx(1.0, abs=1e-12)
-    expect = (1.0 / 3.0) ** np.arange(13)
-    assert np.allclose(dd.decay_curve, expect, atol=1e-12)
-
-
-def test_dirac_bound_and_decay(sds):
-    for name in ("ds3", "example21_201"):
-        sd = sds[name]
-        node = int(sd.op.nonescape_indices()[1])
-        dd = q.dirac_decomposition(sd, sd.op, node=node, horizon=40)
-        bound = 1 + sum(np.abs(sd.right_eigs[j]).max() * variation_norm(sd.left_eigs[j])
-                        for j in range(sd.period_m))
-        assert dd.residual_norm <= bound + 1e-9
-        alpha = q.subdominant_rate(sd)
-        horizon = int(math.ceil(math.log(100) / alpha)) if math.isfinite(alpha) else 5
-        assert dd.decay_curve[min(horizon, 40)] <= 0.01 * dd.decay_curve[0] + 1e-12
-
-
-def test_dirac_cyclic_equal_moduli(sds):
-    sd = sds["cycle3"]
-    dd = q.dirac_decomposition(sd, sd.op, node=2, horizon=6)
-    mods = np.abs(dd.coefficients)
-    assert np.allclose(mods, mods[0], atol=1e-12)
-    # rank-3 matrix: the remainder dies after finitely many steps
-    assert dd.decay_curve[3] <= 1e-12
-
-
-def test_dirac_escape_node_refused(sds):
-    sd = sds["example21_201"]
-    with pytest.raises(EscapeNode):
-        q.dirac_decomposition(sd, sd.op, node=0, horizon=5)
 
 
 # -- subdominant rate ---------------------------------------------------------
