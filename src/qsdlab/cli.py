@@ -45,13 +45,13 @@ from .qsd import (
     MIN_N_MAX,
     cesaro_fit,
     cyclic_components,
-    default_n_max,
     fit_yaglom_rate,
     mass_decay_check,
     quasi_ergodic_measure,
     quasi_stationary_measure,
 )
 from .simulate import (
+    _mover,
     check_budget,
     check_start,
     simulate_batch,
@@ -110,9 +110,36 @@ def _rate_doc(fit):
             "passed": fit.passed}
 
 
-def _analysis_doc(spec, op, sd, n_max):
+def _analyze(args):
+    """The pipeline that analyze and yaglom share: solve, fit the rate, write the TV curve.
+
+    Returns the spec, the operator, the spectral data, the rate fit and the
+    cyclic partition (None on an aperiodic chain).
+    """
+    if args.n_max is not None and args.n_max < MIN_N_MAX:
+        raise ValidationError(f"--n-max must be at least {MIN_N_MAX}")
+    spec = _resolve_spec(args.spec, args.grid_size)
+    op = build_operator(spec)
+    sd = peripheral_spectrum(op)
+    nu0 = np.zeros(op.size)
+    if sd.period_m == 1:
+        # generic start: off-center, so symmetric kernels do not annihilate
+        # the odd modes (a center start can reach the limit law in one step)
+        keep = op.nonescape_indices()
+        nu0[keep[len(keep) // 4]] = 1.0
+        fit, part = fit_yaglom_rate(op, nu0, n_max=args.n_max, sd=sd), None
+    else:
+        part = cyclic_components(sd, op)
+        nu0[part.classes[0][0]] = 1.0
+        fit = cesaro_fit(op, nu0, n_max=args.n_max, sd=sd, partition=part)
+    _write_csv(os.path.join(args.out, "tv_curve.csv"), ["n", "tv"],
+               ([int(n), repr(float(tv))] for n, tv in fit.data))
+    return spec, op, sd, fit, part
+
+
+def cmd_analyze(args):
+    spec, op, sd, fit, part = _analyze(args)
     mu, lam = quasi_stationary_measure(sd)
-    eta = quasi_ergodic_measure(sd)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "spec": specfile.spec_to_dict(spec),
@@ -121,52 +148,15 @@ def _analysis_doc(spec, op, sd, n_max):
         "subdominant_radius": sd.subdominant_radius,
         "escape_indices": sorted(op.escape),
         "qsd": mu.tolist(),
-        "qed": eta.tolist(),
-        "classes": None,
-        "rates": {},
-        "decay": {},
+        "qed": quasi_ergodic_measure(sd).tolist(),
+        "classes": None if part is None else [list(c) for c in part.classes],
+        "rates": {"yaglom" if part is None else "cesaro": _rate_doc(fit)},
     }
-    nu0 = np.zeros(op.size)
-    if sd.period_m == 1:
-        # generic start: off-center, so symmetric kernels do not annihilate
-        # the odd modes (a center start can reach the limit law in one step)
-        keep = op.nonescape_indices()
-        nu0[keep[len(keep) // 4]] = 1.0
-        fit = fit_yaglom_rate(op, nu0, n_max=n_max, sd=sd)
-        doc["rates"]["yaglom"] = _rate_doc(fit)
-    else:
-        part = cyclic_components(sd, op)
-        doc["classes"] = [list(c) for c in part.classes]
-        nu0[part.classes[0][0]] = 1.0
-        fit = cesaro_fit(op, nu0, n_max=n_max, sd=sd, partition=part)
-        doc["rates"]["cesaro"] = _rate_doc(fit)
     try:
-        decay = mass_decay_check(op, n_max=min(n_max, 60))
+        decay = mass_decay_check(op, n_max=min(len(fit.data), 60))
         doc["decay"] = {"n0": decay.n0, "alpha": decay.alpha, "never_subunit": False}
     except NeverSubunit:
         doc["decay"] = {"n0": None, "alpha": None, "never_subunit": True}
-    return doc, fit
-
-
-def _analyze(args):
-    """The pipeline that analyze and yaglom share; writes the TV curve.
-
-    Returns the spectral data, the analysis document and the rate fit.
-    """
-    if args.n_max is not None and args.n_max < MIN_N_MAX:
-        raise ValidationError(f"--n-max must be at least {MIN_N_MAX}")
-    spec = _resolve_spec(args.spec, args.grid_size)
-    op = build_operator(spec)
-    sd = peripheral_spectrum(op)
-    n_max = default_n_max(op) if args.n_max is None else args.n_max
-    doc, fit = _analysis_doc(spec, op, sd, n_max)
-    _write_csv(os.path.join(args.out, "tv_curve.csv"), ["n", "tv"],
-               ([int(n), repr(float(tv))] for n, tv in fit.data))
-    return sd, doc, fit
-
-
-def cmd_analyze(args):
-    sd, doc, _ = _analyze(args)
     _write_json(doc, os.path.join(args.out, "analysis.json"), args.canonical)
     _write_json({"schema_version": SCHEMA_VERSION, **sd.to_json_dict()},
                 os.path.join(args.out, "spectral.json"), args.canonical)
@@ -204,8 +194,8 @@ def cmd_verify_hypothesis(args):
 
 
 def cmd_yaglom(args):
-    _, doc, fit = _analyze(args)
-    _write_json({"schema_version": SCHEMA_VERSION, "spec": doc["spec"],
+    spec, _, _, fit, _ = _analyze(args)
+    _write_json({"schema_version": SCHEMA_VERSION, "spec": specfile.spec_to_dict(spec),
                  "rate_fit": _rate_doc(fit)},
                 os.path.join(args.out, "yaglom.json"), args.canonical)
     return 0
@@ -222,6 +212,7 @@ def cmd_simulate(args):
     else:
         x0 = 0 if spec.is_explicit else float(np.mean(spec.domain))
     op = build_operator(spec)
+    _mover(spec)   # a family with no draw is refused before the eigensolve
     sd = peripheral_spectrum(op)
     mu, lam = quasi_stationary_measure(sd)
     if spec.is_explicit:
@@ -235,7 +226,7 @@ def cmd_simulate(args):
     check_budget(n, n_paths, lam)
     batch = simulate_batch(spec, x0, n, n_paths, seed=seed, h=h)
 
-    est = summarize_yaglom(batch, spec, grid=op.grid)
+    est = summarize_yaglom(batch, spec)
     tv = tv_distance(est.value, mu)
     est_b = summarize_birkhoff(batch)
     rows = [

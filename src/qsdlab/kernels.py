@@ -318,9 +318,11 @@ def analytic_row_mass(spec, x):
 
 
 def _quadrature_grid(spec):
-    """The trapezoid grid: ``grid_size`` equispaced nodes, end weights halved."""
+    """The spec's grid: states 0..n-1 of unit weight, or ``grid_size`` trapezoid nodes."""
     lo, hi = spec.domain
     n = spec.grid_size
+    if spec.is_explicit:
+        return StateGrid(lo, hi, np.arange(n, dtype=float), np.ones(n))
     nodes = np.linspace(lo, hi, n)
     h = (hi - lo) / (n - 1)
     weights = np.full(n, h)
@@ -358,12 +360,10 @@ def build_operator(spec):
     0..n-1 and unit weights; otherwise the density is sampled on the
     quadrature grid and multiplied by the weights column-wise.
     """
+    grid = _quadrature_grid(spec)
     if spec.is_explicit:
         matrix = spec.matrix
-        n = spec.grid_size
-        grid = StateGrid(*spec.domain, np.arange(n, dtype=float), np.ones(n))
     else:
-        grid = _quadrature_grid(spec)
         matrix = kernel_density(spec, grid.nodes, grid.nodes)
         matrix *= grid.weights[None, :]
     return DiscreteOperator(grid=grid, matrix=matrix,

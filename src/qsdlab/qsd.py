@@ -139,14 +139,13 @@ def _tv_rows(laws, q):
     return 0.5 * np.abs(laws - q).sum(axis=1)
 
 
-def default_n_max(op):
-    """Default horizon of the rate fits: 200 steps on explicit chains, else 120."""
-    return 200 if op.spec.is_explicit else 120
-
-
-def _check_n_max(n_max):
+def _horizon(op, n_max):
+    """The rate-fit horizon n_max; None is 200 steps on explicit chains, else 120."""
+    if n_max is None:
+        return 200 if op.spec.is_explicit else 120
     if n_max < MIN_N_MAX:
         raise ValidationError(f"n_max must be at least {MIN_N_MAX}, got {n_max}")
+    return n_max
 
 
 def _tail_points(values):
@@ -178,12 +177,10 @@ def fit_yaglom_rate(op, nu0, n_max=None, sd=None):
     r^2 >= 0.98.  A law with fewer than 3 points above the floor is reported
     at an infinite rate; it passes when the prediction leaves fewer than 3
     too, that is ``TV(1) <= TV_FIT_FLOOR exp(2 alpha)`` (always for a
-    rank-one chain, whose predicted rate is infinite).  An n_max below
-    MIN_N_MAX raises ValidationError.
+    rank-one chain, whose predicted rate is infinite).  n_max defaults to 200
+    steps on explicit chains, else 120; below MIN_N_MAX it raises ValidationError.
     """
-    if n_max is None:
-        n_max = default_n_max(op)
-    _check_n_max(n_max)
+    n_max = _horizon(op, n_max)
     sd = sd or peripheral_spectrum(op)
     if sd.period_m > 1:
         raise NotAperiodic("use cesaro_fit for cyclic chains")
@@ -251,17 +248,17 @@ def cyclic_components(sd, op):
                            generators=generators)
 
 
-def cesaro_fit(op, nu0, n_max=200, sd=None, partition=None):
+def cesaro_fit(op, nu0, n_max=None, sd=None, partition=None):
     """Check the O(1/n) convergence of the Cesaro-averaged conditioned law.
 
     The comparison measure is the equal-weight mean of the cyclic class
     measures, which is what the running average of the (perpetually
     oscillating) conditioned laws settles toward when started inside one
     class.  PASS requires n * TV to stay bounded over the tail with a trend
-    slope statistically <= 0.  An n_max below MIN_N_MAX raises
-    ValidationError.
+    slope statistically <= 0.  The horizon n_max defaults as in
+    ``fit_yaglom_rate``; one below MIN_N_MAX raises ValidationError.
     """
-    _check_n_max(n_max)
+    n_max = _horizon(op, n_max)
     sd = sd or peripheral_spectrum(op)
     if sd.period_m < 2:
         raise NotPeriodic("chain is aperiodic; use fit_yaglom_rate")

@@ -1,9 +1,10 @@
 """Direct simulation of the absorbed chain, conditioned by rejection.
 
 Paths are drawn from the kernel itself (random-map draw for the window and
-Gaussian families, inverse-CDF draw for finite chains) and every path that
-leaves the domain before the horizon is discarded; surviving paths estimate
-the conditioned law and conditioned time averages with no bias beyond the
+Gaussian families, inverse-CDF draw for finite chains: ``_mover`` decides,
+for the batch and the single step alike) and every path that leaves the
+domain before the horizon is discarded; surviving paths estimate the
+conditioned law and conditioned time averages with no bias beyond the
 finite horizon.
 
 Randomness is counter-based: a Philox generator keyed by (seed, chunk index)
@@ -16,15 +17,14 @@ The step loop keeps only the live paths of a chunk, in path order, in one
 state array and one running-sum array per chunk.  Each step walks them in
 blocks of ``BLOCK_SIZE`` live paths, small enough that a block's temporaries
 stay in cache.  For each block it adds the test function to the running sums,
-draws one variate per path, maps the draws to the next states (in place in
-the draw buffer for the density families; explicit chains use the
-inverse-CDF draw of ``sample_step``), and writes the survivors' states and
-sums back in place at a cursor that never passes the block's start.  The
-absorbed paths of the step go into the absorption-time histogram.  A step
-therefore costs in proportion to the paths still alive, and the draws a path
-receives do not depend on the block size.  One batch carries both the
-terminal states and the running sums of a test function, so the Yaglom and
-Birkhoff summaries can share one batch.
+draws one variate per path, moves the paths (the density families in place
+in the draw buffer), and writes the survivors' states and sums back in place
+at a cursor that never passes the block's start.  The absorbed paths of the
+step go into the absorption-time histogram.  A step therefore costs in
+proportion to the paths still alive, and the draws a path receives do not
+depend on the block size.  One batch carries both the terminal states and
+the running sums of a test function, so the Yaglom and Birkhoff summaries
+can share one batch.
 """
 
 import math
@@ -35,7 +35,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidDomain, NotApplicable, TooFewSurvivors
-from .kernels import _map_centers
+from .kernels import _map_centers, _quadrature_grid
 
 CHUNK_SIZE = 1 << 20  # fixed: changing it changes the stream layout
 BLOCK_SIZE = 1 << 16  # live paths per block of the step loop; not part of the stream layout
@@ -50,7 +50,7 @@ def _chunk_generator(seed, chunk_index):
 
 
 def _noise_to_moves(spec, x, u):
-    """Map uniform draws u in [0,1) to proposed next states from x, in place in u."""
+    """Map uniform draws u in [0,1) to next points from x, in place in u (window or Gaussian)."""
     p = spec.params
     if spec.family in ("affine_uniform", "cubic_uniform"):
         w = float(p["noise_halfwidth"])
@@ -59,47 +59,70 @@ def _noise_to_moves(spec, x, u):
         u *= w
         u += _map_centers(spec, x)
         return u
-    if spec.family == "gaussian_shift":
-        from scipy.special import ndtri
+    from scipy.special import ndtri
 
-        sigma = float(p["sigma"])
-        ndtri(u, out=u)
-        u *= sigma
-        u += x
-        return u
-    raise NotApplicable(f"cannot simulate family {spec.family!r}")
+    sigma = float(p["sigma"])
+    ndtri(u, out=u)
+    u *= sigma
+    u += x
+    return u
 
 
-def _inverse_cdf(cdf, state, u):
-    """Inverse-CDF draw on the rows ``cdf[state]`` of the cumulative row sums.
+def _inverse_cdf(cols, state, u):
+    """Inverse-CDF draw: per path, the count of its row's CDF values at or below u.
 
-    Counts the row's CDF values at or below u, one column at a time, so the
-    buckets are ``[cumsum(row)..., 1.0]``: a count equal to the number of
-    columns is the final bucket, absorption.  The count is kept in the
-    smallest unsigned type that holds the number of columns.
+    ``cols[j]`` is column j of the cumulative row sums; a count equal to the
+    number of columns is the final bucket, absorption.  Columns go in strips
+    of at most ``BLOCK_SIZE`` comparisons (one column for a full block, the
+    whole row for one path), counted in the smallest unsigned type that fits.
     """
-    nxt = np.zeros(np.shape(u), dtype=np.min_scalar_type(cdf.shape[1]))
-    for col in cdf.T:
-        nxt += u >= col[state]
+    nxt = np.zeros(u.shape, dtype=np.min_scalar_type(len(cols)))
+    width = BLOCK_SIZE // u.size or 1
+    for j in range(0, len(cols), width):
+        nxt += np.add.reduce(np.take(cols[j:j + width], state, axis=1) <= u,
+                             axis=0, dtype=nxt.dtype)
     return nxt
 
 
-def sample_step(spec, x, u):
-    """One transition from x driven by the uniform variate u.
+def _mover(spec, x=None):
+    """How the chain moves: the state dtype and ``move(s, u) -> (next, live)``, u in [0, 1].
 
-    Random-map families move by ``f_omega(x)`` with omega the inverse-CDF
-    image of u and absorb when the image leaves the domain.  Explicit chains
-    take the inverse-CDF draw of ``simulate_batch`` on row x alone: the count
-    of the row's CDF values at or below u.
-    Returns the new state, or the ABSORBED sentinel.
+    Explicit chains take the inverse-CDF draw, and a known start x forms only
+    its own row's CDF.  The window and Gaussian families take their random
+    map and live while ``lo <= y <= hi``, which also absorbs NaN.  Any other
+    family has no draw: NotApplicable.
     """
     if spec.is_explicit:
-        j = int(np.count_nonzero(np.cumsum(spec.matrix[int(x)]) <= u))
-        return ABSORBED if j >= spec.grid_size else j
+        first, rows = (0, spec.matrix) if x is None else (x, spec.matrix[x:x + 1])
+        cols = np.ascontiguousarray(np.cumsum(rows, axis=1).T)
+
+        def move(s, u):
+            y = _inverse_cdf(cols, s - first if first else s, u)   # a batch skips the copy
+            return y, y < spec.grid_size
+        return np.int64, move
+    if spec.family not in ("affine_uniform", "cubic_uniform", "gaussian_shift"):
+        raise NotApplicable(f"cannot simulate family {spec.family!r}")
     lo, hi = spec.domain
-    y = float(_noise_to_moves(spec, np.asarray([x], dtype=float),
-                              np.asarray([u], dtype=float))[0])
-    return y if lo <= y <= hi else ABSORBED
+
+    def move(s, u):
+        y = _noise_to_moves(spec, s, u)
+        return y, (lo <= y) & (y <= hi)
+    return float, move
+
+
+def sample_step(spec, x, u):
+    """One transition from x driven by the uniform variate u: the batch's move on one path.
+
+    Returns the new state, or ABSORBED.  Raises InvalidDomain for a start
+    ``check_start`` refuses or a u outside [0, 1] (NaN too), and
+    NotApplicable for a family with no draw.
+    """
+    x = check_start(spec, x)
+    if not 0 <= u <= 1:
+        raise InvalidDomain(f"u must lie in [0, 1], got {u!r}")
+    dtype, move = _mover(spec, x)
+    y, live = move(np.array([x], dtype=dtype), np.array([u], dtype=float))
+    return y[0].item() if live[0] else ABSORBED
 
 
 @dataclass(frozen=True)
@@ -178,24 +201,12 @@ def simulate_batch(spec, x0, n, n_paths, seed=0, h=None):
     ``h`` is an optional test function whose running sum over steps 0..n-1 is
     accumulated per path.  It must act elementwise on an array of states /
     points, since it is called on one block of live paths at a time.  Raises
-    InvalidDomain when x0 is not a state of the chain.
+    InvalidDomain when x0 is not a state of the chain, and NotApplicable for
+    a family with no draw.
     """
     if n < 0 or n_paths < 1:
         raise ValueError("need n >= 0 and n_paths >= 1")
-    if spec.is_explicit:
-        cdf = np.cumsum(spec.matrix, axis=1)
-        dtype = np.int64
-
-        def move(s, u):
-            y = _inverse_cdf(cdf, s, u)
-            return y, y < spec.grid_size
-    else:
-        lo, hi = spec.domain
-        dtype = float
-
-        def move(s, u):
-            y = _noise_to_moves(spec, s, u)
-            return y, ~((y < lo) | (y > hi))
+    dtype, move = _mover(spec)
     x0 = check_start(spec, x0)
 
     terminals = []
@@ -236,7 +247,7 @@ def check_budget(n, n_paths, lam_hint):
 
 
 def bin_to_grid(samples, grid):
-    """Histogram continuous samples onto grid cells (edges at node midpoints)."""
+    """Histogram samples onto grid cells (edges at node midpoints)."""
     edges = grid.cell_edges()
     counts, _ = np.histogram(samples, bins=edges)
     return counts.astype(float)
@@ -253,17 +264,13 @@ def _survivors(batch):
 def summarize_yaglom(batch, spec, grid=None):
     """Histogram of the chain at time n over the surviving paths of ``batch``.
 
-    Continuous-state samples are binned to the cells of ``grid`` so the
-    result is comparable (in TV) with the discretized eigenmeasure.  Raises
-    TooFewSurvivors below 100 surviving paths.
+    The terminal states are binned to the cells of ``grid``, by default the
+    spec's own grid, so the result is comparable (in TV) with the
+    discretized eigenmeasure.  Raises TooFewSurvivors below 100 surviving
+    paths.
     """
     ns = _survivors(batch)
-    if spec.is_explicit:
-        counts = np.bincount(batch.terminal_states.astype(int), minlength=spec.grid_size)
-    else:
-        if grid is None:
-            raise ValueError("grid required to bin continuous samples")
-        counts = bin_to_grid(batch.terminal_states, grid)
+    counts = bin_to_grid(batch.terminal_states, _quadrature_grid(spec) if grid is None else grid)
     hist = counts / counts.sum()
     return ConditionedEstimate(value=hist,
                                stderr=1.0 / math.sqrt(ns), effective_samples=ns)

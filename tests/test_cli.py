@@ -13,7 +13,7 @@ import pytest
 import qsdlab as q
 from qsdlab import cli, spectral
 from qsdlab.cli import main
-from qsdlab.errors import InvalidDomain, SchemaError
+from qsdlab.errors import InvalidDomain, NotApplicable, SchemaError
 from qsdlab.kernels import KernelSpec
 from qsdlab.specfile import dump_spec, load_spec, spec_from_dict
 
@@ -279,6 +279,24 @@ def test_simulate_bad_start_exits_2(tmp_path, capsys, monkeypatch, name, x0):
     assert not (tmp_path / "s").exists()
 
 
+def test_tabulated_simulate_exits_2_before_any_eigensolve_or_draw(tmp_path, capsys, monkeypatch):
+    # a tabulated density has no draw: refused before the eigensolve, and by a
+    # batch of no steps
+    def no_eig(op):
+        raise AssertionError("eigensolve ran for a family with no draw")
+
+    monkeypatch.setattr(cli, "peripheral_spectrum", no_eig)
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({"family": "tabulated", "domain": [0, 1], "grid_size": 3,
+                                "params": {"values": [[1.0, 0.5, 0.0], [0.5, 1.0, 0.5],
+                                                      [0.0, 0.5, 1.0]]}}))
+    assert main(["simulate", "--spec", str(path), "--out", str(tmp_path / "s")]) == 2
+    assert "NotApplicable: cannot simulate family 'tabulated'" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
+    with pytest.raises(NotApplicable, match="cannot simulate family 'tabulated'"):
+        q.simulate_batch(load_spec(path), 0.5, 0, 10)
+
+
 def test_grid_size_with_explicit_chain_exits_2(tmp_path, capsys):
     spec_path = tmp_path / "sym2.json"
     dump_spec(q.get_spec("sym2"), spec_path)
@@ -326,6 +344,18 @@ def test_analyze_and_yaglom_fit_from_the_same_start(tmp_path):
     assert curve == (tmp_path / "yaglom" / "tv_curve.csv").read_bytes()
     rate = json.loads((tmp_path / "yaglom" / "yaglom.json").read_text())["rate_fit"]
     assert rate == doc["rates"]["cesaro"]
+
+
+@pytest.mark.parametrize("name", ["example21", "cycle3"])
+def test_yaglom_computes_only_what_it_writes(tmp_path, monkeypatch, name):
+    # yaglom writes the spec and the rate fit: no ergodic measure, no mass-decay orbit
+    def unwritten(*args, **kwargs):
+        raise AssertionError("computed for a report that yaglom does not write")
+
+    monkeypatch.setattr(cli, "quasi_ergodic_measure", unwritten)
+    monkeypatch.setattr(cli, "mass_decay_check", unwritten)
+    assert main(["yaglom", "--spec", name, "--out", str(tmp_path / "y"), "--canonical"]) == 0
+    assert json.loads((tmp_path / "y" / "yaglom.json").read_text())["rate_fit"]["passed"]
 
 
 @pytest.mark.parametrize("cmd,name,n_max", [

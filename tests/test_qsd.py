@@ -339,6 +339,17 @@ def test_cesaro_refuses_aperiodic(sds):
         q.cesaro_fit(sds["sym2"].op, np.array([1.0, 0.0]), sd=sds["sym2"])
 
 
+def test_cesaro_horizon_defaults_to_the_rate_fit_horizon():
+    # one default horizon, that of fit_yaglom_rate and analyze: 120 steps on a
+    # density family and 200 on an explicit chain
+    table = KernelSpec(domain=(0, 1), family="tabulated", grid_size=2,
+                       params={"values": [[0, 1], [1, 0]]})
+    for spec, n_max in ((table, 120), (q.get_spec("cycle2"), 200)):
+        op = build_operator(spec)
+        fit = q.cesaro_fit(op, np.array([1.0, 0.0]))
+        assert len(fit.data) == n_max
+
+
 @pytest.mark.parametrize("n_max", [0, 1, q.qsd.MIN_N_MAX - 1])
 def test_cesaro_short_horizon_is_validation_error(sds, n_max):
     with pytest.raises(ValidationError, match="n_max must be at least"):

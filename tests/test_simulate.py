@@ -177,6 +177,20 @@ def test_birkhoff_second_moment_cubic_kernel(sds):
     assert biases[2] <= 0.03
 
 
+def test_summarize_yaglom_bins_to_the_spec_grid_by_default():
+    # no grid given: the grid build_operator realizes the spec on; an explicit
+    # chain's states fall one to a cell, as a bincount would count them
+    for name, x0 in (("example21", 0.3), ("sym2", 0), ("ds3", 1)):
+        spec = q.get_spec(name)
+        batch = simulate_batch(spec, x0, 3, 200_000, seed=4)
+        est = simulate.summarize_yaglom(batch, spec)
+        ref = simulate.summarize_yaglom(batch, spec, grid=build_operator(spec).grid)
+        assert est.value.tobytes() == ref.value.tobytes()
+        if spec.is_explicit:
+            counts = np.bincount(batch.terminal_states, minlength=spec.grid_size)
+            assert est.value.tobytes() == (counts / counts.sum()).tobytes()
+
+
 def test_too_few_survivors():
     with pytest.raises(TooFewSurvivors), pytest.warns(UserWarning):
         q.estimate_yaglom(q.get_spec("sym2"), 0, 200, 10_000, seed=1, lam_hint=0.75)
@@ -253,6 +267,36 @@ def test_sample_step_agrees_with_one_path_batch(name, monkeypatch):
                 assert int(np.sum(cdf[x] <= u)) == step
 
 
+# (start, draw) pairs whose move lands exactly on the lower and the upper end
+# of the domain: the window centre 2x (u = 0.5), x**3 -+ 3 (u = 0.25, 0.75),
+# the Gaussian median (u = 0.5)
+_EDGE_MOVES = {
+    "example21": [(-0.5, 0.5), (0.5, 0.5)],
+    "example22cubic": [(1.0, 0.25), (-1.0, 0.75)],
+    "example23gauss": [(-1.0, 0.5), (1.0, 0.5)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_EDGE_MOVES))
+def test_sample_step_agrees_with_one_path_batch_on_continuous_kernels(name, monkeypatch):
+    spec = q.get_spec(name)
+    lo, hi = spec.domain
+    grid = [(x, u) for x in (lo, -0.3, 0.0, 0.7, hi)
+            for u in (0.0, 1e-9, 0.25, 0.5, 0.75, 0.999999)]
+    landed = set()
+    for x, u in _EDGE_MOVES[name] + grid:
+        monkeypatch.setattr(simulate, "_chunk_generator", lambda seed, c, u=u: _FixedDraws(u))
+        b = simulate_batch(spec, x, 1, 1)
+        step = q.sample_step(spec, x, u)
+        if step is ABSORBED:
+            assert b.survivor_count == 0 and b.tau_histogram[1] == 1, (x, u)
+        else:
+            assert b.survivor_count == 1 and b.terminal_states[0] == step, (x, u)
+            assert lo <= step <= hi
+            landed.add(step)
+    assert {lo, hi} <= landed   # the closed domain keeps a move onto either end
+
+
 class _Draws:
     """Stands in for a chunk generator: hands out the given draws in order."""
 
@@ -307,6 +351,16 @@ def test_sample_step_on_cdf_values():
     assert q.sample_step(spec, 0, 0.5) == 1
     assert q.sample_step(spec, 0, 0.75) is ABSORBED
     assert q.sample_step(spec, 0, 1.0) is ABSORBED
+
+
+@pytest.mark.parametrize("name,x,u", [
+    ("sym2", 7, 0.5), ("sym2", -1, 0.5), ("sym2", 0.5, 0.5), ("example21", 5.0, 0.5),
+    ("sym2", 0, float("nan")), ("sym2", 0, -1.0), ("sym2", 0, 1.5),
+    ("example23gauss", 0.0, float("nan")),
+])
+def test_sample_step_refuses_a_bad_start_or_draw(name, x, u):
+    with pytest.raises(InvalidDomain):
+        q.sample_step(q.get_spec(name), x, u)
 
 
 @pytest.mark.parametrize("name,x0", [("sym2", -1), ("sym2", 2), ("sym2", 5), ("sym2", 0.7),
