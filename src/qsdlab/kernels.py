@@ -17,6 +17,7 @@ is absorbed in one step almost surely.
 
 import math
 import numbers
+import operator
 from dataclasses import KW_ONLY, dataclass, field
 from typing import Optional
 
@@ -100,13 +101,14 @@ class KernelSpec:
     tabulated        params values (N x N row-major list) : g sampled on the grid
     explicit_matrix  params matrix                : finite substochastic chain
 
-    Fields are keyword-only.  Each family takes exactly the parameters
-    listed: a missing or unknown one raises InvalidDomain.  A density family
-    needs ``domain`` and ``grid_size``.  An explicit chain's matrix is checked
-    here, once, and kept as the read-only copy ``matrix`` that every reader
-    uses; its n states fix ``domain`` = (0, max(n - 1, 1)) and ``grid_size`` =
-    n, and any other value raises InvalidDomain.  A density family is sampled
-    on the trapezoid grid of ``grid_size`` equispaced nodes.
+    Fields are keyword-only and checked here alone, for the library and spec
+    files alike (InvalidDomain): ``params`` a dict of exactly the family's
+    parameters, ``domain`` kept as a float pair, ``grid_size`` as an int (by
+    ``operator.index``).  A density family needs both, and is sampled on the
+    trapezoid grid of ``grid_size`` equispaced nodes.  An explicit chain's
+    matrix is checked here, once, and kept as the read-only copy ``matrix``
+    that every reader uses; its n states fix ``domain`` = (0, max(n - 1, 1))
+    and ``grid_size`` = n, and any other value raises InvalidDomain.
     """
 
     _: KW_ONLY
@@ -119,7 +121,21 @@ class KernelSpec:
 
     def __post_init__(self):
         if self.family not in ALL_FAMILIES:
-            raise InvalidDomain(f"unknown density family {self.family!r}")
+            raise InvalidDomain(f"family must be one of {ALL_FAMILIES}, got {self.family!r}")
+        if not isinstance(self.params, dict):
+            raise InvalidDomain("params must be an object")
+        if self.domain is not None:
+            if not (isinstance(self.domain, (list, tuple)) and len(self.domain) == 2):
+                raise InvalidDomain("domain must be [lower, upper]")
+            try:
+                object.__setattr__(self, "domain", tuple(map(float, self.domain)))
+            except (TypeError, ValueError):
+                raise InvalidDomain(f"domain bound must be a number, got {self.domain}") from None
+        try:
+            if self.grid_size is not None:
+                object.__setattr__(self, "grid_size", operator.index(self.grid_size))
+        except TypeError:
+            raise InvalidDomain(f"grid_size must be an integer, got {self.grid_size!r}") from None
         bad = set(self.params) - _FAMILY_PARAMS[self.family]
         if bad:
             raise InvalidDomain(f"unknown params {sorted(bad)} for family {self.family}")
@@ -129,22 +145,19 @@ class KernelSpec:
         if self.is_explicit:
             q = _explicit_matrix(self.params["matrix"])
             n, domain = len(q), (0.0, float(max(len(q) - 1, 1)))
-            if self.grid_size not in (None, n) or tuple(self.domain or domain) != domain:
+            if self.grid_size not in (None, n) or self.domain not in (None, domain):
                 raise InvalidDomain(f"a {n}-state chain has domain {domain} and grid_size {n}")
             for key, value in (("matrix", q), ("domain", domain), ("grid_size", n)):
                 object.__setattr__(self, key, value)
-        else:
-            if self.domain is None or self.grid_size is None:
-                raise InvalidDomain(f"{self.family} needs a domain and a grid_size")
-            lo, hi = self.domain
-            if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
-                raise InvalidDomain(f"domain must satisfy lower < upper, got {self.domain}")
-            if self.grid_size < 2:
-                raise InvalidDomain("grid_size must be >= 2")
-            self._check_params()
-
-    def _check_params(self):
-        """Scalars finite reals (not bool), widths positive, a finite N x N table."""
+            return
+        if self.domain is None or self.grid_size is None:
+            raise InvalidDomain(f"{self.family} needs a domain and a grid_size")
+        lo, hi = self.domain
+        if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
+            raise InvalidDomain(f"domain must satisfy lower < upper, got {self.domain}")
+        if self.grid_size < 2:
+            raise InvalidDomain("grid_size must be >= 2")
+        # scalars finite reals (not bool), widths positive, a finite N x N table
         for key, value in self.params.items():
             if key == "values":
                 try:

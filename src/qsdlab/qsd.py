@@ -113,20 +113,29 @@ def _log_sum(values):
     return total
 
 
+def _conditioned_laws(op, nu0, n):
+    """nu0 as floats, its laws conditioned on survival at steps 1..n (rows), the step masses.
+
+    The one start check of every reader: ValueError unless nu0 is a
+    probability vector of shape ``(op.size,)``.  Renormalizing each step
+    keeps lam**n from underflowing and leaves the conditioned law unchanged.
+    """
+    nu = np.asarray(nu0, dtype=float)
+    if (nu.shape != (op.size,) or not nu.min() >= 0
+            or not math.isclose(nu.sum(), 1.0, rel_tol=0, abs_tol=1e-9)):
+        raise ValueError(f"nu0 must be a probability vector on the {op.size} nodes")
+    return (nu, *_orbit(op.matrix, nu, n, np.add.reduce))
+
+
 def yaglom_iterate(op, nu0, n):
     """Conditioned law after n steps started from the measure nu0.
 
-    The survivor mass is renormalized away every step, which leaves the
-    conditioned law unchanged and keeps lam**n from underflowing in the
-    iterates; ``normalization`` is the survivor mass of nu0 after n steps,
-    the product of the step masses.  A step mass of zero raises MassExtinct.
+    ``normalization`` is the survivor mass of nu0 after n steps, the product
+    of the step masses.  A step mass of zero raises MassExtinct.
     """
-    nu = np.asarray(nu0, dtype=float)
-    if nu.min() < 0 or not math.isclose(nu.sum(), 1.0, rel_tol=0, abs_tol=1e-9):
-        raise ValueError("nu0 must be a probability vector")
     if n < 0:
         raise ValueError("n must be >= 0")
-    laws, masses = _orbit(op.matrix, nu, n, np.add.reduce)
+    nu, laws, masses = _conditioned_laws(op, nu0, n)
     if (masses <= 0).any():
         raise MassExtinct("survivor mass vanished")
     if n:
@@ -139,13 +148,25 @@ def _tv_rows(laws, q):
     return 0.5 * np.abs(laws - q).sum(axis=1)
 
 
-def _horizon(op, n_max):
-    """The rate-fit horizon n_max; None is 200 steps on explicit chains, else 120."""
+def _fit_laws(op, nu0, n_max, sd, cyclic):
+    """The rate fits' common start: sd (solved when None), the steps 1..n_max, the laws.
+
+    n_max (None: 200 on explicit chains, else 120) and the start are checked
+    before any eigensolve, the period against ``cyclic`` and the f0 mass after.
+    """
     if n_max is None:
-        return 200 if op.spec.is_explicit else 120
+        n_max = 200 if op.spec.is_explicit else 120
     if n_max < MIN_N_MAX:
         raise ValidationError(f"n_max must be at least {MIN_N_MAX}, got {n_max}")
-    return n_max
+    nu, laws, _ = _conditioned_laws(op, nu0, n_max)
+    sd = sd or peripheral_spectrum(op)
+    if cyclic and sd.period_m < 2:
+        raise NotPeriodic("chain is aperiodic; use fit_yaglom_rate")
+    if not cyclic and sd.period_m > 1:
+        raise NotAperiodic("use cesaro_fit for cyclic chains")
+    if float(nu @ sd.f0) <= 1e-14:
+        raise ZeroEigenfunctionMass("nu0 carries no mass on the eigenfunction")
+    return sd, np.arange(1, n_max + 1), laws
 
 
 def _tail_points(values):
@@ -178,18 +199,11 @@ def fit_yaglom_rate(op, nu0, n_max=None, sd=None):
     at an infinite rate; it passes when the prediction leaves fewer than 3
     too, that is ``TV(1) <= TV_FIT_FLOOR exp(2 alpha)`` (always for a
     rank-one chain, whose predicted rate is infinite).  n_max defaults to 200
-    steps on explicit chains, else 120; below MIN_N_MAX it raises ValidationError.
+    steps on explicit chains, else 120; below MIN_N_MAX it raises ValidationError,
+    and a start that is not a probability vector on the nodes ValueError.
     """
-    n_max = _horizon(op, n_max)
-    sd = sd or peripheral_spectrum(op)
-    if sd.period_m > 1:
-        raise NotAperiodic("use cesaro_fit for cyclic chains")
-    if float(np.asarray(nu0) @ sd.f0) <= 1e-14:
-        raise ZeroEigenfunctionMass("nu0 carries no mass on the eigenfunction")
-    mu, _ = quasi_stationary_measure(sd)
-    laws, _ = _orbit(op.matrix, np.asarray(nu0, dtype=float), n_max, np.add.reduce)
-    tvs = _tv_rows(laws, mu)
-    ns = np.arange(1, n_max + 1)
+    sd, ns, laws = _fit_laws(op, nu0, n_max, sd, cyclic=False)
+    tvs = _tv_rows(laws, sd.mu0)
     data = np.column_stack([ns, tvs])
     tail = _tail_points(tvs)
     alpha = subdominant_rate(sd)
@@ -255,24 +269,16 @@ def cesaro_fit(op, nu0, n_max=None, sd=None, partition=None):
     measures, which is what the running average of the (perpetually
     oscillating) conditioned laws settles toward when started inside one
     class.  PASS requires n * TV to stay bounded over the tail with a trend
-    slope statistically <= 0.  The horizon n_max defaults as in
-    ``fit_yaglom_rate``; one below MIN_N_MAX raises ValidationError.
+    slope statistically <= 0.  The horizon n_max and the start are checked
+    as in ``fit_yaglom_rate``.
     """
-    n_max = _horizon(op, n_max)
-    sd = sd or peripheral_spectrum(op)
-    if sd.period_m < 2:
-        raise NotPeriodic("chain is aperiodic; use fit_yaglom_rate")
-    if float(np.asarray(nu0) @ sd.f0) <= 1e-14:
-        raise ZeroEigenfunctionMass("nu0 carries no mass on the eigenfunction")
+    sd, ns, laws = _fit_laws(op, nu0, n_max, sd, cyclic=True)
     partition = partition or cyclic_components(sd, op)
     target = partition.cyclic_mean_measure()
-
-    laws, _ = _orbit(op.matrix, np.asarray(nu0, dtype=float), n_max, np.add.reduce)
-    ns = np.arange(1, n_max + 1)
     ds = _tv_rows(np.cumsum(laws, axis=0) / ns[:, None], target)
     nd = ns * ds
 
-    tail = ns >= max(n_max // 2, 2)
+    tail = ns >= max(len(ns) // 2, 2)
     x = ns[tail].astype(float)
     y = nd[tail]
     A = np.vstack([x, np.ones_like(x)]).T

@@ -28,13 +28,14 @@ can share one batch.
 """
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .errors import InvalidDomain, NotApplicable, TooFewSurvivors
+from .errors import InvalidDomain, NotApplicable, TooFewSurvivors, ValidationError
 from .kernels import _map_centers, _quadrature_grid
 
 CHUNK_SIZE = 1 << 20  # fixed: changing it changes the stream layout
@@ -166,6 +167,13 @@ def check_start(spec, x0):
     return float(x0)
 
 
+def check_seed(seed):
+    """The seed, a Philox key word: an int (not a bool) in 0..2**64-1, else ValidationError."""
+    if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or not 0 <= seed < 2 ** 64:
+        raise ValidationError(f"seed must be an integer in 0..2**64-1, got {seed!r}")
+    return int(seed)
+
+
 def _step_chunk(move, gen, state, acc, h, n, tau_hist):
     """Step the paths of one chunk n times in place; return copies of the survivors.
 
@@ -201,11 +209,12 @@ def simulate_batch(spec, x0, n, n_paths, seed=0, h=None):
     ``h`` is an optional test function whose running sum over steps 0..n-1 is
     accumulated per path.  It must act elementwise on an array of states /
     points, since it is called on one block of live paths at a time.  Raises
-    InvalidDomain when x0 is not a state of the chain, and NotApplicable for
-    a family with no draw.
+    InvalidDomain (start), ValidationError (seed) or NotApplicable (a family
+    with no draw) before any draw.
     """
     if n < 0 or n_paths < 1:
         raise ValueError("need n >= 0 and n_paths >= 1")
+    seed = check_seed(seed)
     dtype, move = _mover(spec)
     x0 = check_start(spec, x0)
 

@@ -140,6 +140,13 @@ def _band_slots(ev):
     return (band, *snap_phases(ev[band], len(band)))
 
 
+def check_size(n):
+    """Refuse, with SizeLimitExceeded, an eigensolve on more than DENSE_SIZE_LIMIT nodes."""
+    if n > DENSE_SIZE_LIMIT:
+        raise SizeLimitExceeded(
+            f"dense eigensolve limited to {DENSE_SIZE_LIMIT} nodes, got {n}")
+
+
 def _eigenvalues(matrix, period):
     """Eigenvalues of the matrix, and their right Ritz vectors as rows or None.
 
@@ -151,9 +158,7 @@ def _eigenvalues(matrix, period):
     compact operator's discretization shows.
     """
     n = matrix.shape[0]
-    if n > DENSE_SIZE_LIMIT:
-        raise SizeLimitExceeded(
-            f"dense eigensolve limited to {DENSE_SIZE_LIMIT} nodes, got {n}")
+    check_size(n)
     if n >= KRYLOV_MIN_SIZE and 2 * period + 2 < KRYLOV_STEPS:
         right = _arnoldi(matrix, 2 * period + 2, period + 1)
         if right is not None:

@@ -122,6 +122,20 @@ def test_missing_spec_file_exits_2_without_partial_output(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("content", [None, b'{"family": "gaussian_shift\xff"}'],
+                         ids=["directory", "not_utf8"])
+def test_unreadable_spec_file_exits_2(tmp_path, capsys, content):
+    spec = tmp_path / "spec.json"
+    if content is None:
+        spec.mkdir()
+    else:
+        spec.write_bytes(content)
+    assert main(["analyze", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "SchemaError: spec file cannot be read" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_numerical_refusal_exits_3(tmp_path):
     bad = tmp_path / "red.json"
     bad.write_text(json.dumps({
@@ -143,6 +157,19 @@ def test_size_cap_exits_2_before_any_eigensolve(tmp_path, monkeypatch, capsys):
     assert "SizeLimitExceeded" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("cmd", ["analyze", "yaglom", "simulate"])
+def test_size_cap_exits_2_before_the_matrix_is_built(tmp_path, monkeypatch, capsys, cmd):
+    def no_build(spec):
+        raise AssertionError("the operator was built past the size cap")
+
+    monkeypatch.setattr(cli, "build_operator", no_build)
+    assert main([cmd, "--spec", "example23gauss", "--grid-size", "2001",
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "SizeLimitExceeded: dense eigensolve limited to 2000 nodes, got 2001" in (
+        capsys.readouterr().err)
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["analyze", "--spec", "sym2", "--format", "json"],
     ["analyze", "--spec", "sym2", "--n-paths", "10"],
@@ -159,20 +186,19 @@ def test_ignored_flags_rejected(tmp_path, capsys, argv):
 
 
 def test_simulate_csv_and_env_seed(tmp_path, monkeypatch):
-    out1 = tmp_path / "s1"
-    out2 = tmp_path / "s2"
-    out3 = tmp_path / "s3"
+    # --seed, default 0, is the one source of the seed: QSDLAB_SEED is not read
     args = ["simulate", "--spec", "sym2", "--n", "10", "--n-paths", "20000"]
-    assert main(args + ["--out", str(out1), "--seed", "7"]) == 0
+    assert main(args + ["--out", str(tmp_path / "s7"), "--seed", "7"]) == 0
+    assert main(args + ["--out", str(tmp_path / "s0"), "--seed", "0"]) == 0
     monkeypatch.setenv("QSDLAB_SEED", "7")
-    assert main(args + ["--out", str(out2)]) == 0
-    # flag wins over the environment
-    monkeypatch.setenv("QSDLAB_SEED", "99")
-    assert main(args + ["--out", str(out3), "--seed", "7"]) == 0
-    b1 = (out1 / "estimates.csv").read_bytes()
-    assert b1 == (out2 / "estimates.csv").read_bytes()
-    assert b1 == (out3 / "estimates.csv").read_bytes()
-    header = b1.decode().splitlines()[0]
+    assert main(args + ["--out", str(tmp_path / "env")]) == 0
+    monkeypatch.setenv("QSDLAB_SEED", "abc")
+    assert main(args + ["--out", str(tmp_path / "env7"), "--seed", "7"]) == 0
+    b7, b0 = ((tmp_path / d / "estimates.csv").read_bytes() for d in ("s7", "s0"))
+    assert b7 != b0
+    assert (tmp_path / "env" / "estimates.csv").read_bytes() == b0
+    assert (tmp_path / "env7" / "estimates.csv").read_bytes() == b7
+    header = b7.decode().splitlines()[0]
     assert header == "kind,n,n_paths,survivors,value,stderr"
 
 
@@ -539,13 +565,8 @@ def test_lobo_bad_n_list_exits_2(tmp_path, capsys, n_list):
     assert not (tmp_path / "l").exists()
 
 
-@pytest.mark.parametrize("flag,env", [
-    (["--seed", "-1"], None), (["--seed", str(2 ** 64)], None),
-    ([], "abc"), ([], "-1"), ([], "1.5"),
-])
-def test_simulate_bad_seed_exits_2(tmp_path, capsys, monkeypatch, flag, env):
-    if env is not None:
-        monkeypatch.setenv("QSDLAB_SEED", env)
+@pytest.mark.parametrize("flag", [["--seed", "-1"], ["--seed", str(2 ** 64)]])
+def test_simulate_bad_seed_exits_2(tmp_path, capsys, flag):
     # checked before the spec is even resolved
     assert main(["simulate", "--spec", str(tmp_path / "missing.json"),
                  "--out", str(tmp_path / "s")] + flag) == 2

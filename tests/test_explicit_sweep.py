@@ -6,6 +6,8 @@ the document, a run exits 0 (answered), 2 (refused input) or 3 (numerical
 refusal), never with an uncaught exception; a refused run leaves no output
 directory, and no file that an answered run writes holds NaN.  Infinity is
 allowed: it is the rate of a chain whose conditioned law settles at once.
+The density fields, some swapped for a mistyped value, also go straight to
+``KernelSpec``, which returns a spec or raises a ValidationError.
 """
 
 import contextlib
@@ -20,6 +22,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qsdlab.cli import main
+from qsdlab.errors import ValidationError
+from qsdlab.kernels import KernelSpec
 
 # a row entry: zero, dust (down to the smallest subnormal) or an ordinary weight
 _ENTRY = st.one_of(st.just(0.0), st.sampled_from([5e-324, 1e-300, 1e-17]),
@@ -97,6 +101,14 @@ def density_documents(draw):
     return {"family": family, "domain": domain, "grid_size": size, "params": params}
 
 
+# what a caller of KernelSpec may pass in place of a drawn field
+_BAD_FIELD = st.sampled_from([
+    ("grid_size", 2.7), ("grid_size", "5"), ("grid_size", None), ("grid_size", True),
+    ("domain", ("a", 1)), ("domain", (0, 1, 2)), ("domain", None), ("domain", "01"),
+    ("params", "sigma"), ("params", None), ("family", "gaussian"),
+])
+
+
 def check_runs(doc, runs):
     """Run the document through each subcommand: a clean exit, and no NaN in any answer."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -138,3 +150,17 @@ def test_explicit_spec_files_exit_cleanly_without_nan(doc, data):
               "params": {"values": [[0, 3e300], [3e300, 0]]}})
 def test_density_spec_files_exit_cleanly_without_nan(doc):
     check_runs(doc, RUNS)
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=density_documents(), flaw=st.one_of(st.none(), _BAD_FIELD))
+def test_density_fields_make_a_spec_or_a_validation_error(doc, flaw):
+    # the same fields straight to KernelSpec, with no spec file in between
+    fields = {key: doc[key] for key in ("domain", "family", "params", "grid_size")}
+    if flaw is not None:
+        fields[flaw[0]] = flaw[1]
+    try:
+        spec = KernelSpec(**fields)
+    except ValidationError:
+        return
+    assert type(spec.grid_size) is int and all(type(b) is float for b in spec.domain)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -80,6 +81,31 @@ def test_explicit_matrix_passthrough():
 def test_density_family_needs_a_domain_and_a_grid_size(given):
     with pytest.raises(InvalidDomain, match="needs a domain and a grid_size"):
         KernelSpec(family="gaussian_shift", params={"sigma": 1.0}, **given)
+
+
+@pytest.mark.parametrize("given,reason", [
+    ({"grid_size": 2.7}, "grid_size must be an integer"),
+    ({"grid_size": "5"}, "grid_size must be an integer"),
+    ({"domain": ("a", 1)}, "domain bound must be a number"),
+    ({"domain": (0, 1, 2)}, "domain must be [lower, upper]"),
+    ({"domain": 1.0}, "domain must be [lower, upper]"),
+    ({"params": "sigma"}, "params must be an object"),
+    ({"family": "gaussian"}, "family must be one of"),
+])
+def test_kernel_spec_refuses_a_mistyped_field(given, reason):
+    fields = {"domain": (-1.0, 1.0), "family": "gaussian_shift", "params": {"sigma": 1.0},
+              "grid_size": 11, **given}
+    with pytest.raises(InvalidDomain, match=re.escape(reason)):
+        KernelSpec(**fields)
+
+
+def test_kernel_spec_keeps_a_float_domain_and_an_int_grid_size():
+    spec = KernelSpec(domain=[-1, np.float32(1)], family="gaussian_shift",
+                      params={"sigma": 1.0}, grid_size=np.int64(11))
+    assert spec.domain == (-1.0, 1.0) and type(spec.domain) is tuple
+    assert all(type(b) is float for b in spec.domain) and type(spec.grid_size) is int
+    assert spec == KernelSpec(domain=(-1.0, 1.0), family="gaussian_shift",
+                              params={"sigma": 1.0}, grid_size=11)
 
 
 def test_kernel_spec_fields_are_keyword_only():

@@ -184,6 +184,18 @@ def test_fit_refuses_escape_start(sds):
         q.fit_yaglom_rate(sd.op, nu0, sd=sd)
 
 
+@pytest.mark.parametrize("nu0", [[2.0, -0.5], [float("nan"), 1.0], [1.0, 0.0, 0.0], [1.0]],
+                         ids=["signed", "nan", "too_long", "too_short"])
+@pytest.mark.parametrize("fit,name", [(q.fit_yaglom_rate, "sym2"), (q.cesaro_fit, "cycle2")])
+def test_fits_refuse_a_start_that_is_not_a_probability_vector(fit, name, nu0, monkeypatch):
+    def no_eigensolve(op, reach=None):
+        raise AssertionError("the start was checked after the eigensolve")
+
+    monkeypatch.setattr(q.qsd, "peripheral_spectrum", no_eigensolve)
+    with pytest.raises(ValueError, match="nu0 must be a probability vector on the 2 nodes"):
+        fit(build_operator(q.get_spec(name)), np.array(nu0))
+
+
 @pytest.mark.parametrize("n_max", [0, 2, -3, q.qsd.MIN_N_MAX - 1])
 def test_fit_yaglom_short_horizon_is_validation_error(sds, n_max):
     with pytest.raises(ValidationError, match="n_max must be at least"):

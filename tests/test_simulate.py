@@ -9,7 +9,13 @@ import qsdlab as q
 from conftest import delta_at
 from qsdlab import kernels, simulate
 from qsdlab.cli import main
-from qsdlab.errors import InvalidDomain, NegativeDensity, RowSumExceedsOne, TooFewSurvivors
+from qsdlab.errors import (
+    InvalidDomain,
+    NegativeDensity,
+    RowSumExceedsOne,
+    TooFewSurvivors,
+    ValidationError,
+)
 from qsdlab.kernels import KernelSpec, build_operator
 from qsdlab.oracle import FiniteChain, lobo_sum
 from qsdlab.simulate import ABSORBED, CHUNK_SIZE, bin_to_grid, simulate_batch
@@ -369,6 +375,29 @@ def test_sample_step_refuses_a_bad_start_or_draw(name, x, u):
 def test_simulate_batch_rejects_bad_start(name, x0):
     with pytest.raises(InvalidDomain):
         simulate_batch(q.get_spec(name), x0, 3, 100, seed=1)
+
+
+@pytest.mark.parametrize("seed", [1.5, "7", True, -1, 2 ** 64, None])
+@pytest.mark.parametrize("run", [
+    lambda spec, seed: simulate_batch(spec, 0, 3, 100, seed=seed),
+    lambda spec, seed: q.estimate_yaglom(spec, 0, 3, 100, seed=seed),
+    lambda spec, seed: q.estimate_birkhoff(spec, 0, 3, lambda s: s, 100, seed=seed),
+], ids=["simulate_batch", "estimate_yaglom", "estimate_birkhoff"])
+def test_a_bad_seed_is_refused_before_any_draw(run, seed, monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("a draw was made")
+
+    monkeypatch.setattr(simulate, "_chunk_generator", no_draw)
+    with pytest.raises(ValidationError, match="seed must be an integer in 0..2"):
+        run(q.get_spec("sym2"), seed)
+
+
+def test_check_seed_takes_the_whole_key_word():
+    assert simulate.check_seed(np.uint64(2 ** 64 - 1)) == 2 ** 64 - 1
+    assert type(simulate.check_seed(np.int32(7))) is int
+    b = simulate_batch(q.get_spec("ds3"), 0, 5, 1000, seed=np.int64(7))
+    assert np.array_equal(b.terminal_states,
+                          simulate_batch(q.get_spec("ds3"), 0, 5, 1000, seed=7).terminal_states)
 
 
 def test_simulate_batch_accepts_integral_float_start():
