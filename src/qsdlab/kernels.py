@@ -103,12 +103,13 @@ class KernelSpec:
 
     Fields are keyword-only and checked here alone, for the library and spec
     files alike (InvalidDomain): ``params`` a dict of exactly the family's
-    parameters, ``domain`` kept as a float pair, ``grid_size`` as an int (by
-    ``operator.index``).  A density family needs both, and is sampled on the
-    trapezoid grid of ``grid_size`` equispaced nodes.  An explicit chain's
-    matrix is checked here, once, and kept as the read-only copy ``matrix``
-    that every reader uses; its n states fix ``domain`` = (0, max(n - 1, 1))
-    and ``grid_size`` = n, and any other value raises InvalidDomain.
+    parameters, ``domain`` a pair of real numbers (not bool) kept as a float
+    pair, ``grid_size`` an int (by ``operator.index``).  A density family
+    needs both, and is sampled on the trapezoid grid of ``grid_size``
+    equispaced nodes.  An explicit chain's matrix is checked here, once, and
+    kept as the read-only copy ``matrix`` that every reader uses; its n
+    states fix ``domain`` = (0, max(n - 1, 1)) and ``grid_size`` = n, and any
+    other value raises InvalidDomain.
     """
 
     _: KW_ONLY
@@ -127,10 +128,9 @@ class KernelSpec:
         if self.domain is not None:
             if not (isinstance(self.domain, (list, tuple)) and len(self.domain) == 2):
                 raise InvalidDomain("domain must be [lower, upper]")
-            try:
-                object.__setattr__(self, "domain", tuple(map(float, self.domain)))
-            except (TypeError, ValueError):
-                raise InvalidDomain(f"domain bound must be a number, got {self.domain}") from None
+            if any(isinstance(b, bool) or not isinstance(b, numbers.Real) for b in self.domain):
+                raise InvalidDomain(f"domain bound must be a number, got {self.domain}")
+            object.__setattr__(self, "domain", tuple(map(float, self.domain)))
         try:
             if self.grid_size is not None:
                 object.__setattr__(self, "grid_size", operator.index(self.grid_size))

@@ -80,6 +80,9 @@ class RateFit:
 
 @dataclass(frozen=True)
 class DecayReport:
+    """The first step n0 whose sup of the survival mass is below one, alpha =
+    that sup, and ``sup_masses``, the sups at steps 1..n0 (so alpha is the last)."""
+
     n0: Optional[int]
     alpha: Optional[float]
     sup_masses: np.ndarray
@@ -297,16 +300,16 @@ def cesaro_fit(op, nu0, n_max=None, sd=None, partition=None):
 def mass_decay_check(op, n_max=60):
     """Track sup_x of the n-step survival mass and find where it drops below one.
 
-    Returns the first n0 with sup < 1 and alpha = sup at n0.  The geometric
-    envelope, sup at k*n0 at most alpha**k, needs no check: by the Markov
-    property sup_x P_x(tau > j + k) <= sup_x P_x(tau > j) sup_x P_x(tau > k).
-    Raises NeverSubunit for honestly stochastic chains (all row sums one).
+    Returns the first n0 <= n_max with sup < 1 - 1e-12, alpha = sup at n0 and
+    the sups at steps 1..n0: the orbit stops at n0, as no later sup is read.
+    The geometric envelope, sup at k*n0 at most alpha**k, needs no check: by
+    the Markov property sup_x P_x(tau > j + k) <= sup_x P_x(tau > j) sup_x
+    P_x(tau > k).  Raises NeverSubunit, after all n_max steps, for honestly
+    stochastic chains (all row sums one).
     """
-    survivors, _ = _orbit(op.matrix.T, np.ones(op.size), n_max)
-    sups = survivors.max(axis=1)
-    below = np.flatnonzero(sups < 1 - 1e-12)
-    if below.size == 0:
+    subunit = lambda mass: mass.max() < 1 - 1e-12
+    survivors, _ = _orbit(op.matrix.T, np.ones(op.size), n_max, stop=subunit)
+    if not (len(survivors) and subunit(survivors[-1])):
         raise NeverSubunit("survival mass never drops below one")
-    n0 = int(below[0]) + 1
-    alpha = float(sups[n0 - 1])
-    return DecayReport(n0=n0, alpha=alpha, sup_masses=sups)
+    sups = survivors.max(axis=1)
+    return DecayReport(n0=len(sups), alpha=float(sups[-1]), sup_masses=sups)

@@ -249,7 +249,7 @@ def _nonnegative_real(vec, tol):
     return np.maximum(v, 0.0)
 
 
-def _orbit(matrix, v, n, scale=None):
+def _orbit(matrix, v, n, scale=None, stop=None):
     """Forward orbit ``v_k = (v_{k-1} @ matrix) / s_k`` for k = 1..n.
 
     Returns the iterates stacked as the rows of an (n, size) array and the
@@ -257,16 +257,34 @@ def _orbit(matrix, v, n, scale=None):
     (``None``: no division, every s_k is 1).  Pass ``A`` to evolve measures
     and ``A.T`` to evolve functions: ``v @ A.T`` is bitwise ``A @ v``.  A zero
     divisor turns its row and every later one into NaN; callers check the
-    divisors.
+    divisors.  ``stop(v_k)`` true ends the orbit at v_k: only the rows and
+    divisors up to k are returned.
+
+    Each step is a deterministic function of the bytes of the previous
+    iterate (the same matrix, BLAS call and thread count), so once v_k
+    repeats an earlier v_j byte for byte the plain loop would go on through
+    v_{j+1}..v_k forever.  The orbit replays that cycle into the remaining
+    rows and divisors instead of computing them; s_j is not part of it, as
+    it came from v_{j-1}.  Iterates are looked up by the hash of their bytes
+    and confirmed by exact byte equality.
     """
     rows = np.empty((n, len(v)))
     divisors = np.ones(n)
+    seen = {}
     with np.errstate(divide="ignore", invalid="ignore"):
         for k, row in enumerate(rows):
             v = np.dot(v, matrix, out=row)
             if scale is not None:
                 divisors[k] = scale(v)
                 v /= divisors[k]
+            if stop is not None and stop(v):
+                return rows[:k + 1], divisors[:k + 1]
+            data = v.tobytes()
+            j = seen.setdefault(hash(data), k)
+            if j < k and rows[j].tobytes() == data:
+                idx = j + 1 + np.arange(n - k - 1) % (k - j)
+                rows[k + 1:], divisors[k + 1:] = rows[idx], divisors[idx]
+                break
     return rows, divisors
 
 

@@ -501,6 +501,7 @@ _TABLE = {"family": "tabulated", "domain": [0, 1], "grid_size": 2,
     ({"family": "explicit_matrix", "params": {"matrix": [[0.5]]},
       "quadrature": "ulam", "domain": [5, 9], "grid_size": 77},
      "SchemaError: unknown fields ['quadrature']"),
+    ({**_GAUSS, "domain": ["-1", True]}, "SchemaError: domain bound must be a number"),
 ])
 def test_malformed_spec_file_exits_2(tmp_path, capsys, doc, error):
     spec = tmp_path / "bad.json"

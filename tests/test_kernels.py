@@ -99,6 +99,14 @@ def test_kernel_spec_refuses_a_mistyped_field(given, reason):
         KernelSpec(**fields)
 
 
+@pytest.mark.parametrize("domain", [("-1", 1.0), (-1.0, "1"), (-1, True), (False, 1),
+                                    ("-1", True), (-1.0, b"1")])
+def test_kernel_spec_refuses_a_string_or_bool_domain_bound(domain):
+    # float() reads each of these as a number; a bound is checked by type, as a family parameter is
+    with pytest.raises(InvalidDomain, match="domain bound must be a number"):
+        KernelSpec(domain=domain, family="gaussian_shift", params={"sigma": 1.0}, grid_size=5)
+
+
 def test_kernel_spec_keeps_a_float_domain_and_an_int_grid_size():
     spec = KernelSpec(domain=[-1, np.float32(1)], family="gaussian_shift",
                       params={"sigma": 1.0}, grid_size=np.int64(11))

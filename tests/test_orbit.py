@@ -102,10 +102,12 @@ def check_loops(op, nu0, n=40):
     assert _same(law, _outcome(ref_yaglom_iterate, op, nu0, n))
     decay = _outcome(q.mass_decay_check, op, n_max=60)
     ref = ref_sup_masses(op, 60)
+    below = np.flatnonzero(ref < 1 - 1e-12)
     if decay is NeverSubunit:
-        assert (ref >= 1 - 1e-12).all()
+        assert below.size == 0
     else:
-        assert _same(decay.sup_masses, ref)
+        assert decay.n0 == below[0] + 1
+        assert _same(decay.sup_masses, ref[:decay.n0])
 
 
 def check_spectral_loops(sd, nu0):
@@ -182,3 +184,116 @@ def test_orbit_matches_loops_on_random_chains(a):
     except QsdlabError:
         return
     check_spectral_loops(sd, _start(op))
+
+
+# -- replayed repeats and the stop at n0 -----------------------------------------
+
+def ref_conditioned_rows(matrix, nu0, n):
+    """The plain loop of every step: conditioned laws as rows and their step masses."""
+    nu = np.asarray(nu0, dtype=float)
+    rows, masses = np.empty((n, len(nu))), np.empty(n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(n):
+            nu = nu @ matrix
+            masses[k] = nu.sum()
+            nu = nu / masses[k]
+            rows[k] = nu
+    return rows, masses
+
+
+def first_repeat(rows):
+    """(j, k) for the first row k whose bytes equal those of an earlier row j, or None."""
+    seen = {}
+    for k, row in enumerate(rows):
+        j = seen.setdefault(row.tobytes(), k)
+        if j < k:
+            return j, k
+    return None
+
+
+def counted_orbit(matrix, nu0, n):
+    """spectral._orbit with the step-mass scale, and the number of products it computed."""
+    products = []
+
+    def scale(w):
+        products.append(1)
+        return np.add.reduce(w)
+
+    rows, divisors = q.spectral._orbit(matrix, np.asarray(nu0, dtype=float), n, scale)
+    return rows, divisors, len(products)
+
+
+def _bytes_equal(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("name,size,most", [("example22cubic", 801, 12),
+                                            ("example21", 1601, 56)])
+def test_fit_orbit_stops_computing_at_the_first_repeat(name, size, most):
+    op = build_operator(q.get_spec(name, grid_size=size))
+    nu0 = _start(op)
+    rows, divisors, products = counted_orbit(op.matrix, nu0, 120)
+    ref_rows, ref_masses = ref_conditioned_rows(op.matrix, nu0, 120)
+    assert _bytes_equal(rows, ref_rows) and _bytes_equal(divisors, ref_masses)
+    assert products == first_repeat(ref_rows)[1] + 1 <= most
+
+
+@pytest.mark.parametrize("name,size,cycle", [("example21", 401, 2), ("example23gauss", 801, None)])
+def test_fit_data_on_a_replayed_orbit_matches_the_loop(name, size, cycle):
+    op = build_operator(q.get_spec(name, grid_size=size))
+    sd = q.peripheral_spectrum(op)
+    nu0 = _start(op)
+    fit = q.fit_yaglom_rate(op, nu0, n_max=120, sd=sd)
+    assert _same(fit.data, ref_yaglom_tvs(op, nu0, 120, sd.mu0))
+    _, _, products = counted_orbit(op.matrix, nu0, 120)
+    j, k = first_repeat(ref_conditioned_rows(op.matrix, nu0, 120)[0])
+    assert cycle in (None, k - j) and products == k + 1 < 120
+
+
+def test_zero_divisor_replays_nan_as_the_loop_does():
+    # nilpotent chain: the mass is 0 at step 3, so rows 3.. are NaN and the
+    # step masses read 0.5, 1, 0, NaN, NaN, ...: the replayed divisors start
+    # after the repeated row's own divisor
+    a = np.array([[0, 0.5, 0], [0, 0, 0.5], [0, 0, 0]])
+    nu0 = np.array([1.0, 0.0, 0.0])
+    rows, divisors, products = counted_orbit(a, nu0, 10)
+    ref_rows, ref_masses = ref_conditioned_rows(a, nu0, 10)
+    assert _bytes_equal(rows, ref_rows) and _bytes_equal(divisors, ref_masses)
+    assert ref_masses[2] == 0 and np.isnan(ref_masses[3:]).all()
+    assert products == 4
+
+
+@pytest.fixture
+def decay_orbit(monkeypatch):
+    """Spy on the mass-decay orbit: products computed and rows returned, per call."""
+    real, calls = q.qsd._orbit, []
+
+    def orbit(matrix, v, n, scale=None, stop=None):
+        products = []
+
+        def counted(row):
+            products.append(1)
+            return stop(row)
+
+        rows, divisors = real(matrix, v, n, scale, counted)
+        calls.append((len(products), len(rows)))
+        return rows, divisors
+
+    monkeypatch.setattr(q.qsd, "_orbit", orbit)
+    return calls
+
+
+@pytest.mark.parametrize("name", SESSION_OPS)
+def test_mass_decay_computes_exactly_n0_steps(ops, decay_orbit, name):
+    decay = q.mass_decay_check(ops[name], n_max=60)
+    assert decay_orbit == [(decay.n0, decay.n0)] and len(decay.sup_masses) == decay.n0
+
+
+def test_never_subunit_comes_at_the_full_horizon(decay_orbit):
+    op = build_operator(KernelSpec(family="explicit_matrix",
+                                   params={"matrix": [[0.3, 0.7], [0.6, 0.4]]}))
+    with pytest.raises(NeverSubunit):
+        q.mass_decay_check(op, n_max=30)
+    (products, horizon), = decay_orbit
+    assert horizon == 30 and products <= 30
+    assert (ref_sup_masses(op, 30) >= 1 - 1e-12).all()
