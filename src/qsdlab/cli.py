@@ -40,12 +40,18 @@ from .errors import (
     SizeLimitExceeded,
     ValidationError,
 )
-from .kernels import build_operator, check_h1_modulus, check_h2_reachability
+from .kernels import (
+    build_operator,
+    check_h1_modulus,
+    check_h2_reachability,
+    operator_graph,
+    reachability,
+)
 from .measures import tv_distance
 from .oracle import SIZE_CAP, FiniteChain, fixture_dict, lobo_leading_term, lobo_sum
 from .qsd import (
-    MIN_N_MAX,
     cesaro_fit,
+    check_n_max,
     cyclic_components,
     fit_yaglom_rate,
     mass_decay_check,
@@ -105,8 +111,8 @@ def _analyze(args):
     Returns the spec, the operator, the spectral data, the rate fit and the
     cyclic partition (None on an aperiodic chain).
     """
-    if args.n_max is not None and args.n_max < MIN_N_MAX:
-        raise ValidationError(f"--n-max must be at least {MIN_N_MAX}")
+    if args.n_max is not None:
+        check_n_max(args.n_max, "--n-max")
     spec = _resolve_spec(args.spec, args.grid_size)
     check_size(spec.grid_size)   # before the matrix is built
     op = build_operator(spec)
@@ -155,8 +161,8 @@ def cmd_analyze(args):
 
 def cmd_verify_hypothesis(args):
     spec = _resolve_spec(args.spec, args.grid_size)
-    op = build_operator(spec)
-    reach = check_h2_reachability(op)
+    escape, edges = operator_graph(spec)   # no eigensolve, so no size cap
+    reach = reachability(escape, edges)
     try:
         rep = check_h1_modulus(spec)
         h1 = {"verdict": rep.verdict,
@@ -174,9 +180,9 @@ def cmd_verify_hypothesis(args):
             "strongly_connected": reach.strongly_connected,
             "n_components": reach.n_components,
             "graph_period": reach.graph_period,
-            "escape_indices": sorted(op.escape),
+            "escape_indices": sorted(escape),
             # the audit raised AllNodesEscape when this would be false
-            "nonescape_mass_positive": len(op.escape) < op.size,
+            "nonescape_mass_positive": len(escape) < spec.grid_size,
         },
     }
     _write_json(doc, os.path.join(args.out, "hypothesis_report.json"), args.canonical)

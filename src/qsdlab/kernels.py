@@ -37,6 +37,9 @@ from .errors import (
 JUMP_ATOL = 1e-9
 
 ESCAPE_TOL_DEFAULT = 1e-12
+# bytes of a block of rows: of the operator in operator_graph, of the edges
+# gathered per step of a reachability search
+ROW_BLOCK_BYTES = 1 << 20
 H1_PROBES = 64
 
 CONTINUOUS_FAMILIES = ("affine_uniform", "cubic_uniform", "gaussian_shift", "tabulated")
@@ -210,14 +213,15 @@ class DiscreteOperator:
 # density evaluation
 
 
-def _window_values(centers, nodes, lower, upper, halfwidth):
+def _window_rows(centers, nodes, lower, upper, halfwidth):
     """Sample the indicator of the moving window (c - w, c + w) at grid nodes.
 
-    Interior nodes that sit exactly on a window edge get the mean of the two
-    one-sided limits (1/2); at a domain endpoint only the limit taken from
-    inside [lower, upper] exists and is used alone.  This keeps trapezoid row
-    sums exact when edges align with nodes and makes rows whose window only
-    touches the domain come out exactly zero.
+    Returns ``rows(a, b)``, which gives the rows a..b-1, one per center, as a
+    new array.  Interior nodes that sit exactly on a window edge get the mean
+    of the two one-sided limits (1/2); at a domain endpoint only the limit
+    taken from inside [lower, upper] exists and is used alone.  This keeps
+    trapezoid row sums exact when edges align with nodes and makes rows whose
+    window only touches the domain come out exactly zero.
 
     ``nodes`` must be nondecreasing; InvalidDomain otherwise.  Row i reads
     t_j = fl(node_j - c_i), which is then nondecreasing in j because
@@ -225,17 +229,18 @@ def _window_values(centers, nodes, lower, upper, halfwidth):
     on t therefore holds on one contiguous run of columns per row: inside,
     |t| < w - JUMP_ATOL (that is, -(w - JUMP_ATOL) < t < w - JUMP_ATOL), the
     left edge |fl(t + w)| <= JUMP_ATOL, and the right edge |fl(t - w)| <=
-    JUMP_ATOL.  One binary search over all rows finds the six run ends by
-    evaluating those same floating-point expressions at O(N log N) points.
-    The row is 1 on the inside run and 0 elsewhere; the left-edge and then
-    the right-edge entries, a few per row, overwrite it.  A NaN or infinite
-    center fails every test and gives a zero row.
+    JUMP_ATOL.  One binary search over all rows, run here once, finds the six
+    run ends by evaluating those same floating-point expressions at
+    O(N log N) points; ``rows`` only slices them.  A row is 1 on the inside
+    run and 0 elsewhere; the left-edge and then the right-edge entries, a few
+    per row, overwrite it.  A NaN or infinite center fails every test and
+    gives a zero row.
     """
     c = np.asarray(centers, dtype=float)
     y = np.asarray(nodes, dtype=float)
     if not np.all(y[1:] >= y[:-1]):
         raise InvalidDomain("window nodes must be nondecreasing")
-    rows, n = c.size, y.size
+    n = y.size
     inner = halfwidth - JUMP_ATOL
     # run k is first[2k] <= j < first[2k + 1], where first[r] counts the leading
     # columns with fl(t + shift[r]) < floor[r]; key > v is key >= nextafter(v, inf)
@@ -243,27 +248,34 @@ def _window_values(centers, nodes, lower, upper, halfwidth):
     above = np.nextafter(JUMP_ATOL, np.inf)
     floor = np.array([np.nextafter(-inner, np.inf), inner,
                       -JUMP_ATOL, above, -JUMP_ATOL, above])[:, None]
-    first = np.zeros((6, rows), dtype=np.intp)
+    first = np.zeros((6, c.size), dtype=np.intp)
     for step in (1 << k for k in reversed(range(n.bit_length()))):
         probe = first + (step - 1)
         key = y[np.minimum(probe, n - 1)] - c
         key += shift
         first += step * ((probe < n) & (key < floor))
-    start, stop = first[0], np.maximum(first[1], first[0])
-    # each row is three runs, 0 then 1 then 0, written in one pass
-    runs = np.stack([start, stop - start, n - stop], axis=1).ravel()
-    val = np.repeat(np.tile([0.0, 1.0, 0.0], rows), runs).reshape(rows, n)
     has_below = y > lower + JUMP_ATOL
     has_above = y < upper - JUMP_ATOL
     n_sides = np.maximum(has_below.astype(float) + has_above.astype(float), 1.0)
     # one-sided limits of the open-window indicator: left edge (below, above)
     # = (0, 1); right edge = (1, 0)
-    for j0, j1, side in ((first[2], first[3], has_above), (first[4], first[5], has_below)):
-        width = np.maximum(j1 - j0, 0)
-        i = np.repeat(np.arange(rows), width)
-        j = np.arange(width.sum()) + np.repeat(j0 - (np.cumsum(width) - width), width)
-        val[i, j] = side[j] / n_sides[j]
-    return val
+    edge_values = ((2, has_above / n_sides), (4, has_below / n_sides))
+
+    def rows(a, b):
+        run = first[:, a:b]
+        start, stop = run[0], np.maximum(run[1], run[0])
+        # each row is three runs, 0 then 1 then 0, written in one pass
+        runs = np.stack([start, stop - start, n - stop], axis=1).ravel()
+        val = np.repeat(np.tile([0.0, 1.0, 0.0], b - a), runs).reshape(b - a, n)
+        for r, side in edge_values:
+            j0 = run[r]
+            width = np.maximum(run[r + 1] - j0, 0)
+            i = np.repeat(np.arange(b - a), width)
+            j = np.arange(width.sum()) + np.repeat(j0 - (np.cumsum(width) - width), width)
+            val[i, j] = side[j]
+        return val
+
+    return rows
 
 
 def _map_centers(spec, x):
@@ -275,37 +287,68 @@ def _map_centers(spec, x):
     return x ** 3
 
 
+def _density_rows(spec, x, y):
+    """``rows(a, b)``: the unchecked density rows g(x[a:b], y) of a continuous family.
+
+    Each call returns a new array.  The window families search their column
+    runs once, here, for all of x.
+    """
+    p = spec.params
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if spec.family in ("affine_uniform", "cubic_uniform"):
+        lo, hi = spec.domain
+        w = float(p["noise_halfwidth"])
+        window = _window_rows(_map_centers(spec, x), y, lo, hi, w)
+
+        def rows(a, b):
+            vals = window(a, b)
+            vals /= 2 * w
+            return vals
+    elif spec.family == "gaussian_shift":
+        sigma = float(p["sigma"])
+
+        def rows(a, b):
+            vals = y[None, :] - x[a:b, None]
+            vals /= sigma
+            vals *= vals
+            vals *= -0.5            # exact scaling: bitwise (-0.5 t) t
+            np.exp(vals, out=vals)
+            vals /= sigma * math.sqrt(2 * math.pi)
+            return vals
+    elif spec.family == "tabulated":
+        table = p["values"]
+
+        def rows(a, b):
+            vals = np.array(table[a:b], dtype=float)   # a copy: weighted in place later
+            if len(table) != x.size or vals.shape != (b - a, y.size):
+                raise InvalidDomain("tabulated values must match the grid shape")
+            return vals
+    else:
+        raise NotApplicable(f"{spec.family} has no pointwise density")
+    return rows
+
+
+def _below_zero(vals):
+    """Whether a density block holds a negative value.
+
+    A value that is not finite raises NegativeDensity instead.  min and max
+    propagate NaN: no temporary the size of the block for the finiteness test.
+    """
+    vmin, vmax = vals.min(), vals.max()
+    if not (np.isfinite(vmin) and np.isfinite(vmax)):
+        raise NegativeDensity("density evaluated to a non-finite value")
+    return bool(vmin < 0)
+
+
 def kernel_density(spec, x, y):
     """Evaluate g(x, y) for a continuous family on arrays of points.
 
     Returns a len(x) x len(y) array of densities with respect to Lebesgue
-    measure.
+    measure.  A non-finite value, and then a negative one, raises
+    NegativeDensity.
     """
-    p = spec.params
-    if spec.family in ("affine_uniform", "cubic_uniform"):
-        lo, hi = spec.domain
-        w = float(p["noise_halfwidth"])
-        vals = _window_values(_map_centers(spec, x), y, lo, hi, w)
-        vals /= 2 * w
-    elif spec.family == "gaussian_shift":
-        sigma = float(p["sigma"])
-        vals = np.asarray(y, float)[None, :] - np.asarray(x, float)[:, None]
-        vals /= sigma
-        vals *= vals
-        vals *= -0.5            # exact scaling: bitwise (-0.5 t) t
-        np.exp(vals, out=vals)
-        vals /= sigma * math.sqrt(2 * math.pi)
-    elif spec.family == "tabulated":
-        vals = np.array(p["values"], dtype=float)   # a copy: weighted in place later
-        if vals.shape != (np.size(x), np.size(y)):
-            raise InvalidDomain("tabulated values must match the grid shape")
-    else:
-        raise NotApplicable(f"{spec.family} has no pointwise density")
-    # min and max propagate NaN: no N x N temporary for the finiteness test
-    vmin, vmax = vals.min(), vals.max()
-    if not (np.isfinite(vmin) and np.isfinite(vmax)):
-        raise NegativeDensity("density evaluated to a non-finite value")
-    if vmin < 0:
+    vals = _density_rows(spec, x, y)(0, np.size(x))
+    if _below_zero(vals):
         raise NegativeDensity("density evaluated below zero")
     return vals
 
@@ -366,33 +409,77 @@ def _explicit_matrix(value):
     return q
 
 
+def _operator_rows(spec, grid, block):
+    """Yield ``(a, rows)``: the operator rows a..a+block-1 of a density family.
+
+    The rows are the density on the grid, multiplied column-wise by the
+    weights, in blocks of ``block`` rows; this is the one place that
+    evaluates the kernel for the operator.  Each block passes the range check
+    of ``kernel_density`` before it is weighted, with the same errors in the
+    same order over the whole matrix: a non-finite value raises at once, a
+    negative one after the last block, so a non-finite value in any block wins.
+    """
+    nodes = grid.nodes
+    density = _density_rows(spec, nodes, nodes)
+    negative = False
+    for a in range(0, nodes.size, block):
+        rows = density(a, min(a + block, nodes.size))
+        negative |= _below_zero(rows)
+        rows *= grid.weights[None, :]
+        yield a, rows
+    if negative:
+        raise NegativeDensity("density evaluated below zero")
+
+
 def build_operator(spec):
     """Realize a KernelSpec as a DiscreteOperator.
 
     For explicit matrices the matrix is passed through verbatim with nodes
     0..n-1 and unit weights; otherwise the density is sampled on the
-    quadrature grid and multiplied by the weights column-wise.
+    quadrature grid and multiplied by the weights column-wise, as one block
+    of all rows.
     """
     grid = _quadrature_grid(spec)
     if spec.is_explicit:
         matrix = spec.matrix
     else:
-        matrix = kernel_density(spec, grid.nodes, grid.nodes)
-        matrix *= grid.weights[None, :]
+        (_, matrix), = _operator_rows(spec, grid, grid.nodes.size)
     return DiscreteOperator(grid=grid, matrix=matrix,
-                            escape=_detect(matrix, ESCAPE_TOL_DEFAULT), spec=spec)
+                            escape=_escape_nodes(matrix.sum(axis=1), ESCAPE_TOL_DEFAULT),
+                            spec=spec)
 
 
-def _detect(matrix, tol):
+def _escape_nodes(masses, tol):
     """The escape nodes: the frozenset of rows whose mass is at most ``tol``.
 
     A row mass that is not finite (finite densities whose product with the
     weights overflows) raises InvalidDomain.
     """
-    rows = matrix.sum(axis=1)
-    if not np.isfinite(rows).all():
+    if not np.isfinite(masses).all():
         raise InvalidDomain("row masses overflow: the density times the weights is not finite")
-    return frozenset(int(i) for i in np.flatnonzero(rows <= tol))
+    return frozenset(int(i) for i in np.flatnonzero(masses <= tol))
+
+
+def operator_graph(spec):
+    """The escape set and the edges of ``build_operator(spec)``, without its matrix.
+
+    Returns ``(escape, edges)``, equal to ``op.escape`` and ``op.matrix >
+    ESCAPE_TOL_DEFAULT``, with the errors of ``build_operator`` in its order.
+    A density family's rows are made in blocks of about ``ROW_BLOCK_BYTES``
+    and reduced to their masses and edges, so the audit holds the N^2 bytes
+    of the edges, not the 8 N^2 of the matrix.  An explicit chain reads
+    ``spec.matrix``.
+    """
+    if spec.is_explicit:
+        return (_escape_nodes(spec.matrix.sum(axis=1), ESCAPE_TOL_DEFAULT),
+                spec.matrix > ESCAPE_TOL_DEFAULT)
+    grid = _quadrature_grid(spec)
+    n = grid.nodes.size
+    masses, edges = np.empty(n), np.empty((n, n), dtype=bool)
+    for a, rows in _operator_rows(spec, grid, max(ROW_BLOCK_BYTES // (8 * n), 1)):
+        rows.sum(axis=1, out=masses[a:a + len(rows)])
+        np.greater(rows, ESCAPE_TOL_DEFAULT, out=edges[a:a + len(rows)])
+    return _escape_nodes(masses, ESCAPE_TOL_DEFAULT), edges
 
 
 # ---------------------------------------------------------------------------
@@ -479,20 +566,25 @@ class ReachabilityReport:
         return f"{self.n_components} communicating classes"
 
 
-def _bfs_levels(adj, source):
-    """Breadth-first search from ``source`` along ``adj``.
+def _bfs_levels(adj, source, live):
+    """Breadth-first search from ``source`` along ``adj``, through ``live`` nodes only.
 
     Returns the levels (-1: unreached) and the gcd of ``level[u] + 1 -
     level[v]`` over edges u -> v out of reached nodes, which is the period of
     a strongly connected graph; it is taken per level, so no edge list is built.
     """
-    level = np.full(adj.shape[0], -1)
+    n = adj.shape[0]
+    level = np.full(n, -1)
     level[source] = 0
     frontier = np.array([source])
+    chunk = max(ROW_BLOCK_BYTES // n, 1)   # frontier rows gathered at a time
     d = g = 0
     while frontier.size:
         d += 1
-        hit = adj[frontier].any(axis=0)
+        hit = adj[frontier[:chunk]].any(axis=0)
+        for k in range(chunk, frontier.size, chunk):
+            hit |= adj[frontier[k:k + chunk]].any(axis=0)
+        hit &= live
         new = hit & (level < 0)
         level[new] = d
         g = int(np.gcd.reduce(d - level[hit], initial=g))
@@ -503,30 +595,42 @@ def _bfs_levels(adj, source):
 def check_h2_reachability(op):
     """Audit reachability of every node from every node among non-escape nodes.
 
-    Edges are entries of the discretized kernel above the escape tolerance.
-    Reports the number of strongly connected components and, for a single
-    communicating class, its graph period and each node's cyclic class
-    (see :class:`ReachabilityReport`), from the first forward search.
+    Edges are entries of the discretized kernel above the escape tolerance;
+    see :func:`reachability`.
     """
-    keep = op.nonescape_indices()
+    return reachability(op.escape, op.matrix > ESCAPE_TOL_DEFAULT)
+
+
+def reachability(escape, edges):
+    """The H2 audit of a graph: ``edges[i, j]`` when node i leads to node j.
+
+    Among the nodes not in ``escape``, reports the number of strongly
+    connected components and, for a single communicating class, its graph
+    period and each node's cyclic class (see :class:`ReachabilityReport`),
+    from the first forward search.  The searches read ``edges`` in place,
+    about ``ROW_BLOCK_BYTES`` of rows at a time, and step only onto
+    non-escape nodes, so the subgraph is never copied.
+    """
+    live = np.ones(len(edges), dtype=bool)
+    live[list(escape)] = False
+    keep = np.flatnonzero(live)
     if keep.size == 0:
         raise AllNodesEscape("no non-escape nodes")
-    adj = (op.matrix > ESCAPE_TOL_DEFAULT)[keep][:, keep]
     # strongly connected components: peel off forward & backward reach
-    unseen = np.ones(len(keep), dtype=bool)
+    unseen = live.copy()
     periods = []   # from each forward search: the graph period when there is one class
     while unseen.any():
         i = int(np.flatnonzero(unseen)[0])
-        level, period = _bfs_levels(adj, i)
-        unseen &= ~((level >= 0) & (_bfs_levels(adj.T, i)[0] >= 0))
+        level, period = _bfs_levels(edges, i, live)
+        unseen &= ~((level >= 0) & (_bfs_levels(edges.T, i, live)[0] >= 0))
         if not periods:
             first_level = level
         periods.append(period)
     n_comp = len(periods)
-    connected = n_comp == 1 and (len(keep) > 1 or bool(adj[0, 0]))
-    node_class = np.full(op.size, -1)
+    connected = n_comp == 1 and (keep.size > 1 or bool(edges[keep[0], keep[0]]))
+    node_class = np.full(len(edges), -1)
     if connected:
-        node_class[keep] = first_level % periods[0]
+        node_class[keep] = first_level[keep] % periods[0]
     node_class.setflags(write=False)
     return ReachabilityReport(
         strongly_connected=connected,

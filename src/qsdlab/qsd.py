@@ -151,6 +151,12 @@ def _tv_rows(laws, q):
     return 0.5 * np.abs(laws - q).sum(axis=1)
 
 
+def check_n_max(n_max, name="n_max"):
+    """The rate fits' horizon rule: at least MIN_N_MAX steps; ValidationError names ``name``."""
+    if n_max < MIN_N_MAX:
+        raise ValidationError(f"{name} must be at least {MIN_N_MAX}, got {n_max}")
+
+
 def _fit_laws(op, nu0, n_max, sd, cyclic):
     """The rate fits' common start: sd (solved when None), the steps 1..n_max, the laws.
 
@@ -159,8 +165,7 @@ def _fit_laws(op, nu0, n_max, sd, cyclic):
     """
     if n_max is None:
         n_max = 200 if op.spec.is_explicit else 120
-    if n_max < MIN_N_MAX:
-        raise ValidationError(f"n_max must be at least {MIN_N_MAX}, got {n_max}")
+    check_n_max(n_max)
     nu, laws, _ = _conditioned_laws(op, nu0, n_max)
     sd = sd or peripheral_spectrum(op)
     if cyclic and sd.period_m < 2:

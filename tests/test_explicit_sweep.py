@@ -7,23 +7,33 @@ refusal), never with an uncaught exception; a refused run leaves no output
 directory, and no file that an answered run writes holds NaN.  Infinity is
 allowed: it is the rate of a chain whose conditioned law settles at once.
 The density fields, some swapped for a mistyped value, also go straight to
-``KernelSpec``, which returns a spec or raises a ValidationError.
+``KernelSpec``, which returns a spec or raises a ValidationError.  The
+audit's graph, made from row blocks, is that of the built operator, and a
+spec that one refuses the other refuses with the same error.
 """
 
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import tempfile
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qsdlab.cli import main
-from qsdlab.errors import ValidationError
-from qsdlab.kernels import KernelSpec
+from qsdlab.errors import QsdlabError, ValidationError
+from qsdlab.kernels import (
+    ESCAPE_TOL_DEFAULT,
+    ROW_BLOCK_BYTES,
+    KernelSpec,
+    build_operator,
+    operator_graph,
+)
 
 # a row entry: zero, dust (down to the smallest subnormal) or an ordinary weight
 _ENTRY = st.one_of(st.just(0.0), st.sampled_from([5e-324, 1e-300, 1e-17]),
@@ -164,3 +174,39 @@ def test_density_fields_make_a_spec_or_a_validation_error(doc, flaw):
     except ValidationError:
         return
     assert type(spec.grid_size) is int and all(type(b) is float for b in spec.domain)
+
+
+# a table of two row blocks, a negative entry in the first and a NaN in the second
+_BLOCKED = 512
+assert ROW_BLOCK_BYTES // (8 * _BLOCKED) < _BLOCKED
+_FLAT = [[1.0] * _BLOCKED for _ in range(_BLOCKED)]
+_HOLED = [row[:] for row in _FLAT]
+_HOLED[0][3], _HOLED[-1][5] = -1.0, math.nan
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=st.one_of(density_documents(), explicit_documents()), table=st.none())
+# the non-finite entry wins over the negative one in an earlier block, as in kernel_density
+@example(doc={"family": "tabulated", "domain": [0, 1], "grid_size": _BLOCKED,
+              "params": {"values": _FLAT}}, table=_HOLED)
+# the table of test_weighted_matrix_overflow_exits_2: the row masses overflow
+@example(doc={"family": "tabulated", "domain": [0, 1e12], "grid_size": 3,
+              "params": {"values": [[1e300] * 3] * 3}}, table=None)
+def test_operator_graph_is_the_operators_graph(doc, table):
+    try:
+        spec = KernelSpec(**doc)
+    except ValidationError:
+        return
+    if table is not None:
+        # a table KernelSpec refuses, put in past its check
+        spec.params["values"] = table
+    try:
+        op = build_operator(spec)
+    except QsdlabError as exc:
+        with pytest.raises(type(exc)) as err:
+            operator_graph(spec)
+        assert type(err.value) is type(exc) and str(err.value) == str(exc)
+        return
+    escape, edges = operator_graph(spec)
+    assert escape == op.escape
+    assert np.array_equal(edges, op.matrix > ESCAPE_TOL_DEFAULT)

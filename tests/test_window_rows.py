@@ -1,6 +1,6 @@
 """Window rows filled from index runs give the bytes of the elementwise reference.
 
-``kernels._window_values`` finds, per row, the column runs where the window
+``kernels._window_rows`` finds, per row, the column runs where the window
 tests hold and fills them by slices; ``ref_window_values`` in
 ``test_build_bytes.py`` evaluates every test at every entry.  Both must agree
 bit for bit on any nondecreasing node array.
@@ -16,11 +16,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qsdlab as q
+from qsdlab import cli
 from qsdlab.errors import InvalidDomain, NegativeDensity
-from qsdlab.kernels import H1_PROBES, JUMP_ATOL, _window_values, kernel_density
+from qsdlab.kernels import H1_PROBES, JUMP_ATOL, _window_rows, kernel_density
 from test_build_bytes import ref_window_values
 
 NONFINITE = (math.nan, math.inf, -math.inf)
+
+
+def _window_values(centers, nodes, lower, upper, halfwidth):
+    """Every row of the window indicator, as one block."""
+    return _window_rows(centers, nodes, lower, upper, halfwidth)(0, np.size(centers))
 
 
 @st.composite
@@ -132,3 +138,18 @@ def test_window_build_peak_memory(name):
     finally:
         tracemalloc.stop()
     assert peak <= 1.2 * op.matrix.nbytes, peak / op.matrix.nbytes
+
+
+@pytest.mark.parametrize("name", ["example21", "example22cubic", "example23gauss"])
+def test_verify_hypothesis_peak_memory(name, tmp_path):
+    # the audit holds the N^2 bytes of the edges, not the 8 N^2 bytes of the operator
+    n = 1601
+    tracemalloc.start()
+    try:
+        code = cli.main(["verify-hypothesis", "--spec", name, "--grid-size", str(n),
+                         "--out", str(tmp_path), "--canonical"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 0.5 * n * n * 8, peak / (n * n * 8)
