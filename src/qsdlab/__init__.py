@@ -34,12 +34,10 @@ from .qsd import (
 )
 from .registry import builtin_names, get_spec
 from .simulate import (
-    ABSORBED,
     ConditionedEstimate,
     TrajectoryBatch,
     estimate_birkhoff,
     estimate_yaglom,
-    sample_step,
     simulate_batch,
 )
 from .spectral import (

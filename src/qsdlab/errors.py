@@ -112,4 +112,4 @@ class TooFewSurvivors(NumericalError):
 # -- finite oracle ----------------------------------------------------------
 
 class IllConditionedEigenbasis(NumericalError):
-    pass
+    """Eigenvectors too ill-conditioned to resolve (oracle eigenbasis, Perron pairing)."""

@@ -77,7 +77,8 @@ def lobo_sum(chain, h, x, n):
 
     Computed by direct matrix algebra: with s_j = Q^j 1 the survivor masses,
     the sum equals ( sum_{k<n} Q^k (h .* s_{n-k}) )(x), accumulated by a
-    Horner-style recurrence.  No asymptotic shortcut is taken; this is the
+    Horner-style recurrence that steps s_j along with it, so one survivor
+    vector is kept, not n.  No asymptotic shortcut is taken; this is the
     quantity the asymptotic ratio tests divide by their predicted leading
     term.
     """
@@ -85,14 +86,11 @@ def lobo_sum(chain, h, x, n):
         raise ValueError("n must be >= 1")
     q = chain.Q
     h = np.asarray(h, dtype=float)
-    s = np.ones(chain.size)
-    suffix = [s]
-    for _ in range(n):
-        s = q @ s
-        suffix.append(s)
-    acc = h * suffix[1]          # k = n-1 term: h .* Q^1 1
-    for k in range(n - 2, -1, -1):
-        acc = h * suffix[n - k] + q @ acc
+    s = q @ np.ones(chain.size)
+    acc = h * s                  # k = n-1 term: h .* Q^1 1
+    for _ in range(n - 1):
+        s = q @ s                # s_j for j = 2..n, the term k = n-j
+        acc = h * s + q @ acc
     return float(acc[int(x)])
 
 

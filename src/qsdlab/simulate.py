@@ -1,11 +1,10 @@
 """Direct simulation of the absorbed chain, conditioned by rejection.
 
 Paths are drawn from the kernel itself (random-map draw for the window and
-Gaussian families, inverse-CDF draw for finite chains: ``_mover`` decides,
-for the batch and the single step alike) and every path that leaves the
-domain before the horizon is discarded; surviving paths estimate the
-conditioned law and conditioned time averages with no bias beyond the
-finite horizon.
+Gaussian families, inverse-CDF draw for finite chains: ``_mover`` decides)
+and every path that leaves the domain before the horizon is discarded;
+surviving paths estimate the conditioned law and conditioned time averages
+with no bias beyond the finite horizon.
 
 Randomness is counter-based: a Philox generator keyed by (seed, chunk index)
 with a fixed chunk size, so the draws of a chunk are a pure function of the
@@ -40,9 +39,6 @@ from .kernels import _map_centers, _quadrature_grid
 
 CHUNK_SIZE = 1 << 20  # fixed: changing it changes the stream layout
 BLOCK_SIZE = 1 << 16  # live paths per block of the step loop; not part of the stream layout
-
-#: Sentinel returned by sample_step when the move leaves the domain.
-ABSORBED = type("_Absorbed", (), {"__repr__": lambda self: "ABSORBED"})()
 
 
 def _chunk_generator(seed, chunk_index):
@@ -85,20 +81,19 @@ def _inverse_cdf(cols, state, u):
     return nxt
 
 
-def _mover(spec, x=None):
+def _mover(spec):
     """How the chain moves: the state dtype and ``move(s, u) -> (next, live)``, u in [0, 1].
 
-    Explicit chains take the inverse-CDF draw, and a known start x forms only
-    its own row's CDF.  The window and Gaussian families take their random
+    Explicit chains take the inverse-CDF draw over the whole matrix's CDF,
+    stored by column.  The window and Gaussian families take their random
     map and live while ``lo <= y <= hi``, which also absorbs NaN.  Any other
     family has no draw: NotApplicable.
     """
     if spec.is_explicit:
-        first, rows = (0, spec.matrix) if x is None else (x, spec.matrix[x:x + 1])
-        cols = np.ascontiguousarray(np.cumsum(rows, axis=1).T)
+        cols = np.ascontiguousarray(np.cumsum(spec.matrix, axis=1).T)
 
         def move(s, u):
-            y = _inverse_cdf(cols, s - first if first else s, u)   # a batch skips the copy
+            y = _inverse_cdf(cols, s, u)
             return y, y < spec.grid_size
         return np.int64, move
     if spec.family not in ("affine_uniform", "cubic_uniform", "gaussian_shift"):
@@ -109,21 +104,6 @@ def _mover(spec, x=None):
         y = _noise_to_moves(spec, s, u)
         return y, (lo <= y) & (y <= hi)
     return float, move
-
-
-def sample_step(spec, x, u):
-    """One transition from x driven by the uniform variate u: the batch's move on one path.
-
-    Returns the new state, or ABSORBED.  Raises InvalidDomain for a start
-    ``check_start`` refuses or a u outside [0, 1] (NaN too), and
-    NotApplicable for a family with no draw.
-    """
-    x = check_start(spec, x)
-    if not 0 <= u <= 1:
-        raise InvalidDomain(f"u must lie in [0, 1], got {u!r}")
-    dtype, move = _mover(spec, x)
-    y, live = move(np.array([x], dtype=dtype), np.array([u], dtype=float))
-    return y[0].item() if live[0] else ABSORBED
 
 
 @dataclass(frozen=True)
@@ -154,9 +134,12 @@ class ConditionedEstimate:
 def check_start(spec, x0):
     """Return the start point as a state (int on explicit chains).
 
-    Raises InvalidDomain unless x0 is an integer state 0..n-1 of an explicit
-    chain, or a point of the closed domain of a continuous kernel.
+    Raises InvalidDomain unless x0 is a real number (not a bool) that is an
+    integer state 0..n-1 of an explicit chain, or a point of the closed domain
+    of a continuous kernel.
     """
+    if isinstance(x0, bool) or not isinstance(x0, numbers.Real):
+        raise InvalidDomain(f"start must be a number, got {x0!r}")
     if spec.is_explicit:
         if not (float(x0).is_integer() and 0 <= x0 < spec.grid_size):
             raise InvalidDomain(f"{x0!r} is not a state 0..{spec.grid_size - 1}")

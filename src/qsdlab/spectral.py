@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import (
     DefectiveMatrix,
+    IllConditionedEigenbasis,
     NonConvergent,
     NoSpectralGapWithinTol,
     PeriodMismatch,
@@ -333,7 +334,10 @@ def peripheral_spectrum(op, reach=None):
     root angles within 1e-3 (TolTooLoose otherwise), and the largest
     non-peripheral modulus must stay below ``lam * (1 - GAP_FLOOR_DEFAULT)``
     (NoSpectralGapWithinTol otherwise).  The Perron pair must lie in the
-    nonnegative cone (DefectiveMatrix otherwise) and pass the residual gates
+    nonnegative cone (DefectiveMatrix otherwise), pair with
+    ``|<mu_0, f_0>| >= 1e-12 |mu_0|_1 sup f_0`` (IllConditionedEigenbasis
+    otherwise: the Perron root is simple, so only ill-conditioning makes the
+    pairing vanish) and pass the residual gates
     ``|A f_0 - lam f_0| <= 1e-10 sup f_0`` and, in variation norm,
     ``|mu_0 A - lam mu_0| <= 1e-10 lam`` (NonConvergent otherwise): for an
     irreducible nonnegative matrix the only nonnegative eigenvector belongs to
@@ -388,8 +392,11 @@ def peripheral_spectrum(op, reach=None):
     mu = mu0.astype(complex) / mu0.sum()
     f = f0.astype(complex)
     pairing = mu @ f
-    if abs(pairing) < 1e-12 * (np.abs(mu).sum() * np.abs(f).max()):
-        raise DefectiveMatrix(f"peripheral eigenvalue {ev[k]:.6g} looks defective")
+    floor = 1e-12 * (np.abs(mu).sum() * np.abs(f).max())
+    if abs(pairing) < floor:
+        raise IllConditionedEigenbasis(
+            f"Perron pairing <mu_0, f_0> = {abs(pairing):.3g} at eigenvalue {ev[k]:.6g} "
+            f"is below its floor {floor:.3g}")
     f = f / pairing              # mu_0 stays a probability vector
 
     # f_j = D^j f_0 and mu_j = mu_0 D^-j with D = diag(w^class): one forward

@@ -612,6 +612,21 @@ def test_lobo_refuses_reducible_chain_exits_3(tmp_path, capsys):
         assert not (tmp_path / cmd).exists()
 
 
+def test_vanishing_perron_pairing_is_ill_conditioned(tmp_path, capsys):
+    # a 20-state birth-death chain drifting up: irreducible, so its Perron
+    # root is simple, yet <mu_0, f_0> rounds to about 3e-16 (the oracle
+    # measures an eigenvector condition number of about 1e18)
+    n = 20
+    matrix = np.diag(np.full(n, 0.05)) + np.diag(np.full(n - 1, 0.8), 1) \
+        + np.diag(np.full(n - 1, 0.01), -1)
+    spec = _chain_file(tmp_path, matrix.tolist())
+    assert main(["analyze", "--spec", spec, "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert re.search(r"IllConditionedEigenbasis: Perron pairing <mu_0, f_0> = \S+ at "
+                     r"eigenvalue 0\.226887 is below its floor 1e-12", err), err
+    assert "Traceback" not in err and not (tmp_path / "o").exists()
+
+
 def test_cli_import_leaves_scipy_special_unloaded():
     # the Gaussian sampler and density import it where they need it
     src = os.path.dirname(os.path.dirname(q.__file__))

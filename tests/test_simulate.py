@@ -18,28 +18,40 @@ from qsdlab.errors import (
 )
 from qsdlab.kernels import KernelSpec, build_operator
 from qsdlab.oracle import FiniteChain, lobo_sum
-from qsdlab.simulate import ABSORBED, CHUNK_SIZE, bin_to_grid, simulate_batch
+from qsdlab.simulate import CHUNK_SIZE, bin_to_grid, simulate_batch
 
 
-def test_sample_step_affine_arithmetic():
+def _move(spec, x, u):
+    """One move of ``_mover(spec)`` from x driven by the draw u: the next state, or None."""
+    dtype, move = simulate._mover(spec)
+    y, live = move(np.array([x], dtype=dtype), np.array([u], dtype=float))
+    return y[0].item() if live[0] else None
+
+
+def test_window_move_arithmetic():
     spec = q.get_spec("example21")
-    # u = 0.75 maps to noise +0.5
-    assert q.sample_step(spec, 0.9, 0.75) is ABSORBED
-    assert q.sample_step(spec, 0.0, 0.75) == pytest.approx(0.5)
+    # u = 0.75 maps to noise +0.5 around the centre 2x
+    assert _move(spec, 0.9, 0.75) is None
+    assert _move(spec, 0.0, 0.75) == pytest.approx(0.5)
+    cubic = q.get_spec("example22cubic")
+    # centre x**3, noise 6 (2u - 1)
+    assert _move(cubic, 0.5, 0.5) == 0.125
+    assert _move(cubic, 0.5, 0.625) == 1.625
+    assert _move(cubic, 1.0, 0.75) is None
 
 
-def test_sample_step_explicit_cdf_layout():
+def test_explicit_move_cdf_layout():
     spec = q.get_spec("sym2")
     # row 0 CDF: [0.5, 0.75], absorption bucket to 1.0
-    assert q.sample_step(spec, 0, 0.9) is ABSORBED
-    assert q.sample_step(spec, 0, 0.6) == 1
-    assert q.sample_step(spec, 0, 0.2) == 0
+    assert _move(spec, 0, 0.9) is None
+    assert _move(spec, 0, 0.6) == 1
+    assert _move(spec, 0, 0.2) == 0
 
 
-def test_sample_step_gaussian_stays_or_leaves():
+def test_gaussian_move_stays_or_leaves():
     spec = q.get_spec("example23gauss")
-    assert q.sample_step(spec, 0.0, 0.5) == pytest.approx(0.0)  # median move
-    assert q.sample_step(spec, 0.9, 0.999) is ABSORBED
+    assert _move(spec, 0.0, 0.5) == pytest.approx(0.0)  # median move
+    assert _move(spec, 0.9, 0.999) is None
 
 
 def test_seed_determinism():
@@ -255,17 +267,17 @@ class _FixedDraws:
 
 
 @pytest.mark.parametrize("name", ["sym2", "ds3", "cycle3"])
-def test_sample_step_agrees_with_one_path_batch(name, monkeypatch):
+def test_one_path_batch_follows_the_row_cdf(name, monkeypatch):
     spec = q.get_spec(name)
     cdf = np.cumsum(np.asarray(spec.params["matrix"]), axis=1)
     for x in range(len(cdf)):
-        # every CDF value exactly, the row total, past it, and between values
-        us = set(cdf[x]) | {0.0, 0.3, cdf[x, -1], np.nextafter(cdf[x, -1], 2.0), 0.999999}
+        # every CDF value exactly, the row total, past it, between values and 1.0
+        us = set(cdf[x]) | {0.0, 0.3, cdf[x, -1], np.nextafter(cdf[x, -1], 2.0), 0.999999, 1.0}
         for u in sorted(us):
             monkeypatch.setattr(simulate, "_chunk_generator", lambda seed, c, u=u: _FixedDraws(u))
             b = simulate_batch(spec, x, 1, 1)
-            step = q.sample_step(spec, x, u)
-            if step is ABSORBED:
+            step = _move(spec, x, u)
+            if step is None:
                 assert b.survivor_count == 0 and b.tau_histogram[1] == 1, (x, u)
                 assert u >= cdf[x, -1]
             else:
@@ -284,7 +296,7 @@ _EDGE_MOVES = {
 
 
 @pytest.mark.parametrize("name", sorted(_EDGE_MOVES))
-def test_sample_step_agrees_with_one_path_batch_on_continuous_kernels(name, monkeypatch):
+def test_one_path_batch_moves_onto_either_domain_end(name, monkeypatch):
     spec = q.get_spec(name)
     lo, hi = spec.domain
     grid = [(x, u) for x in (lo, -0.3, 0.0, 0.7, hi)
@@ -293,8 +305,8 @@ def test_sample_step_agrees_with_one_path_batch_on_continuous_kernels(name, monk
     for x, u in _EDGE_MOVES[name] + grid:
         monkeypatch.setattr(simulate, "_chunk_generator", lambda seed, c, u=u: _FixedDraws(u))
         b = simulate_batch(spec, x, 1, 1)
-        step = q.sample_step(spec, x, u)
-        if step is ABSORBED:
+        step = _move(spec, x, u)
+        if step is None:
             assert b.survivor_count == 0 and b.tau_histogram[1] == 1, (x, u)
         else:
             assert b.survivor_count == 1 and b.terminal_states[0] == step, (x, u)
@@ -331,9 +343,11 @@ def test_wide_chain_counts_past_255_columns(monkeypatch):
         assert np.array_equal(b.terminal_states, want[want < 300])
         assert b.tau_histogram[1] == np.count_nonzero(want == 300)
         assert {299, 300} <= set(want.tolist())  # the last column and absorption
+        # one path at a time: the whole row in one strip of comparisons
+        dtype, move = simulate._mover(spec)
         for u, j in zip(us, want):
-            step = q.sample_step(spec, x, u)
-            assert (step is ABSORBED) if j == 300 else (step == j), (x, u)
+            y, live = move(np.array([x], dtype=dtype), np.array([u]))
+            assert y[0] == j and live[0] == (j < 300), (x, u)
 
 
 @pytest.mark.parametrize("name,x0,n", [("ds3", 0, 20), ("sym2", 0, 4), ("example21", 0.5, 10)])
@@ -351,27 +365,24 @@ def test_step_loop_peak_memory(name, x0, n):
     assert peak <= 3 * 8 * CHUNK_SIZE, peak / (8 * CHUNK_SIZE)
 
 
-def test_sample_step_on_cdf_values():
+def test_explicit_move_on_cdf_values():
     spec = q.get_spec("sym2")
     # row 0 CDF: [0.5, 0.75]; a draw on a CDF value falls in the next bucket
-    assert q.sample_step(spec, 0, 0.5) == 1
-    assert q.sample_step(spec, 0, 0.75) is ABSORBED
-    assert q.sample_step(spec, 0, 1.0) is ABSORBED
+    assert _move(spec, 0, 0.5) == 1
+    assert _move(spec, 0, 0.75) is None
+    assert _move(spec, 0, 1.0) is None
 
 
-@pytest.mark.parametrize("name,x,u", [
-    ("sym2", 7, 0.5), ("sym2", -1, 0.5), ("sym2", 0.5, 0.5), ("example21", 5.0, 0.5),
-    ("sym2", 0, float("nan")), ("sym2", 0, -1.0), ("sym2", 0, 1.5),
-    ("example23gauss", 0.0, float("nan")),
+@pytest.mark.parametrize("name,x0", [
+    ("sym2", -1), ("sym2", 2), ("sym2", 5), ("sym2", 7), ("sym2", 0.5), ("sym2", 0.7),
+    ("ds3", float("nan")), ("example21", 1.5), ("example21", 5.0), ("example21", -1.0000001),
+    ("example23gauss", float("nan")),
+    # a start that is not a real number, bools included
+    ("sym2", True), ("example21", True), pytest.param("sym2", np.True_, id="sym2-np.True_"),
+    pytest.param("sym2", "1", id="sym2-str_1"),
+    pytest.param("example21", "0.5", id="example21-str_0.5"),
+    ("sym2", None), ("example21", None), ("sym2", 1 + 0j), ("example21", 0.5 + 0j),
 ])
-def test_sample_step_refuses_a_bad_start_or_draw(name, x, u):
-    with pytest.raises(InvalidDomain):
-        q.sample_step(q.get_spec(name), x, u)
-
-
-@pytest.mark.parametrize("name,x0", [("sym2", -1), ("sym2", 2), ("sym2", 5), ("sym2", 0.7),
-                                     ("ds3", float("nan")), ("example21", 1.5),
-                                     ("example21", -1.0000001), ("example23gauss", float("nan"))])
 def test_simulate_batch_rejects_bad_start(name, x0):
     with pytest.raises(InvalidDomain):
         simulate_batch(q.get_spec(name), x0, 3, 100, seed=1)
@@ -418,9 +429,8 @@ def test_simulate_batch_accepts_integral_float_start():
 @pytest.mark.parametrize("read", [
     build_operator,
     lambda spec: simulate_batch(spec, 0, 5, 1000),
-    lambda spec: q.sample_step(spec, 0, 0.5),
     lambda spec: simulate.summarize_yaglom(simulate_batch(q.get_spec("sym2"), 0, 1, 1000), spec),
-], ids=["build_operator", "simulate_batch", "sample_step", "summarize_yaglom"])
+], ids=["build_operator", "simulate_batch", "summarize_yaglom"])
 def test_invalid_explicit_matrix_is_refused_by_every_reader(read, matrix, error):
     # refused where the spec is made, so no reader can be handed it
     with pytest.raises(error):
@@ -445,7 +455,6 @@ def test_explicit_matrix_is_validated_once_per_spec(tmp_path, monkeypatch):
     assert len(calls) == 1
     batch = simulate_batch(spec, 1, 4, 5000, seed=2)
     build_operator(spec)
-    q.sample_step(spec, 1, 0.3)
     simulate.summarize_yaglom(batch, spec)
     assert len(calls) == 1
     # one simulate run: one spec, one check
