@@ -1,12 +1,32 @@
 #!/usr/bin/env python3
-"""Run the full analysis pipeline over every bundled system.
+"""Run every same-behaviour case: the pipeline over the bundled systems and more.
 
-Writes analyze + verify-hypothesis reports for each bundled kernel under
-out/<name>/ and the yaglom report under out/<name>/yaglom/, and prints a
-one-line summary per system.  Exits 1 when any system fails.
+    PYTHONPATH=src python scripts/run_pipeline.py --out DIR
+
+Writes under DIR, with ``--canonical`` where the command takes it:
+
+- <name>/ and <name>/yaglom/: analyze, verify-hypothesis and yaglom on each
+  bundled system, with a one-line summary per system;
+- mc/<name>[_x0_<x0>]/: seeded simulate, 1100000 paths (two chunks of the
+  stream), seed 7, from the default start or from x0;
+- hyp/<name>_<N>/: verify-hypothesis on the continuous systems at 401, 1601
+  and 2000 nodes (the H2 graph comes in row blocks; at 2000 the last one is
+  partial);
+- hyp/spec_<name>/: verify-hypothesis on each fixtures/*.spec.json, explicit
+  chains included, and on hyp/tabulated.spec.json, a 400-node tabulated band
+  with 20 zero rows at either end (two row blocks), written here first;
+- lobo/<name>/: the exact cumulative-sum tables of the bundled chains;
+- specs/<name>/: analyze on each fixtures/*.spec.json, parsed from JSON, not
+  resolved by name;
+- arnoldi/<name>_<N>/: analyze on the Arnoldi route (512 nodes up), and on
+  example21 at 401, whose conditioned-law orbit ends in a replayed cycle.
+
+Trees written from two versions of ``src`` should be byte-identical
+(``diff -r``).  Exits 1 when any case fails.
 """
 
 import argparse
+import glob
 import json
 import os
 import sys
@@ -14,26 +34,88 @@ import sys
 from qsdlab.cli import main as cli
 from qsdlab.registry import builtin_names
 
+FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "fixtures")
+CONTINUOUS = ("example21", "example22cubic", "example23gauss")
+CHAINS = ("sym2", "cycle2", "cycle3", "ds3")
+# (system, horizon, start or None for the default)
+SIMULATE = [("sym2", 4, None), ("ds3", 20, None), ("example21", 10, None),
+            ("example22cubic", 5, None), ("example23gauss", 10, None),
+            ("ds3", 20, "2"), ("cycle3", 6, "3"), ("example21", 10, "0.3")]
+ARNOLDI = [("example21", 1601), ("example22cubic", 801), ("example23gauss", 801),
+           ("example21", 401)]
+BAND = os.path.join("hyp", "tabulated.spec.json")   # under the --out root
 
-def run(out_root):
-    failed = 0
+
+def cases(root):
+    """Every case as ``(out, commands)``: a directory and the argvs, less ``--out``, filling it."""
+    runs = []
     for name in builtin_names():
-        out = os.path.join(out_root, name)
-        rc = cli(["analyze", "--spec", name, "--out", out, "--canonical"])
-        rc |= cli(["verify-hypothesis", "--spec", name, "--out", out, "--canonical"])
-        rc |= cli(["yaglom", "--spec", name, "--out", os.path.join(out, "yaglom"),
-                   "--canonical"])
+        out = os.path.join(root, name)
+        runs += [(out, [["analyze", "--spec", name, "--canonical"],
+                        ["verify-hypothesis", "--spec", name, "--canonical"]]),
+                 (os.path.join(out, "yaglom"), [["yaglom", "--spec", name, "--canonical"]])]
+    for name, n, x0 in SIMULATE:
+        start = [] if x0 is None else ["--x0", x0]
+        runs.append((os.path.join(root, "mc", name + ("" if x0 is None else f"_x0_{x0}")),
+                     [["simulate", "--spec", name, "--n", str(n), *start,
+                       "--n-paths", "1100000", "--seed", "7"]]))
+    for name in CONTINUOUS:
+        for n in (401, 1601, 2000):
+            runs.append((os.path.join(root, "hyp", f"{name}_{n}"),
+                         [["verify-hypothesis", "--spec", name, "--grid-size", str(n),
+                           "--canonical"]]))
+    specs = {os.path.basename(path)[:-len(".spec.json")]: path
+             for path in sorted(glob.glob(os.path.join(FIXTURES, "*.spec.json")))}
+    for name, spec in {**specs, "tabulated": os.path.join(root, BAND)}.items():
+        runs.append((os.path.join(root, "hyp", f"spec_{name}"),
+                     [["verify-hypothesis", "--spec", spec, "--canonical"]]))
+    for name in CHAINS:
+        runs.append((os.path.join(root, "lobo", name),
+                     [["lobo", "--spec", name, "--canonical"]]))
+    for name, spec in specs.items():
+        runs.append((os.path.join(root, "specs", name),
+                     [["analyze", "--spec", spec, "--canonical"]]))
+    for name, n in ARNOLDI:
+        runs.append((os.path.join(root, "arnoldi", f"{name}_{n}"),
+                     [["analyze", "--spec", name, "--grid-size", str(n), "--canonical"]]))
+    return runs
+
+
+def write_band(path, n=400):
+    rows = [[round(max(0.0, 1.0 - abs(i - j) / 40), 6) if 20 <= i < n - 20 else 0.0
+             for j in range(n)] for i in range(n)]
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    with open(path, "w") as fp:
+        json.dump({"family": "tabulated", "domain": [0, 1], "grid_size": n,
+                   "params": {"values": rows}}, fp)
+
+
+def summary(name, out):
+    with open(os.path.join(out, "analysis.json")) as fp:
+        doc = json.load(fp)
+    with open(os.path.join(out, "hypothesis_report.json")) as fp:
+        hyp = json.load(fp)
+    rate = next(iter(doc["rates"].values()), {})
+    return (f"{name:>16}: lambda={doc['lambda']:.8f} m={doc['m']} "
+            f"escape={doc['escape_indices'] or '[]'} "
+            f"rate[{rate.get('model', '-')}]={rate.get('rate', float('nan')):.4f} "
+            f"H1={hyp['h1']['verdict']} H2={hyp['h2']['verdict']}")
+
+
+def run(root):
+    write_band(os.path.join(root, BAND))
+    failed = set()
+    for out, commands in cases(root):
+        rc = 0
+        for argv in commands:
+            rc |= cli(argv + ["--out", out])
         if rc:
-            print(f"{name}: FAILED (exit {rc})")
-            failed += 1
-            continue
-        doc = json.load(open(os.path.join(out, "analysis.json")))
-        hyp = json.load(open(os.path.join(out, "hypothesis_report.json")))
-        rate = next(iter(doc["rates"].values()), {})
-        print(f"{name:>16}: lambda={doc['lambda']:.8f} m={doc['m']} "
-              f"escape={doc['escape_indices'] or '[]'} "
-              f"rate[{rate.get('model', '-')}]={rate.get('rate', float('nan')):.4f} "
-              f"H1={hyp['h1']['verdict']} H2={hyp['h2']['verdict']}")
+            print(f"{os.path.relpath(out, root)}: FAILED (exit {rc})")
+            failed.add(out)
+    for name in builtin_names():
+        out = os.path.join(root, name)
+        if not {out, os.path.join(out, "yaglom")} & failed:
+            print(summary(name, out))
     return 1 if failed else 0
 
 

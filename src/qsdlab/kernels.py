@@ -44,6 +44,10 @@ H1_PROBES = 64
 
 CONTINUOUS_FAMILIES = ("affine_uniform", "cubic_uniform", "gaussian_shift", "tabulated")
 ALL_FAMILIES = CONTINUOUS_FAMILIES + ("explicit_matrix",)
+# the density families whose operator must be sub-Markov, as an explicit chain
+# must be.  The window families are exempt for now: where a window edge falls
+# between nodes, their trapezoid row mass exceeds the true one by up to about h / 2w.
+SUB_MARKOV_FAMILIES = ("gaussian_shift", "tabulated")
 
 # the parameter names each family reads: every one is required, any other
 # name is an error
@@ -331,12 +335,12 @@ def _density_rows(spec, x, y):
 def _below_zero(vals):
     """Whether a density block holds a negative value.
 
-    A value that is not finite raises NegativeDensity instead.  min and max
+    A value that is not finite raises InvalidDomain instead.  min and max
     propagate NaN: no temporary the size of the block for the finiteness test.
     """
     vmin, vmax = vals.min(), vals.max()
     if not (np.isfinite(vmin) and np.isfinite(vmax)):
-        raise NegativeDensity("density evaluated to a non-finite value")
+        raise InvalidDomain("density evaluated to a non-finite value")
     return bool(vmin < 0)
 
 
@@ -344,8 +348,8 @@ def kernel_density(spec, x, y):
     """Evaluate g(x, y) for a continuous family on arrays of points.
 
     Returns a len(x) x len(y) array of densities with respect to Lebesgue
-    measure.  A non-finite value, and then a negative one, raises
-    NegativeDensity.
+    measure.  A non-finite value raises InvalidDomain, and then a negative
+    one NegativeDensity.
     """
     vals = _density_rows(spec, x, y)(0, np.size(x))
     if _below_zero(vals):
@@ -402,11 +406,16 @@ def _explicit_matrix(value):
         raise InvalidDomain("explicit matrix has NaN or infinite entries")
     if q.min() < 0:
         raise NegativeDensity("explicit matrix has negative entries")
-    rows = q.sum(axis=1)
-    if rows.max() > 1 + 1e-12:
-        raise RowSumExceedsOne(f"row sum {rows.max()} exceeds one")
+    _check_row_sums(q.sum(axis=1))
     q.setflags(write=False)
     return q
+
+
+def _check_row_sums(masses):
+    """Refuse a kernel that is not sub-Markov: RowSumExceedsOne above 1 + 1e-12."""
+    top = masses.max()
+    if top > 1 + 1e-12:
+        raise RowSumExceedsOne(f"row sum {top} exceeds one")
 
 
 def _operator_rows(spec, grid, block):
@@ -445,19 +454,24 @@ def build_operator(spec):
     else:
         (_, matrix), = _operator_rows(spec, grid, grid.nodes.size)
     return DiscreteOperator(grid=grid, matrix=matrix,
-                            escape=_escape_nodes(matrix.sum(axis=1), ESCAPE_TOL_DEFAULT),
+                            escape=_escape_nodes(spec, matrix.sum(axis=1)),
                             spec=spec)
 
 
-def _escape_nodes(masses, tol):
-    """The escape nodes: the frozenset of rows whose mass is at most ``tol``.
+def _escape_nodes(spec, masses):
+    """The escape nodes of ``spec``'s operator, from its row masses.
 
-    A row mass that is not finite (finite densities whose product with the
-    weights overflows) raises InvalidDomain.
+    Returns the frozenset of rows whose mass is at most
+    ``ESCAPE_TOL_DEFAULT``.  A row mass that is not finite (finite densities
+    whose product with the weights overflows) raises InvalidDomain; then a
+    family in ``SUB_MARKOV_FAMILIES`` is held to the rule of explicit chains
+    (``_check_row_sums``).
     """
     if not np.isfinite(masses).all():
         raise InvalidDomain("row masses overflow: the density times the weights is not finite")
-    return frozenset(int(i) for i in np.flatnonzero(masses <= tol))
+    if spec.family in SUB_MARKOV_FAMILIES:
+        _check_row_sums(masses)
+    return frozenset(int(i) for i in np.flatnonzero(masses <= ESCAPE_TOL_DEFAULT))
 
 
 def operator_graph(spec):
@@ -471,15 +485,14 @@ def operator_graph(spec):
     ``spec.matrix``.
     """
     if spec.is_explicit:
-        return (_escape_nodes(spec.matrix.sum(axis=1), ESCAPE_TOL_DEFAULT),
-                spec.matrix > ESCAPE_TOL_DEFAULT)
+        return _escape_nodes(spec, spec.matrix.sum(axis=1)), spec.matrix > ESCAPE_TOL_DEFAULT
     grid = _quadrature_grid(spec)
     n = grid.nodes.size
     masses, edges = np.empty(n), np.empty((n, n), dtype=bool)
     for a, rows in _operator_rows(spec, grid, max(ROW_BLOCK_BYTES // (8 * n), 1)):
         rows.sum(axis=1, out=masses[a:a + len(rows)])
         np.greater(rows, ESCAPE_TOL_DEFAULT, out=edges[a:a + len(rows)])
-    return _escape_nodes(masses, ESCAPE_TOL_DEFAULT), edges
+    return _escape_nodes(spec, masses), edges
 
 
 # ---------------------------------------------------------------------------

@@ -72,9 +72,10 @@ def test_matrix_bytes_match_reference(name):
 
 
 def test_tabulated_values_are_not_scaled_in_place():
-    values = np.array([[1.0, 2.0], [3.0, 4.0]])
+    # row masses 0.375 and 0.875: a sub-Markov table, which the build accepts
+    values = np.array([[0.25, 0.5], [0.75, 1.0]])
     spec = KernelSpec(domain=(0.0, 1.0), family="tabulated", params={"values": values},
                       grid_size=2)
     matrix = q.build_operator(spec).matrix
     assert matrix.tobytes() == ref_matrix(spec).tobytes()
-    assert values.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+    assert values.tolist() == [[0.25, 0.5], [0.75, 1.0]]

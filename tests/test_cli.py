@@ -762,3 +762,44 @@ def test_weighted_matrix_overflow_exits_2(tmp_path, capsys, cmd):
     err = capsys.readouterr().err
     assert "InvalidDomain: row masses overflow" in err and "Traceback" not in err
     assert not (tmp_path / "o").exists()
+
+
+# density documents whose operator is not sub-Markov, with the largest row mass:
+# a table of 2s; a quadrature row mass of 7.98 where the true one is below 1
+# (sigma is h / 20); a table whose lambda is 5e176
+NOT_SUB_MARKOV = {
+    "table_of_twos": ({"family": "tabulated", "domain": [0, 1], "grid_size": 2,
+                       "params": {"values": [[2, 2], [2, 2]]}}, "2.0"),
+    "narrow_gaussian": ({"family": "gaussian_shift", "domain": [-1, 1], "grid_size": 101,
+                         "params": {"sigma": 1e-3}}, "7.97884"),
+    "huge_table": ({"family": "tabulated", "domain": [0, 1e-123], "grid_size": 2,
+                    "params": {"values": [[0, 1e300], [1e300, 0]]}}, "5.0000000000000006e+176"),
+}
+
+
+@pytest.mark.parametrize("cmd", ["analyze", "verify-hypothesis", "yaglom", "simulate"])
+@pytest.mark.parametrize("case", sorted(NOT_SUB_MARKOV))
+def test_density_row_sum_above_one_exits_2(tmp_path, capsys, cmd, case):
+    doc, top = NOT_SUB_MARKOV[case]
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    assert main([cmd, "--spec", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert f"RowSumExceedsOne: row sum {top}" in err and "exceeds one" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("family,params", [
+    ("gaussian_shift", {"sigma": 1e-310}),
+    ("affine_uniform", {"a": 2.0, "b": 0.0, "noise_halfwidth": 1e-310}),
+])
+def test_non_finite_density_is_invalid_domain(tmp_path, capsys, family, params):
+    # the density overflows to infinity: an invalid input, not a negative density
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"family": family, "domain": [-1, 1], "grid_size": 11,
+                                "params": params}))
+    assert main(["verify-hypothesis", "--spec", str(path), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "InvalidDomain: density evaluated to a non-finite value" in err
+    assert not (tmp_path / "o").exists()

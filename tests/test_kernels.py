@@ -19,7 +19,6 @@ from qsdlab.errors import (
 from qsdlab.kernels import (
     KernelSpec,
     StateGrid,
-    _escape_nodes,
     analytic_row_mass,
     build_operator,
 )
@@ -261,21 +260,6 @@ def test_all_nodes_escape_degenerate():
                       params={"matrix": [[0.0, 0.0], [0.0, 0.0]]})
     with pytest.raises(AllNodesEscape):
         q.check_h2_reachability(build_operator(spec))
-
-
-KEEP = {}
-
-
-@settings(max_examples=25, deadline=None)
-@given(tol1=st.floats(1e-14, 1e-2), tol2=st.floats(1e-14, 1e-2))
-def test_escape_detection_monotone_and_idempotent(tol1, tol2):
-    op = KEEP.setdefault("op21", build_operator(spec21(51)))
-    masses = op.matrix.sum(axis=1)
-    e1 = _escape_nodes(masses, tol1)
-    e2 = _escape_nodes(masses, tol2)
-    if tol1 <= tol2:
-        assert e1 <= e2
-    assert _escape_nodes(masses, tol1) == e1
 
 
 # -- hypothesis (H1) / (H2) audits -------------------------------------------

@@ -1,0 +1,33 @@
+"""scripts/run_pipeline.py: every case is a valid command line, and no two share a directory."""
+
+import importlib.util
+from pathlib import Path
+
+from qsdlab.cli import build_parser
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_pipeline.py"
+
+
+def load_script():
+    spec = importlib.util.spec_from_file_location("run_pipeline", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_case_parses_and_has_its_own_directory(tmp_path):
+    cases = load_script().cases(str(tmp_path))
+    outs = [out for out, _ in cases]
+    assert len(set(outs)) == len(outs)
+    parser = build_parser()
+    for out, commands in cases:
+        # the commands of one directory write different files: one of each
+        # kind, and never analyze with yaglom (both write tv_curve.csv)
+        kinds = {argv[0] for argv in commands}
+        assert len(kinds) == len(commands) and not {"analyze", "yaglom"} <= kinds, out
+        for argv in commands:
+            args = parser.parse_args(argv + ["--out", out])   # a renamed flag exits 2 here
+            assert args.out == out
+    # every family of case is there: the bundled trees and the comparisons
+    groups = {Path(out).relative_to(tmp_path).parts[0] for out in outs}
+    assert {"mc", "hyp", "lobo", "specs", "arnoldi", "example21", "sym2"} <= groups

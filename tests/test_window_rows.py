@@ -111,6 +111,11 @@ def test_unsorted_nodes_raise(nodes):
         _window_values(np.array([0.5]), np.array(nodes), 0.0, 1.0, 0.25)
 
 
+# a value that is not finite is an invalid input, not a negative density
+_BAD_TABLE_ERRORS = {"density evaluated to a non-finite value": InvalidDomain,
+                     "density evaluated below zero": NegativeDensity}
+
+
 @pytest.mark.parametrize("table,message", [
     ([[1.0, math.nan], [1.0, 1.0]], "density evaluated to a non-finite value"),
     ([[1.0, math.inf], [1.0, 1.0]], "density evaluated to a non-finite value"),
@@ -122,7 +127,7 @@ def test_bad_table_raises_in_order(table, message):
     # kernel_density's own checks, reached without KernelSpec's table validation
     spec = types.SimpleNamespace(family="tabulated", params={"values": table},
                                  domain=(0.0, 1.0))
-    with pytest.raises(NegativeDensity) as err:
+    with pytest.raises(_BAD_TABLE_ERRORS[message]) as err:
         kernel_density(spec, np.zeros(2), np.zeros(2))
     assert str(err.value) == message
 
