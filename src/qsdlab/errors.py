@@ -96,7 +96,7 @@ class NotPeriodic(ValidationError):
 
 
 class NotCyclic(NumericalError):
-    """Aperiodic chain, or class measures that one step does not cycle to 1e-8."""
+    """Class measures that one step does not cycle to 1e-8, or scalings off lam**m."""
 
 
 class NeverSubunit(NumericalError):

@@ -113,10 +113,11 @@ class KernelSpec:
     parameters, ``domain`` a pair of real numbers (not bool) kept as a float
     pair, ``grid_size`` an int (by ``operator.index``).  A density family
     needs both, and is sampled on the trapezoid grid of ``grid_size``
-    equispaced nodes.  An explicit chain's matrix is checked here, once, and
-    kept as the read-only copy ``matrix`` that every reader uses; its n
-    states fix ``domain`` = (0, max(n - 1, 1)) and ``grid_size`` = n, and any
-    other value raises InvalidDomain.
+    equispaced nodes.  An explicit chain's matrix, or a tabulated density's
+    values, is checked here, once, and kept as the read-only float copy
+    ``matrix`` that every reader uses.  An explicit chain's n states fix
+    ``domain`` = (0, max(n - 1, 1)) and ``grid_size`` = n, and any other
+    value raises InvalidDomain.
     """
 
     _: KW_ONLY
@@ -168,12 +169,14 @@ class KernelSpec:
         for key, value in self.params.items():
             if key == "values":
                 try:
-                    table = np.asarray(value, dtype=float)
+                    table = np.array(value, dtype=float)   # a copy: the caller's stays writable
                 except (TypeError, ValueError):
                     table = None
                 n = self.grid_size
                 if table is None or table.shape != (n, n) or not np.isfinite(table).all():
                     raise InvalidDomain(f"values must be a finite {n} x {n} table")
+                table.setflags(write=False)
+                object.__setattr__(self, "matrix", table)
             elif (isinstance(value, bool) or not isinstance(value, numbers.Real)
                   or not math.isfinite(value)):
                 raise InvalidDomain(f"{key} must be a finite number, got {value!r}")
@@ -227,7 +230,7 @@ def _window_rows(centers, nodes, lower, upper, halfwidth):
     trapezoid row sums exact when edges align with nodes and makes rows whose
     window only touches the domain come out exactly zero.
 
-    ``nodes`` must be nondecreasing; InvalidDomain otherwise.  Row i reads
+    ``nodes`` must be nondecreasing, as a ``StateGrid``'s are.  Row i reads
     t_j = fl(node_j - c_i), which is then nondecreasing in j because
     rounding is monotone, and so is any fl(t_j + s).  Each of the three tests
     on t therefore holds on one contiguous run of columns per row: inside,
@@ -242,8 +245,6 @@ def _window_rows(centers, nodes, lower, upper, halfwidth):
     """
     c = np.asarray(centers, dtype=float)
     y = np.asarray(nodes, dtype=float)
-    if not np.all(y[1:] >= y[:-1]):
-        raise InvalidDomain("window nodes must be nondecreasing")
     n = y.size
     inner = halfwidth - JUMP_ATOL
     # run k is first[2k] <= j < first[2k + 1], where first[r] counts the leading
@@ -294,8 +295,11 @@ def _map_centers(spec, x):
 def _density_rows(spec, x, y):
     """``rows(a, b)``: the unchecked density rows g(x[a:b], y) of a continuous family.
 
-    Each call returns a new array.  The window families search their column
-    runs once, here, for all of x.
+    Each call returns a new array, evaluated with NumPy's overflow, divide
+    and invalid warnings off: ``_check_density`` gives the one report of a
+    value that is not finite.  The window families search their column runs
+    once, here, for all of x.  A tabulated density is its checked table
+    ``spec.matrix``, on the grid nodes alone.
     """
     p = spec.params
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
@@ -319,42 +323,27 @@ def _density_rows(spec, x, y):
             np.exp(vals, out=vals)
             vals /= sigma * math.sqrt(2 * math.pi)
             return vals
-    elif spec.family == "tabulated":
-        table = p["values"]
-
-        def rows(a, b):
-            vals = np.array(table[a:b], dtype=float)   # a copy: weighted in place later
-            if len(table) != x.size or vals.shape != (b - a, y.size):
-                raise InvalidDomain("tabulated values must match the grid shape")
-            return vals
     else:
-        raise NotApplicable(f"{spec.family} has no pointwise density")
-    return rows
+        def rows(a, b):
+            return spec.matrix[a:b].copy()     # a copy: weighted in place later
+
+    def quiet(a, b):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            return rows(a, b)
+    return quiet
 
 
-def _below_zero(vals):
-    """Whether a density block holds a negative value.
+def _check_density(vals):
+    """The one range check of density values: InvalidDomain, then NegativeDensity.
 
-    A value that is not finite raises InvalidDomain instead.  min and max
-    propagate NaN: no temporary the size of the block for the finiteness test.
+    min and max propagate NaN: no temporary the size of the block for the
+    finiteness test.
     """
     vmin, vmax = vals.min(), vals.max()
     if not (np.isfinite(vmin) and np.isfinite(vmax)):
         raise InvalidDomain("density evaluated to a non-finite value")
-    return bool(vmin < 0)
-
-
-def kernel_density(spec, x, y):
-    """Evaluate g(x, y) for a continuous family on arrays of points.
-
-    Returns a len(x) x len(y) array of densities with respect to Lebesgue
-    measure.  A non-finite value raises InvalidDomain, and then a negative
-    one NegativeDensity.
-    """
-    vals = _density_rows(spec, x, y)(0, np.size(x))
-    if _below_zero(vals):
+    if vmin < 0:
         raise NegativeDensity("density evaluated below zero")
-    return vals
 
 
 def analytic_row_mass(spec, x):
@@ -423,21 +412,21 @@ def _operator_rows(spec, grid, block):
 
     The rows are the density on the grid, multiplied column-wise by the
     weights, in blocks of ``block`` rows; this is the one place that
-    evaluates the kernel for the operator.  Each block passes the range check
-    of ``kernel_density`` before it is weighted, with the same errors in the
-    same order over the whole matrix: a non-finite value raises at once, a
-    negative one after the last block, so a non-finite value in any block wins.
+    evaluates the kernel for the operator.  Each block passes
+    ``_check_density`` before it is weighted; a product that overflows is
+    left to ``_escape_nodes``.  A value that is not finite comes only from
+    the window and Gaussian families, never negative, and a negative one
+    only from a finite table, so the first error does not depend on the
+    block size.
     """
     nodes = grid.nodes
     density = _density_rows(spec, nodes, nodes)
-    negative = False
     for a in range(0, nodes.size, block):
         rows = density(a, min(a + block, nodes.size))
-        negative |= _below_zero(rows)
-        rows *= grid.weights[None, :]
+        _check_density(rows)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            rows *= grid.weights[None, :]
         yield a, rows
-    if negative:
-        raise NegativeDensity("density evaluated below zero")
 
 
 def build_operator(spec):
@@ -534,11 +523,13 @@ def check_h1_modulus(spec):
     deltas = np.asarray([d for d in deltas if d >= h / 2] or [h])
 
     xs = np.linspace(lo, hi, H1_PROBES)
-    gx = kernel_density(spec, xs, grid.nodes)
+    gx = _density_rows(spec, xs, grid.nodes)(0, H1_PROBES)
+    _check_density(gx)
     sups = []
     for d in deltas:
         zs = np.clip(xs + d, lo, hi)
-        gz = kernel_density(spec, zs, grid.nodes)
+        gz = _density_rows(spec, zs, grid.nodes)(0, H1_PROBES)
+        _check_density(gz)
         dist = np.abs(gx - gz) @ grid.weights
         sups.append(float(dist.max()))
     sups = np.asarray(sups)

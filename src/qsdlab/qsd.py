@@ -235,11 +235,11 @@ def cyclic_components(sd, op):
     mass one; each class has eta mass 1/m by the biorthogonality gate of
     ``peripheral_spectrum``.  The generators are f_0 on each class.  Checked:
     one step sends each class measure onto the next to 1e-8 in TV, with
-    scalings that multiply to lam**m.
+    scalings that multiply to lam**m (NotCyclic); m = 1 raises NotPeriodic.
     """
     m = sd.period_m
     if m < 2:
-        raise NotCyclic("chain is aperiodic (m = 1)")
+        raise NotPeriodic("chain is aperiodic (m = 1)")
     labels = sd.reach.node_class
     classes = tuple(tuple(int(i) for i in np.flatnonzero(labels == j)) for j in range(m))
 

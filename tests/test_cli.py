@@ -627,6 +627,19 @@ def test_vanishing_perron_pairing_is_ill_conditioned(tmp_path, capsys):
     assert "Traceback" not in err and not (tmp_path / "o").exists()
 
 
+def test_periodic_birth_death_chain_reaches_the_pairing_floor(tmp_path, capsys):
+    # with no holding the chain has period 2; the swept periodic birth-death
+    # chains never raise DefectiveMatrix, and this one is refused here first
+    n = 18
+    matrix = np.diag(np.full(n - 1, 0.8), 1) + np.diag(np.full(n - 1, 0.01), -1)
+    spec = _chain_file(tmp_path, matrix.tolist())
+    assert main(["analyze", "--spec", spec, "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert re.search(r"IllConditionedEigenbasis: Perron pairing <mu_0, f_0> = \S+ at "
+                     r"eigenvalue 0\.176446 is below its floor 1e-12", err), err
+    assert "Traceback" not in err and not (tmp_path / "o").exists()
+
+
 def test_cli_import_leaves_scipy_special_unloaded():
     # the Gaussian sampler and density import it where they need it
     src = os.path.dirname(os.path.dirname(q.__file__))
@@ -802,4 +815,34 @@ def test_non_finite_density_is_invalid_domain(tmp_path, capsys, family, params):
     assert main(["verify-hypothesis", "--spec", str(path), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert "InvalidDomain: density evaluated to a non-finite value" in err
+    assert not (tmp_path / "o").exists()
+
+
+# density documents refused with exit 2, and the reason: the density, then
+# its product with the quadrature weights (5e11), overflows
+OVERFLOWING = {
+    "narrow_gaussian": ({"family": "gaussian_shift", "domain": [-1, 1], "grid_size": 11,
+                         "params": {"sigma": 1e-310}},
+                        "density evaluated to a non-finite value"),
+    "narrow_window": ({"family": "affine_uniform", "domain": [-1, 1], "grid_size": 11,
+                       "params": {"a": 2.0, "b": 0.0, "noise_halfwidth": 1e-310}},
+                      "density evaluated to a non-finite value"),
+    "huge_table": ({"family": "tabulated", "domain": [0, 1e12], "grid_size": 3,
+                    "params": {"values": [[1e300] * 3] * 3}},
+                   "row masses overflow: the density times the weights is not finite"),
+}
+
+
+@pytest.mark.parametrize("cmd", ["analyze", "verify-hypothesis"])
+@pytest.mark.parametrize("name", sorted(OVERFLOWING))
+def test_overflowing_density_is_refused_in_one_line(tmp_path, capsys, cmd, name):
+    # no NumPy RuntimeWarning comes before the refusal
+    doc, reason = OVERFLOWING[name]
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([cmd, "--spec", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == f"InvalidDomain: {reason}\n"
     assert not (tmp_path / "o").exists()

@@ -21,6 +21,7 @@ from qsdlab.kernels import (
     StateGrid,
     analytic_row_mass,
     build_operator,
+    operator_graph,
 )
 from qsdlab.oracle import FiniteChain
 
@@ -173,6 +174,23 @@ def test_constructors_copy_the_callers_arrays():
         assert x.flags.writeable and np.array_equal(x, before)
     for copy, x in ((op.matrix, a), (chain.Q, a), (grid.nodes, nodes), (grid.weights, weights)):
         assert not copy.flags.writeable and not np.shares_memory(copy, x)
+
+
+def test_tabulated_table_is_checked_once_and_kept():
+    # the checked table is the spec's read-only copy: a table changed after
+    # the check, the caller's array or the params, reaches no reader
+    values = np.array([[0.25, 0.5], [0.75, 0.0]])
+    spec = KernelSpec(domain=(0.0, 1.0), family="tabulated", params={"values": values},
+                      grid_size=2)
+    assert not spec.matrix.flags.writeable and not np.shares_memory(spec.matrix, values)
+    matrix, (escape, edges) = build_operator(spec).matrix, operator_graph(spec)
+    for change in (lambda: values.fill(math.nan),
+                   lambda: spec.params.update(values=[[-1.0, math.nan], [5.0, 5.0]])):
+        change()
+        assert build_operator(spec).matrix.tobytes() == matrix.tobytes()
+        again = operator_graph(spec)
+        assert again[0] == escape and np.array_equal(again[1], edges)
+    assert np.array_equal(spec.matrix, [[0.25, 0.5], [0.75, 0.0]])
 
 
 def test_explicit_row_sum_guard():

@@ -8,7 +8,6 @@ bit for bit on any nondecreasing node array.
 
 import math
 import tracemalloc
-import types
 
 import numpy as np
 import pytest
@@ -18,7 +17,7 @@ from hypothesis import strategies as st
 import qsdlab as q
 from qsdlab import cli
 from qsdlab.errors import InvalidDomain, NegativeDensity
-from qsdlab.kernels import H1_PROBES, JUMP_ATOL, _window_rows, kernel_density
+from qsdlab.kernels import H1_PROBES, JUMP_ATOL, _check_density, _window_rows
 from test_build_bytes import ref_window_values
 
 NONFINITE = (math.nan, math.inf, -math.inf)
@@ -105,12 +104,6 @@ def test_nonfinite_centers_give_zero_rows():
     assert val[0].any() and not val[1:].any()
 
 
-@pytest.mark.parametrize("nodes", [[0.0, 1.0, 0.5], [0.0, math.nan, 1.0]])
-def test_unsorted_nodes_raise(nodes):
-    with pytest.raises(InvalidDomain, match="nondecreasing"):
-        _window_values(np.array([0.5]), np.array(nodes), 0.0, 1.0, 0.25)
-
-
 # a value that is not finite is an invalid input, not a negative density
 _BAD_TABLE_ERRORS = {"density evaluated to a non-finite value": InvalidDomain,
                      "density evaluated below zero": NegativeDensity}
@@ -124,11 +117,9 @@ _BAD_TABLE_ERRORS = {"density evaluated to a non-finite value": InvalidDomain,
     ([[1.0, -0.5], [1.0, 1.0]], "density evaluated below zero"),
 ])
 def test_bad_table_raises_in_order(table, message):
-    # kernel_density's own checks, reached without KernelSpec's table validation
-    spec = types.SimpleNamespace(family="tabulated", params={"values": table},
-                                 domain=(0.0, 1.0))
+    # the one range check of every density block, on blocks KernelSpec would refuse
     with pytest.raises(_BAD_TABLE_ERRORS[message]) as err:
-        kernel_density(spec, np.zeros(2), np.zeros(2))
+        _check_density(np.array(table))
     assert str(err.value) == message
 
 
