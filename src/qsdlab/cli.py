@@ -12,7 +12,8 @@ Subcommands::
 ``--spec`` accepts either a bundled name (see ``qsdlab.registry``) or a path
 to a spec JSON file.  ``--seed`` (default 0) is the one source of the Monte
 Carlo seed.  With ``--canonical`` the timestamp field is omitted so
-repeated runs are byte-identical.
+repeated runs are byte-identical; ``simulate`` accepts the flag and reads
+nothing of it, as ``estimates.csv`` carries no timestamp.
 
 Exit codes: 0 success, 2 validation/schema error, 3 numerical refusal.
 Each input is checked once, by the module that reads it; a command calls
@@ -294,14 +295,13 @@ def build_parser():
                                 description="conditioned-measure toolkit for absorbed chains")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, grid_size=True):
+    def common(sp, grid_size=True, canonical="omit the timestamp so outputs are byte-identical"):
         sp.add_argument("--spec", required=True,
                         help="bundled name or path to a spec JSON file")
         sp.add_argument("--out", required=True, help="output directory")
         if grid_size:
             sp.add_argument("--grid-size", type=int, default=None)
-        sp.add_argument("--canonical", action="store_true",
-                        help="omit the timestamp so outputs are byte-identical")
+        sp.add_argument("--canonical", action="store_true", help=canonical)
 
     sp = sub.add_parser("analyze", help="spectral pipeline report")
     common(sp)
@@ -318,7 +318,8 @@ def build_parser():
     sp.set_defaults(func=cmd_yaglom)
 
     sp = sub.add_parser("simulate", help="Monte Carlo cross-check")
-    common(sp)
+    common(sp, canonical="accepted for a uniform command line and read by nothing: "
+                         "estimates.csv carries no timestamp")
     sp.add_argument("--n-paths", type=int, default=10 ** 5)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--n", type=int, default=10, help="time horizon")

@@ -54,7 +54,7 @@ class SizeLimitExceeded(ValidationError):
 
 
 class NoSpectralGapWithinTol(NumericalError):
-    """No decisive separation between peripheral and subdominant moduli."""
+    """Peripheral band wider than the graph period, or a subdominant modulus in the gap floor."""
 
 
 class NonConvergent(NumericalError):
@@ -62,15 +62,7 @@ class NonConvergent(NumericalError):
 
 
 class PeriodMismatch(NumericalError):
-    """Peripheral eigenvalue count disagrees with the graph period."""
-
-
-class TolTooLoose(NumericalError):
-    """Peripheral band caught eigenvalues off the root-of-unity angles."""
-
-
-class DefectiveMatrix(NumericalError):
-    """Peripheral eigenvalue appears non-diagonalizable; refusing to guess."""
+    """Peripheral band is not one value at each root-of-unity angle of the graph period."""
 
 
 class EscapeNode(ValidationError):
@@ -112,4 +104,8 @@ class TooFewSurvivors(NumericalError):
 # -- finite oracle ----------------------------------------------------------
 
 class IllConditionedEigenbasis(NumericalError):
-    """Eigenvectors too ill-conditioned to resolve (oracle eigenbasis, Perron pairing)."""
+    """Eigenvectors too ill-conditioned to resolve.
+
+    The oracle's eigenbasis; in the peripheral spectrum, a Perron pair off the
+    nonnegative cone, a vanishing Perron pairing, or pairs not biorthonormal.
+    """

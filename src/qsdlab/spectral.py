@@ -5,9 +5,9 @@ Everything here is dense linear algebra on the operator matrix A:
 pairing ``<nu, f> = sum_i nu_i f_i`` makes the two actions exactly adjoint.
 
 The headline object is :class:`SpectralData`: the spectral radius ``lam``,
-the number ``m`` of eigenvalues of modulus ``lam`` (always ``lam`` times the
-m-th roots of unity for an irreducible nonnegative matrix), and the
-biorthonormalized left/right peripheral eigenpairs.
+the graph period ``m`` of the chain (its m eigenvalues of modulus ``lam``
+are ``lam`` times the m-th roots of unity for an irreducible nonnegative
+matrix), and the biorthonormalized left/right peripheral eigenpairs.
 """
 
 import math
@@ -16,14 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    DefectiveMatrix,
     IllConditionedEigenbasis,
     NonConvergent,
     NoSpectralGapWithinTol,
     PeriodMismatch,
     Reducible,
     SizeLimitExceeded,
-    TolTooLoose,
 )
 from .kernels import check_h2_reachability
 from .measures import variation_norm
@@ -61,10 +59,6 @@ class SpectralData:
     residuals_left: np.ndarray
     reach: object                  # the ReachabilityReport: graph period and node classes
     op: object                     # the DiscreteOperator this was computed from
-
-    @property
-    def graph_period(self):
-        return self.reach.graph_period
 
     @property
     def f0(self):
@@ -130,15 +124,21 @@ def _arnoldi(matrix, k, need):
     return None
 
 
-def _band_slots(ev):
-    """Indices of the m values in the peripheral band of ev, and their m-th root slots.
+def _root_slots(ev, m):
+    """Indices of the peripheral band of ev, and of its value at each m-th root slot.
 
-    The band is ``|beta| >= lam * (1 - PERIPHERAL_TOL_DEFAULT)``; returns the
-    indices, the slot of each and its angle error, as :func:`snap_phases`.
+    The band is ``|beta| >= lam * (1 - PERIPHERAL_TOL_DEFAULT)``; the slot
+    indices are None unless the band is m values on distinct m-th root
+    angles, each within ``ANGLE_SNAP_TOL``.
     """
     mods = np.abs(ev)
     band = np.flatnonzero(mods >= mods.max() * (1 - PERIPHERAL_TOL_DEFAULT))
-    return (band, *snap_phases(ev[band], len(band)))
+    slots, err = snap_phases(ev[band], m)
+    if len(band) != m or err.max() > ANGLE_SNAP_TOL or len(set(slots.tolist())) < m:
+        return band, None
+    at_slot = np.empty(m, dtype=int)
+    at_slot[slots] = band
+    return band, at_slot
 
 
 def check_size(n):
@@ -171,18 +171,16 @@ def _eigenvalues(matrix, period):
 
 
 def _left_ritz(matrix, k, m):
-    """Left Ritz vector of the Perron value (slot 0 of m peripheral values), or None.
+    """Left Ritz vector of the Perron value, slot 0 of the graph period m, or None.
 
     Runs :func:`_arnoldi` on ``A.T`` for the ``k`` largest values; None when
-    the run does not converge or its band does not fill the m slots.
+    the run does not converge or its band fails the :func:`_root_slots` test.
     """
     left = _arnoldi(matrix.T, k, m + 1)
     if left is None:
         return None
-    band, slots, _ = _band_slots(left[0])
-    if len(band) != m or set(slots.tolist()) != set(range(m)):
-        return None
-    return left[1][band[np.argmin(slots)]]
+    at_slot = _root_slots(left[0], m)[1]
+    return None if at_slot is None else left[1][at_slot[0]]
 
 
 def _matmul(a, b):
@@ -240,13 +238,15 @@ def _inverse_iteration(matrix, beta):
 
 
 def _nonnegative_real(vec, tol):
-    """Sign-fix an eigenvector that should live in the nonnegative cone."""
+    """Sign-fix an eigenvector that should live in the nonnegative cone, to tol of its sup."""
     v = vec.real.copy()
     pivot = np.argmax(np.abs(v))
     if v[pivot] < 0:
         v = -v
-    if v.min() < -tol * max(v.max(), 1e-300):
-        return None
+    sup = max(v.max(), 1e-300)
+    if v.min() < -tol * sup:
+        raise IllConditionedEigenbasis(
+            f"Perron vector leaves the cone: most negative entry {v.min() / sup:.3g} of its sup")
     return np.maximum(v, 0.0)
 
 
@@ -318,26 +318,28 @@ def peripheral_spectrum(op, reach=None):
     checks on the values run next.  Only then is the Perron pair chosen, here
     alone: the right Ritz vector and the left one of :func:`_left_ritz` when
     the values came from Arnoldi with the subdominant modulus at most
-    ``1 - RITZ_GAP`` times lam and the left run fills the same slots, else
-    :func:`_inverse_iteration` at lam.  No other eigenvector is solved for:
-    for an irreducible nonnegative matrix the peripheral pairs are
-    ``f_j = D^j f_0`` and ``mu_j = mu_0 D^-j`` with ``D = diag(w^class)``
+    ``1 - RITZ_GAP`` times lam and the left run's band passes the same slot
+    test, else :func:`_inverse_iteration` at lam.  No other eigenvector is
+    solved for: for an irreducible nonnegative matrix the peripheral pairs
+    are ``f_j = D^j f_0`` and ``mu_j = mu_0 D^-j`` with ``D = diag(w^class)``
     (Schaefer, *Banach Lattices and Positive Operators*, 1974, ch. V), the
     classes being those of the reachability audit.  Every pair j <= m/2 is
     finished by one :func:`_forward_step` at its eigenvalue, which also
     sets its entries on escape nodes, and slots m - j are the complex
     conjugates.
 
+    m is the audit's graph period: the peripheral values of an irreducible
+    chain of period m are lam times the m-th roots of unity, each simple.
     The peripheral band is ``|beta| >= lam * (1 - PERIPHERAL_TOL_DEFAULT)``.
-    The count m must match the graph period of the communicating class
-    (PeriodMismatch otherwise), the band's arguments must sit on the m-th
-    root angles within 1e-3 (TolTooLoose otherwise), and the largest
-    non-peripheral modulus must stay below ``lam * (1 - GAP_FLOOR_DEFAULT)``
+    More than m values in it raise NoSpectralGapWithinTol (a non-peripheral
+    modulus that close lies far inside the gap floor), a band that fails
+    :func:`_root_slots` raises PeriodMismatch, and the largest non-peripheral
+    modulus must stay below ``lam * (1 - GAP_FLOOR_DEFAULT)``
     (NoSpectralGapWithinTol otherwise).  The Perron pair must lie in the
-    nonnegative cone (DefectiveMatrix otherwise), pair with
+    nonnegative cone to 1e-8 and pair with
     ``|<mu_0, f_0>| >= 1e-12 |mu_0|_1 sup f_0`` (IllConditionedEigenbasis
-    otherwise: the Perron root is simple, so only ill-conditioning makes the
-    pairing vanish) and pass the residual gates
+    otherwise: the Perron root is simple, so only ill-conditioning fails
+    these) and pass the residual gates
     ``|A f_0 - lam f_0| <= 1e-10 sup f_0`` and, in variation norm,
     ``|mu_0 A - lam mu_0| <= 1e-10 lam`` (NonConvergent otherwise): for an
     irreducible nonnegative matrix the only nonnegative eigenvector belongs to
@@ -345,29 +347,27 @@ def peripheral_spectrum(op, reach=None):
     left gate is the certificate :mod:`qsdlab.qsd` reads: it bounds
     ``|<mu_0, A 1> - lam|`` by 1e-10 lam and ``TV(mu_0 A / |mu_0 A|, mu_0)``
     by 1e-10 / (1 - 1e-10).  Residuals are recorded for every j.  The pairs
-    must be biorthonormal to 1e-8 (DefectiveMatrix otherwise): for j >= 1
-    that holds exactly when every class carries the same mass 1/m of
+    must be biorthonormal to 1e-8 (IllConditionedEigenbasis otherwise): for
+    j >= 1 that holds exactly when every class carries the same mass 1/m of
     eta = f_0 mu_0.
     """
     reach = reach or check_h2_reachability(op)
     if not reach.strongly_connected:
         raise Reducible(reach.reducible_message)
-    ev, ritz = _eigenvalues(op.matrix, reach.graph_period)
+    m = reach.graph_period
+    ev, ritz = _eigenvalues(op.matrix, m)
     lam = float(np.abs(ev).max())
     if lam <= 0:
         raise NoSpectralGapWithinTol("spectral radius is zero")
-    # snap arguments to the m-th-root angles, one eigenvalue per slot
-    per, slots, err = _band_slots(ev)
-    m = len(per)
-    if err.max() > ANGLE_SNAP_TOL or len(set(slots.tolist())) < m:
-        raise TolTooLoose(
-            f"peripheral eigenvalues {ev[per]} do not fill the {m}-th root angles")
-    at_slot = np.empty(m, dtype=int)
-    at_slot[slots] = per
-
-    if m != reach.graph_period:
+    per, at_slot = _root_slots(ev, m)
+    if len(per) > m:
+        raise NoSpectralGapWithinTol(
+            f"{len(per)} eigenvalues {ev[per]} within {PERIPHERAL_TOL_DEFAULT:g} of "
+            f"the spectral radius {lam:.6g}, more than the graph period {m}")
+    if at_slot is None:
         raise PeriodMismatch(
-            f"{m} peripheral eigenvalues but graph period {reach.graph_period}")
+            f"peripheral eigenvalues {ev[per]} do not fill the {m}-th root angles "
+            f"of graph period {m}")
 
     rest = np.delete(np.abs(ev), per)
     sub = float(rest.max()) if rest.size else 0.0
@@ -387,8 +387,6 @@ def peripheral_spectrum(op, reach=None):
     f, mu = _forward_step(op.matrix, f, mu, ev[k])
     f0 = _nonnegative_real(f, tol=1e-8)
     mu0 = _nonnegative_real(mu, tol=1e-8)
-    if f0 is None or mu0 is None:
-        raise DefectiveMatrix("leading eigenpair leaves the cone")
     mu = mu0.astype(complex) / mu0.sum()
     f = f0.astype(complex)
     pairing = mu @ f
@@ -418,8 +416,10 @@ def peripheral_spectrum(op, reach=None):
     if not (res_r[0] <= 1e-10 * np.abs(right[0]).max() and res_l[0] <= 1e-10 * lam):  # or NaN
         raise NonConvergent(f"eigen residuals too large: {res_r[0]:.2e}, {res_l[0]:.2e}")
     biorth = np.array([[left[j] @ right[k] for k in range(m)] for j in range(m)])
-    if np.abs(biorth - np.eye(m)).max() > 1e-8:
-        raise DefectiveMatrix("biorthogonalization failed beyond 1e-8")
+    biorth_err = np.abs(biorth - np.eye(m)).max()
+    if biorth_err > 1e-8:
+        raise IllConditionedEigenbasis(
+            f"biorthonormality error {biorth_err:.3g} of the peripheral pairs exceeds 1e-8")
 
     return SpectralData(
         lam=lam, period_m=m, eigenvalues=snapped_vals,

@@ -29,8 +29,8 @@ def perron_values(monkeypatch):
 
     def eigenvalues(matrix, period):
         out = real(matrix, period)
-        band, slots, _ = spectral._band_slots(out[0])
-        values.append(complex(out[0][band[slots == 0][0]]))
+        at_slot = spectral._root_slots(out[0], period)[1]
+        values.append(complex(out[0][at_slot[0]]))
         return out
 
     monkeypatch.setattr(spectral, "_eigenvalues", eigenvalues)

@@ -202,6 +202,15 @@ def test_simulate_csv_and_env_seed(tmp_path, monkeypatch):
     assert header == "kind,n,n_paths,survivors,value,stderr"
 
 
+def test_simulate_canonical_changes_no_byte(tmp_path):
+    # estimates.csv carries no timestamp: the flag is accepted and read by nothing
+    args = ["simulate", "--spec", "ds3", "--n", "5", "--n-paths", "20000", "--seed", "3"]
+    assert main(args + ["--out", str(tmp_path / "plain")]) == 0
+    assert main(args + ["--out", str(tmp_path / "canon"), "--canonical"]) == 0
+    plain, canon = ((tmp_path / d / "estimates.csv").read_bytes() for d in ("plain", "canon"))
+    assert plain == canon
+
+
 def test_lobo_table(tmp_path):
     out = tmp_path / "l"
     assert main(["lobo", "--spec", "cycle3", "--out", str(out), "--canonical",
@@ -628,8 +637,9 @@ def test_vanishing_perron_pairing_is_ill_conditioned(tmp_path, capsys):
 
 
 def test_periodic_birth_death_chain_reaches_the_pairing_floor(tmp_path, capsys):
-    # with no holding the chain has period 2; the swept periodic birth-death
-    # chains never raise DefectiveMatrix, and this one is refused here first
+    # with no holding the chain has period 2; no swept periodic birth-death
+    # chain fails the cone or biorthonormality check, and this one is refused
+    # at the pairing first
     n = 18
     matrix = np.diag(np.full(n - 1, 0.8), 1) + np.diag(np.full(n - 1, 0.01), -1)
     spec = _chain_file(tmp_path, matrix.tolist())
@@ -638,6 +648,21 @@ def test_periodic_birth_death_chain_reaches_the_pairing_floor(tmp_path, capsys):
     assert re.search(r"IllConditionedEigenbasis: Perron pairing <mu_0, f_0> = \S+ at "
                      r"eigenvalue 0\.176446 is below its floor 1e-12", err), err
     assert "Traceback" not in err and not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("eps", [1e-11, 1e-9, 1e-7, 3e-7, 1e-5, 2e-5, 3e-5])
+def test_near_degenerate_pair_is_refused_as_no_gap(tmp_path, capsys, eps):
+    # eigenvalues 0.5 +- eps of graph period 1: up to 1e-7 both lie in the
+    # 1e-6 band, above that the second lies in the 1e-4 gap floor; at 3e-5
+    # the gap clears the floor
+    spec = _chain_file(tmp_path, [[0.5, eps], [eps, 0.5]])
+    code = main(["analyze", "--spec", spec, "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    if eps == 3e-5:
+        assert code == 0 and err == ""
+        return
+    assert code == 3 and not (tmp_path / "o").exists()
+    assert re.fullmatch(r"NoSpectralGapWithinTol: [^\n]*\n", err), err
 
 
 def test_cli_import_leaves_scipy_special_unloaded():

@@ -176,6 +176,20 @@ def test_constructors_copy_the_callers_arrays():
         assert not copy.flags.writeable and not np.shares_memory(copy, x)
 
 
+@pytest.mark.parametrize("nodes, weights, reason", [
+    ([[0.0, 1.0]], [[0.5, 0.5]], "1-D and of equal length"),
+    ([0.0, 1.0], [0.5, 0.25, 0.25], "1-D and of equal length"),
+    ([0.0, 0.5, 0.5], [0.25, 0.5, 0.25], "strictly increasing"),
+    ([0.0, 0.5, 1.5], [0.25, 0.5, 0.25], r"inside \[lower, upper\]"),
+    ([-0.5, 0.5, 1.0], [0.25, 0.5, 0.25], r"inside \[lower, upper\]"),
+    ([0.0, 0.5, 1.0], [0.5, -0.25, 0.5], "nonnegative with positive total"),
+    ([0.0, 0.5, 1.0], [0.0, 0.0, 0.0], "nonnegative with positive total"),
+])
+def test_state_grid_refusals(nodes, weights, reason):
+    with pytest.raises(InvalidDomain, match=reason):
+        StateGrid(0.0, 1.0, np.array(nodes), np.array(weights))
+
+
 def test_tabulated_table_is_checked_once_and_kept():
     # the checked table is the spec's read-only copy: a table changed after
     # the check, the caller's array or the params, reaches no reader

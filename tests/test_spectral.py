@@ -15,7 +15,6 @@ from qsdlab.errors import (
     NumericalError,
     PeriodMismatch,
     Reducible,
-    TolTooLoose,
 )
 from qsdlab.kernels import KernelSpec, build_operator
 from qsdlab.oracle import FiniteChain, exact_qsd_qed
@@ -138,7 +137,7 @@ def test_cyclic_pairs_twist_the_perron_pair_by_the_audit_classes(sds, monkeypatc
         perron.clear()
         sd = q.peripheral_spectrum(op)
         m = sd.period_m
-        assert values == perron and len(values) == 1 and m == sd.graph_period
+        assert values == perron and len(values) == 1 and m == sd.reach.graph_period
         twist = np.exp(2j * math.pi * sd.reach.node_class / m)
         for j in range(m):
             assert np.abs(sd.right_eigs[j] - twist ** j * sd.f0).max() <= 1e-12 * sd.f0.max()
@@ -153,17 +152,58 @@ def test_near_degenerate_gap_refused():
 
 def test_loose_band_angle_check(monkeypatch):
     # widening the band on an aperiodic chain pulls in the real subdominant
-    # eigenvalue whose angle duplicates the j=0 slot
+    # eigenvalue: two band values for graph period 1
     monkeypatch.setattr(spectral, "PERIPHERAL_TOL_DEFAULT", 0.7)
-    with pytest.raises(TolTooLoose):
+    with pytest.raises(NoSpectralGapWithinTol, match="more than the graph period 1"):
         q.peripheral_spectrum(explicit([[0.5, 0.25], [0.25, 0.5]]))
 
 
 def test_loose_band_period_mismatch(monkeypatch):
+    # the band takes in -(1 - 2e) too, yet the holding makes the chain aperiodic
     e = 0.01
     monkeypatch.setattr(spectral, "PERIPHERAL_TOL_DEFAULT", 3 * e)
-    with pytest.raises(PeriodMismatch):
+    with pytest.raises(NoSpectralGapWithinTol, match="more than the graph period 1"):
         q.peripheral_spectrum(explicit([[e, 1 - e], [1 - e, e]]))
+
+
+def test_band_off_the_root_angles_is_a_period_mismatch(monkeypatch):
+    # cycle2's -lam turned by 0.01 rad: two band values, but not on the
+    # square roots of unity of graph period 2
+    real = spectral._eigenvalues
+
+    def eigenvalues(matrix, period):
+        ev, ritz = real(matrix, period)
+        ev = ev.astype(complex)
+        ev[np.argmin(ev.real)] *= np.exp(0.01j)
+        return ev, ritz
+
+    monkeypatch.setattr(spectral, "_eigenvalues", eigenvalues)
+    with pytest.raises(PeriodMismatch, match="of graph period 2"):
+        q.peripheral_spectrum(q.build_operator(q.get_spec("cycle2")))
+
+
+def test_perron_pair_off_the_cone_is_ill_conditioned(monkeypatch):
+    monkeypatch.setattr(spectral, "_inverse_iteration",
+                        lambda matrix, beta: (np.array([1.0, -1.0]), np.array([1.0, 1.0])))
+    with pytest.raises(IllConditionedEigenbasis,
+                       match="Perron vector leaves the cone: most negative entry -1 of its sup"):
+        q.peripheral_spectrum(q.build_operator(q.get_spec("sym2")))
+
+
+def test_pairs_not_biorthonormal_are_ill_conditioned(monkeypatch):
+    # the second forward step finishes pair 1 of cycle2: doubling f_1 makes
+    # <mu_1, f_1> = 2
+    real, calls = spectral._forward_step, []
+
+    def forward_step(matrix, f, mu, beta):
+        calls.append(beta)
+        f, mu = real(matrix, f, mu, beta)
+        return (2 * f if len(calls) == 2 else f), mu
+
+    monkeypatch.setattr(spectral, "_forward_step", forward_step)
+    with pytest.raises(IllConditionedEigenbasis,
+                       match="biorthonormality error 1 of the peripheral pairs exceeds 1e-8"):
+        q.peripheral_spectrum(q.build_operator(q.get_spec("cycle2")))
 
 
 def test_jordan_block_refused():
