@@ -112,10 +112,12 @@ class KernelSpec:
     files alike (InvalidDomain): ``params`` a dict of exactly the family's
     parameters, ``domain`` a pair of real numbers (not bool) kept as a float
     pair, ``grid_size`` an int (by ``operator.index``).  A density family
-    needs both, and is sampled on the trapezoid grid of ``grid_size``
-    equispaced nodes.  An explicit chain's matrix, or a tabulated density's
-    values, is checked here, once, and kept as the read-only float copy
-    ``matrix`` that every reader uses.  An explicit chain's n states fix
+    needs both, with lower < upper a finite width apart, and is sampled on
+    the trapezoid grid of ``grid_size`` equispaced nodes.  An explicit
+    chain's matrix, or a tabulated density's values, is checked here, once,
+    by the one table rule ``_table`` (InvalidDomain, or NegativeDensity for
+    a negative entry; then RowSumExceedsOne for an explicit chain), and kept
+    as the read-only float copy ``matrix`` that every reader uses.  An explicit chain's n states fix
     ``domain`` = (0, max(n - 1, 1)) and ``grid_size`` = n, and any other
     value raises InvalidDomain.
     """
@@ -151,7 +153,8 @@ class KernelSpec:
         if missing:
             raise InvalidDomain(f"missing params {sorted(missing)} for family {self.family}")
         if self.is_explicit:
-            q = _explicit_matrix(self.params["matrix"])
+            q = _table("explicit matrix", self.params["matrix"])
+            _check_row_sums(q.sum(axis=1))
             n, domain = len(q), (0.0, float(max(len(q) - 1, 1)))
             if self.grid_size not in (None, n) or self.domain not in (None, domain):
                 raise InvalidDomain(f"a {n}-state chain has domain {domain} and grid_size {n}")
@@ -163,20 +166,14 @@ class KernelSpec:
         lo, hi = self.domain
         if not (math.isfinite(lo) and math.isfinite(hi)) or lo >= hi:
             raise InvalidDomain(f"domain must satisfy lower < upper, got {self.domain}")
+        if not math.isfinite(hi - lo):
+            raise InvalidDomain(f"domain width {hi} - {lo} is not finite")
         if self.grid_size < 2:
             raise InvalidDomain("grid_size must be >= 2")
-        # scalars finite reals (not bool), widths positive, a finite N x N table
+        # scalars finite reals (not bool), widths positive, a table by _table
         for key, value in self.params.items():
             if key == "values":
-                try:
-                    table = np.array(value, dtype=float)   # a copy: the caller's stays writable
-                except (TypeError, ValueError):
-                    table = None
-                n = self.grid_size
-                if table is None or table.shape != (n, n) or not np.isfinite(table).all():
-                    raise InvalidDomain(f"values must be a finite {n} x {n} table")
-                table.setflags(write=False)
-                object.__setattr__(self, "matrix", table)
+                object.__setattr__(self, "matrix", _table("values", value, self.grid_size))
             elif (isinstance(value, bool) or not isinstance(value, numbers.Real)
                   or not math.isfinite(value)):
                 raise InvalidDomain(f"{key} must be a finite number, got {value!r}")
@@ -293,14 +290,17 @@ def _map_centers(spec, x):
 
 
 def _density_rows(spec, x, y):
-    """``rows(a, b)``: the unchecked density rows g(x[a:b], y) of a continuous family.
+    """``rows(a, b)``: the density rows g(x[a:b], y) of a continuous family.
 
-    Each call returns a new array, evaluated with NumPy's overflow, divide
-    and invalid warnings off: ``_check_density`` gives the one report of a
-    value that is not finite.  The window families search their column runs
-    once, here, for all of x.  A tabulated density is its checked table
-    ``spec.matrix``, on the grid nodes alone.
+    Each call returns a new array.  A computed block (window or Gaussian) is
+    evaluated with NumPy's overflow, divide and invalid warnings off and
+    passes ``_check_density``, the one report of a value that is not
+    finite.  The window families search their column runs once, here, for
+    all of x.  A tabulated density is its table ``spec.matrix``, checked
+    when the spec was made, on the grid nodes alone.
     """
+    if spec.family == "tabulated":
+        return lambda a, b: spec.matrix[a:b].copy()     # a copy: weighted in place later
     p = spec.params
     x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     if spec.family in ("affine_uniform", "cubic_uniform"):
@@ -312,7 +312,7 @@ def _density_rows(spec, x, y):
             vals = window(a, b)
             vals /= 2 * w
             return vals
-    elif spec.family == "gaussian_shift":
+    else:
         sigma = float(p["sigma"])
 
         def rows(a, b):
@@ -323,27 +323,24 @@ def _density_rows(spec, x, y):
             np.exp(vals, out=vals)
             vals /= sigma * math.sqrt(2 * math.pi)
             return vals
-    else:
-        def rows(a, b):
-            return spec.matrix[a:b].copy()     # a copy: weighted in place later
 
-    def quiet(a, b):
+    def checked(a, b):
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            return rows(a, b)
-    return quiet
+            vals = rows(a, b)
+            _check_density(vals)
+        return vals
+    return checked
 
 
 def _check_density(vals):
-    """The one range check of density values: InvalidDomain, then NegativeDensity.
+    """Refuse a computed density block with a value that is not finite (InvalidDomain).
 
-    min and max propagate NaN: no temporary the size of the block for the
-    finiteness test.
+    An indicator over 2w > 0 and a Gaussian over sigma sqrt(2 pi) > 0 are
+    never negative, so finiteness is the whole range check.  min and max
+    propagate NaN: no temporary the size of the block.
     """
-    vmin, vmax = vals.min(), vals.max()
-    if not (np.isfinite(vmin) and np.isfinite(vmax)):
+    if not (np.isfinite(vals.min()) and np.isfinite(vals.max())):
         raise InvalidDomain("density evaluated to a non-finite value")
-    if vmin < 0:
-        raise NegativeDensity("density evaluated below zero")
 
 
 def analytic_row_mass(spec, x):
@@ -379,23 +376,26 @@ def _quadrature_grid(spec):
     return StateGrid(lo, hi, nodes, weights)
 
 
-def _explicit_matrix(value):
-    """A read-only float copy of an explicit chain's matrix, once validated.
+def _table(name, value, n=None):
+    """A read-only float copy of a given table, once validated.
 
-    Called by ``KernelSpec`` alone.  Raises InvalidDomain (not numeric,
-    square and finite), NegativeDensity or RowSumExceedsOne.
+    The one check of an explicit chain's ``matrix`` and of a tabulated
+    density's ``values`` (then ``n`` = ``grid_size``), called by
+    ``KernelSpec`` alone.  Raises InvalidDomain (not numeric, not square and
+    non-empty, not n x n, not finite) or NegativeDensity.
     """
     try:
-        q = np.array(value, dtype=float)
+        q = np.array(value, dtype=float)   # a copy: the caller's stays writable
     except (TypeError, ValueError) as exc:
-        raise InvalidDomain(f"explicit matrix is not a numeric array: {exc}") from None
+        raise InvalidDomain(f"{name} is not a numeric array: {exc}") from None
     if q.ndim != 2 or q.shape[0] != q.shape[1] or not q.size:
-        raise InvalidDomain("explicit matrix must be square and non-empty")
+        raise InvalidDomain(f"{name} must be square and non-empty")
+    if n is not None and len(q) != n:
+        raise InvalidDomain(f"{name} must be {n} x {n}, got {len(q)} x {len(q)}")
     if not np.isfinite(q).all():
-        raise InvalidDomain("explicit matrix has NaN or infinite entries")
+        raise InvalidDomain(f"{name} has NaN or infinite entries")
     if q.min() < 0:
-        raise NegativeDensity("explicit matrix has negative entries")
-    _check_row_sums(q.sum(axis=1))
+        raise NegativeDensity(f"{name} has negative entries")
     q.setflags(write=False)
     return q
 
@@ -412,18 +412,15 @@ def _operator_rows(spec, grid, block):
 
     The rows are the density on the grid, multiplied column-wise by the
     weights, in blocks of ``block`` rows; this is the one place that
-    evaluates the kernel for the operator.  Each block passes
-    ``_check_density`` before it is weighted; a product that overflows is
-    left to ``_escape_nodes``.  A value that is not finite comes only from
-    the window and Gaussian families, never negative, and a negative one
-    only from a finite table, so the first error does not depend on the
-    block size.
+    evaluates the kernel for the operator.  ``_density_rows`` refuses a
+    block that is not finite before it is weighted, and a product that
+    overflows is left to ``_escape_nodes``, which runs after the last block,
+    so the first error does not depend on the block size.
     """
     nodes = grid.nodes
     density = _density_rows(spec, nodes, nodes)
     for a in range(0, nodes.size, block):
         rows = density(a, min(a + block, nodes.size))
-        _check_density(rows)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             rows *= grid.weights[None, :]
         yield a, rows
@@ -524,12 +521,10 @@ def check_h1_modulus(spec):
 
     xs = np.linspace(lo, hi, H1_PROBES)
     gx = _density_rows(spec, xs, grid.nodes)(0, H1_PROBES)
-    _check_density(gx)
     sups = []
     for d in deltas:
         zs = np.clip(xs + d, lo, hi)
         gz = _density_rows(spec, zs, grid.nodes)(0, H1_PROBES)
-        _check_density(gz)
         dist = np.abs(gx - gz) @ grid.weights
         sups.append(float(dist.max()))
     sups = np.asarray(sups)

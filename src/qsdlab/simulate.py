@@ -281,8 +281,11 @@ def summarize_birkhoff(batch):
         raise ValueError("need a batch of n >= 1 steps simulated with h")
     ns = _survivors(batch)
     vals = batch.running_sums / n
-    mean = float(vals.mean())
-    sd = float(vals.std(ddof=1)) if ns > 1 else float("inf")
+    # scaled by a power of two, which is exact, so std's squares do not overflow
+    e = math.frexp(max(vals.max(), -vals.min()))[1]
+    np.ldexp(vals, -e, out=vals)
+    mean = float(np.ldexp(vals.mean(), e))
+    sd = float(np.ldexp(vals.std(ddof=1), e)) if ns > 1 else float("inf")
     return ConditionedEstimate(value=mean,
                                stderr=sd / math.sqrt(ns), effective_samples=ns)
 

@@ -16,10 +16,11 @@ Schema (all other top-level keys are a hard error)::
 The reference measure is Lebesgue and the quadrature the trapezoid rule;
 neither is a key.  The file owns the rules of the document: a JSON object,
 no key outside the schema, ``schema_version`` 1, and on an
-``explicit_matrix`` no ``domain`` or ``grid_size`` and ``params.matrix`` a
-list of rows.  Every field's rule is ``KernelSpec``'s, as for a spec built
-in Python; what it refuses is a SchemaError with its reason, and so is a
-file that cannot be read (missing, a directory, not UTF-8) or is not JSON.
+``explicit_matrix`` no ``domain`` or ``grid_size``.  Every field's rule is
+``KernelSpec``'s, as for a spec built in Python, tables included (a
+``matrix`` or ``values`` that is not a numeric square table fails there);
+what it refuses is a SchemaError with its reason, and so is a file that
+cannot be read (missing, a directory, not UTF-8) or is not JSON.
 """
 
 import json
@@ -38,15 +39,13 @@ def spec_from_dict(doc):
         raise SchemaError(f"unknown fields {sorted(unknown)}")
     if doc.get("schema_version", 1) != 1:
         raise SchemaError(f"unsupported schema_version {doc.get('schema_version')}")
-    params = doc.get("params", {})
     if doc.get("family") == "explicit_matrix":
         ignored = {"domain", "grid_size"} & set(doc)
         if ignored:
             raise SchemaError(f"fields {sorted(ignored)} do not apply to explicit_matrix")
-        if isinstance(params, dict) and not isinstance(params.get("matrix"), list):
-            raise SchemaError("explicit_matrix needs params.matrix as a list of rows")
     try:
-        return KernelSpec(domain=doc.get("domain"), family=doc.get("family"), params=params,
+        return KernelSpec(domain=doc.get("domain"), family=doc.get("family"),
+                          params=doc.get("params", {}),
                           grid_size=doc.get("grid_size"), name=doc.get("name"))
     except Exception as exc:
         raise SchemaError(str(exc)) from exc

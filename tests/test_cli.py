@@ -13,7 +13,7 @@ import pytest
 import qsdlab as q
 from qsdlab import cli, spectral
 from qsdlab.cli import main
-from qsdlab.errors import InvalidDomain, NotApplicable, SchemaError
+from qsdlab.errors import InvalidDomain, NegativeDensity, NotApplicable, SchemaError
 from qsdlab.kernels import KernelSpec
 from qsdlab.specfile import dump_spec, load_spec, spec_from_dict
 
@@ -466,7 +466,7 @@ _TABLE = {"family": "tabulated", "domain": [0, 1], "grid_size": 2,
     ({**_GAUSS, "measure": {"name": "lebesgue_scaled", "scale": 2.0}},
      "SchemaError: unknown fields ['measure']"),
     ({"family": "explicit_matrix", "params": {"matrix": 5}},
-     "SchemaError: explicit_matrix needs params.matrix"),
+     "SchemaError: explicit matrix must be square and non-empty"),
     pytest.param({"family": "explicit_matrix", "params": {"matrix": [[0.5, "a"], [0.2, 0.3]]}},
                  "SchemaError: explicit matrix is not a numeric array",
                  id="doc5-SchemaError: non-numeric entry"),
@@ -494,11 +494,11 @@ _TABLE = {"family": "tabulated", "domain": [0, 1], "grid_size": 2,
     ({**_AFFINE, "params": {**_AFFINE["params"], "noise_halfwidth": -1.0}},
      "SchemaError: noise_halfwidth must be positive"),
     ({**_TABLE, "params": {"values": [[1.0, "x"], [1.0, 1.0]]}},
-     "SchemaError: values must be a finite 2 x 2 table"),
+     "SchemaError: values is not a numeric array"),
     ({**_TABLE, "params": {"values": [[1.0, float("nan")], [1.0, 1.0]]}},
-     "SchemaError: values must be a finite 2 x 2 table"),
+     "SchemaError: values has NaN or infinite entries"),
     ({**_TABLE, "params": {"values": [[1.0, 1.0, 1.0]]}},
-     "SchemaError: values must be a finite 2 x 2 table"),
+     "SchemaError: values must be square and non-empty"),
     ({"family": "explicit_matrix", "params": {"matrix": [[0.5]]}, "domain": [5, 9]},
      "SchemaError: fields ['domain'] do not apply to explicit_matrix"),
     ({"family": "explicit_matrix", "params": {"matrix": [[0.5]]}, "grid_size": 1},
@@ -511,6 +511,8 @@ _TABLE = {"family": "tabulated", "domain": [0, 1], "grid_size": 2,
       "quadrature": "ulam", "domain": [5, 9], "grid_size": 77},
      "SchemaError: unknown fields ['quadrature']"),
     ({**_GAUSS, "domain": ["-1", True]}, "SchemaError: domain bound must be a number"),
+    ({**_TABLE, "params": {"values": [[1.0] * 3] * 3}},
+     "SchemaError: values must be 2 x 2, got 3 x 3"),
 ])
 def test_malformed_spec_file_exits_2(tmp_path, capsys, doc, error):
     spec = tmp_path / "bad.json"
@@ -518,6 +520,51 @@ def test_malformed_spec_file_exits_2(tmp_path, capsys, doc, error):
     assert main(["analyze", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert error in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+# each flaw of a table: the error KernelSpec raises and the reason after the table's name
+_BAD_TABLES = {
+    "negative": ([[0.5, -0.25], [0.25, 0.5]], NegativeDensity, "has negative entries"),
+    "nan": ([[0.5, float("nan")], [0.25, 0.5]], InvalidDomain, "has NaN or infinite entries"),
+    "ragged": ([[0.5, 0.25], [0.25]], InvalidDomain, "is not a numeric array"),
+    "non_numeric": ([[0.5, "a"], [0.25, 0.5]], InvalidDomain, "is not a numeric array"),
+    "not_square": ([[0.5, 0.25]], InvalidDomain, "must be square and non-empty"),
+}
+
+
+@pytest.mark.parametrize("flaw", sorted(_BAD_TABLES))
+@pytest.mark.parametrize("family,key,name", [
+    ("explicit_matrix", "matrix", "explicit matrix"), ("tabulated", "values", "values"),
+], ids=["matrix", "values"])
+def test_both_tables_are_refused_alike_when_the_spec_is_made(tmp_path, capsys, family, key,
+                                                               name, flaw):
+    # one rule for an explicit chain's matrix and a tabulated density's values,
+    # from the library and from a spec file
+    table, error, reason = _BAD_TABLES[flaw]
+    doc = {"family": family, "params": {key: table}}
+    if family == "tabulated":
+        doc.update(domain=[0, 1], grid_size=2)
+    with pytest.raises(error) as err:
+        KernelSpec(**doc)
+    assert type(err.value) is error and str(err.value).startswith(f"{name} {reason}")
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["analyze", "--spec", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(f"SchemaError: {name} {reason}")
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("text,error", [
+    ("[1, 2]", "SchemaError: spec document must be a JSON object\n"),
+    (json.dumps({"schema_version": 2, **_TABLE}), "SchemaError: unsupported schema_version 2\n"),
+    ("{not json", "SchemaError: spec file is not valid JSON: "),
+], ids=["not_an_object", "schema_version_2", "not_json"])
+def test_spec_document_refusals(tmp_path, capsys, text, error):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert main(["analyze", "--spec", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith(error)
     assert not (tmp_path / "o").exists()
 
 
@@ -871,3 +918,42 @@ def test_overflowing_density_is_refused_in_one_line(tmp_path, capsys, cmd, name)
     assert [str(w.message) for w in caught] == []
     assert capsys.readouterr().err == f"InvalidDomain: {reason}\n"
     assert not (tmp_path / "o").exists()
+
+
+WIDE = {"family": "gaussian_shift", "domain": [-1.5e308, 1.5e308], "grid_size": 5,
+        "params": {"sigma": 1.0}}
+
+
+@pytest.mark.parametrize("cmd", [["analyze"], ["verify-hypothesis"],
+                                 ["simulate", "--n", "3", "--n-paths", "1000"]],
+                         ids=["analyze", "verify-hypothesis", "simulate"])
+def test_overflowing_domain_width_is_refused_in_one_line(tmp_path, capsys, cmd):
+    # upper - lower overflows: refused by KernelSpec, before linspace makes NaN nodes
+    reason = "domain width 1.5e+308 - -1.5e+308 is not finite"
+    with pytest.raises(InvalidDomain, match=f"^{re.escape(reason)}$"):
+        KernelSpec(**WIDE)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(WIDE))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(cmd + ["--spec", str(path), "--out", str(tmp_path / "o")]) == 2
+    assert [str(w.message) for w in caught] == []
+    assert capsys.readouterr().err == f"SchemaError: {reason}\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_birkhoff_stderr_of_huge_values_is_finite(tmp_path):
+    # values near 1e200: their squared deviations would overflow unscaled
+    doc = {"family": "gaussian_shift", "domain": [1e200, 2e200], "grid_size": 5,
+           "params": {"sigma": 1e200}}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["simulate", "--spec", str(path), "--n", "3", "--n-paths", "20000",
+                     "--out", str(tmp_path / "s")]) == 0
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    rows = list(csv.DictReader((tmp_path / "s" / "estimates.csv").open()))
+    (row,) = [r for r in rows if r["kind"] == "birkhoff_average[y]"]
+    assert math.isfinite(float(row["stderr"])) and 1e197 < float(row["stderr"]) < 1e198
+    assert float(row["value"]) == pytest.approx(1.5e200, rel=0.01)

@@ -166,6 +166,9 @@ def test_explicit_spec_files_exit_cleanly_without_nan(doc, data):
               "params": {"values": [[0, 0], [1e300, 0.01]]}})
 @example(doc={"family": "tabulated", "domain": [0, 1e-100], "grid_size": 2,
               "params": {"values": [[0, 3e300], [3e300, 0]]}})
+# a domain whose width overflows; the drawn widths stop near 1e300
+@example(doc={"family": "gaussian_shift", "domain": [-1.5e308, 1.5e308], "grid_size": 5,
+              "params": {"sigma": 1.0}})
 def test_density_spec_files_exit_cleanly_without_nan(doc):
     check_runs(doc, RUNS)
 

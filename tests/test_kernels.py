@@ -67,10 +67,10 @@ def test_library_spec_with_a_bad_value_is_refused(family, params):
 
 
 def test_negative_density_rejected():
-    bad = KernelSpec(domain=(0.0, 1.0), family="tabulated",
-                     params={"values": [[1.0, -0.5], [0.0, 1.0]]}, grid_size=2)
-    with pytest.raises(NegativeDensity):
-        build_operator(bad)
+    # refused where the spec is made, as an explicit chain's negative entry is
+    with pytest.raises(NegativeDensity, match="values has negative entries"):
+        KernelSpec(domain=(0.0, 1.0), family="tabulated",
+                   params={"values": [[1.0, -0.5], [0.0, 1.0]]}, grid_size=2)
 
 
 def test_explicit_matrix_passthrough():

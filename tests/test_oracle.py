@@ -7,6 +7,7 @@ import pytest
 import qsdlab as q
 from qsdlab.errors import IllConditionedEigenbasis, Reducible
 from qsdlab.oracle import (
+    SIZE_CAP,
     FiniteChain,
     exact_qsd_qed,
     exact_spectrum,
@@ -126,6 +127,24 @@ def test_reducible_refused():
     a = np.array([[0.5, 0.0], [0.0, 0.5]])
     with pytest.raises(Reducible):
         exact_qsd_qed(FiniteChain(Q=a))
+
+
+@pytest.mark.parametrize("call,error,match", [
+    (lambda: FiniteChain(Q=np.full((2, 3), 0.1)), ValueError, "Q must be square"),
+    (lambda: FiniteChain(Q=np.zeros((SIZE_CAP + 1, SIZE_CAP + 1))), ValueError,
+     f"oracle capped at {SIZE_CAP} states"),
+    (lambda: FiniteChain(Q=[[0.5, -0.1], [0.2, 0.3]]), ValueError,
+     "Q must be entrywise nonnegative"),
+    (lambda: FiniteChain(Q=[[0.9, 0.9], [0.2, 0.3]]), ValueError,
+     "rows must sum to at most one"),
+    (lambda: lobo_sum(chain("sym2"), [1.0, 0.0], 0, 0), ValueError, "n must be >= 1"),
+    # no state survives a step: no communicating class at all
+    (lambda: exact_qsd_qed(FiniteChain(Q=[[0.0]])), Reducible,
+     "non-dying states do not form one communicating class"),
+], ids=["not_square", "above_cap", "negative", "row_sum", "lobo_n_0", "all_dying"])
+def test_oracle_refusals(call, error, match):
+    with pytest.raises(error, match=f"^{match}$"):
+        call()
 
 
 # -- cumulative occupation sums -----------------------------------------------

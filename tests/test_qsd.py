@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from conftest import delta_at
 from qsdlab.errors import (
     NeverSubunit,
     NotAperiodic,
+    NotCyclic,
     NotPeriodic,
     ValidationError,
     ZeroEigenfunctionMass,
@@ -320,6 +322,33 @@ def test_cyclic_refused_for_aperiodic(sds):
     # a usage error, as cesaro_fit's on the same chain
     with pytest.raises(NotPeriodic, match=r"^chain is aperiodic \(m = 1\)$"):
         q.cyclic_components(sds["sym2"], sds["sym2"].op)
+
+
+def _skewed_left(sd):
+    # twice the left Perron vector's mass on state 0: class 0 of cycle3 is no
+    # longer the image of class 2, which is uniform
+    left = sd.left_eigs.copy()
+    left[0, 0] *= 2
+    return dataclasses.replace(sd, left_eigs=left)
+
+
+@pytest.mark.parametrize("call,error,match", [
+    (lambda sds: q.yaglom_iterate(sds["sym2"].op, np.array([1.0, 0.0]), -1), ValueError,
+     r"n must be >= 0"),
+    (lambda sds: q.cyclic_components(_skewed_left(sds["cycle3"]), sds["cycle3"].op),
+     NotCyclic, r"image of class 2 is not the class measure of 0"),
+    (lambda sds: q.cyclic_components(dataclasses.replace(sds["cycle3"], lam=1.8),
+                                     sds["cycle3"].op),
+     NotCyclic, r"class scalings do not multiply to lam\*\*m"),
+], ids=["yaglom_n_negative", "image_off_class", "wrong_lam"])
+def test_qsd_refusals(sds, call, error, match):
+    with pytest.raises(error, match=f"^{match}$"):
+        call(sds)
+
+
+def test_tv_distance_refuses_a_shape_mismatch():
+    with pytest.raises(ValueError, match=r"^shape mismatch \(2,\) vs \(3,\)$"):
+        tv_distance([0.5, 0.5], [1.0, 0.0, 0.0])
 
 
 # -- Cesaro averages ----------------------------------------------------------

@@ -444,13 +444,24 @@ def test_invalid_explicit_matrix_is_refused_by_every_reader(read, matrix, error)
     assert spec.matrix.tolist() == [[0.5, 0.25], [0.25, 0.5]]
 
 
+@pytest.mark.parametrize("call,match", [
+    (lambda: simulate_batch(q.get_spec("sym2"), 0, -1, 1000), "need n >= 0 and n_paths >= 1"),
+    (lambda: simulate_batch(q.get_spec("sym2"), 0, 3, 0), "need n >= 0 and n_paths >= 1"),
+    (lambda: simulate.summarize_birkhoff(simulate_batch(q.get_spec("sym2"), 0, 3, 1000)),
+     "need a batch of n >= 1 steps simulated with h"),
+], ids=["n_negative", "no_paths", "birkhoff_without_h"])
+def test_simulate_refusals(call, match):
+    with pytest.raises(ValueError, match=f"^{match}$"):
+        call()
+
+
 def test_explicit_matrix_is_validated_once_per_spec(tmp_path, monkeypatch):
     # the spec checks its matrix once; every reader then uses the checked copy
     matrix = q.get_spec("ds3").params["matrix"]
     calls = []
-    validate = kernels._explicit_matrix
-    monkeypatch.setattr(kernels, "_explicit_matrix",
-                        lambda value: calls.append(value) or validate(value))
+    validate = kernels._table
+    monkeypatch.setattr(kernels, "_table",
+                        lambda *args: calls.append(args) or validate(*args))
     spec = KernelSpec(family="explicit_matrix", params={"matrix": matrix})
     assert len(calls) == 1
     batch = simulate_batch(spec, 1, 4, 5000, seed=2)

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import qsdlab as q
 from qsdlab import cli
-from qsdlab.errors import InvalidDomain, NegativeDensity
+from qsdlab.errors import InvalidDomain
 from qsdlab.kernels import H1_PROBES, JUMP_ATOL, _check_density, _window_rows
 from test_build_bytes import ref_window_values
 
@@ -104,21 +104,17 @@ def test_nonfinite_centers_give_zero_rows():
     assert val[0].any() and not val[1:].any()
 
 
-# a value that is not finite is an invalid input, not a negative density
-_BAD_TABLE_ERRORS = {"density evaluated to a non-finite value": InvalidDomain,
-                     "density evaluated below zero": NegativeDensity}
-
-
 @pytest.mark.parametrize("table,message", [
     ([[1.0, math.nan], [1.0, 1.0]], "density evaluated to a non-finite value"),
     ([[1.0, math.inf], [1.0, 1.0]], "density evaluated to a non-finite value"),
     ([[1.0, -math.inf], [1.0, 1.0]], "density evaluated to a non-finite value"),
     ([[-1.0, math.nan], [1.0, 1.0]], "density evaluated to a non-finite value"),
-    ([[1.0, -0.5], [1.0, 1.0]], "density evaluated below zero"),
 ])
 def test_bad_table_raises_in_order(table, message):
-    # the one range check of every density block, on blocks KernelSpec would refuse
-    with pytest.raises(_BAD_TABLE_ERRORS[message]) as err:
+    # the one range check of every computed density block; a value that is
+    # not finite is an invalid input, a negative one beside it included (a
+    # negative table is refused by KernelSpec, see test_kernels)
+    with pytest.raises(InvalidDomain) as err:
         _check_density(np.array(table))
     assert str(err.value) == message
 
