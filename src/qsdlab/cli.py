@@ -44,7 +44,6 @@ from .errors import (
 from .kernels import (
     build_operator,
     check_h1_modulus,
-    check_h2_reachability,
     operator_graph,
     reachability,
 )
@@ -252,16 +251,17 @@ def cmd_lobo(args):
     if not spec.is_explicit:
         raise ValidationError("the exact cumulative-sum table needs an explicit chain")
     x0, h_state = check_start(spec, args.x0), check_start(spec, args.h_state)
-    op = build_operator(spec)
-    if op.size > SIZE_CAP:
-        raise SizeLimitExceeded(f"the exact table is limited to {SIZE_CAP} states, got {op.size}")
-    reach = check_h2_reachability(op)   # AllNodesEscape when every state dies at once
+    if spec.grid_size > SIZE_CAP:
+        raise SizeLimitExceeded(
+            f"the exact table is limited to {SIZE_CAP} states, got {spec.grid_size}")
+    escape, edges = operator_graph(spec)
+    reach = reachability(escape, edges)   # AllNodesEscape when every state dies at once
     if not reach.strongly_connected:
         raise Reducible(reach.reducible_message)
     for flag, state in (("--x0", x0), ("--h-state", h_state)):
-        if state in op.escape:  # both terms vanish there: no ratio to report
+        if state in escape:  # both terms vanish there: no ratio to report
             raise EscapeNode(f"{flag} {state} is in the escape set")
-    chain = FiniteChain(Q=op.matrix)
+    chain = FiniteChain(Q=spec.matrix)
     h = np.zeros(chain.size)
     h[h_state] = 1.0
     rows = []

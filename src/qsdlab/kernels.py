@@ -6,10 +6,10 @@ parameters + grid size; the reference measure is Lebesgue) and realized as a
 
     matrix[i, j] = g(node_i, node_j) * weight_j
 
-so that ``matrix @ f`` evaluates the one-step expectation of a grid function
-and ``nu @ matrix`` pushes a measure (vector of node masses) one step forward.
-Finite chains enter through the ``explicit_matrix`` family, whose matrix is
-taken verbatim.
+and its two actions: ``op.right(f)`` evaluates the one-step expectation of a
+grid function and ``op.left(nu)`` pushes a measure (vector of node masses)
+one step forward.  Finite chains enter through the ``explicit_matrix``
+family, whose matrix is taken verbatim.
 
 Escape nodes are grid points whose row mass vanishes: the chain started there
 is absorbed in one step almost surely.
@@ -189,10 +189,12 @@ class KernelSpec:
 class DiscreteOperator:
     """Finite-rank realization of the kernel on a quadrature grid.
 
-    ``matrix @ f`` acts on grid functions; ``nu @ matrix`` acts on grid
-    measures (the adjoint).  ``escape`` is the frozenset of escape nodes, the
-    rows whose mass is at most ``ESCAPE_TOL_DEFAULT``.  Immutable after
-    construction.
+    The operator is applied through its two actions, ``right(f)`` = ``A f``
+    on grid functions and ``left(nu)`` = ``nu A`` on grid measures (the
+    adjoint).  Only the dense-only consumers read ``matrix``: the
+    ``eigvals`` solve, inverse iteration and the reachability audit's edges.
+    ``escape`` is the frozenset of escape nodes, the rows whose mass is at
+    most ``ESCAPE_TOL_DEFAULT``.  Immutable after construction.
     """
 
     grid: StateGrid
@@ -208,6 +210,23 @@ class DiscreteOperator:
     @property
     def size(self):
         return self.matrix.shape[0]
+
+    def right(self, v, out=None):
+        """``A v``, one dense product; written into ``out`` (real v only) when given.
+
+        A complex v is applied as its real and imaginary parts, so NumPy
+        never makes a complex copy of the matrix; the real path is the bare
+        ``np.dot``, bitwise ``np.dot(v, A.T)``.
+        """
+        if out is None and np.iscomplexobj(v):
+            return self.matrix @ v.real + 1j * (self.matrix @ v.imag)
+        return np.dot(self.matrix, v, out=out)
+
+    def left(self, v, out=None):
+        """``v A``, as :meth:`right`; bitwise ``A.T @ v``."""
+        if out is None and np.iscomplexobj(v):
+            return v.real @ self.matrix + 1j * (v.imag @ self.matrix)
+        return np.dot(v, self.matrix, out=out)
 
     def nonescape_indices(self):
         return np.array(sorted(set(range(self.size)) - self.escape), dtype=int)
@@ -284,9 +303,8 @@ def _map_centers(spec, x):
     """Window centers of the two window families: a x + b, or x**3 (cubic)."""
     x = np.asarray(x, dtype=float)
     p = spec.params
-    if spec.family == "affine_uniform":
-        return p["a"] * x + p["b"]
-    return x ** 3
+    with np.errstate(over="ignore"):   # an infinite center: a zero row, a dead path, no mass
+        return p["a"] * x + p["b"] if spec.family == "affine_uniform" else x ** 3
 
 
 def _density_rows(spec, x, y):

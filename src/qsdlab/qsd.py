@@ -127,7 +127,7 @@ def _conditioned_laws(op, nu0, n):
     if (nu.shape != (op.size,) or not nu.min() >= 0
             or not math.isclose(nu.sum(), 1.0, rel_tol=0, abs_tol=1e-9)):
         raise ValueError(f"nu0 must be a probability vector on the {op.size} nodes")
-    return (nu, *_orbit(op.matrix, nu, n, np.add.reduce))
+    return (nu, *_orbit(op.left, nu, n, np.add.reduce))
 
 
 def yaglom_iterate(op, nu0, n):
@@ -247,16 +247,17 @@ def cyclic_components(sd, op):
     dying = np.array(sorted(op.escape), dtype=int)
     class_measures = np.zeros((m, op.size))
     for j, cls in enumerate(classes):
-        cls, prev = list(cls), list(classes[j - 1])
+        cls = list(cls)
         class_measures[j, cls] = mu[cls]
-        class_measures[j, dying] = mu[prev] @ op.matrix[np.ix_(prev, dying)] / sd.lam
+        fed = op.left(np.where(labels == (j - 1) % m, mu, 0.0))    # mu_0 on class j - 1, one step
+        class_measures[j, dying] = fed[dying] / sd.lam
         class_measures[j] /= mu[cls].sum() + class_measures[j, dying].sum()
 
     # per-class scaling of the one-step measure action onto the next class
     perm = tuple((i + 1) % m for i in range(m))
     scalings = np.empty(m)
     for i, target in enumerate(perm):
-        w = class_measures[i] @ op.matrix
+        w = op.left(class_measures[i])
         total = w.sum()
         if tv_distance(w / total, class_measures[target]) > 1e-8:
             raise NotCyclic(f"image of class {i} is not the class measure of {target}")
@@ -313,7 +314,7 @@ def mass_decay_check(op, n_max=60):
     stochastic chains (all row sums one).
     """
     subunit = lambda mass: mass.max() < 1 - 1e-12
-    survivors, _ = _orbit(op.matrix.T, np.ones(op.size), n_max, stop=subunit)
+    survivors, _ = _orbit(op.right, np.ones(op.size), n_max, stop=subunit)
     if not (len(survivors) and subunit(survivors[-1])):
         raise NeverSubunit("survival mass never drops below one")
     sups = survivors.max(axis=1)

@@ -1,8 +1,9 @@
 """Peripheral spectrum of the discretized operator.
 
-Everything here is dense linear algebra on the operator matrix A:
-``A @ f`` evolves grid functions, ``nu @ A`` evolves grid measures, and the
-pairing ``<nu, f> = sum_i nu_i f_i`` makes the two actions exactly adjoint.
+Everything here applies the operator A through its two actions:
+``op.right(f)`` = ``A f`` evolves grid functions, ``op.left(nu)`` = ``nu A``
+evolves grid measures, and the pairing ``<nu, f> = sum_i nu_i f_i`` makes
+the two exactly adjoint.  Only ``eigvals`` and inverse iteration read A itself.
 
 The headline object is :class:`SpectralData`: the spectral radius ``lam``,
 the graph period ``m`` of the chain (its m eigenvalues of modulus ``lam``
@@ -85,8 +86,8 @@ class SpectralData:
         }
 
 
-def _arnoldi(matrix, k, need):
-    """The ``k`` largest-modulus Ritz values of the matrix and their Ritz vectors.
+def _arnoldi(act, n, k, need):
+    """The ``k`` largest-modulus Ritz values of the action on n nodes, and their Ritz vectors.
 
     Unrestarted Arnoldi (Saad, *Numerical Methods for Large Eigenvalue
     Problems*, 2nd ed. 2011, ch. 6) from the fixed-seed random start, each
@@ -100,13 +101,12 @@ def _arnoldi(matrix, k, need):
     decreasing modulus and the Ritz vectors, sup-normalized, as the rows of
     an array; or None when the run does not converge.
     """
-    n = len(matrix)
     basis = np.empty((KRYLOV_STEPS + 1, n))
     hess = np.zeros((KRYLOV_STEPS + 1, KRYLOV_STEPS))
     v = np.random.default_rng(0).random(n)
     basis[0] = v / np.linalg.norm(v)
     for j in range(KRYLOV_STEPS):
-        w = matrix @ basis[j]
+        w = act(basis[j])
         for _ in range(2):
             h = basis[:j + 1] @ w
             w -= h @ basis[:j + 1]
@@ -148,8 +148,8 @@ def check_size(n):
             f"dense eigensolve limited to {DENSE_SIZE_LIMIT} nodes, got {n}")
 
 
-def _eigenvalues(matrix, period):
-    """Eigenvalues of the matrix, and their right Ritz vectors as rows or None.
+def _eigenvalues(op, period):
+    """Eigenvalues of the operator, and their right Ritz vectors as rows or None.
 
     One eigenvector-free dense solve gives every eigenvalue, unless from
     ``KRYLOV_MIN_SIZE`` nodes on :func:`_arnoldi` converges on the top
@@ -158,45 +158,32 @@ def _eigenvalues(matrix, period):
     peripheral band at most ``KRYLOV_SEPARATION`` times the largest, as a
     compact operator's discretization shows.
     """
-    n = matrix.shape[0]
+    n = op.size
     check_size(n)
     if n >= KRYLOV_MIN_SIZE and 2 * period + 2 < KRYLOV_STEPS:
-        right = _arnoldi(matrix, 2 * period + 2, period + 1)
+        right = _arnoldi(op.right, n, 2 * period + 2, period + 1)
         if right is not None:
             mods = np.abs(right[0])
             rest = mods[mods < mods.max() * (1 - PERIPHERAL_TOL_DEFAULT)]
             if rest.size and rest.min() <= KRYLOV_SEPARATION * rest.max():
                 return right
-    return np.linalg.eigvals(matrix), None
+    return np.linalg.eigvals(op.matrix), None
 
 
-def _left_ritz(matrix, k, m):
+def _left_ritz(op, k, m):
     """Left Ritz vector of the Perron value, slot 0 of the graph period m, or None.
 
-    Runs :func:`_arnoldi` on ``A.T`` for the ``k`` largest values; None when
-    the run does not converge or its band fails the :func:`_root_slots` test.
+    Runs :func:`_arnoldi` on ``op.left`` for the ``k`` largest values; None
+    when the run does not converge or its band fails the :func:`_root_slots` test.
     """
-    left = _arnoldi(matrix.T, k, m + 1)
+    left = _arnoldi(op.left, op.size, k, m + 1)
     if left is None:
         return None
     at_slot = _root_slots(left[0], m)[1]
     return None if at_slot is None else left[1][at_slot[0]]
 
 
-def _matmul(a, b):
-    """``a @ b`` for a real matrix and a vector that may be complex.
-
-    A complex vector is applied as its real and imaginary parts, so NumPy
-    never makes a complex copy of the matrix.
-    """
-    if np.iscomplexobj(a):
-        return a.real @ b + 1j * (a.imag @ b)
-    if np.iscomplexobj(b):
-        return a @ b.real + 1j * (a @ b.imag)
-    return a @ b
-
-
-def _forward_step(matrix, f, mu, beta):
+def _forward_step(op, f, mu, beta):
     """``(A f / beta, mu A / beta)`` from sup-normalized vectors near the eigenvalue beta.
 
     The step puts exact zeros on zero rows (in f) and zero columns (in mu).
@@ -204,7 +191,7 @@ def _forward_step(matrix, f, mu, beta):
     """
     if beta.imag == 0:
         beta, f, mu = beta.real, f.real, mu.real
-    return _matmul(matrix, f) / beta, _matmul(mu, matrix) / beta
+    return op.right(f) / beta, op.left(mu) / beta
 
 
 def _inverse_iteration(matrix, beta):
@@ -250,19 +237,20 @@ def _nonnegative_real(vec, tol):
     return np.maximum(v, 0.0)
 
 
-def _orbit(matrix, v, n, scale=None, stop=None):
-    """Forward orbit ``v_k = (v_{k-1} @ matrix) / s_k`` for k = 1..n.
+def _orbit(act, v, n, scale=None, stop=None):
+    """Forward orbit ``v_k = act(v_{k-1}) / s_k`` for k = 1..n of a real v.
 
     Returns the iterates stacked as the rows of an (n, size) array and the
     divisors s_k, where ``scale(w)`` gives s_k from the unscaled image w
-    (``None``: no division, every s_k is 1).  Pass ``A`` to evolve measures
-    and ``A.T`` to evolve functions: ``v @ A.T`` is bitwise ``A @ v``.  A zero
-    divisor turns its row and every later one into NaN; callers check the
-    divisors.  ``stop(v_k)`` true ends the orbit at v_k: only the rows and
-    divisors up to k are returned.
+    (``None``: no division, every s_k is 1).  Pass ``op.left`` to evolve
+    measures and ``op.right`` to evolve functions; each step is one
+    ``act(v, out=row)``.  A zero divisor turns its row and every later one
+    into NaN, and an overflow leaves inf; callers check the divisors.
+    ``stop(v_k)`` true ends the orbit at v_k: only the rows and divisors up
+    to k are returned.
 
     Each step is a deterministic function of the bytes of the previous
-    iterate (the same matrix, BLAS call and thread count), so once v_k
+    iterate (the same action, BLAS call and thread count), so once v_k
     repeats an earlier v_j byte for byte the plain loop would go on through
     v_{j+1}..v_k forever.  The orbit replays that cycle into the remaining
     rows and divisors instead of computing them; s_j is not part of it, as
@@ -272,9 +260,9 @@ def _orbit(matrix, v, n, scale=None, stop=None):
     rows = np.empty((n, len(v)))
     divisors = np.ones(n)
     seen = {}
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for k, row in enumerate(rows):
-            v = np.dot(v, matrix, out=row)
+            v = act(v, out=row)
             if scale is not None:
                 divisors[k] = scale(v)
                 v /= divisors[k]
@@ -355,7 +343,7 @@ def peripheral_spectrum(op, reach=None):
     if not reach.strongly_connected:
         raise Reducible(reach.reducible_message)
     m = reach.graph_period
-    ev, ritz = _eigenvalues(op.matrix, m)
+    ev, ritz = _eigenvalues(op, m)
     lam = float(np.abs(ev).max())
     if lam <= 0:
         raise NoSpectralGapWithinTol("spectral radius is zero")
@@ -378,13 +366,13 @@ def peripheral_spectrum(op, reach=None):
     # a Ritz vector is off by about 1e-16 lam / (lam - sub)
     left_ritz = None
     if ritz is not None and sub <= (1 - RITZ_GAP) * lam:
-        left_ritz = _left_ritz(op.matrix, len(ev), m)
+        left_ritz = _left_ritz(op, len(ev), m)
     k = at_slot[0]
     if left_ritz is None:
         f, mu = _inverse_iteration(op.matrix, ev[k])
     else:
         f, mu = ritz[k], left_ritz
-    f, mu = _forward_step(op.matrix, f, mu, ev[k])
+    f, mu = _forward_step(op, f, mu, ev[k])
     f0 = _nonnegative_real(f, tol=1e-8)
     mu0 = _nonnegative_real(mu, tol=1e-8)
     mu = mu0.astype(complex) / mu0.sum()
@@ -404,14 +392,13 @@ def peripheral_spectrum(op, reach=None):
     right[0], left[0] = f, mu
     twist = np.exp(2j * math.pi * reach.node_class / m)
     for j in range(1, m // 2 + 1):   # for even m slot m/2 is real, its own conjugate
-        right[j], left[j] = _forward_step(op.matrix, f * twist ** j, mu / twist ** j,
-                                          ev[at_slot[j]])
+        right[j], left[j] = _forward_step(op, f * twist ** j, mu / twist ** j, ev[at_slot[j]])
         right[m - j], left[m - j] = np.conj(right[j]), np.conj(left[j])
 
     snapped_vals = lam * np.exp(2j * math.pi * np.arange(m) / m)
-    res_r = np.array([np.abs(_matmul(op.matrix, right[j]) - snapped_vals[j] * right[j]).max()
+    res_r = np.array([np.abs(op.right(right[j]) - snapped_vals[j] * right[j]).max()
                       for j in range(m)])
-    res_l = np.array([variation_norm(_matmul(left[j], op.matrix) - snapped_vals[j] * left[j])
+    res_l = np.array([variation_norm(op.left(left[j]) - snapped_vals[j] * left[j])
                       for j in range(m)])
     if not (res_r[0] <= 1e-10 * np.abs(right[0]).max() and res_l[0] <= 1e-10 * lam):  # or NaN
         raise NonConvergent(f"eigen residuals too large: {res_r[0]:.2e}, {res_l[0]:.2e}")

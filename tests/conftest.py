@@ -27,8 +27,8 @@ def perron_values(monkeypatch):
     """Spy on ``spectral._eigenvalues``: the slot-0 (Perron) value of each call's eigenvalues."""
     real, values = spectral._eigenvalues, []
 
-    def eigenvalues(matrix, period):
-        out = real(matrix, period)
+    def eigenvalues(op, period):
+        out = real(op, period)
         at_slot = spectral._root_slots(out[0], period)[1]
         values.append(complex(out[0][at_slot[0]]))
         return out

@@ -1,0 +1,116 @@
+"""The operator's two actions, ``DiscreteOperator.right`` and ``left``.
+
+Every reader applies the operator through them, so they must give the
+bytes of the products they replaced: ``A @ v`` and ``v @ A``, the
+``np.dot(v, A.T)`` of the old mass-decay orbit and the ``A.T @ v`` of the
+old left Arnoldi run.  A complex v was always applied as its real and
+imaginary parts, so its reference is taken part by part too.  And every
+reader but the dense eigensolves must answer from the actions alone.
+"""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+import qsdlab as q
+from qsdlab.errors import QsdlabError
+from qsdlab.kernels import check_h2_reachability
+
+SESSION_OPS = ("sym2", "cycle2", "cycle3", "ds3",
+               "example21_201", "example22_201", "example23_101")
+
+
+@pytest.fixture(scope="module")
+def example21_1601():
+    return q.build_operator(q.get_spec("example21", grid_size=1601))
+
+
+def _by_parts(product, v):
+    """``product`` of v, applied to the real and imaginary parts of a complex v."""
+    if np.iscomplexobj(v):
+        return product(v.real) + 1j * product(v.imag)
+    return product(v)
+
+
+def _vectors(n, seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(5):
+        yield rng.standard_normal(n)
+        yield rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+
+def _assert_action_bytes(op):
+    a = op.matrix
+    for v in _vectors(op.size, op.size):
+        right, left = op.right(v), op.left(v)
+        assert right.tobytes() == _by_parts(lambda u: a @ u, v).tobytes()
+        assert right.tobytes() == _by_parts(lambda u: np.dot(u, a.T), v).tobytes()
+        assert left.tobytes() == _by_parts(lambda u: u @ a, v).tobytes()
+        assert left.tobytes() == _by_parts(lambda u: a.T @ u, v).tobytes()
+        if not np.iscomplexobj(v):
+            out = np.empty(op.size)
+            assert op.right(v, out=out) is out and out.tobytes() == right.tobytes()
+            assert op.left(v, out=out) is out and out.tobytes() == left.tobytes()
+
+
+@pytest.mark.parametrize("name", SESSION_OPS)
+def test_actions_keep_the_product_bytes(ops, name):
+    _assert_action_bytes(ops[name])
+
+
+def test_actions_keep_the_product_bytes_at_1601(example21_1601):
+    _assert_action_bytes(example21_1601)
+
+
+class ActionsOnly:
+    """The operator seen through its actions: ``right``, ``left`` and no ``matrix``."""
+
+    def __init__(self, op):
+        self.right, self.left = op.right, op.left
+        self.size, self.escape, self.spec, self.grid = op.size, op.escape, op.spec, op.grid
+
+
+def _fingerprint(result):
+    """Bytes of each array field and repr of every other, or the refusal."""
+    if isinstance(result, QsdlabError):
+        return type(result).__name__, str(result)
+    if not dataclasses.is_dataclass(result):
+        return _fingerprint_value(result)
+    return {f.name: _fingerprint_value(getattr(result, f.name))
+            for f in dataclasses.fields(result) if f.name not in ("op", "reach")}
+
+
+def _fingerprint_value(value):
+    return value.tobytes() if isinstance(value, np.ndarray) else repr(value)
+
+
+def _answer(fn, *args, **kwargs):
+    try:
+        return _fingerprint(fn(*args, **kwargs))
+    except QsdlabError as exc:
+        return _fingerprint(exc)
+
+
+@pytest.mark.parametrize("name", SESSION_OPS)
+def test_readers_need_no_matrix(ops, sds, name):
+    op, sd = ops[name], sds[name]
+    proxy = ActionsOnly(op)
+    assert not hasattr(proxy, "matrix")
+    nu0 = np.zeros(op.size)
+    nu0[int(np.flatnonzero(sd.reach.node_class >= 0)[0])] = 1.0
+    calls = [(q.yaglom_iterate, nu0, 7), (q.mass_decay_check,)]
+    if sd.period_m == 1:
+        calls.append((q.fit_yaglom_rate, nu0))
+    else:
+        calls += [(q.cesaro_fit, nu0), (lambda o: q.cyclic_components(sd, o),)]
+    for fn, *args in calls:
+        kwargs = {"sd": sd} if fn in (q.fit_yaglom_rate, q.cesaro_fit) else {}
+        assert _answer(fn, proxy, *args, **kwargs) == _answer(fn, op, *args, **kwargs), fn
+
+
+def test_arnoldi_route_needs_no_matrix(example21_1601):
+    op = example21_1601
+    proxy = ActionsOnly(op)
+    sd = q.peripheral_spectrum(proxy, reach=check_h2_reachability(op))
+    assert sd.op is proxy and _fingerprint(sd) == _fingerprint(q.peripheral_spectrum(op))

@@ -2,7 +2,7 @@
 
 From ``KRYLOV_MIN_SIZE`` nodes on, ``_eigenvalues`` takes the top
 eigenvalues and the right Ritz vectors from a NumPy Arnoldi run on ``A``,
-and ``_left_ritz`` the Perron left one from a second run on ``A.T``.  Raising
+and ``_left_ritz`` the Perron left one from a second run on ``op.left``.  Raising
 ``KRYLOV_MIN_SIZE`` past the operator's size runs the dense path instead:
 one ``np.linalg.eigvals`` and ``np.linalg.solve`` steps.  Where the Krylov
 values show a gap below the subdominant modulus the two paths differ in
@@ -166,7 +166,7 @@ def test_rank_one_chain_matches_dense_path(monkeypatch):
 def test_rank_one_breakdown_pads_zeros():
     rng = np.random.default_rng(7)
     a = rng.uniform(0.3, 0.9, 600)[:, None] * rng.dirichlet(np.ones(600))[None, :]
-    values, vectors = spectral._arnoldi(a, 4, 2)
+    values, vectors = spectral._arnoldi(explicit(a).right, len(a), 4, 2)
     assert len(values) == 4 and len(vectors) == 2 and not values[2:].any()
 
 
@@ -262,10 +262,10 @@ def test_nonconverged_arnoldi_falls_back_to_dense_eigenvalues(failing, monkeypat
 
 
 def test_arnoldi_out_of_steps_returns_none(monkeypatch):
-    matrix = build_operator(q.get_spec("example21", grid_size=513)).matrix
-    assert spectral._arnoldi(matrix, 4, 2) is not None
+    op = build_operator(q.get_spec("example21", grid_size=513))
+    assert spectral._arnoldi(op.right, op.size, 4, 2) is not None
     monkeypatch.setattr(spectral, "KRYLOV_STEPS", 6)
-    assert spectral._arnoldi(matrix, 4, 2) is None
+    assert spectral._arnoldi(op.right, op.size, 4, 2) is None
 
 
 def test_left_band_on_other_slots_falls_back(monkeypatch):
@@ -306,7 +306,7 @@ def test_period_near_size_takes_dense_eigenvalues(monkeypatch):
     n = spectral.KRYLOV_MIN_SIZE
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        ev, ritz = spectral._eigenvalues(np.diag(np.linspace(0.1, 0.9, n)), n - 4)
+        ev, ritz = spectral._eigenvalues(explicit(np.diag(np.linspace(0.1, 0.9, n))), n - 4)
     assert len(ev) == n and ritz is None and calls == []
 
 

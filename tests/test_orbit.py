@@ -211,15 +211,15 @@ def first_repeat(rows):
     return None
 
 
-def counted_orbit(matrix, nu0, n):
-    """spectral._orbit with the step-mass scale, and the number of products it computed."""
+def counted_orbit(op, nu0, n):
+    """spectral._orbit of measures with the step-mass scale, and the number of products it computed."""
     products = []
 
     def scale(w):
         products.append(1)
         return np.add.reduce(w)
 
-    rows, divisors = q.spectral._orbit(matrix, np.asarray(nu0, dtype=float), n, scale)
+    rows, divisors = q.spectral._orbit(op.left, np.asarray(nu0, dtype=float), n, scale)
     return rows, divisors, len(products)
 
 
@@ -232,7 +232,7 @@ def _bytes_equal(a, b):
 def test_fit_orbit_stops_computing_at_the_first_repeat(name, size, most):
     op = build_operator(q.get_spec(name, grid_size=size))
     nu0 = _start(op)
-    rows, divisors, products = counted_orbit(op.matrix, nu0, 120)
+    rows, divisors, products = counted_orbit(op, nu0, 120)
     ref_rows, ref_masses = ref_conditioned_rows(op.matrix, nu0, 120)
     assert _bytes_equal(rows, ref_rows) and _bytes_equal(divisors, ref_masses)
     assert products == first_repeat(ref_rows)[1] + 1 <= most
@@ -245,7 +245,7 @@ def test_fit_data_on_a_replayed_orbit_matches_the_loop(name, size, cycle):
     nu0 = _start(op)
     fit = q.fit_yaglom_rate(op, nu0, n_max=120, sd=sd)
     assert _same(fit.data, ref_yaglom_tvs(op, nu0, 120, sd.mu0))
-    _, _, products = counted_orbit(op.matrix, nu0, 120)
+    _, _, products = counted_orbit(op, nu0, 120)
     j, k = first_repeat(ref_conditioned_rows(op.matrix, nu0, 120)[0])
     assert cycle in (None, k - j) and products == k + 1 < 120
 
@@ -256,7 +256,8 @@ def test_zero_divisor_replays_nan_as_the_loop_does():
     # after the repeated row's own divisor
     a = np.array([[0, 0.5, 0], [0, 0, 0.5], [0, 0, 0]])
     nu0 = np.array([1.0, 0.0, 0.0])
-    rows, divisors, products = counted_orbit(a, nu0, 10)
+    rows, divisors, products = counted_orbit(
+        build_operator(KernelSpec(family="explicit_matrix", params={"matrix": a})), nu0, 10)
     ref_rows, ref_masses = ref_conditioned_rows(a, nu0, 10)
     assert _bytes_equal(rows, ref_rows) and _bytes_equal(divisors, ref_masses)
     assert ref_masses[2] == 0 and np.isnan(ref_masses[3:]).all()
@@ -268,14 +269,14 @@ def decay_orbit(monkeypatch):
     """Spy on the mass-decay orbit: products computed and rows returned, per call."""
     real, calls = q.qsd._orbit, []
 
-    def orbit(matrix, v, n, scale=None, stop=None):
+    def orbit(act, v, n, scale=None, stop=None):
         products = []
 
         def counted(row):
             products.append(1)
             return stop(row)
 
-        rows, divisors = real(matrix, v, n, scale, counted)
+        rows, divisors = real(act, v, n, scale, counted)
         calls.append((len(products), len(rows)))
         return rows, divisors
 

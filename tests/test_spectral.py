@@ -171,8 +171,8 @@ def test_band_off_the_root_angles_is_a_period_mismatch(monkeypatch):
     # square roots of unity of graph period 2
     real = spectral._eigenvalues
 
-    def eigenvalues(matrix, period):
-        ev, ritz = real(matrix, period)
+    def eigenvalues(op, period):
+        ev, ritz = real(op, period)
         ev = ev.astype(complex)
         ev[np.argmin(ev.real)] *= np.exp(0.01j)
         return ev, ritz
@@ -195,9 +195,9 @@ def test_pairs_not_biorthonormal_are_ill_conditioned(monkeypatch):
     # <mu_1, f_1> = 2
     real, calls = spectral._forward_step, []
 
-    def forward_step(matrix, f, mu, beta):
+    def forward_step(op, f, mu, beta):
         calls.append(beta)
-        f, mu = real(matrix, f, mu, beta)
+        f, mu = real(op, f, mu, beta)
         return (2 * f if len(calls) == 2 else f), mu
 
     monkeypatch.setattr(spectral, "_forward_step", forward_step)
