@@ -8,17 +8,21 @@ parameters + grid size; the reference measure is Lebesgue) and realized as a
 
 and its two actions: ``op.right(f)`` evaluates the one-step expectation of a
 grid function and ``op.left(nu)`` pushes a measure (vector of node masses)
-one step forward.  Finite chains enter through the ``explicit_matrix``
-family, whose matrix is taken verbatim.
+one step forward.  For the two window families a row is 1/(2w) times the
+weights on one run of columns, so the operator is held as its
+:class:`RunTable` and acts by prefix sums in O(N); their matrix is built
+only when it is first read.  Finite chains enter through the
+``explicit_matrix`` family, whose matrix is taken verbatim.
 
 Escape nodes are grid points whose row mass vanishes: the chain started there
 is absorbed in one step almost surely.
 """
 
+import functools
 import math
 import numbers
 import operator
-from dataclasses import KW_ONLY, dataclass, field
+from dataclasses import KW_ONLY, InitVar, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -191,32 +195,51 @@ class DiscreteOperator:
 
     The operator is applied through its two actions, ``right(f)`` = ``A f``
     on grid functions and ``left(nu)`` = ``nu A`` on grid measures (the
-    adjoint).  Only the dense-only consumers read ``matrix``: the
-    ``eigvals`` solve, inverse iteration and the reachability audit's edges.
-    ``escape`` is the frozenset of escape nodes, the rows whose mass is at
-    most ``ESCAPE_TOL_DEFAULT``.  Immutable after construction.
+    adjoint), and each operator picks their implementation once, here.  The
+    two window families act through their :class:`RunTable` ``runs``, by
+    prefix sums in O(N), and build ``matrix`` only when it is first read;
+    every other family holds the ``dense`` matrix it is given and applies it
+    by one ``np.dot``.  Only the dense-only consumers read ``matrix``: the
+    ``eigvals`` solve and inverse iteration, and the reachability audit's
+    edges of a dense operator.  ``escape`` is the frozenset of escape nodes,
+    the rows whose mass is at most ``ESCAPE_TOL_DEFAULT``.  Immutable after
+    construction.
     """
 
     grid: StateGrid
-    matrix: np.ndarray
     escape: frozenset
     spec: KernelSpec
+    runs: Optional["RunTable"] = field(default=None, repr=False)
+    dense: InitVar[Optional[np.ndarray]] = None
 
-    def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
+    def __post_init__(self, dense):
+        # set in the instance dict, ahead of the class attributes: a dense
+        # operator's cached matrix, or a window operator's two actions
+        if self.runs is None:
+            m = np.asarray(dense, dtype=float)
+            m.setflags(write=False)
+            self.__dict__["matrix"] = m
+        else:
+            self.__dict__.update(right=self.runs.right, left=self.runs.left)
+
+    @functools.cached_property
+    def matrix(self):
+        """The dense matrix; a window operator builds it on first read, as the dense build does."""
+        (_, m), = _operator_rows(self.spec, self.grid, self.size)
         m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
+        return m
 
     @property
     def size(self):
-        return self.matrix.shape[0]
+        return self.grid.nodes.size
 
     def right(self, v, out=None):
         """``A v``, one dense product; written into ``out`` (real v only) when given.
 
         A complex v is applied as its real and imaginary parts, so NumPy
         never makes a complex copy of the matrix; the real path is the bare
-        ``np.dot``, bitwise ``np.dot(v, A.T)``.
+        ``np.dot``, bitwise ``np.dot(v, A.T)``.  A window operator's
+        ``right`` is its run table's.
         """
         if out is None and np.iscomplexobj(v):
             return self.matrix @ v.real + 1j * (self.matrix @ v.imag)
@@ -232,19 +255,108 @@ class DiscreteOperator:
         return np.array(sorted(set(range(self.size)) - self.escape), dtype=int)
 
 
+class RunTable:
+    """A window operator held as its row runs, applied by prefix sums.
+
+    Row i of the matrix is ``c_j = fl(fl(1/(2w)) weight_j)`` on its inside
+    run ``start_i <= j < stop_i`` and 0 elsewhere, except at a few edge
+    cells, whose dense values ``fl(fl(side/(2w)) weight_j)`` are kept as
+    corrections against that.  So ``A v`` is ``S[stop] - S[start]`` with
+    ``S = [0, cumsum(c v)]``, plus the corrections, and ``v A`` is ``c_j
+    (T[hi_j] - T[lo_j])`` with ``T = [0, cumsum(v)]``, where ``lo_j <= i <
+    hi_j`` are the rows whose run holds column j: the run ends are monotone
+    in i (the centers a x + b and x**3 are, and rounding keeps it), so those
+    rows are contiguous, in reverse order when a < 0.  A column that no run
+    holds gets c_j = 0, so a value that overflows there reaches no sum; and
+    when N max(c) nears the float range, S is summed scaled by a power of
+    two, which is exact.  The results differ from the dense products by
+    rounding alone: at most about 4 N eps times the absolute terms summed.
+    The prefix sums use no BLAS, so their bytes do not depend on the thread
+    count.  ``edges()`` gives ``matrix > ESCAPE_TOL_DEFAULT`` exactly.
+    """
+
+    def __init__(self, spec, grid):
+        nodes, weights = grid.nodes, grid.weights
+        n = self.size = nodes.size
+        w = float(spec.params["noise_halfwidth"])
+        start, stop, (rows, cols, side) = _window_runs(
+            _map_centers(spec, nodes), nodes, *spec.domain, w)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            density = side / (2 * w)
+            # an inside run needs w > JUMP_ATOL, so its density 1/(2w) is
+            # finite: the edge values are the ones to check
+            if density.size:
+                _check_density(density)
+            c = (1 / (2 * w)) * weights
+            value = density * weights[cols]
+        # [lo_j, hi_j): the rows with start_i <= j < stop_i; hi >= lo as start <= stop
+        if start[0] > start[-1] or stop[0] > stop[-1]:    # a < 0: the runs move left
+            lo = n - np.searchsorted(start[::-1], np.arange(n), side="right")
+            hi = n - np.searchsorted(stop[::-1], np.arange(n), side="right")
+        else:
+            lo = np.searchsorted(stop, np.arange(n), side="right")
+            hi = np.searchsorted(start, np.arange(n), side="right")
+        c[hi == lo] = 0.0
+        inside = (start[rows] <= cols) & (cols < stop[rows])
+        self.start, self.stop, self.lo, self.hi, self.c = start, stop, lo, hi, c
+        self.rows, self.cols, self.value = rows, cols, value
+        self.correction = value - np.where(inside, c[cols], 0.0)
+        # S at most n max(c): keep it below 2**1000, leaving room for |v| > 1
+        self.shift = max(int(np.frexp(c.max())[1]) + n.bit_length() - 1000, 0)
+        self.c_scaled = np.ldexp(c, -self.shift)
+
+    def right(self, v, out=None):
+        """``A v`` by prefix sums; written into ``out`` (real v only) when given."""
+        if out is None and np.iscomplexobj(v):
+            return self.right(v.real) + 1j * self.right(v.imag)
+        with np.errstate(over="ignore", invalid="ignore"):    # silent, as BLAS is
+            s = np.zeros(self.size + 1)
+            np.cumsum(self.c_scaled * v, out=s[1:])
+            fix = np.bincount(self.rows, self.correction * v[self.cols], minlength=self.size)
+            out = np.subtract(s[self.stop], s[self.start], out=out)
+            if self.shift:
+                np.ldexp(out, self.shift, out=out)
+            out += fix
+        return out
+
+    def left(self, v, out=None):
+        """``v A`` by prefix sums, as :meth:`right`."""
+        if out is None and np.iscomplexobj(v):
+            return self.left(v.real) + 1j * self.left(v.imag)
+        with np.errstate(over="ignore", invalid="ignore"):
+            t = np.zeros(self.size + 1)
+            np.cumsum(v, out=t[1:])
+            fix = np.bincount(self.cols, self.correction * v[self.rows], minlength=self.size)
+            out = np.subtract(t[self.hi], t[self.lo], out=out)
+            out *= self.c
+            out += fix
+        return out
+
+    def edges(self):
+        """``matrix > ESCAPE_TOL_DEFAULT``, from the runs and the edge values."""
+        n = self.size
+        runs = np.stack([self.start, self.stop - self.start, n - self.stop], axis=1).ravel()
+        edges = np.repeat(np.tile([False, True, False], n), runs).reshape(n, n)
+        edges &= self.c > ESCAPE_TOL_DEFAULT
+        edges[self.rows, self.cols] = self.value > ESCAPE_TOL_DEFAULT
+        return edges
+
+
 # ---------------------------------------------------------------------------
 # density evaluation
 
 
-def _window_rows(centers, nodes, lower, upper, halfwidth):
-    """Sample the indicator of the moving window (c - w, c + w) at grid nodes.
+def _window_runs(centers, nodes, lower, upper, halfwidth):
+    """The runs of the moving window (c - w, c + w) on the grid nodes, one row per center.
 
-    Returns ``rows(a, b)``, which gives the rows a..b-1, one per center, as a
-    new array.  Interior nodes that sit exactly on a window edge get the mean
-    of the two one-sided limits (1/2); at a domain endpoint only the limit
-    taken from inside [lower, upper] exists and is used alone.  This keeps
-    trapezoid row sums exact when edges align with nodes and makes rows whose
-    window only touches the domain come out exactly zero.
+    Returns ``(start, stop, (i, j, side))``: row i is 1 on its inside run
+    ``start_i <= j < stop_i`` and 0 elsewhere, except at the edge cells
+    (i, j), which take the value ``side``, each cell once.  Interior nodes
+    that sit exactly on a window edge get the mean of the two one-sided
+    limits (1/2); at a domain endpoint only the limit taken from inside
+    [lower, upper] exists and is used alone.  This keeps trapezoid row sums
+    exact when edges align with nodes and makes rows whose window only
+    touches the domain come out exactly zero.
 
     ``nodes`` must be nondecreasing, as a ``StateGrid``'s are.  Row i reads
     t_j = fl(node_j - c_i), which is then nondecreasing in j because
@@ -252,12 +364,11 @@ def _window_rows(centers, nodes, lower, upper, halfwidth):
     on t therefore holds on one contiguous run of columns per row: inside,
     |t| < w - JUMP_ATOL (that is, -(w - JUMP_ATOL) < t < w - JUMP_ATOL), the
     left edge |fl(t + w)| <= JUMP_ATOL, and the right edge |fl(t - w)| <=
-    JUMP_ATOL.  One binary search over all rows, run here once, finds the six
-    run ends by evaluating those same floating-point expressions at
-    O(N log N) points; ``rows`` only slices them.  A row is 1 on the inside
-    run and 0 elsewhere; the left-edge and then the right-edge entries, a few
-    per row, overwrite it.  A NaN or infinite center fails every test and
-    gives a zero row.
+    JUMP_ATOL.  One binary search over all rows finds the six run ends by
+    evaluating those same floating-point expressions at O(N log N) points.
+    The left-edge and then the right-edge entries overwrite the inside ones,
+    so a cell on both edges takes the right edge's value.  A NaN or infinite
+    center fails every test and gives a zero row.
     """
     c = np.asarray(centers, dtype=float)
     y = np.asarray(nodes, dtype=float)
@@ -280,20 +391,34 @@ def _window_rows(centers, nodes, lower, upper, halfwidth):
     n_sides = np.maximum(has_below.astype(float) + has_above.astype(float), 1.0)
     # one-sided limits of the open-window indicator: left edge (below, above)
     # = (0, 1); right edge = (1, 0)
-    edge_values = ((2, has_above / n_sides), (4, has_below / n_sides))
+    cells = []
+    for r, side in ((2, has_above / n_sides), (4, has_below / n_sides)):
+        width = np.maximum(first[r + 1] - first[r], 0)
+        i = np.repeat(np.arange(c.size), width)
+        j = np.arange(width.sum()) + np.repeat(first[r] - (np.cumsum(width) - width), width)
+        cells.append((i, j, side[j]))
+    i, j, side = (np.concatenate(part) for part in zip(*cells))
+    # the last entry of each cell is the one written: the right edge's
+    _, last = np.unique((i * n + j)[::-1], return_index=True)
+    keep = i.size - 1 - last
+    return first[0], np.maximum(first[1], first[0]), (i[keep], j[keep], side[keep])
+
+
+def _window_rows(centers, nodes, lower, upper, halfwidth):
+    """Sample the indicator of the moving window at the grid nodes: ``rows(a, b)``.
+
+    ``rows(a, b)`` gives the rows a..b-1 of :func:`_window_runs`, one per
+    center, as a new array; the runs are searched once, here.
+    """
+    start, stop, (i, j, side) = _window_runs(centers, nodes, lower, upper, halfwidth)
+    n = np.size(nodes)
 
     def rows(a, b):
-        run = first[:, a:b]
-        start, stop = run[0], np.maximum(run[1], run[0])
         # each row is three runs, 0 then 1 then 0, written in one pass
-        runs = np.stack([start, stop - start, n - stop], axis=1).ravel()
+        runs = np.stack([start[a:b], stop[a:b] - start[a:b], n - stop[a:b]], axis=1).ravel()
         val = np.repeat(np.tile([0.0, 1.0, 0.0], b - a), runs).reshape(b - a, n)
-        for r, side in edge_values:
-            j0 = run[r]
-            width = np.maximum(run[r + 1] - j0, 0)
-            i = np.repeat(np.arange(b - a), width)
-            j = np.arange(width.sum()) + np.repeat(j0 - (np.cumsum(width) - width), width)
-            val[i, j] = side[j]
+        sel = (a <= i) & (i < b)
+        val[i[sel] - a, j[sel]] = side[sel]
         return val
 
     return rows
@@ -448,16 +573,22 @@ def build_operator(spec):
     """Realize a KernelSpec as a DiscreteOperator.
 
     For explicit matrices the matrix is passed through verbatim with nodes
-    0..n-1 and unit weights; otherwise the density is sampled on the
+    0..n-1 and unit weights.  The two window families get their
+    :class:`RunTable`, and their row masses from its ``right``; their
+    matrix is built only if read.  Otherwise the density is sampled on the
     quadrature grid and multiplied by the weights column-wise, as one block
     of all rows.
     """
     grid = _quadrature_grid(spec)
+    if spec.family in ("affine_uniform", "cubic_uniform"):
+        runs = RunTable(spec, grid)
+        return DiscreteOperator(grid=grid, spec=spec, runs=runs,
+                                escape=_escape_nodes(spec, runs.right(np.ones(runs.size))))
     if spec.is_explicit:
         matrix = spec.matrix
     else:
         (_, matrix), = _operator_rows(spec, grid, grid.nodes.size)
-    return DiscreteOperator(grid=grid, matrix=matrix,
+    return DiscreteOperator(grid=grid, dense=matrix,
                             escape=_escape_nodes(spec, matrix.sum(axis=1)),
                             spec=spec)
 
@@ -483,13 +614,16 @@ def operator_graph(spec):
 
     Returns ``(escape, edges)``, equal to ``op.escape`` and ``op.matrix >
     ESCAPE_TOL_DEFAULT``, with the errors of ``build_operator`` in its order.
-    A density family's rows are made in blocks of about ``ROW_BLOCK_BYTES``
-    and reduced to their masses and edges, so the audit holds the N^2 bytes
-    of the edges, not the 8 N^2 of the matrix.  An explicit chain reads
-    ``spec.matrix``.
+    A window family's come from its run table.  Any other density family's
+    rows are made in blocks of about ``ROW_BLOCK_BYTES`` and reduced to their
+    masses and edges, so the audit holds the N^2 bytes of the edges, not the
+    8 N^2 of the matrix.  An explicit chain reads ``spec.matrix``.
     """
     if spec.is_explicit:
         return _escape_nodes(spec, spec.matrix.sum(axis=1)), spec.matrix > ESCAPE_TOL_DEFAULT
+    if spec.family in ("affine_uniform", "cubic_uniform"):
+        op = build_operator(spec)
+        return op.escape, op.runs.edges()
     grid = _quadrature_grid(spec)
     n = grid.nodes.size
     masses, edges = np.empty(n), np.empty((n, n), dtype=bool)
@@ -612,10 +746,11 @@ def _bfs_levels(adj, source, live):
 def check_h2_reachability(op):
     """Audit reachability of every node from every node among non-escape nodes.
 
-    Edges are entries of the discretized kernel above the escape tolerance;
-    see :func:`reachability`.
+    Edges are entries of the discretized kernel above the escape tolerance,
+    read from the run table of a window operator; see :func:`reachability`.
     """
-    return reachability(op.escape, op.matrix > ESCAPE_TOL_DEFAULT)
+    edges = op.matrix > ESCAPE_TOL_DEFAULT if op.runs is None else op.runs.edges()
+    return reachability(op.escape, edges)
 
 
 def reachability(escape, edges):

@@ -250,7 +250,8 @@ def _orbit(act, v, n, scale=None, stop=None):
     to k are returned.
 
     Each step is a deterministic function of the bytes of the previous
-    iterate (the same action, BLAS call and thread count), so once v_k
+    iterate (the same action: a window operator's prefix sums, or one BLAS
+    call at a fixed thread count), so once v_k
     repeats an earlier v_j byte for byte the plain loop would go on through
     v_{j+1}..v_k forever.  The orbit replays that cycle into the remaining
     rows and divisors instead of computing them; s_j is not part of it, as

@@ -1,11 +1,15 @@
 """The operator's two actions, ``DiscreteOperator.right`` and ``left``.
 
-Every reader applies the operator through them, so they must give the
-bytes of the products they replaced: ``A @ v`` and ``v @ A``, the
+Every reader applies the operator through them.  A dense operator must
+give the bytes of the products they replaced: ``A @ v`` and ``v @ A``, the
 ``np.dot(v, A.T)`` of the old mass-decay orbit and the ``A.T @ v`` of the
-old left Arnoldi run.  A complex v was always applied as its real and
-imaginary parts, so its reference is taken part by part too.  And every
-reader but the dense eigensolves must answer from the actions alone.
+old left Arnoldi run.  A window operator applies its run table by prefix
+sums, which differ from those products by rounding alone: each result is
+a difference of two running sums, so it is held to ``4 N eps`` times the
+absolute terms they add, against the matrix it builds on first read.  A
+complex v was always applied as its real and imaginary parts, so its
+reference is taken part by part too.  And every reader but the dense
+eigensolves must answer from the actions alone.
 """
 
 import dataclasses
@@ -40,14 +44,40 @@ def _vectors(n, seed):
         yield rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
 
+def prefix_sum_bounds(runs, v):
+    """Rounding bounds of a run table's ``right(v)`` and ``left(v)``, for a real v.
+
+    ``4 N eps`` times the absolute terms the two running sums add: ``sum_j
+    c_j |v_j|`` for ``right`` and ``max_j c_j sum_i |v_i|`` for ``left``,
+    plus the edge corrections.  A sum that overflows bounds nothing: inf.
+    """
+    scale = 4 * runs.size * np.finfo(float).eps
+    fix = np.abs(runs.correction)
+    with np.errstate(over="ignore"):
+        right = runs.c @ np.abs(v) + fix @ np.abs(v[runs.cols])
+        left = runs.c.max() * np.abs(v).sum() + fix @ np.abs(v[runs.rows])
+    return scale * right, scale * left
+
+
+def _assert_near(got, want, v, runs):
+    for part in (np.real, np.imag) if np.iscomplexobj(v) else (np.real,):
+        bound_right, bound_left = prefix_sum_bounds(runs, part(v))
+        assert np.abs(part(got[0]) - part(want[0])).max() <= bound_right
+        assert np.abs(part(got[1]) - part(want[1])).max() <= bound_left
+
+
 def _assert_action_bytes(op):
     a = op.matrix
     for v in _vectors(op.size, op.size):
         right, left = op.right(v), op.left(v)
-        assert right.tobytes() == _by_parts(lambda u: a @ u, v).tobytes()
-        assert right.tobytes() == _by_parts(lambda u: np.dot(u, a.T), v).tobytes()
-        assert left.tobytes() == _by_parts(lambda u: u @ a, v).tobytes()
-        assert left.tobytes() == _by_parts(lambda u: a.T @ u, v).tobytes()
+        if op.runs is None:
+            assert right.tobytes() == _by_parts(lambda u: a @ u, v).tobytes()
+            assert right.tobytes() == _by_parts(lambda u: np.dot(u, a.T), v).tobytes()
+            assert left.tobytes() == _by_parts(lambda u: u @ a, v).tobytes()
+            assert left.tobytes() == _by_parts(lambda u: a.T @ u, v).tobytes()
+        else:
+            _assert_near((right, left), (_by_parts(lambda u: a @ u, v),
+                                         _by_parts(lambda u: u @ a, v)), v, op.runs)
         if not np.iscomplexobj(v):
             out = np.empty(op.size)
             assert op.right(v, out=out) is out and out.tobytes() == right.tobytes()
