@@ -24,7 +24,7 @@ import argparse
 import csv
 import dataclasses
 import datetime
-import json
+import functools
 import os
 import sys
 
@@ -41,6 +41,7 @@ from .errors import (
     SizeLimitExceeded,
     ValidationError,
 )
+from .jsonout import dumps
 from .kernels import (
     build_operator,
     check_h1_modulus,
@@ -87,8 +88,7 @@ def _write_json(doc, path, canonical):
         doc = {**doc, "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat()}
     os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "w") as fp:
-        json.dump(doc, fp, indent=2, sort_keys=True)
-        fp.write("\n")
+        fp.write(dumps(doc) + "\n")
 
 
 def _write_csv(path, header, rows):
@@ -290,7 +290,9 @@ def cmd_fixtures(args):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The command-line parser, built once per process: parsing leaves no state in it."""
     p = argparse.ArgumentParser(prog="qsdlab",
                                 description="conditioned-measure toolkit for absorbed chains")
     sub = p.add_subparsers(dest="command", required=True)

@@ -10,8 +10,8 @@ and its two actions: ``op.right(f)`` evaluates the one-step expectation of a
 grid function and ``op.left(nu)`` pushes a measure (vector of node masses)
 one step forward.  For the two window families a row is 1/(2w) times the
 weights on one run of columns, so the operator is held as its
-:class:`RunTable` and acts by prefix sums in O(N); their matrix is built
-only when it is first read.  Finite chains enter through the
+:class:`RunTable` and acts by prefix sums in O(N); their matrix is filled
+from that table only when it is first read.  Finite chains enter through the
 ``explicit_matrix`` family, whose matrix is taken verbatim.
 
 Escape nodes are grid points whose row mass vanishes: the chain started there
@@ -224,8 +224,8 @@ class DiscreteOperator:
 
     @functools.cached_property
     def matrix(self):
-        """The dense matrix; a window operator builds it on first read, as the dense build does."""
-        (_, m), = _operator_rows(self.spec, self.grid, self.size)
+        """The dense matrix; a window operator fills it from its run table on first read."""
+        m = self.runs.matrix()
         m.setflags(write=False)
         return m
 
@@ -272,7 +272,8 @@ class RunTable:
     two, which is exact.  The results differ from the dense products by
     rounding alone: at most about 4 N eps times the absolute terms summed.
     The prefix sums use no BLAS, so their bytes do not depend on the thread
-    count.  ``edges()`` gives ``matrix > ESCAPE_TOL_DEFAULT`` exactly.
+    count.  ``matrix()`` gives the dense build's bytes and ``edges()``
+    ``matrix > ESCAPE_TOL_DEFAULT``, in one N x N pass each.
     """
 
     def __init__(self, spec, grid):
@@ -332,11 +333,21 @@ class RunTable:
             out += fix
         return out
 
-    def edges(self):
-        """``matrix > ESCAPE_TOL_DEFAULT``, from the runs and the edge values."""
+    def _inside(self):
+        """The N x N boolean mask of the inside runs: three runs a row, False, True, False."""
         n = self.size
         runs = np.stack([self.start, self.stop - self.start, n - self.stop], axis=1).ravel()
-        edges = np.repeat(np.tile([False, True, False], n), runs).reshape(n, n)
+        return np.repeat(np.tile([False, True, False], n), runs).reshape(n, n)
+
+    def matrix(self):
+        """The dense build's matrix, bitwise: c_j on the inside runs, then the edge values."""
+        m = np.where(self._inside(), self.c, 0.0)
+        m[self.rows, self.cols] = self.value
+        return m
+
+    def edges(self):
+        """``matrix > ESCAPE_TOL_DEFAULT``, from the runs and the edge values."""
+        edges = self._inside()
         edges &= self.c > ESCAPE_TOL_DEFAULT
         edges[self.rows, self.cols] = self.value > ESCAPE_TOL_DEFAULT
         return edges

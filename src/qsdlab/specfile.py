@@ -26,6 +26,7 @@ cannot be read (missing, a directory, not UTF-8) or is not JSON.
 import json
 
 from .errors import SchemaError
+from .jsonout import dumps
 from .kernels import KernelSpec
 
 _ALLOWED_KEYS = {"schema_version", "name", "domain", "family", "params", "grid_size"}
@@ -80,5 +81,4 @@ def load_spec(path):
 
 def dump_spec(spec, path):
     with open(path, "w") as fp:
-        json.dump(spec_to_dict(spec), fp, indent=2, sort_keys=True)
-        fp.write("\n")
+        fp.write(dumps(spec_to_dict(spec)) + "\n")

@@ -71,17 +71,17 @@ class SpectralData:
 
     def to_json_dict(self):
         """JSON document with complex numbers as [re, im] pairs."""
-        c2 = lambda z: [float(z.real), float(z.imag)]
+        pairs = lambda z: np.stack([z.real, z.imag], -1).tolist()
         return {
             "lambda": self.lam,
             "m": self.period_m,
             "subdominant_radius": self.subdominant_radius,
-            "eigvals": [c2(z) for z in self.eigenvalues],
-            "f": [[c2(z) for z in row] for row in self.right_eigs],
-            "mu": [[c2(z) for z in row] for row in self.left_eigs],
+            "eigvals": pairs(self.eigenvalues),
+            "f": pairs(self.right_eigs),
+            "mu": pairs(self.left_eigs),
             "residuals": {
-                "right_sup": [float(r) for r in self.residuals_right],
-                "left_tv": [float(r) for r in self.residuals_left],
+                "right_sup": self.residuals_right.tolist(),
+                "left_tv": self.residuals_left.tolist(),
             },
         }
 

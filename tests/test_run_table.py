@@ -5,10 +5,11 @@
 read.  On drawn window specs (a < 0, a = 0, a > 0 and the cubic map; half
 widths from 1e-3 to 10 with a few narrower; 2 to 600 nodes; window edges on
 the nodes and between them; centers that overflow), the dense build of the
-rows, the same one ``matrix`` runs on first read, is the reference: the
-actions meet the prefix-sum bound of ``test_actions.py``, the escape set
-and the reachability graph are its decisions exactly, and a spec it refuses
-the run table refuses with the same error.  At 100 001 nodes, where the
+rows is the reference: the matrix the table fills on first read is its
+bytes, the actions meet the prefix-sum bound of ``test_actions.py``, the
+escape set and the reachability graph are its decisions exactly, and a spec
+it refuses the run table refuses with the same error.  One ``analyze``
+searches the window runs once.  At 100 001 nodes, where the
 matrix would take 80 GB, the build and one action each way stay O(N) in
 memory.
 """
@@ -22,6 +23,7 @@ from hypothesis import strategies as st
 
 import qsdlab as q
 from qsdlab import kernels
+from qsdlab.cli import main
 from qsdlab.errors import QsdlabError
 from qsdlab.kernels import (
     ESCAPE_TOL_DEFAULT,
@@ -161,10 +163,10 @@ def test_row_runs_at_100001_nodes_take_linear_memory():
 def test_arnoldi_route_readers_leave_the_matrix_unbuilt(monkeypatch):
     op = build_operator(q.get_spec("example21", grid_size=1601))
 
-    def no_rows(*args):
+    def no_matrix(*args):
         raise AssertionError("the dense matrix was built")
 
-    monkeypatch.setattr(kernels, "_operator_rows", no_rows)
+    monkeypatch.setattr(kernels.RunTable, "matrix", no_matrix)
     sd = q.peripheral_spectrum(op)
     nu0 = np.zeros(op.size)
     nu0[op.size // 4] = 1.0
@@ -172,3 +174,14 @@ def test_arnoldi_route_readers_leave_the_matrix_unbuilt(monkeypatch):
     assert q.mass_decay_check(op).n0 == 2
     assert math.isclose(sd.lam, 0.5, abs_tol=1e-12)
     assert "matrix" not in vars(op)
+
+
+def test_analyze_searches_the_window_runs_once(monkeypatch, tmp_path):
+    # at 401 nodes the dense eigensolve reads the matrix, filled from the table
+    searches, fills = [], []
+    search, fill = kernels._window_runs, kernels.RunTable.matrix
+    monkeypatch.setattr(kernels, "_window_runs", lambda *a: searches.append(a) or search(*a))
+    monkeypatch.setattr(kernels.RunTable, "matrix", lambda self: fills.append(self) or fill(self))
+    assert q.get_spec("example21").grid_size == 401
+    assert main(["analyze", "--spec", "example21", "--out", str(tmp_path), "--canonical"]) == 0
+    assert len(searches) == 1 and len(fills) == 1
