@@ -10,11 +10,10 @@ Writes under DIR, with ``--canonical`` where the command takes it:
 - mc/<name>[_x0_<x0>]/: seeded simulate, 1100000 paths (two chunks of the
   stream), seed 7, from the default start or from x0;
 - hyp/<name>_<N>/: verify-hypothesis on the continuous systems at 401, 1601
-  and 2000 nodes (the H2 graph comes in row blocks; at 2000 the last one is
-  partial);
+  and 2000 nodes, the largest grid the eigensolves allow;
 - hyp/spec_<name>/: verify-hypothesis on each fixtures/*.spec.json, explicit
   chains included, and on hyp/tabulated.spec.json, a 400-node tabulated band
-  with 20 zero rows at either end (two row blocks), written here first;
+  with 20 zero rows at either end (escape rows), written here first;
 - lobo/<name>/: the exact cumulative-sum tables of the bundled chains;
 - specs/<name>/: analyze on each fixtures/*.spec.json, parsed from JSON, not
   resolved by name;

@@ -111,9 +111,9 @@ def _analyze(args):
     Returns the spec, the operator, the spectral data, the rate fit and the
     cyclic partition (None on an aperiodic chain).
     """
-    if args.n_max is not None:
-        check_n_max(args.n_max, "--n-max")
     spec = _resolve_spec(args.spec, args.grid_size)
+    if args.n_max is not None:
+        check_n_max(args.n_max, spec.grid_size, "--n-max")
     check_size(spec.grid_size)   # before the matrix is built
     op = build_operator(spec)
     sd = peripheral_spectrum(op)

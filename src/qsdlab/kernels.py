@@ -11,11 +11,16 @@ grid function and ``op.left(nu)`` pushes a measure (vector of node masses)
 one step forward.  For the two window families a row is 1/(2w) times the
 weights on one run of columns, so the operator is held as its
 :class:`RunTable` and acts by prefix sums in O(N); their matrix is filled
-from that table only when it is first read.  Finite chains enter through the
-``explicit_matrix`` family, whose matrix is taken verbatim.
+from that table only when it is first read.  ``gaussian_shift`` is held as
+its :class:`ToeplitzRow`: entry (i, j) is ``T(|j - i|) w_j``, so its row
+masses and its graph take O(N), and its matrix too is filled on first read.
+Finite chains enter through the ``explicit_matrix`` family, whose matrix is
+taken verbatim.
 
 Escape nodes are grid points whose row mass vanishes: the chain started there
-is absorbed in one step almost surely.
+is absorbed in one step almost surely.  The reachability audit reads every
+operator's edges as :class:`EdgeRuns`, column runs per row, and searches
+them with no N x N array.
 """
 
 import functools
@@ -26,6 +31,7 @@ from dataclasses import KW_ONLY, InitVar, dataclass, field
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     AllNodesEscape,
@@ -41,9 +47,6 @@ from .errors import (
 JUMP_ATOL = 1e-9
 
 ESCAPE_TOL_DEFAULT = 1e-12
-# bytes of a block of rows: of the operator in operator_graph, of the edges
-# gathered per step of a reachability search
-ROW_BLOCK_BYTES = 1 << 20
 H1_PROBES = 64
 
 CONTINUOUS_FAMILIES = ("affine_uniform", "cubic_uniform", "gaussian_shift", "tabulated")
@@ -197,37 +200,48 @@ class DiscreteOperator:
     on grid functions and ``left(nu)`` = ``nu A`` on grid measures (the
     adjoint), and each operator picks their implementation once, here.  The
     two window families act through their :class:`RunTable` ``runs``, by
-    prefix sums in O(N), and build ``matrix`` only when it is first read;
+    prefix sums in O(N), and build ``matrix`` only when it is first read.
+    ``gaussian_shift`` holds its :class:`ToeplitzRow` ``toeplitz``, fills
+    ``matrix`` from it on first read and applies it by one ``np.dot``;
     every other family holds the ``dense`` matrix it is given and applies it
-    by one ``np.dot``.  Only the dense-only consumers read ``matrix``: the
-    ``eigvals`` solve and inverse iteration, and the reachability audit's
-    edges of a dense operator.  ``escape`` is the frozenset of escape nodes,
-    the rows whose mass is at most ``ESCAPE_TOL_DEFAULT``.  Immutable after
-    construction.
+    the same way.  Only the dense-only consumers read ``matrix``: the
+    ``eigvals`` solve and inverse iteration.  ``graph()`` gives the edges
+    as :class:`EdgeRuns`, from the run table, the Toeplitz row or the held
+    matrix.  ``escape`` is the frozenset of escape nodes, the rows whose
+    mass is at most ``ESCAPE_TOL_DEFAULT``.  Immutable after construction.
     """
 
     grid: StateGrid
     escape: frozenset
     spec: KernelSpec
     runs: Optional["RunTable"] = field(default=None, repr=False)
+    toeplitz: Optional["ToeplitzRow"] = field(default=None, repr=False)
     dense: InitVar[Optional[np.ndarray]] = None
 
     def __post_init__(self, dense):
         # set in the instance dict, ahead of the class attributes: a dense
         # operator's cached matrix, or a window operator's two actions
-        if self.runs is None:
+        if self.runs is not None:
+            self.__dict__.update(right=self.runs.right, left=self.runs.left)
+        elif self.toeplitz is None:
             m = np.asarray(dense, dtype=float)
             m.setflags(write=False)
             self.__dict__["matrix"] = m
-        else:
-            self.__dict__.update(right=self.runs.right, left=self.runs.left)
 
     @functools.cached_property
     def matrix(self):
-        """The dense matrix; a window operator fills it from its run table on first read."""
-        m = self.runs.matrix()
+        """The dense matrix, filled on first read from the run table or the Toeplitz row."""
+        m = (self.toeplitz if self.runs is None else self.runs).matrix()
         m.setflags(write=False)
         return m
+
+    def graph(self):
+        """The edges ``matrix > ESCAPE_TOL_DEFAULT`` as :class:`EdgeRuns`, filling no matrix."""
+        if self.runs is not None:
+            return self.runs.graph()
+        if self.toeplitz is not None:
+            return self.toeplitz.graph()
+        return EdgeRuns(self.size, *_row_runs(self.matrix > ESCAPE_TOL_DEFAULT))
 
     @property
     def size(self):
@@ -272,8 +286,9 @@ class RunTable:
     two, which is exact.  The results differ from the dense products by
     rounding alone: at most about 4 N eps times the absolute terms summed.
     The prefix sums use no BLAS, so their bytes do not depend on the thread
-    count.  ``matrix()`` gives the dense build's bytes and ``edges()``
-    ``matrix > ESCAPE_TOL_DEFAULT``, in one N x N pass each.
+    count.  ``matrix()`` gives the dense build's bytes in one N x N pass,
+    and ``graph()`` ``matrix > ESCAPE_TOL_DEFAULT`` as :class:`EdgeRuns` in
+    O(N).
     """
 
     def __init__(self, spec, grid):
@@ -298,10 +313,10 @@ class RunTable:
             lo = np.searchsorted(stop, np.arange(n), side="right")
             hi = np.searchsorted(start, np.arange(n), side="right")
         c[hi == lo] = 0.0
-        inside = (start[rows] <= cols) & (cols < stop[rows])
+        self.inside = (start[rows] <= cols) & (cols < stop[rows])
         self.start, self.stop, self.lo, self.hi, self.c = start, stop, lo, hi, c
         self.rows, self.cols, self.value = rows, cols, value
-        self.correction = value - np.where(inside, c[cols], 0.0)
+        self.correction = value - np.where(self.inside, c[cols], 0.0)
         # S at most n max(c): keep it below 2**1000, leaving room for |v| > 1
         self.shift = max(int(np.frexp(c.max())[1]) + n.bit_length() - 1000, 0)
         self.c_scaled = np.ldexp(c, -self.shift)
@@ -345,12 +360,99 @@ class RunTable:
         m[self.rows, self.cols] = self.value
         return m
 
-    def edges(self):
-        """``matrix > ESCAPE_TOL_DEFAULT``, from the runs and the edge values."""
-        edges = self._inside()
-        edges &= self.c > ESCAPE_TOL_DEFAULT
-        edges[self.rows, self.cols] = self.value > ESCAPE_TOL_DEFAULT
-        return edges
+    def graph(self):
+        """``matrix > ESCAPE_TOL_DEFAULT``: the inside runs, masked by ``c_j``, and the edge cells.
+
+        An edge cell is a correction where its value's verdict differs from
+        the one its run gives.
+        """
+        mask = self.c > ESCAPE_TOL_DEFAULT
+        sign = (self.value > ESCAPE_TOL_DEFAULT).astype(int) - (self.inside & mask[self.cols])
+        fix = sign != 0
+        return EdgeRuns(self.size, np.arange(self.size), self.start, self.stop, mask,
+                        (self.rows[fix], self.cols[fix], sign[fix]))
+
+
+class ToeplitzRow:
+    """The ``gaussian_shift`` operator held as its Toeplitz row: ``A = T W``.
+
+    Entry (i, j) is ``T(|j - i|) w_j``, with ``T(k) = exp(-(k h / sigma)^2 /
+    2) / (sigma sqrt(2 pi))`` for k = 0..N-1, where h is the weights' own
+    step, (upper - lower) / (N - 1).  Row i reads ``row[N-1-i : 2N-1-i]``
+    of the 2N-1 row ``row[m] = T(|m - (N - 1)|)``.  ``masses()`` sums each
+    row by prefix sums over it, in O(N), and ``graph()`` gives
+    ``matrix > ESCAPE_TOL_DEFAULT`` as :class:`EdgeRuns`; ``matrix()``
+    fills the N x N matrix in one allocation.  A value of T that is not
+    finite raises InvalidDomain, as the density's check does.
+    """
+
+    def __init__(self, spec, grid):
+        n = self.size = grid.nodes.size
+        lo, hi = spec.domain
+        sigma = float(spec.params["sigma"])
+        self.h = (hi - lo) / (n - 1)
+        self.weights = grid.weights
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            t = np.arange(n) * self.h
+            t /= sigma
+            t *= t
+            t *= -0.5            # exact scaling: bitwise (-0.5 t) t
+            np.exp(t, out=t)
+            t /= sigma * math.sqrt(2 * math.pi)
+            _check_density(t)
+        self.row = np.concatenate([t[:0:-1], t])
+        self.t = self.row[n - 1:]
+
+    def masses(self):
+        """Each row's mass, ``sum_j T(|j - i|) w_j``, by prefix sums of the 2N-1 row.
+
+        Every row holds k = 0, its largest term, so the difference of two
+        prefix sums does not cancel.  When the sums near the float range
+        they are taken scaled by a power of two, which is exact, so a mass
+        is infinite only when the row's own sum overflows.
+        """
+        n, h = self.size, self.h
+        _, e_t = np.frexp(self.t[0])
+        _, e_h = np.frexp(h)
+        shift = max(int(e_t) + int(e_h) + (2 * n).bit_length() - 1000, 0)
+        u = np.ldexp(self.row, -shift) * h      # the row at interior weight h, scaled
+        s = np.zeros(2 * n)
+        np.cumsum(u, out=s[1:])
+        mass = (s[n:] - s[:n])[::-1]           # row i: s[2N-1-i] - s[N-1-i]
+        u = u[n - 1:]                          # T(k) h for k = 0..N-1
+        mass -= 0.5 * (u + u[::-1])            # the end columns weigh h / 2
+        with np.errstate(over="ignore"):
+            return np.ldexp(mass, shift)
+
+    def matrix(self):
+        """The N x N matrix ``T(|j - i|) w_j``, filled into one allocation."""
+        n = self.size
+        return np.multiply(sliding_window_view(self.row, n)[::-1], self.weights,
+                           out=np.empty((n, n)))
+
+    def graph(self):
+        """``matrix > ESCAPE_TOL_DEFAULT``: the runs of the 2N-1 row, then the two end columns.
+
+        An interior column weighs h, so row i leads to j where ``T(|j - i|)
+        h`` passes; the runs of that test along the 2N-1 row, shifted to
+        row i, are the row's runs (one run ``|j - i| < K`` when T falls
+        monotonically).  The end columns weigh h / 2, and a cell there is a
+        correction where its own value's verdict differs.
+        """
+        n = self.size
+        with np.errstate(over="ignore"):
+            passes = self.row * self.h > ESCAPE_TOL_DEFAULT
+            # the end columns 0 and N-1 of each row, at k = i and N-1-i
+            rows, cols = np.tile(np.arange(n), 2), np.repeat([0, n - 1], n)
+            k = np.abs(cols - rows)
+            sign = ((self.t[k] * self.weights[cols] > ESCAPE_TOL_DEFAULT).astype(int)
+                    - passes[n - 1 + k])
+        _, a, b = _row_runs(passes[None, :])
+        i = np.repeat(np.arange(n), a.size)
+        start = np.clip(i + np.tile(a - (n - 1), n), 0, n)
+        stop = np.clip(i + np.tile(b - (n - 1), n), 0, n)
+        fix = sign != 0
+        return EdgeRuns(n, i, start, stop, fix=(rows[fix], cols[fix], sign[fix]))
 
 
 # ---------------------------------------------------------------------------
@@ -565,11 +667,10 @@ def _operator_rows(spec, grid, block):
     """Yield ``(a, rows)``: the operator rows a..a+block-1 of a density family.
 
     The rows are the density on the grid, multiplied column-wise by the
-    weights, in blocks of ``block`` rows; this is the one place that
-    evaluates the kernel for the operator.  ``_density_rows`` refuses a
-    block that is not finite before it is weighted, and a product that
-    overflows is left to ``_escape_nodes``, which runs after the last block,
-    so the first error does not depend on the block size.
+    weights, in blocks of ``block`` rows.  ``_density_rows`` refuses a block
+    that is not finite before it is weighted, and a product that overflows
+    is left to ``_escape_nodes``, which runs after the last block, so the
+    first error does not depend on the block size.
     """
     nodes = grid.nodes
     density = _density_rows(spec, nodes, nodes)
@@ -585,16 +686,20 @@ def build_operator(spec):
 
     For explicit matrices the matrix is passed through verbatim with nodes
     0..n-1 and unit weights.  The two window families get their
-    :class:`RunTable`, and their row masses from its ``right``; their
-    matrix is built only if read.  Otherwise the density is sampled on the
-    quadrature grid and multiplied by the weights column-wise, as one block
-    of all rows.
+    :class:`RunTable`, and their row masses from its ``right``;
+    ``gaussian_shift`` gets its :class:`ToeplitzRow` and its row masses;
+    neither builds its matrix unless it is read.  A tabulated density is
+    multiplied by the weights column-wise, as one block of all rows.
     """
     grid = _quadrature_grid(spec)
     if spec.family in ("affine_uniform", "cubic_uniform"):
         runs = RunTable(spec, grid)
         return DiscreteOperator(grid=grid, spec=spec, runs=runs,
                                 escape=_escape_nodes(spec, runs.right(np.ones(runs.size))))
+    if spec.family == "gaussian_shift":
+        row = ToeplitzRow(spec, grid)
+        return DiscreteOperator(grid=grid, spec=spec, toeplitz=row,
+                                escape=_escape_nodes(spec, row.masses()))
     if spec.is_explicit:
         matrix = spec.matrix
     else:
@@ -623,25 +728,68 @@ def _escape_nodes(spec, masses):
 def operator_graph(spec):
     """The escape set and the edges of ``build_operator(spec)``, without its matrix.
 
-    Returns ``(escape, edges)``, equal to ``op.escape`` and ``op.matrix >
-    ESCAPE_TOL_DEFAULT``, with the errors of ``build_operator`` in its order.
-    A window family's come from its run table.  Any other density family's
-    rows are made in blocks of about ``ROW_BLOCK_BYTES`` and reduced to their
-    masses and edges, so the audit holds the N^2 bytes of the edges, not the
-    8 N^2 of the matrix.  An explicit chain reads ``spec.matrix``.
+    Returns ``(escape, runs)``: ``op.escape``, and ``op.graph()``, the
+    :class:`EdgeRuns` of ``op.matrix > ESCAPE_TOL_DEFAULT``, with the errors
+    of ``build_operator``.  Only an explicit chain or a tabulated density
+    holds a matrix, made from the table it was given.
     """
-    if spec.is_explicit:
-        return _escape_nodes(spec, spec.matrix.sum(axis=1)), spec.matrix > ESCAPE_TOL_DEFAULT
-    if spec.family in ("affine_uniform", "cubic_uniform"):
-        op = build_operator(spec)
-        return op.escape, op.runs.edges()
-    grid = _quadrature_grid(spec)
-    n = grid.nodes.size
-    masses, edges = np.empty(n), np.empty((n, n), dtype=bool)
-    for a, rows in _operator_rows(spec, grid, max(ROW_BLOCK_BYTES // (8 * n), 1)):
-        rows.sum(axis=1, out=masses[a:a + len(rows)])
-        np.greater(rows, ESCAPE_TOL_DEFAULT, out=edges[a:a + len(rows)])
-    return _escape_nodes(spec, masses), edges
+    op = build_operator(spec)
+    return op.escape, op.graph()
+
+
+def _row_runs(mask):
+    """``(row, start, stop)``: the runs ``start <= j < stop`` of True in each row of ``mask``."""
+    n, m = mask.shape
+    padded = np.zeros((n, m + 2), dtype=bool)
+    padded[:, 1:-1] = mask
+    rows, cols = np.nonzero(padded[:, 1:] != padded[:, :-1])   # the runs' ends, in pairs
+    return rows[::2], cols[::2], cols[1::2]
+
+
+class EdgeRuns:
+    """A graph held as column runs per row: the 0/1 twin of a run table.
+
+    Row i leads to column j where j lies in one of the row's runs,
+    ``start[r] <= j < stop[r]`` with ``row[r] == i``, and ``mask[j]`` holds
+    (None: every column), except at the correction cells ``(rows, cols,
+    sign)``: +1 adds the edge, -1 removes it.  A cell is counted at most
+    once, so each count is 0 or 1.  :meth:`forward` and :meth:`backward`
+    step a breadth-first search in O(N + runs + corrections), with no
+    N x N array: forward by a difference array over the frontier rows'
+    runs, backward by a prefix count of the frontier read at each run's two
+    ends, so no transpose is made.
+    """
+
+    def __init__(self, size, row, start, stop, mask=None, fix=None):
+        self.size, self.row, self.start, self.stop, self.mask = size, row, start, stop, mask
+        empty = np.zeros(0, dtype=int)
+        self.fix_rows, self.fix_cols, self.fix_sign = (empty,) * 3 if fix is None else fix
+
+    def forward(self, frontier):
+        """The nodes that some node of the boolean ``frontier`` leads to."""
+        n = self.size
+        sel = frontier[self.row]
+        count = np.bincount(self.start[sel], minlength=n + 1)
+        count -= np.bincount(self.stop[sel], minlength=n + 1)
+        count = count[:n].cumsum()
+        if self.mask is not None:
+            count *= self.mask
+        if self.fix_rows.size:
+            sel = frontier[self.fix_rows]
+            count = count + np.bincount(self.fix_cols[sel], self.fix_sign[sel], minlength=n)
+        return count > 0
+
+    def backward(self, frontier):
+        """The nodes that lead to some node of the boolean ``frontier``."""
+        n = self.size
+        hit = frontier if self.mask is None else frontier & self.mask
+        before = np.zeros(n + 1, dtype=int)
+        hit.cumsum(out=before[1:])
+        count = np.bincount(self.row, before[self.stop] - before[self.start], minlength=n)
+        if self.fix_rows.size:
+            count += np.bincount(self.fix_rows, self.fix_sign * frontier[self.fix_cols],
+                                 minlength=n)
+        return count > 0
 
 
 # ---------------------------------------------------------------------------
@@ -688,8 +836,9 @@ def check_h1_modulus(spec):
     for d in deltas:
         zs = np.clip(xs + d, lo, hi)
         gz = _density_rows(spec, zs, grid.nodes)(0, H1_PROBES)
-        dist = np.abs(gx - gz) @ grid.weights
-        sups.append(float(dist.max()))
+        gz -= gx               # in place: |gz - gx| is bitwise |gx - gz|
+        np.abs(gz, out=gz)
+        sups.append(float((gz @ grid.weights).max()))
     sups = np.asarray(sups)
 
     nonincreasing = bool(np.all(sups[1:] <= sups[:-1] * 1.05 + 1e-15))
@@ -728,29 +877,27 @@ class ReachabilityReport:
         return f"{self.n_components} communicating classes"
 
 
-def _bfs_levels(adj, source, live):
-    """Breadth-first search from ``source`` along ``adj``, through ``live`` nodes only.
+def _bfs_levels(step, source, live):
+    """Breadth-first search from ``source`` by ``step``, through ``live`` nodes only.
 
-    Returns the levels (-1: unreached) and the gcd of ``level[u] + 1 -
-    level[v]`` over edges u -> v out of reached nodes, which is the period of
-    a strongly connected graph; it is taken per level, so no edge list is built.
+    ``step(frontier)`` maps a boolean frontier to the nodes it leads to
+    (:meth:`EdgeRuns.forward` or :meth:`EdgeRuns.backward`).  Returns the
+    levels (-1: unreached) and the gcd of ``level[u] + 1 - level[v]`` over
+    edges u -> v out of reached nodes, which is the period of a strongly
+    connected graph; it is taken per level, so no edge list is built.
     """
-    n = adj.shape[0]
-    level = np.full(n, -1)
+    level = np.full(len(live), -1)
     level[source] = 0
-    frontier = np.array([source])
-    chunk = max(ROW_BLOCK_BYTES // n, 1)   # frontier rows gathered at a time
+    frontier = level == 0
     d = g = 0
-    while frontier.size:
+    while frontier.any():
         d += 1
-        hit = adj[frontier[:chunk]].any(axis=0)
-        for k in range(chunk, frontier.size, chunk):
-            hit |= adj[frontier[k:k + chunk]].any(axis=0)
+        hit = step(frontier)
         hit &= live
         new = hit & (level < 0)
         level[new] = d
         g = int(np.gcd.reduce(d - level[hit], initial=g))
-        frontier = np.flatnonzero(new)
+        frontier = new
     return level, g
 
 
@@ -758,23 +905,24 @@ def check_h2_reachability(op):
     """Audit reachability of every node from every node among non-escape nodes.
 
     Edges are entries of the discretized kernel above the escape tolerance,
-    read from the run table of a window operator; see :func:`reachability`.
+    ``op.graph()``, which fills no matrix; see :func:`reachability`.
     """
-    edges = op.matrix > ESCAPE_TOL_DEFAULT if op.runs is None else op.runs.edges()
-    return reachability(op.escape, edges)
+    return reachability(op.escape, op.graph())
 
 
-def reachability(escape, edges):
-    """The H2 audit of a graph: ``edges[i, j]`` when node i leads to node j.
+def reachability(escape, runs):
+    """The H2 audit of a graph held as :class:`EdgeRuns`.
 
     Among the nodes not in ``escape``, reports the number of strongly
     connected components and, for a single communicating class, its graph
     period and each node's cyclic class (see :class:`ReachabilityReport`),
-    from the first forward search.  The searches read ``edges`` in place,
-    about ``ROW_BLOCK_BYTES`` of rows at a time, and step only onto
-    non-escape nodes, so the subgraph is never copied.
+    from the first forward search.  The searches step over the runs, onto
+    non-escape nodes only, in O(N) memory.  One class is strongly connected
+    when its forward search meets a reached node, that is when it has a
+    cycle: always for two nodes or more, and for a lone node exactly when it
+    has a self-loop.
     """
-    live = np.ones(len(edges), dtype=bool)
+    live = np.ones(runs.size, dtype=bool)
     live[list(escape)] = False
     keep = np.flatnonzero(live)
     if keep.size == 0:
@@ -783,15 +931,15 @@ def reachability(escape, edges):
     unseen = live.copy()
     periods = []   # from each forward search: the graph period when there is one class
     while unseen.any():
-        i = int(np.flatnonzero(unseen)[0])
-        level, period = _bfs_levels(edges, i, live)
-        unseen &= ~((level >= 0) & (_bfs_levels(edges.T, i, live)[0] >= 0))
+        i = int(np.argmax(unseen))
+        level, period = _bfs_levels(runs.forward, i, live)
+        unseen &= ~((level >= 0) & (_bfs_levels(runs.backward, i, live)[0] >= 0))
         if not periods:
             first_level = level
         periods.append(period)
     n_comp = len(periods)
-    connected = n_comp == 1 and (keep.size > 1 or bool(edges[keep[0], keep[0]]))
-    node_class = np.full(len(edges), -1)
+    connected = n_comp == 1 and periods[0] > 0
+    node_class = np.full(runs.size, -1)
     if connected:
         node_class[keep] = first_level[keep] % periods[0]
     node_class.setflags(write=False)

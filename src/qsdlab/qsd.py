@@ -26,11 +26,12 @@ from .errors import (
     NotAperiodic,
     NotCyclic,
     NotPeriodic,
+    SizeLimitExceeded,
     ValidationError,
     ZeroEigenfunctionMass,
 )
 from .measures import tv_distance
-from .spectral import _orbit, peripheral_spectrum, subdominant_rate
+from .spectral import DENSE_SIZE_LIMIT, _orbit, peripheral_spectrum, subdominant_rate
 
 TV_FIT_FLOOR = 1e-13
 # shortest rate-fit horizon at which both fit windows keep three points
@@ -151,10 +152,19 @@ def _tv_rows(laws, q):
     return 0.5 * np.abs(laws - q).sum(axis=1)
 
 
-def check_n_max(n_max, name="n_max"):
-    """The rate fits' horizon rule: at least MIN_N_MAX steps; ValidationError names ``name``."""
+def check_n_max(n_max, size, name="n_max"):
+    """The rate fits' horizon rule on ``size`` nodes; the error names ``name``.
+
+    At least MIN_N_MAX steps (ValidationError), and an orbit of n_max x size
+    floats within the dense route's matrix budget, DENSE_SIZE_LIMIT**2
+    floats (SizeLimitExceeded).
+    """
     if n_max < MIN_N_MAX:
         raise ValidationError(f"{name} must be at least {MIN_N_MAX}, got {n_max}")
+    if n_max * size > DENSE_SIZE_LIMIT ** 2:
+        raise SizeLimitExceeded(
+            f"{name} {n_max} on {size} nodes exceeds the orbit budget of "
+            f"{DENSE_SIZE_LIMIT ** 2} floats")
 
 
 def _fit_laws(op, nu0, n_max, sd, cyclic):
@@ -165,7 +175,7 @@ def _fit_laws(op, nu0, n_max, sd, cyclic):
     """
     if n_max is None:
         n_max = 200 if op.spec.is_explicit else 120
-    check_n_max(n_max)
+    check_n_max(n_max, op.size)
     nu, laws, _ = _conditioned_laws(op, nu0, n_max)
     sd = sd or peripheral_spectrum(op)
     if cyclic and sd.period_m < 2:
@@ -207,8 +217,8 @@ def fit_yaglom_rate(op, nu0, n_max=None, sd=None):
     at an infinite rate; it passes when the prediction leaves fewer than 3
     too, that is ``TV(1) <= TV_FIT_FLOOR exp(2 alpha)`` (always for a
     rank-one chain, whose predicted rate is infinite).  n_max defaults to 200
-    steps on explicit chains, else 120; below MIN_N_MAX it raises ValidationError,
-    and a start that is not a probability vector on the nodes ValueError.
+    steps on explicit chains, else 120, and is checked by ``check_n_max``; a
+    start that is not a probability vector on the nodes raises ValueError.
     """
     sd, ns, laws = _fit_laws(op, nu0, n_max, sd, cyclic=False)
     tvs = _tv_rows(laws, sd.mu0)

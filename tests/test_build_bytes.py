@@ -2,10 +2,11 @@
 
 ``ref_matrix`` keeps the straightforward construction: the window indicator
 with two full ``np.where`` passes for the edge values, out-of-place division
-by the noise width, and an out-of-place product with
-the quadrature weights.  ``build_operator`` fills the few edge entries by
-index and scales in place to keep fewer N x N temporaries alive; both must
-give the same bytes.
+by the noise width, the Gaussian at the grid offsets ``|j - i| h`` with the
+weights' own step h, and an out-of-place product with the quadrature
+weights.  ``build_operator`` fills the few edge entries by index, and the
+Gaussian from its Toeplitz row, to keep fewer N x N temporaries alive; both
+must give the same bytes.
 """
 
 import math
@@ -41,8 +42,11 @@ def ref_density(spec, x, y):
         w = float(p["noise_halfwidth"])
         vals = ref_window_values(_map_centers(spec, x), y, lo, hi, w) / (2 * w)
     elif spec.family == "gaussian_shift":
+        # on the grid, node_j - node_i is (j - i) h
         sigma = float(p["sigma"])
-        t = (np.asarray(y, float)[None, :] - np.asarray(x, float)[:, None]) / sigma
+        n = len(y)
+        k = np.abs(np.arange(n)[None, :] - np.arange(len(x))[:, None])
+        t = k * ((hi - lo) / (n - 1)) / sigma
         vals = np.exp(-0.5 * t * t) / (sigma * math.sqrt(2 * math.pi))
     else:
         vals = np.asarray(p["values"], dtype=float)

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -403,6 +404,28 @@ def test_short_rate_fit_horizon_exits_2(tmp_path, capsys, monkeypatch, cmd, name
     assert main([cmd, "--spec", name, "--n-max", n_max,
                  "--out", str(tmp_path / "o")]) == 2
     assert "ValidationError: --n-max must be at least 5" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--spec", "example21", "--grid-size", "1601", "--n-max", "2499"],
+    ["yaglom", "--spec", "example21", "--grid-size", "1601", "--n-max", "2499"],
+    ["analyze", "--spec", "sym2", "--n-max", "1000000000"],
+])
+def test_long_rate_fit_horizon_exits_2(tmp_path, capsys, monkeypatch, argv):
+    # the orbit's n x N floats exceed the dense route's matrix budget, 2000**2
+    # (1601 x 2499 > 4e6): refused before the operator is built, with nothing
+    # allocated, where a billion steps ended in numpy's MemoryError traceback
+    monkeypatch.setattr(cli, "build_operator", None)
+    tracemalloc.start()
+    try:
+        code = main(argv + ["--out", str(tmp_path / "o")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and peak < 1 << 20
+    err = capsys.readouterr().err
+    assert "SizeLimitExceeded: --n-max" in err and "Traceback" not in err
     assert not (tmp_path / "o").exists()
 
 

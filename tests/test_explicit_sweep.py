@@ -9,7 +9,7 @@ allowed: it is the rate of a chain whose conditioned law settles at once.
 An answered ``analyze`` of a family that must be sub-Markov reports lambda
 at most 1 + 1e-12.  The density fields, some swapped for a mistyped value,
 also go straight to ``KernelSpec``, which returns a spec or raises a
-ValidationError.  The audit's graph, made from row blocks, is that of the
+ValidationError.  The audit's graph, held as row runs, is that of the
 built operator, and a spec that one refuses the other refuses with the
 same error.
 """
@@ -35,6 +35,7 @@ from qsdlab.kernels import (
     build_operator,
     operator_graph,
 )
+from dense_graph import expand
 
 # a row entry: zero, dust (down to the smallest subnormal) or an ordinary weight
 _ENTRY = st.one_of(st.just(0.0), st.sampled_from([5e-324, 1e-300, 1e-17]),
@@ -204,6 +205,6 @@ def test_operator_graph_is_the_operators_graph(doc):
             operator_graph(spec)
         assert type(err.value) is type(exc) and str(err.value) == str(exc)
         return
-    escape, edges = operator_graph(spec)
+    escape, runs = operator_graph(spec)
     assert escape == op.escape
-    assert np.array_equal(edges, op.matrix > ESCAPE_TOL_DEFAULT)
+    assert np.array_equal(expand(runs), op.matrix > ESCAPE_TOL_DEFAULT)

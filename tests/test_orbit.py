@@ -239,7 +239,7 @@ def test_fit_orbit_stops_computing_at_the_first_repeat(name, size, most):
     assert products == first_repeat(ref_rows)[1] + 1 <= most
 
 
-@pytest.mark.parametrize("name,size,cycle", [("example21", 551, 2), ("example23gauss", 801, None)])
+@pytest.mark.parametrize("name,size,cycle", [("example21", 551, 2), ("example23gauss", 201, None)])
 def test_fit_data_on_a_replayed_orbit_matches_the_loop(name, size, cycle):
     op = build_operator(q.get_spec(name, grid_size=size))
     sd = q.peripheral_spectrum(op)

@@ -13,6 +13,7 @@ from qsdlab.errors import (
     NotAperiodic,
     NotCyclic,
     NotPeriodic,
+    SizeLimitExceeded,
     ValidationError,
     ZeroEigenfunctionMass,
 )
@@ -201,6 +202,14 @@ def test_fits_refuse_a_start_that_is_not_a_probability_vector(fit, name, nu0, mo
 def test_fit_yaglom_short_horizon_is_validation_error(sds, n_max):
     with pytest.raises(ValidationError, match="n_max must be at least"):
         q.fit_yaglom_rate(sds["sym2"].op, np.array([1.0, 0.0]), n_max=n_max, sd=sds["sym2"])
+
+
+@pytest.mark.parametrize("fit", [q.fit_yaglom_rate, q.cesaro_fit])
+def test_rate_fit_horizon_over_the_orbit_budget_is_refused(sds, fit):
+    # 2 nodes x 2000001 steps: one float over DENSE_SIZE_LIMIT**2, refused before the orbit
+    name = "sym2" if fit is q.fit_yaglom_rate else "cycle2"
+    with pytest.raises(SizeLimitExceeded, match="n_max 2000001 on 2 nodes"):
+        fit(sds[name].op, np.array([1.0, 0.0]), n_max=2_000_001, sd=sds[name])
 
 
 # -- cyclic structure ---------------------------------------------------------

@@ -32,8 +32,8 @@ from qsdlab.kernels import (
     build_operator,
     check_h2_reachability,
     operator_graph,
-    reachability,
 )
+from dense_graph import dense_reachability, expand
 from test_actions import prefix_sum_bounds
 
 
@@ -132,10 +132,10 @@ def test_run_table_is_the_dense_operator(spec):
     op = build_operator(spec)
     assert op.runs is not None and op.escape == escape
     edges = matrix > ESCAPE_TOL_DEFAULT
-    assert np.array_equal(op.runs.edges(), edges)
-    escape_graph, edges_graph = operator_graph(spec)
-    assert escape_graph == escape and np.array_equal(edges_graph, edges)
-    want = _error(reachability, escape, edges) or _report(reachability(escape, edges))
+    assert np.array_equal(expand(op.runs.graph()), edges)
+    escape_graph, runs_graph = operator_graph(spec)
+    assert escape_graph == escape and np.array_equal(expand(runs_graph), edges)
+    want = _error(dense_reachability, escape, edges) or dense_reachability(escape, edges)
     assert (_error(check_h2_reachability, op) or _report(check_h2_reachability(op))) == want
     _assert_actions_near(op, matrix)
     assert op.matrix.tobytes() == matrix.tobytes()
