@@ -9,8 +9,9 @@ Writes under DIR, with ``--canonical`` where the command takes it:
   bundled system, with a one-line summary per system;
 - mc/<name>[_x0_<x0>]/: seeded simulate, 1100000 paths (two chunks of the
   stream), seed 7, from the default start or from x0;
-- hyp/<name>_<N>/: verify-hypothesis on the continuous systems at 401, 1601
-  and 2000 nodes, the largest grid the eigensolves allow;
+- hyp/<name>_<N>/: verify-hypothesis on the continuous systems at 3 nodes
+  (H1's one separation h), 11 (two separations), 401, 1601 and 2000 nodes,
+  the largest grid the eigensolves allow;
 - hyp/spec_<name>/: verify-hypothesis on each fixtures/*.spec.json, explicit
   chains included, and on hyp/tabulated.spec.json, a 400-node tabulated band
   with 20 zero rows at either end (escape rows), written here first;
@@ -59,7 +60,7 @@ def cases(root):
                      [["simulate", "--spec", name, "--n", str(n), *start,
                        "--n-paths", "1100000", "--seed", "7"]]))
     for name in CONTINUOUS:
-        for n in (401, 1601, 2000):
+        for n in (3, 11, 401, 1601, 2000):
             runs.append((os.path.join(root, "hyp", f"{name}_{n}"),
                          [["verify-hypothesis", "--spec", name, "--grid-size", str(n),
                            "--canonical"]]))

@@ -517,75 +517,12 @@ def _window_runs(centers, nodes, lower, upper, halfwidth):
     return first[0], np.maximum(first[1], first[0]), (i[keep], j[keep], side[keep])
 
 
-def _window_rows(centers, nodes, lower, upper, halfwidth):
-    """Sample the indicator of the moving window at the grid nodes: ``rows(a, b)``.
-
-    ``rows(a, b)`` gives the rows a..b-1 of :func:`_window_runs`, one per
-    center, as a new array; the runs are searched once, here.
-    """
-    start, stop, (i, j, side) = _window_runs(centers, nodes, lower, upper, halfwidth)
-    n = np.size(nodes)
-
-    def rows(a, b):
-        # each row is three runs, 0 then 1 then 0, written in one pass
-        runs = np.stack([start[a:b], stop[a:b] - start[a:b], n - stop[a:b]], axis=1).ravel()
-        val = np.repeat(np.tile([0.0, 1.0, 0.0], b - a), runs).reshape(b - a, n)
-        sel = (a <= i) & (i < b)
-        val[i[sel] - a, j[sel]] = side[sel]
-        return val
-
-    return rows
-
-
 def _map_centers(spec, x):
     """Window centers of the two window families: a x + b, or x**3 (cubic)."""
     x = np.asarray(x, dtype=float)
     p = spec.params
     with np.errstate(over="ignore"):   # an infinite center: a zero row, a dead path, no mass
         return p["a"] * x + p["b"] if spec.family == "affine_uniform" else x ** 3
-
-
-def _density_rows(spec, x, y):
-    """``rows(a, b)``: the density rows g(x[a:b], y) of a continuous family.
-
-    Each call returns a new array.  A computed block (window or Gaussian) is
-    evaluated with NumPy's overflow, divide and invalid warnings off and
-    passes ``_check_density``, the one report of a value that is not
-    finite.  The window families search their column runs once, here, for
-    all of x.  A tabulated density is its table ``spec.matrix``, checked
-    when the spec was made, on the grid nodes alone.
-    """
-    if spec.family == "tabulated":
-        return lambda a, b: spec.matrix[a:b].copy()     # a copy: weighted in place later
-    p = spec.params
-    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-    if spec.family in ("affine_uniform", "cubic_uniform"):
-        lo, hi = spec.domain
-        w = float(p["noise_halfwidth"])
-        window = _window_rows(_map_centers(spec, x), y, lo, hi, w)
-
-        def rows(a, b):
-            vals = window(a, b)
-            vals /= 2 * w
-            return vals
-    else:
-        sigma = float(p["sigma"])
-
-        def rows(a, b):
-            vals = y[None, :] - x[a:b, None]
-            vals /= sigma
-            vals *= vals
-            vals *= -0.5            # exact scaling: bitwise (-0.5 t) t
-            np.exp(vals, out=vals)
-            vals /= sigma * math.sqrt(2 * math.pi)
-            return vals
-
-    def checked(a, b):
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            vals = rows(a, b)
-            _check_density(vals)
-        return vals
-    return checked
 
 
 def _check_density(vals):
@@ -663,24 +600,6 @@ def _check_row_sums(masses):
         raise RowSumExceedsOne(f"row sum {top} exceeds one")
 
 
-def _operator_rows(spec, grid, block):
-    """Yield ``(a, rows)``: the operator rows a..a+block-1 of a density family.
-
-    The rows are the density on the grid, multiplied column-wise by the
-    weights, in blocks of ``block`` rows.  ``_density_rows`` refuses a block
-    that is not finite before it is weighted, and a product that overflows
-    is left to ``_escape_nodes``, which runs after the last block, so the
-    first error does not depend on the block size.
-    """
-    nodes = grid.nodes
-    density = _density_rows(spec, nodes, nodes)
-    for a in range(0, nodes.size, block):
-        rows = density(a, min(a + block, nodes.size))
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            rows *= grid.weights[None, :]
-        yield a, rows
-
-
 def build_operator(spec):
     """Realize a KernelSpec as a DiscreteOperator.
 
@@ -688,8 +607,8 @@ def build_operator(spec):
     0..n-1 and unit weights.  The two window families get their
     :class:`RunTable`, and their row masses from its ``right``;
     ``gaussian_shift`` gets its :class:`ToeplitzRow` and its row masses;
-    neither builds its matrix unless it is read.  A tabulated density is
-    multiplied by the weights column-wise, as one block of all rows.
+    neither builds its matrix unless it is read.  A tabulated density's
+    table ``spec.matrix`` is multiplied by the weights column-wise.
     """
     grid = _quadrature_grid(spec)
     if spec.family in ("affine_uniform", "cubic_uniform"):
@@ -703,7 +622,9 @@ def build_operator(spec):
     if spec.is_explicit:
         matrix = spec.matrix
     else:
-        (_, matrix), = _operator_rows(spec, grid, grid.nodes.size)
+        # a product that overflows is left to _escape_nodes
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            matrix = spec.matrix * grid.weights
     return DiscreteOperator(grid=grid, dense=matrix,
                             escape=_escape_nodes(spec, matrix.sum(axis=1)),
                             spec=spec)
@@ -807,6 +728,100 @@ class ModulusReport:
     verdict: str  # PASS | FAIL
 
 
+def _window_distances(spec, nodes, xs, zs):
+    """``(gx.max(), blocks)`` of a window family, read from the row runs.
+
+    ``gx`` is the density block ``g(xs, nodes)``, and ``blocks`` yields,
+    for each probe set z of ``zs``, ``|g(z, nodes) - gx|``: the bytes of the
+    dense blocks, with no dense row built.  One :func:`_window_runs` search
+    covers every row, the probes first.  A row is ``fl(1/(2w))`` on its
+    inside run, 0 elsewhere, and ``fl(side/(2w))`` at its edge cells; so off
+    the edge cells two rows differ by ``fl(1/(2w))`` exactly on the
+    symmetric difference of their inside runs, between the first and second
+    and the third and fourth of their sorted run ends, and each edge cell of
+    either row is ``|value_z - value_x|``.  An inside run needs w >
+    JUMP_ATOL, so ``1/(2w)`` is finite there: a block holds a value that is
+    not finite exactly when an edge value is not, which raises InvalidDomain
+    before any block is made.
+    """
+    n, p = nodes.size, xs.size
+    w = float(spec.params["noise_halfwidth"])
+    start, stop, (rows, cols, side) = _window_runs(
+        _map_centers(spec, np.concatenate([xs, *zs])), nodes, *spec.domain, w)
+    c = 1 / (2 * w)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        edge = side / (2 * w)
+    if edge.size:
+        _check_density(edge)
+    key = rows * n + cols                      # ascending: the cells in row order
+
+    def value(r, j):
+        """The density at the cells (r, j): the edge value, else the run's."""
+        at = np.minimum(np.searchsorted(key, r * n + j), key.size - 1)
+        run = np.where((start[r] <= j) & (j < stop[r]), c, 0.0)
+        return np.where(key[at] == r * n + j, edge[at], run)
+
+    # gx.max(): 1/(2w) if a probe row has an inside cell that is not an edge cell
+    probe = rows < p
+    inside = (start[rows] <= cols) & (cols < stop[rows])
+    covered = (stop[:p] - start[:p]).sum() > np.count_nonzero(inside & probe)
+    top = max(float(edge[probe].max(initial=0.0)), c if covered else 0.0)
+
+    # block b pairs the probes with rows (b + 1) p .. (b + 2) p - 1: five runs a row
+    k = len(zs)
+    pairs = np.stack([start, stop], axis=1).reshape(k + 1, p, 2)
+    x_ends = np.broadcast_to(pairs[0], pairs[1:].shape)
+    ends = np.sort(np.concatenate([x_ends, pairs[1:]], axis=2), axis=2)
+    runs = np.diff(ends, axis=2, prepend=0, append=n).reshape(k, 5 * p)
+    fill = np.tile([0.0, c, 0.0, c, 0.0], p)
+    # each block's edge cells: the probes', then its own rows'
+    block = np.concatenate([np.repeat(np.arange(k), probe.sum()), rows[~probe] // p - 1])
+    i = np.concatenate([np.tile(rows[probe], k), rows[~probe] % p])
+    j = np.concatenate([np.tile(cols[probe], k), cols[~probe]])
+    dist = np.abs(value((block + 1) * p + i, j) - value(i, j))
+
+    def blocks():
+        for b in range(k):
+            d = np.repeat(fill, runs[b]).reshape(p, n)
+            at = block == b
+            d[i[at], j[at]] = dist[at]
+            yield d
+
+    return top, blocks()
+
+
+def _gaussian_distances(spec, nodes, xs, zs):
+    """``(gx.max(), blocks)`` of ``gaussian_shift``, as :func:`_window_distances`.
+
+    The rows are filled into two P x N buffers, ``gx`` and one reused for
+    every probe set, by the density's ufuncs in order; each block passes
+    ``_check_density``.
+    """
+    sigma = float(spec.params["sigma"])
+    gx, gz = np.empty((xs.size, nodes.size)), np.empty((xs.size, nodes.size))
+
+    def fill(x, out):
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            np.subtract(nodes[None, :], x[:, None], out=out)
+            out /= sigma
+            out *= out
+            out *= -0.5            # exact scaling: bitwise (-0.5 t) t
+            np.exp(out, out=out)
+            out /= sigma * math.sqrt(2 * math.pi)
+            _check_density(out)
+
+    fill(xs, gx)
+
+    def blocks():
+        for z in zs:
+            fill(z, gz)
+            np.subtract(gz, gx, out=gz)    # in place: |gz - gx| is bitwise |gx - gz|
+            np.abs(gz, out=gz)
+            yield gz
+
+    return float(gx.max()), blocks()
+
+
 def check_h1_modulus(spec):
     """Probe the uniform L1 continuity of the density in its first argument.
 
@@ -818,6 +833,13 @@ def check_h1_modulus(spec):
     when the sampled modulus decreases to the grid floor.  Raises
     NotApplicable, with the reason, for a finite chain or a tabulated density,
     which has no values off the grid nodes.
+
+    Each distance is ``(|gz - gx| @ weights).max()`` over one P x N block.
+    The window families build that block from their row runs, found by one
+    search over every probe set, with no dense row of g
+    (:func:`_window_distances`); ``gaussian_shift`` evaluates its rows into
+    two reused buffers.  A density value that is not finite raises
+    InvalidDomain, as the build does.
     """
     if spec.is_explicit:
         raise NotApplicable("finite chains have no density to probe")
@@ -831,18 +853,13 @@ def check_h1_modulus(spec):
     deltas = np.asarray([d for d in deltas if d >= h / 2] or [h])
 
     xs = np.linspace(lo, hi, H1_PROBES)
-    gx = _density_rows(spec, xs, grid.nodes)(0, H1_PROBES)
-    sups = []
-    for d in deltas:
-        zs = np.clip(xs + d, lo, hi)
-        gz = _density_rows(spec, zs, grid.nodes)(0, H1_PROBES)
-        gz -= gx               # in place: |gz - gx| is bitwise |gx - gz|
-        np.abs(gz, out=gz)
-        sups.append(float((gz @ grid.weights).max()))
-    sups = np.asarray(sups)
+    zs = [np.clip(xs + d, lo, hi) for d in deltas]
+    distances = _gaussian_distances if spec.family == "gaussian_shift" else _window_distances
+    top_x, blocks = distances(spec, grid.nodes, xs, zs)
+    sups = np.asarray([float((d @ grid.weights).max()) for d in blocks])
 
     nonincreasing = bool(np.all(sups[1:] <= sups[:-1] * 1.05 + 1e-15))
-    floor = 4 * h * max(float(gx.max()), 1.0)
+    floor = 4 * h * max(top_x, 1.0)
     shrinks = sups[-1] <= max(0.5 * sups[0], floor)
     verdict = "PASS" if (nonincreasing and shrinks) else "FAIL"
     return ModulusReport(deltas=deltas, sup_distances=sups, probes=H1_PROBES,

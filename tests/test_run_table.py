@@ -35,12 +35,19 @@ from qsdlab.kernels import (
 )
 from dense_graph import dense_reachability, expand
 from test_actions import prefix_sum_bounds
+from test_build_bytes import ref_density
 
 
 def dense_build(spec):
-    """``(matrix, escape)`` as the dense build made them: all rows, then the row sums."""
+    """``(matrix, escape)`` as the dense build made them: the checked density, then the row sums.
+
+    The density is the elementwise ``ref_density`` of ``test_build_bytes.py``.
+    """
     grid = kernels._quadrature_grid(spec)
-    (_, matrix), = kernels._operator_rows(spec, grid, grid.nodes.size)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        density = ref_density(spec, grid.nodes, grid.nodes)
+        kernels._check_density(density)
+        matrix = density * grid.weights
     return matrix, kernels._escape_nodes(spec, matrix.sum(axis=1))
 
 

@@ -1,9 +1,10 @@
-"""Window rows filled from index runs give the bytes of the elementwise reference.
+"""Window rows read from their index runs give the bytes of the elementwise reference.
 
-``kernels._window_rows`` finds, per row, the column runs where the window
-tests hold and fills them by slices; ``ref_window_values`` in
-``test_build_bytes.py`` evaluates every test at every entry.  Both must agree
-bit for bit on any nondecreasing node array.
+``kernels._window_runs`` finds, per row, the column runs where the window
+tests hold and the edge cells with their values; ``ref_window_values`` in
+``test_build_bytes.py`` evaluates every test at every entry.  The runs,
+expanded here cell by cell, must agree with it bit for bit on any
+nondecreasing node array.
 """
 
 import math
@@ -17,15 +18,21 @@ from hypothesis import strategies as st
 import qsdlab as q
 from qsdlab import cli
 from qsdlab.errors import InvalidDomain
-from qsdlab.kernels import H1_PROBES, JUMP_ATOL, _check_density, _window_rows
+from qsdlab.kernels import H1_PROBES, JUMP_ATOL, _check_density, _window_runs
 from test_build_bytes import ref_window_values
 
 NONFINITE = (math.nan, math.inf, -math.inf)
 
 
 def _window_values(centers, nodes, lower, upper, halfwidth):
-    """Every row of the window indicator, as one block."""
-    return _window_rows(centers, nodes, lower, upper, halfwidth)(0, np.size(centers))
+    """Every row of the window indicator, expanded from its runs cell by cell."""
+    start, stop, (i, j, side) = _window_runs(centers, nodes, lower, upper, halfwidth)
+    n = np.size(nodes)
+    assert np.unique(i * n + j).size == i.size      # each edge cell once
+    cols = np.arange(n)
+    val = ((start[:, None] <= cols) & (cols < stop[:, None])).astype(float)
+    val[i, j] = side
+    return val
 
 
 @st.composite
