@@ -17,7 +17,8 @@ Writes under DIR, with ``--canonical`` where the command takes it:
   with 20 zero rows at either end (escape rows), written here first;
 - lobo/<name>/: the exact cumulative-sum tables of the bundled chains;
 - specs/<name>/: analyze on each fixtures/*.spec.json, parsed from JSON, not
-  resolved by name;
+  resolved by name, and on the tabulated band (its bytes depend on the
+  OpenBLAS thread count);
 - arnoldi/<name>_<N>/: analyze on the Arnoldi route (512 nodes up), and on
   example21 at 401, whose conditioned-law orbit ends in a replayed cycle.
 
@@ -66,7 +67,8 @@ def cases(root):
                            "--canonical"]]))
     specs = {os.path.basename(path)[:-len(".spec.json")]: path
              for path in sorted(glob.glob(os.path.join(FIXTURES, "*.spec.json")))}
-    for name, spec in {**specs, "tabulated": os.path.join(root, BAND)}.items():
+    specs["tabulated"] = os.path.join(root, BAND)
+    for name, spec in specs.items():
         runs.append((os.path.join(root, "hyp", f"spec_{name}"),
                      [["verify-hypothesis", "--spec", spec, "--canonical"]]))
     for name in CHAINS:

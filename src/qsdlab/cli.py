@@ -42,12 +42,7 @@ from .errors import (
     ValidationError,
 )
 from .jsonout import dumps
-from .kernels import (
-    build_operator,
-    check_h1_modulus,
-    operator_graph,
-    reachability,
-)
+from .kernels import build_operator, check_h1_modulus, check_h2_reachability
 from .measures import tv_distance
 from .oracle import SIZE_CAP, FiniteChain, fixture_dict, lobo_leading_term, lobo_sum
 from .qsd import (
@@ -68,7 +63,7 @@ from .simulate import (
     summarize_birkhoff,
     summarize_yaglom,
 )
-from .spectral import check_size, peripheral_spectrum
+from .spectral import DENSE_SIZE_LIMIT, check_size, peripheral_spectrum
 
 SCHEMA_VERSION = 1
 
@@ -161,8 +156,8 @@ def cmd_analyze(args):
 
 def cmd_verify_hypothesis(args):
     spec = _resolve_spec(args.spec, args.grid_size)
-    escape, edges = operator_graph(spec)   # no eigensolve, so no size cap
-    reach = reachability(escape, edges)
+    op = build_operator(spec)   # no eigensolve, so no size cap
+    reach = check_h2_reachability(op)
     try:
         rep = check_h1_modulus(spec)
         h1 = {"verdict": rep.verdict,
@@ -180,9 +175,9 @@ def cmd_verify_hypothesis(args):
             "strongly_connected": reach.strongly_connected,
             "n_components": reach.n_components,
             "graph_period": reach.graph_period,
-            "escape_indices": sorted(escape),
+            "escape_indices": sorted(op.escape),
             # the audit raised AllNodesEscape when this would be false
-            "nonescape_mass_positive": len(escape) < spec.grid_size,
+            "nonescape_mass_positive": len(op.escape) < spec.grid_size,
         },
     }
     _write_json(doc, os.path.join(args.out, "hypothesis_report.json"), args.canonical)
@@ -201,6 +196,9 @@ def cmd_simulate(args):
     n, n_paths = args.n, args.n_paths
     if n < 1 or n_paths < 1:
         raise ValidationError("simulate needs --n >= 1 and --n-paths >= 1")
+    if n >= DENSE_SIZE_LIMIT ** 2:   # n + 1 absorption-time counts, in the orbit budget
+        raise SizeLimitExceeded(f"--n {n} needs {n + 1} absorption-time counts, over the "
+                                f"budget of {DENSE_SIZE_LIMIT ** 2}")
     seed = check_seed(args.seed)
     spec = _resolve_spec(args.spec, args.grid_size)
     if args.x0 is not None:
@@ -254,12 +252,12 @@ def cmd_lobo(args):
     if spec.grid_size > SIZE_CAP:
         raise SizeLimitExceeded(
             f"the exact table is limited to {SIZE_CAP} states, got {spec.grid_size}")
-    escape, edges = operator_graph(spec)
-    reach = reachability(escape, edges)   # AllNodesEscape when every state dies at once
+    op = build_operator(spec)
+    reach = check_h2_reachability(op)   # AllNodesEscape when every state dies at once
     if not reach.strongly_connected:
         raise Reducible(reach.reducible_message)
     for flag, state in (("--x0", x0), ("--h-state", h_state)):
-        if state in escape:  # both terms vanish there: no ratio to report
+        if state in op.escape:  # both terms vanish there: no ratio to report
             raise EscapeNode(f"{flag} {state} is in the escape set")
     chain = FiniteChain(Q=spec.matrix)
     h = np.zeros(chain.size)

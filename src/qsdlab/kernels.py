@@ -6,28 +6,28 @@ parameters + grid size; the reference measure is Lebesgue) and realized as a
 
     matrix[i, j] = g(node_i, node_j) * weight_j
 
-and its two actions: ``op.right(f)`` evaluates the one-step expectation of a
-grid function and ``op.left(nu)`` pushes a measure (vector of node masses)
-one step forward.  For the two window families a row is 1/(2w) times the
-weights on one run of columns, so the operator is held as its
-:class:`RunTable` and acts by prefix sums in O(N); their matrix is filled
-from that table only when it is first read.  ``gaussian_shift`` is held as
-its :class:`ToeplitzRow`: entry (i, j) is ``T(|j - i|) w_j``, so its row
-masses and its graph take O(N), and its matrix too is filled on first read.
-Finite chains enter through the ``explicit_matrix`` family, whose matrix is
-taken verbatim.
+held in one form with five members: the two actions ``right(f)``, the
+one-step expectation of a grid function, and ``left(nu)``, a measure (vector
+of node masses) pushed one step forward; ``masses()``, the row masses;
+``graph()``, the edges as :class:`EdgeRuns`, column runs per row, which the
+reachability audit searches with no N x N array; and ``matrix()``.  For the
+two window families a row is 1/(2w) times the weights on one run of
+columns, so the form is a :class:`RunTable`, acting by prefix sums in O(N).
+``gaussian_shift``'s is a :class:`ToeplitzRow`: entry (i, j) is ``T(|j - i|)
+w_j``, so its row masses and its graph take O(N).  Both fill their matrix
+only when it is first read.  A finite chain (the ``explicit_matrix``
+family, taken verbatim) and a tabulated density are held as
+:class:`DenseRows`.
 
 Escape nodes are grid points whose row mass vanishes: the chain started there
-is absorbed in one step almost surely.  The reachability audit reads every
-operator's edges as :class:`EdgeRuns`, column runs per row, and searches
-them with no N x N array.
+is absorbed in one step almost surely.
 """
 
 import functools
 import math
 import numbers
 import operator
-from dataclasses import KW_ONLY, InitVar, dataclass, field
+from dataclasses import KW_ONLY, dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -196,77 +196,90 @@ class KernelSpec:
 class DiscreteOperator:
     """Finite-rank realization of the kernel on a quadrature grid.
 
-    The operator is applied through its two actions, ``right(f)`` = ``A f``
-    on grid functions and ``left(nu)`` = ``nu A`` on grid measures (the
-    adjoint), and each operator picks their implementation once, here.  The
-    two window families act through their :class:`RunTable` ``runs``, by
-    prefix sums in O(N), and build ``matrix`` only when it is first read.
-    ``gaussian_shift`` holds its :class:`ToeplitzRow` ``toeplitz``, fills
-    ``matrix`` from it on first read and applies it by one ``np.dot``;
-    every other family holds the ``dense`` matrix it is given and applies it
-    the same way.  Only the dense-only consumers read ``matrix``: the
-    ``eigvals`` solve and inverse iteration.  ``graph()`` gives the edges
-    as :class:`EdgeRuns`, from the run table, the Toeplitz row or the held
-    matrix.  ``escape`` is the frozenset of escape nodes, the rows whose
-    mass is at most ``ESCAPE_TOL_DEFAULT``.  Immutable after construction.
+    The operator is held in one ``form``, chosen by ``build_operator``: a
+    :class:`RunTable`, a :class:`ToeplitzRow` or a :class:`DenseRows`.
+    Every form has five members: ``right(v, out)`` = ``A v`` and ``left(v,
+    out)`` = ``v A`` of a real v, ``masses()``, ``graph()``, the edges
+    ``matrix > ESCAPE_TOL_DEFAULT`` as :class:`EdgeRuns`, and ``matrix()``.
+    Readers apply the operator through its own ``right(f)`` on grid
+    functions and ``left(nu)`` on grid measures (the adjoint), which split
+    a complex v once and call the form.  Only the dense-only consumers read
+    ``matrix``: the ``eigvals`` solve and inverse iteration.  ``escape`` is
+    the frozenset of escape nodes, the rows whose mass is at most
+    ``ESCAPE_TOL_DEFAULT``.  Immutable after construction.
     """
 
     grid: StateGrid
     escape: frozenset
     spec: KernelSpec
-    runs: Optional["RunTable"] = field(default=None, repr=False)
-    toeplitz: Optional["ToeplitzRow"] = field(default=None, repr=False)
-    dense: InitVar[Optional[np.ndarray]] = None
-
-    def __post_init__(self, dense):
-        # set in the instance dict, ahead of the class attributes: a dense
-        # operator's cached matrix, or a window operator's two actions
-        if self.runs is not None:
-            self.__dict__.update(right=self.runs.right, left=self.runs.left)
-        elif self.toeplitz is None:
-            m = np.asarray(dense, dtype=float)
-            m.setflags(write=False)
-            self.__dict__["matrix"] = m
+    form: "DenseRows | RunTable" = field(repr=False)
 
     @functools.cached_property
     def matrix(self):
-        """The dense matrix, filled on first read from the run table or the Toeplitz row."""
-        m = (self.toeplitz if self.runs is None else self.runs).matrix()
+        """The form's dense matrix, read-only: a run table or a Toeplitz row fills it on first read."""
+        m = self.form.matrix()
         m.setflags(write=False)
         return m
 
     def graph(self):
         """The edges ``matrix > ESCAPE_TOL_DEFAULT`` as :class:`EdgeRuns`, filling no matrix."""
-        if self.runs is not None:
-            return self.runs.graph()
-        if self.toeplitz is not None:
-            return self.toeplitz.graph()
-        return EdgeRuns(self.size, *_row_runs(self.matrix > ESCAPE_TOL_DEFAULT))
+        return self.form.graph()
 
     @property
     def size(self):
         return self.grid.nodes.size
 
     def right(self, v, out=None):
-        """``A v``, one dense product; written into ``out`` (real v only) when given.
-
-        A complex v is applied as its real and imaginary parts, so NumPy
-        never makes a complex copy of the matrix; the real path is the bare
-        ``np.dot``, bitwise ``np.dot(v, A.T)``.  A window operator's
-        ``right`` is its run table's.
-        """
-        if out is None and np.iscomplexobj(v):
-            return self.matrix @ v.real + 1j * (self.matrix @ v.imag)
-        return np.dot(self.matrix, v, out=out)
+        """``A v``, the form's; written into ``out`` (real v only) when given."""
+        return self._by_parts(self.form.right, v, out)
 
     def left(self, v, out=None):
-        """``v A``, as :meth:`right`; bitwise ``A.T @ v``."""
-        if out is None and np.iscomplexobj(v):
-            return v.real @ self.matrix + 1j * (v.imag @ self.matrix)
-        return np.dot(v, self.matrix, out=out)
+        """``v A``, as :meth:`right`."""
+        return self._by_parts(self.form.left, v, out)
+
+    @staticmethod
+    def _by_parts(act, v, out):
+        """``act`` of a real v, or of a complex v's two parts: no complex copy of a matrix is made."""
+        if np.iscomplexobj(v):
+            return act(v.real) + 1j * act(v.imag)
+        return act(v, out)
 
     def nonescape_indices(self):
         return np.array(sorted(set(range(self.size)) - self.escape), dtype=int)
+
+
+class DenseRows:
+    """An operator held as its read-only N x N matrix ``dense``, applied by ``np.dot``.
+
+    An explicit chain's ``spec.matrix`` verbatim, or a tabulated density's
+    times the weights column-wise (a product that overflows is left to
+    ``_escape_nodes``).  ``right`` is bitwise ``np.dot(v, A.T)`` and
+    ``left`` ``A.T @ v``.
+    """
+
+    def __init__(self, spec, grid):
+        self.size = grid.nodes.size
+        if spec.is_explicit:
+            self.dense = spec.matrix
+            return
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            self.dense = spec.matrix * grid.weights
+        self.dense.setflags(write=False)
+
+    def right(self, v, out=None):
+        return np.dot(self.dense, v, out=out)
+
+    def left(self, v, out=None):
+        return np.dot(v, self.dense, out=out)
+
+    def masses(self):
+        return self.dense.sum(axis=1)
+
+    def graph(self):
+        return EdgeRuns(self.size, *_row_runs(self.dense > ESCAPE_TOL_DEFAULT))
+
+    def matrix(self):
+        return self.dense
 
 
 class RunTable:
@@ -286,7 +299,8 @@ class RunTable:
     two, which is exact.  The results differ from the dense products by
     rounding alone: at most about 4 N eps times the absolute terms summed.
     The prefix sums use no BLAS, so their bytes do not depend on the thread
-    count.  ``matrix()`` gives the dense build's bytes in one N x N pass,
+    count; a real v only, as every form takes.  ``masses()`` is ``right``
+    of ones, ``matrix()`` gives the dense build's bytes in one N x N pass,
     and ``graph()`` ``matrix > ESCAPE_TOL_DEFAULT`` as :class:`EdgeRuns` in
     O(N).
     """
@@ -322,9 +336,7 @@ class RunTable:
         self.c_scaled = np.ldexp(c, -self.shift)
 
     def right(self, v, out=None):
-        """``A v`` by prefix sums; written into ``out`` (real v only) when given."""
-        if out is None and np.iscomplexobj(v):
-            return self.right(v.real) + 1j * self.right(v.imag)
+        """``A v`` by prefix sums; written into ``out`` when given."""
         with np.errstate(over="ignore", invalid="ignore"):    # silent, as BLAS is
             s = np.zeros(self.size + 1)
             np.cumsum(self.c_scaled * v, out=s[1:])
@@ -337,8 +349,6 @@ class RunTable:
 
     def left(self, v, out=None):
         """``v A`` by prefix sums, as :meth:`right`."""
-        if out is None and np.iscomplexobj(v):
-            return self.left(v.real) + 1j * self.left(v.imag)
         with np.errstate(over="ignore", invalid="ignore"):
             t = np.zeros(self.size + 1)
             np.cumsum(v, out=t[1:])
@@ -347,6 +357,9 @@ class RunTable:
             out *= self.c
             out += fix
         return out
+
+    def masses(self):
+        return self.right(np.ones(self.size))
 
     def _inside(self):
         """The N x N boolean mask of the inside runs: three runs a row, False, True, False."""
@@ -373,7 +386,7 @@ class RunTable:
                         (self.rows[fix], self.cols[fix], sign[fix]))
 
 
-class ToeplitzRow:
+class ToeplitzRow(DenseRows):
     """The ``gaussian_shift`` operator held as its Toeplitz row: ``A = T W``.
 
     Entry (i, j) is ``T(|j - i|) w_j``, with ``T(k) = exp(-(k h / sigma)^2 /
@@ -381,9 +394,10 @@ class ToeplitzRow:
     step, (upper - lower) / (N - 1).  Row i reads ``row[N-1-i : 2N-1-i]``
     of the 2N-1 row ``row[m] = T(|m - (N - 1)|)``.  ``masses()`` sums each
     row by prefix sums over it, in O(N), and ``graph()`` gives
-    ``matrix > ESCAPE_TOL_DEFAULT`` as :class:`EdgeRuns`; ``matrix()``
-    fills the N x N matrix in one allocation.  A value of T that is not
-    finite raises InvalidDomain, as the density's check does.
+    ``matrix > ESCAPE_TOL_DEFAULT`` as :class:`EdgeRuns`; the N x N
+    ``dense`` is filled on first read, in one allocation, and applied as
+    :class:`DenseRows` applies its own.  A value of T that is not finite
+    raises InvalidDomain, as the density's check does.
     """
 
     def __init__(self, spec, grid):
@@ -424,11 +438,14 @@ class ToeplitzRow:
         with np.errstate(over="ignore"):
             return np.ldexp(mass, shift)
 
-    def matrix(self):
-        """The N x N matrix ``T(|j - i|) w_j``, filled into one allocation."""
+    @functools.cached_property
+    def dense(self):
+        """The N x N matrix ``T(|j - i|) w_j``, filled into one allocation, read-only."""
         n = self.size
-        return np.multiply(sliding_window_view(self.row, n)[::-1], self.weights,
-                           out=np.empty((n, n)))
+        m = np.multiply(sliding_window_view(self.row, n)[::-1], self.weights,
+                        out=np.empty((n, n)))
+        m.setflags(write=False)
+        return m
 
     def graph(self):
         """``matrix > ESCAPE_TOL_DEFAULT``: the runs of the 2N-1 row, then the two end columns.
@@ -600,34 +617,20 @@ def _check_row_sums(masses):
         raise RowSumExceedsOne(f"row sum {top} exceeds one")
 
 
-def build_operator(spec):
-    """Realize a KernelSpec as a DiscreteOperator.
+_FORMS = {"affine_uniform": RunTable, "cubic_uniform": RunTable, "gaussian_shift": ToeplitzRow}
 
-    For explicit matrices the matrix is passed through verbatim with nodes
-    0..n-1 and unit weights.  The two window families get their
-    :class:`RunTable`, and their row masses from its ``right``;
-    ``gaussian_shift`` gets its :class:`ToeplitzRow` and its row masses;
-    neither builds its matrix unless it is read.  A tabulated density's
-    table ``spec.matrix`` is multiplied by the weights column-wise.
+
+def build_operator(spec):
+    """Realize a KernelSpec as a DiscreteOperator: its grid, its form and its escape nodes.
+
+    The two window families are held as a :class:`RunTable`,
+    ``gaussian_shift`` as a :class:`ToeplitzRow`, and every other family as
+    :class:`DenseRows`; the escape nodes come from the form's row masses.
     """
     grid = _quadrature_grid(spec)
-    if spec.family in ("affine_uniform", "cubic_uniform"):
-        runs = RunTable(spec, grid)
-        return DiscreteOperator(grid=grid, spec=spec, runs=runs,
-                                escape=_escape_nodes(spec, runs.right(np.ones(runs.size))))
-    if spec.family == "gaussian_shift":
-        row = ToeplitzRow(spec, grid)
-        return DiscreteOperator(grid=grid, spec=spec, toeplitz=row,
-                                escape=_escape_nodes(spec, row.masses()))
-    if spec.is_explicit:
-        matrix = spec.matrix
-    else:
-        # a product that overflows is left to _escape_nodes
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            matrix = spec.matrix * grid.weights
-    return DiscreteOperator(grid=grid, dense=matrix,
-                            escape=_escape_nodes(spec, matrix.sum(axis=1)),
-                            spec=spec)
+    form = _FORMS.get(spec.family, DenseRows)(spec, grid)
+    return DiscreteOperator(grid=grid, escape=_escape_nodes(spec, form.masses()), spec=spec,
+                            form=form)
 
 
 def _escape_nodes(spec, masses):
@@ -644,18 +647,6 @@ def _escape_nodes(spec, masses):
     if spec.family in SUB_MARKOV_FAMILIES:
         _check_row_sums(masses)
     return frozenset(int(i) for i in np.flatnonzero(masses <= ESCAPE_TOL_DEFAULT))
-
-
-def operator_graph(spec):
-    """The escape set and the edges of ``build_operator(spec)``, without its matrix.
-
-    Returns ``(escape, runs)``: ``op.escape``, and ``op.graph()``, the
-    :class:`EdgeRuns` of ``op.matrix > ESCAPE_TOL_DEFAULT``, with the errors
-    of ``build_operator``.  Only an explicit chain or a tabulated density
-    holds a matrix, made from the table it was given.
-    """
-    op = build_operator(spec)
-    return op.escape, op.graph()
 
 
 def _row_runs(mask):

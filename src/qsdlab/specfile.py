@@ -20,7 +20,8 @@ no key outside the schema, ``schema_version`` 1, and on an
 ``KernelSpec``'s, as for a spec built in Python, tables included (a
 ``matrix`` or ``values`` that is not a numeric square table fails there);
 what it refuses is a SchemaError with its reason, and so is a file that
-cannot be read (missing, a directory, not UTF-8) or is not JSON.
+cannot be read (missing, a directory, not UTF-8), is not JSON or nests
+deeper than the parser's recursion limit.
 """
 
 import json
@@ -76,6 +77,8 @@ def load_spec(path):
         raise SchemaError(f"spec file cannot be read: {exc}") from None
     except json.JSONDecodeError as exc:
         raise SchemaError(f"spec file is not valid JSON: {exc}") from None
+    except RecursionError as exc:
+        raise SchemaError(f"spec file is nested too deeply to read: {exc}") from None
     return spec_from_dict(doc)
 
 

@@ -2,6 +2,7 @@
 
 ``expand`` writes the N x N boolean matrix that a ``kernels.EdgeRuns``
 holds, cell by cell, and checks that no cell is counted twice.
+``operator_graph`` gives the escape set and the graph of a spec's operator.
 ``dense_reachability`` is the H2 audit as a breadth-first search over such
 a matrix, gathering the frontier's rows: the search the audit ran before
 it stepped over row runs, kept as their reference.
@@ -10,6 +11,13 @@ it stepped over row runs, kept as their reference.
 import numpy as np
 
 from qsdlab.errors import AllNodesEscape
+from qsdlab.kernels import build_operator
+
+
+def operator_graph(spec):
+    """``(escape, graph)`` of ``build_operator(spec)``, with its errors."""
+    op = build_operator(spec)
+    return op.escape, op.graph()
 
 
 def expand(runs):

@@ -9,7 +9,9 @@ a difference of two running sums, so it is held to ``4 N eps`` times the
 absolute terms they add, against the matrix it builds on first read.  A
 complex v was always applied as its real and imaginary parts, so its
 reference is taken part by part too.  And every reader but the dense
-eigensolves must answer from the actions alone.
+eigensolves must answer from the actions alone.  The inputs hold every
+form: the session operators (explicit chains, window and Gaussian
+kernels) and a tabulated band.
 """
 
 import dataclasses
@@ -19,10 +21,27 @@ import pytest
 
 import qsdlab as q
 from qsdlab.errors import QsdlabError
-from qsdlab.kernels import check_h2_reachability
+from qsdlab.kernels import KernelSpec, RunTable, check_h2_reachability
 
 SESSION_OPS = ("sym2", "cycle2", "cycle3", "ds3",
-               "example21_201", "example22_201", "example23_101")
+               "example21_201", "example22_201", "example23_101", "tabulated_band")
+
+
+def tabulated_band(n=60):
+    """A tabulated density on [0, 1]: drawn values on the band |i - j| <= 3, row masses below 7/8."""
+    rng = np.random.default_rng(n)
+    i = np.arange(n)
+    values = np.where(np.abs(i[:, None] - i) <= 3, rng.uniform(0.5, 1.0, (n, n)), 0.0)
+    return KernelSpec(family="tabulated", domain=(0.0, 1.0), grid_size=n,
+                      params={"values": values * (n - 1) / 8})
+
+
+@pytest.fixture(scope="module")
+def inputs(ops, sds):
+    """The session operators and their spectra, and the tabulated band's."""
+    band = q.build_operator(tabulated_band())
+    return ({**ops, "tabulated_band": band},
+            {**sds, "tabulated_band": q.peripheral_spectrum(band)})
 
 
 @pytest.fixture(scope="module")
@@ -70,14 +89,14 @@ def _assert_action_bytes(op):
     a = op.matrix
     for v in _vectors(op.size, op.size):
         right, left = op.right(v), op.left(v)
-        if op.runs is None:
+        if not isinstance(op.form, RunTable):
             assert right.tobytes() == _by_parts(lambda u: a @ u, v).tobytes()
             assert right.tobytes() == _by_parts(lambda u: np.dot(u, a.T), v).tobytes()
             assert left.tobytes() == _by_parts(lambda u: u @ a, v).tobytes()
             assert left.tobytes() == _by_parts(lambda u: a.T @ u, v).tobytes()
         else:
             _assert_near((right, left), (_by_parts(lambda u: a @ u, v),
-                                         _by_parts(lambda u: u @ a, v)), v, op.runs)
+                                         _by_parts(lambda u: u @ a, v)), v, op.form)
         if not np.iscomplexobj(v):
             out = np.empty(op.size)
             assert op.right(v, out=out) is out and out.tobytes() == right.tobytes()
@@ -85,8 +104,8 @@ def _assert_action_bytes(op):
 
 
 @pytest.mark.parametrize("name", SESSION_OPS)
-def test_actions_keep_the_product_bytes(ops, name):
-    _assert_action_bytes(ops[name])
+def test_actions_keep_the_product_bytes(inputs, name):
+    _assert_action_bytes(inputs[0][name])
 
 
 def test_actions_keep_the_product_bytes_at_1601(example21_1601):
@@ -123,8 +142,8 @@ def _answer(fn, *args, **kwargs):
 
 
 @pytest.mark.parametrize("name", SESSION_OPS)
-def test_readers_need_no_matrix(ops, sds, name):
-    op, sd = ops[name], sds[name]
+def test_readers_need_no_matrix(inputs, name):
+    op, sd = inputs[0][name], inputs[1][name]
     proxy = ActionsOnly(op)
     assert not hasattr(proxy, "matrix")
     nu0 = np.zeros(op.size)

@@ -137,6 +137,16 @@ def test_unreadable_spec_file_exits_2(tmp_path, capsys, content):
     assert not (tmp_path / "o").exists()
 
 
+def test_deeply_nested_spec_file_exits_2(tmp_path, capsys):
+    # valid JSON past the parser's recursion limit, which ended in a RecursionError traceback
+    spec = tmp_path / "deep.json"
+    spec.write_text("[" * 100000 + "]" * 100000)
+    assert main(["analyze", "--spec", str(spec), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "SchemaError: spec file is nested too deeply to read" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_numerical_refusal_exits_3(tmp_path):
     bad = tmp_path / "red.json"
     bad.write_text(json.dumps({
@@ -426,6 +436,25 @@ def test_long_rate_fit_horizon_exits_2(tmp_path, capsys, monkeypatch, argv):
     assert code == 2 and peak < 1 << 20
     err = capsys.readouterr().err
     assert "SizeLimitExceeded: --n-max" in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("n", ["4000000", "1000000000"])
+def test_long_simulate_horizon_exits_2(tmp_path, capsys, monkeypatch, n):
+    # the n + 1 absorption-time counts exceed the same budget, 2000**2:
+    # refused before the operator is built, with nothing allocated, where a
+    # billion steps ended in numpy's MemoryError traceback
+    monkeypatch.setattr(cli, "build_operator", None)
+    tracemalloc.start()
+    try:
+        code = main(["simulate", "--spec", "sym2", "--n", n, "--n-paths", "1000",
+                     "--out", str(tmp_path / "o")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and peak < 1 << 20
+    err = capsys.readouterr().err
+    assert f"SizeLimitExceeded: --n {n} needs" in err and "Traceback" not in err
     assert not (tmp_path / "o").exists()
 
 

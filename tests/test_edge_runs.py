@@ -26,10 +26,9 @@ from qsdlab.kernels import (
     KernelSpec,
     build_operator,
     check_h2_reachability,
-    operator_graph,
     reachability,
 )
-from dense_graph import dense_reachability, expand
+from dense_graph import dense_reachability, expand, operator_graph
 from test_explicit_sweep import density_documents, explicit_documents
 
 
@@ -121,4 +120,4 @@ def test_audit_at_8001_nodes_takes_linear_memory(name):
 def test_gaussian_audit_fills_no_matrix():
     op = build_operator(q.get_spec("example23gauss", grid_size=1601))
     assert check_h2_reachability(op).strongly_connected
-    assert "matrix" not in vars(op)
+    assert "matrix" not in vars(op) and "dense" not in vars(op.form)

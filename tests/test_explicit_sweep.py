@@ -33,9 +33,8 @@ from qsdlab.kernels import (
     SUB_MARKOV_FAMILIES,
     KernelSpec,
     build_operator,
-    operator_graph,
 )
-from dense_graph import expand
+from dense_graph import expand, operator_graph
 
 # a row entry: zero, dust (down to the smallest subnormal) or an ordinary weight
 _ENTRY = st.one_of(st.just(0.0), st.sampled_from([5e-324, 1e-300, 1e-17]),

@@ -21,10 +21,9 @@ from qsdlab.kernels import (
     StateGrid,
     analytic_row_mass,
     build_operator,
-    operator_graph,
 )
 from qsdlab.oracle import FiniteChain
-from dense_graph import expand
+from dense_graph import expand, operator_graph
 
 
 def spec21(n=101):

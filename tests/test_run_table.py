@@ -31,9 +31,8 @@ from qsdlab.kernels import (
     analytic_row_mass,
     build_operator,
     check_h2_reachability,
-    operator_graph,
 )
-from dense_graph import dense_reachability, expand
+from dense_graph import dense_reachability, expand, operator_graph
 from test_actions import prefix_sum_bounds
 from test_build_bytes import ref_density
 
@@ -95,7 +94,7 @@ def _error(fn, *args):
 def _assert_actions_near(op, matrix):
     rng = np.random.default_rng(op.size)
     for v in (np.ones(op.size), rng.standard_normal(op.size), rng.random(op.size)):
-        bound_right, bound_left = prefix_sum_bounds(op.runs, v)
+        bound_right, bound_left = prefix_sum_bounds(op.form, v)
         right, left = op.right(v), op.left(v)
         assert np.abs(right - matrix @ v).max() <= bound_right
         assert np.abs(left - v @ matrix).max() <= bound_left
@@ -137,9 +136,9 @@ def test_run_table_is_the_dense_operator(spec):
         return
     matrix, escape = dense_build(spec)
     op = build_operator(spec)
-    assert op.runs is not None and op.escape == escape
+    assert isinstance(op.form, kernels.RunTable) and op.escape == escape
     edges = matrix > ESCAPE_TOL_DEFAULT
-    assert np.array_equal(expand(op.runs.graph()), edges)
+    assert np.array_equal(expand(op.form.graph()), edges)
     escape_graph, runs_graph = operator_graph(spec)
     assert escape_graph == escape and np.array_equal(expand(runs_graph), edges)
     want = _error(dense_reachability, escape, edges) or dense_reachability(escape, edges)
