@@ -42,7 +42,7 @@ from .errors import (
     ValidationError,
 )
 from .jsonout import dumps
-from .kernels import build_operator, check_h1_modulus, check_h2_reachability
+from .kernels import H1_PROBES, build_operator, check_h1_modulus, check_h2_reachability
 from .measures import tv_distance
 from .oracle import SIZE_CAP, FiniteChain, fixture_dict, lobo_leading_term, lobo_sum
 from .qsd import (
@@ -156,7 +156,13 @@ def cmd_analyze(args):
 
 def cmd_verify_hypothesis(args):
     spec = _resolve_spec(args.spec, args.grid_size)
-    op = build_operator(spec)   # no eigensolve, so no size cap
+    # no eigensolve, so no size cap; but the H1 probe's two H1_PROBES x N
+    # blocks stay within the orbit budget, checked before the grid is made
+    if not spec.is_explicit and 2 * H1_PROBES * spec.grid_size > DENSE_SIZE_LIMIT ** 2:
+        raise SizeLimitExceeded(
+            f"--grid-size {spec.grid_size} needs two {H1_PROBES} x {spec.grid_size} H1 probe "
+            f"blocks, over the budget of {DENSE_SIZE_LIMIT ** 2} floats")
+    op = build_operator(spec)
     reach = check_h2_reachability(op)
     try:
         rep = check_h1_modulus(spec)

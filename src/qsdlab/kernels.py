@@ -14,10 +14,10 @@ reachability audit searches with no N x N array; and ``matrix()``.  For the
 two window families a row is 1/(2w) times the weights on one run of
 columns, so the form is a :class:`RunTable`, acting by prefix sums in O(N).
 ``gaussian_shift``'s is a :class:`ToeplitzRow`: entry (i, j) is ``T(|j - i|)
-w_j``, so its row masses and its graph take O(N).  Both fill their matrix
-only when it is first read.  A finite chain (the ``explicit_matrix``
-family, taken verbatim) and a tabulated density are held as
-:class:`DenseRows`.
+w_j``, so it acts by one real FFT, and its row masses and its graph take
+O(N).  Both fill their matrix only when it is first read.  A finite chain
+(the ``explicit_matrix`` family, taken verbatim) and a tabulated density
+are held as :class:`DenseRows`.
 
 Escape nodes are grid points whose row mass vanishes: the chain started there
 is absorbed in one step almost surely.
@@ -212,7 +212,7 @@ class DiscreteOperator:
     grid: StateGrid
     escape: frozenset
     spec: KernelSpec
-    form: "DenseRows | RunTable" = field(repr=False)
+    form: "DenseRows | RunTable | ToeplitzRow" = field(repr=False)
 
     @functools.cached_property
     def matrix(self):
@@ -386,18 +386,26 @@ class RunTable:
                         (self.rows[fix], self.cols[fix], sign[fix]))
 
 
-class ToeplitzRow(DenseRows):
+class ToeplitzRow:
     """The ``gaussian_shift`` operator held as its Toeplitz row: ``A = T W``.
 
     Entry (i, j) is ``T(|j - i|) w_j``, with ``T(k) = exp(-(k h / sigma)^2 /
     2) / (sigma sqrt(2 pi))`` for k = 0..N-1, where h is the weights' own
     step, (upper - lower) / (N - 1).  Row i reads ``row[N-1-i : 2N-1-i]``
-    of the 2N-1 row ``row[m] = T(|m - (N - 1)|)``.  ``masses()`` sums each
-    row by prefix sums over it, in O(N), and ``graph()`` gives
-    ``matrix > ESCAPE_TOL_DEFAULT`` as :class:`EdgeRuns`; the N x N
-    ``dense`` is filled on first read, in one allocation, and applied as
-    :class:`DenseRows` applies its own.  A value of T that is not finite
-    raises InvalidDomain, as the density's check does.
+    of the 2N-1 row ``row[m] = T(|m - (N - 1)|)``.  With W = h D, D =
+    diag(1/2, 1, ..., 1, 1/2), ``right(v)`` is ``(T h) (D v)`` and
+    ``left(v)`` is ``D ((T h) v)``, each one real-FFT product: the Toeplitz
+    matrix T h is the leading N x N block of the circulant of length L, the
+    power of two at least 2N - 1, whose first column is ``T(0..N-1) h``,
+    zeros, then ``T(N-1..1) h`` (Golub & Van Loan, *Matrix Computations*,
+    4th ed., 2013, section 4.7), whose spectrum is real and computed on the
+    first product.  The FFT uses no BLAS, so the products do not depend on
+    the thread count; their rounding is relative to the sup of the terms,
+    not to each entry.  ``masses()`` sums each row by prefix sums over the
+    row, in O(N), ``graph()`` gives ``matrix > ESCAPE_TOL_DEFAULT`` as
+    :class:`EdgeRuns`, and ``matrix()`` fills the N x N matrix, which only
+    the dense route reads.  A value of T that is not finite raises
+    InvalidDomain, as the density's check does.
     """
 
     def __init__(self, spec, grid):
@@ -416,6 +424,9 @@ class ToeplitzRow(DenseRows):
             _check_density(t)
         self.row = np.concatenate([t[:0:-1], t])
         self.t = self.row[n - 1:]
+        self.length = 1 << (2 * n - 2).bit_length()
+        self.ends = np.ones(n)
+        self.ends[[0, -1]] = 0.5
 
     def masses(self):
         """Each row's mass, ``sum_j T(|j - i|) w_j``, by prefix sums of the 2N-1 row.
@@ -438,14 +449,37 @@ class ToeplitzRow(DenseRows):
         with np.errstate(over="ignore"):
             return np.ldexp(mass, shift)
 
+    def right(self, v, out=None):
+        """``A v = (T h) (D v)``; written into ``out`` when given."""
+        return self._toeplitz(self.ends * v, out)
+
+    def left(self, v, out=None):
+        """``v A = D ((T h) v)``; written into ``out`` when given."""
+        out = self._toeplitz(v, out)
+        out *= self.ends
+        return out
+
     @functools.cached_property
-    def dense(self):
-        """The N x N matrix ``T(|j - i|) w_j``, filled into one allocation, read-only."""
+    def _spectrum(self):
+        """The real spectrum of the circulant whose leading N x N block is T h.
+
+        Reading ``np.fft`` here, on the first product, imports it: ``import
+        qsdlab`` loads no FFT.
+        """
         n = self.size
-        m = np.multiply(sliding_window_view(self.row, n)[::-1], self.weights,
-                        out=np.empty((n, n)))
-        m.setflags(write=False)
-        return m
+        column = np.zeros(self.length)
+        column[:n] = self.t * self.h
+        column[self.length - n + 1:] = column[n - 1:0:-1]
+        return np.fft.rfft(column).real
+
+    def _toeplitz(self, v, out):
+        """``(T h) v``, one real-FFT product, written into ``out`` (new when None)."""
+        product = np.fft.irfft(np.fft.rfft(v, self.length) * self._spectrum, self.length)
+        product = product[:self.size]
+        if out is None:
+            return product
+        out[...] = product
+        return out
 
     def graph(self):
         """``matrix > ESCAPE_TOL_DEFAULT``: the runs of the 2N-1 row, then the two end columns.
@@ -470,6 +504,12 @@ class ToeplitzRow(DenseRows):
         stop = np.clip(i + np.tile(b - (n - 1), n), 0, n)
         fix = sign != 0
         return EdgeRuns(n, i, start, stop, fix=(rows[fix], cols[fix], sign[fix]))
+
+    def matrix(self):
+        """The N x N matrix ``T(|j - i|) w_j``, filled into one allocation."""
+        n = self.size
+        return np.multiply(sliding_window_view(self.row, n)[::-1], self.weights,
+                           out=np.empty((n, n)))
 
 
 # ---------------------------------------------------------------------------

@@ -117,18 +117,26 @@ def _log_sum(values):
     return total
 
 
-def _conditioned_laws(op, nu0, n):
-    """nu0 as floats, its laws conditioned on survival at steps 1..n (rows), the step masses.
+def _start_law(op, nu0):
+    """nu0 as floats: the one start check of every reader.
 
-    The one start check of every reader: ValueError unless nu0 is a
-    probability vector of shape ``(op.size,)``.  Renormalizing each step
-    keeps lam**n from underflowing and leaves the conditioned law unchanged.
+    ValueError unless nu0 is a probability vector of shape ``(op.size,)``.
     """
     nu = np.asarray(nu0, dtype=float)
     if (nu.shape != (op.size,) or not nu.min() >= 0
             or not math.isclose(nu.sum(), 1.0, rel_tol=0, abs_tol=1e-9)):
         raise ValueError(f"nu0 must be a probability vector on the {op.size} nodes")
-    return (nu, *_orbit(op.left, nu, n, np.add.reduce))
+    return nu
+
+
+def _conditioned_laws(op, nu, n, reduce=None):
+    """The laws of nu conditioned on survival at steps 1..n, reduced by ``reduce``.
+
+    Returns ``_orbit``'s values, step masses and last law.  Renormalizing
+    each step keeps lam**n from underflowing and leaves the conditioned law
+    unchanged.
+    """
+    return _orbit(op.left, nu, n, reduce, np.add.reduce)
 
 
 def yaglom_iterate(op, nu0, n):
@@ -139,12 +147,10 @@ def yaglom_iterate(op, nu0, n):
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    nu, laws, masses = _conditioned_laws(op, nu0, n)
+    _, masses, law = _conditioned_laws(op, _start_law(op, nu0), n)
     if (masses <= 0).any():
         raise MassExtinct("survivor mass vanished")
-    if n:
-        nu = laws[-1].copy()
-    return ConditionedLaw(masses=nu, normalization=math.exp(_log_sum(masses)))
+    return ConditionedLaw(masses=law, normalization=math.exp(_log_sum(masses)))
 
 
 def _tv_rows(laws, q):
@@ -152,12 +158,35 @@ def _tv_rows(laws, q):
     return 0.5 * np.abs(laws - q).sum(axis=1)
 
 
+def _running_tv_to(q):
+    """An orbit reducer: the TV distance to q of the mean of the laws 1..k, for each k.
+
+    The running sum is carried from block to block and added row by row, in
+    the order of ``np.cumsum`` over all the laws, so its bytes are that
+    cumsum's.
+    """
+    total = None
+
+    def reduce(laws, k):
+        nonlocal total
+        sums = laws.copy()
+        if total is not None:
+            sums[0] += total
+        np.cumsum(sums, axis=0, out=sums)
+        total = sums[-1].copy()
+        sums /= np.arange(k + 1, k + len(laws) + 1)[:, None]
+        return _tv_rows(sums, q)
+
+    return reduce
+
+
 def check_n_max(n_max, size, name="n_max"):
     """The rate fits' horizon rule on ``size`` nodes; the error names ``name``.
 
-    At least MIN_N_MAX steps (ValidationError), and an orbit of n_max x size
-    floats within the dense route's matrix budget, DENSE_SIZE_LIMIT**2
-    floats (SizeLimitExceeded).
+    At least MIN_N_MAX steps (ValidationError), and n_max x size floats of
+    iterates within the dense route's matrix budget, DENSE_SIZE_LIMIT**2
+    floats (SizeLimitExceeded): the orbit reduces them block by block, so
+    this bounds its work, not its memory.
     """
     if n_max < MIN_N_MAX:
         raise ValidationError(f"{name} must be at least {MIN_N_MAX}, got {n_max}")
@@ -168,7 +197,7 @@ def check_n_max(n_max, size, name="n_max"):
 
 
 def _fit_laws(op, nu0, n_max, sd, cyclic):
-    """The rate fits' common start: sd (solved when None), the steps 1..n_max, the laws.
+    """The rate fits' common start: sd (solved when None), the steps 1..n_max, nu0 as floats.
 
     n_max (None: 200 on explicit chains, else 120) and the start are checked
     before any eigensolve, the period against ``cyclic`` and the f0 mass after.
@@ -176,7 +205,7 @@ def _fit_laws(op, nu0, n_max, sd, cyclic):
     if n_max is None:
         n_max = 200 if op.spec.is_explicit else 120
     check_n_max(n_max, op.size)
-    nu, laws, _ = _conditioned_laws(op, nu0, n_max)
+    nu = _start_law(op, nu0)
     sd = sd or peripheral_spectrum(op)
     if cyclic and sd.period_m < 2:
         raise NotPeriodic("chain is aperiodic; use fit_yaglom_rate")
@@ -184,7 +213,7 @@ def _fit_laws(op, nu0, n_max, sd, cyclic):
         raise NotAperiodic("use cesaro_fit for cyclic chains")
     if float(nu @ sd.f0) <= 1e-14:
         raise ZeroEigenfunctionMass("nu0 carries no mass on the eigenfunction")
-    return sd, np.arange(1, n_max + 1), laws
+    return sd, np.arange(1, n_max + 1), nu
 
 
 def _tail_points(values):
@@ -220,8 +249,8 @@ def fit_yaglom_rate(op, nu0, n_max=None, sd=None):
     steps on explicit chains, else 120, and is checked by ``check_n_max``; a
     start that is not a probability vector on the nodes raises ValueError.
     """
-    sd, ns, laws = _fit_laws(op, nu0, n_max, sd, cyclic=False)
-    tvs = _tv_rows(laws, sd.mu0)
+    sd, ns, nu = _fit_laws(op, nu0, n_max, sd, cyclic=False)
+    tvs, _, _ = _conditioned_laws(op, nu, len(ns), lambda laws, k: _tv_rows(laws, sd.mu0))
     data = np.column_stack([ns, tvs])
     tail = _tail_points(tvs)
     alpha = subdominant_rate(sd)
@@ -291,10 +320,10 @@ def cesaro_fit(op, nu0, n_max=None, sd=None, partition=None):
     slope statistically <= 0.  The horizon n_max and the start are checked
     as in ``fit_yaglom_rate``.
     """
-    sd, ns, laws = _fit_laws(op, nu0, n_max, sd, cyclic=True)
+    sd, ns, nu = _fit_laws(op, nu0, n_max, sd, cyclic=True)
     partition = partition or cyclic_components(sd, op)
     target = partition.cyclic_mean_measure()
-    ds = _tv_rows(np.cumsum(laws, axis=0) / ns[:, None], target)
+    ds, _, _ = _conditioned_laws(op, nu, len(ns), _running_tv_to(target))
     nd = ns * ds
 
     tail = ns >= max(len(ns) // 2, 2)
@@ -324,8 +353,8 @@ def mass_decay_check(op, n_max=60):
     stochastic chains (all row sums one).
     """
     subunit = lambda mass: mass.max() < 1 - 1e-12
-    survivors, _ = _orbit(op.right, np.ones(op.size), n_max, stop=subunit)
-    if not (len(survivors) and subunit(survivors[-1])):
+    sups, _, last = _orbit(op.right, np.ones(op.size), n_max,
+                           lambda masses, k: masses.max(axis=1), stop=subunit)
+    if not (len(sups) and subunit(last)):
         raise NeverSubunit("survival mass never drops below one")
-    sups = survivors.max(axis=1)
     return DecayReport(n0=len(sups), alpha=float(sups[-1]), sup_masses=sups)

@@ -36,6 +36,8 @@ KRYLOV_SEPARATION = 0.9
 KRYLOV_STEPS = 60
 KRYLOV_RESIDUAL = 1e-14
 RITZ_GAP = 1e-2
+# the floats of _orbit's block of iterates, each full block reduced at once
+_ORBIT_BLOCK = 2 ** 14
 
 
 @dataclass(frozen=True)
@@ -237,45 +239,74 @@ def _nonnegative_real(vec, tol):
     return np.maximum(v, 0.0)
 
 
-def _orbit(act, v, n, scale=None, stop=None):
-    """Forward orbit ``v_k = act(v_{k-1}) / s_k`` for k = 1..n of a real v.
+def _orbit(act, v, n, reduce=None, scale=None, stop=None):
+    """Forward orbit ``v_k = act(v_{k-1}) / s_k`` for k = 1..n of a real v, reduced as it goes.
 
-    Returns the iterates stacked as the rows of an (n, size) array and the
-    divisors s_k, where ``scale(w)`` gives s_k from the unscaled image w
-    (``None``: no division, every s_k is 1).  Pass ``op.left`` to evolve
-    measures and ``op.right`` to evolve functions; each step is one
-    ``act(v, out=row)``.  A zero divisor turns its row and every later one
-    into NaN, and an overflow leaves inf; callers check the divisors.
-    ``stop(v_k)`` true ends the orbit at v_k: only the rows and divisors up
-    to k are returned.
+    Returns the values of ``reduce``, the divisors s_k and the last iterate
+    (v itself when n is 0), where ``scale(w)`` gives s_k from the unscaled
+    image w (``None``: no division, every s_k is 1).  Pass ``op.left`` to
+    evolve measures and ``op.right`` to evolve functions; each step is one
+    ``act(v, out=row)``.  The iterates are written into one block of
+    ``_ORBIT_BLOCK`` floats (two rows when a row is larger), and each full
+    block, and the last part of one, is handed to ``reduce(rows, k)``, k
+    being the index of its first row, in order; the values it returns, one
+    per row, are concatenated (an empty array when ``reduce`` is None).
+    No n x size array is made.  A zero divisor turns its iterate and every
+    later one into NaN, and an overflow leaves inf; callers check the
+    divisors.  ``stop(v_k)`` true ends the orbit at v_k: only the values and
+    divisors up to k are returned.
 
     Each step is a deterministic function of the bytes of the previous
-    iterate (the same action: a window operator's prefix sums, or one BLAS
-    call at a fixed thread count), so once v_k
+    iterate (the same action: a window operator's prefix sums, the
+    Gaussian's FFT, or one BLAS call at a fixed thread count), so once v_k
     repeats an earlier v_j byte for byte the plain loop would go on through
     v_{j+1}..v_k forever.  The orbit replays that cycle into the remaining
-    rows and divisors instead of computing them; s_j is not part of it, as
-    it came from v_{j-1}.  Iterates are looked up by the hash of their bytes
-    and confirmed by exact byte equality.
+    iterates and divisors instead of computing them; s_j is not part of it,
+    as it came from v_{j-1}.  Every iterate's hash is kept, and a repeat is
+    confirmed by exact byte equality against the block, which holds the
+    last rows computed: a cycle longer than the block is computed, not
+    replayed.
     """
-    rows = np.empty((n, len(v)))
+    size = len(v)
+    block = np.empty((max(2, min(n, _ORBIT_BLOCK // size)), size))
+    b = len(block)
     divisors = np.ones(n)
-    seen = {}
+    values, seen, cycle = [], {}, None
+
+    def done(k, last):
+        """Iterate k is in the block: reduce the block when it is full or k is the last."""
+        if reduce is not None and (k % b == b - 1 or k == last):
+            values.append(reduce(block[:k % b + 1], k - k % b))
+
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for k, row in enumerate(rows):
-            v = act(v, out=row)
+        for k in range(n):
+            v = act(v, out=block[k % b])
             if scale is not None:
                 divisors[k] = scale(v)
                 v /= divisors[k]
             if stop is not None and stop(v):
-                return rows[:k + 1], divisors[:k + 1]
-            data = v.tobytes()
-            j = seen.setdefault(hash(data), k)
-            if j < k and rows[j].tobytes() == data:
-                idx = j + 1 + np.arange(n - k - 1) % (k - j)
-                rows[k + 1:], divisors[k + 1:] = rows[idx], divisors[idx]
+                n = k + 1
+                done(k, k)
                 break
-    return rows, divisors
+            data = v.tobytes()
+            key = hash(data)
+            j = seen.get(key)
+            if j is not None and j > k - b and block[j % b].tobytes() == data:
+                cycle = block[(j + 1 + np.arange(k - j)) % b]     # v_{j+1}..v_k
+                divisors[k + 1:] = divisors[j + 1 + np.arange(n - k - 1) % (k - j)]
+            seen[key] = k
+            done(k, n - 1)
+            if cycle is not None:
+                break
+        if cycle is not None:     # v_{k+1}..v_{n-1} repeat the cycle, a block at a time
+            r = k + 1
+            while r < n:
+                m = min(b - r % b, n - r)
+                block[r % b:r % b + m] = cycle[(r - k - 1 + np.arange(m)) % len(cycle)]
+                r += m
+                done(r - 1, n - 1)
+        last = block[(n - 1) % b].copy() if n else v
+    return (np.concatenate(values) if values else np.empty(0)), divisors[:n], last
 
 
 def snap_phases(z, m):

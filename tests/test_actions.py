@@ -6,22 +6,28 @@ give the bytes of the products they replaced: ``A @ v`` and ``v @ A``, the
 old left Arnoldi run.  A window operator applies its run table by prefix
 sums, which differ from those products by rounding alone: each result is
 a difference of two running sums, so it is held to ``4 N eps`` times the
-absolute terms they add, against the matrix it builds on first read.  A
-complex v was always applied as its real and imaginary parts, so its
-reference is taken part by part too.  And every reader but the dense
-eigensolves must answer from the actions alone.  The inputs hold every
-form: the session operators (explicit chains, window and Gaussian
-kernels) and a tabulated band.
+absolute terms they add, against the matrix it builds on first read.  The
+Gaussian's Toeplitz row acts by one FFT product, held to the FFT's
+rounding bound (``fft_bounds``) against its matrix, on the session
+operator and on drawn sigmas, domains and sizes.  A complex v was always
+applied as its real and imaginary parts, so its reference is taken part
+by part too.  And every reader but the dense eigensolves must answer from
+the actions alone.  The inputs hold every form: the session operators
+(explicit chains, window and Gaussian kernels) and a tabulated band.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qsdlab as q
+from qsdlab import kernels
 from qsdlab.errors import QsdlabError
-from qsdlab.kernels import KernelSpec, RunTable, check_h2_reachability
+from qsdlab.kernels import KernelSpec, RunTable, ToeplitzRow, check_h2_reachability
 
 SESSION_OPS = ("sym2", "cycle2", "cycle3", "ds3",
                "example21_201", "example22_201", "example23_101", "tabulated_band")
@@ -78,25 +84,52 @@ def prefix_sum_bounds(runs, v):
     return scale * right, scale * left
 
 
-def _assert_near(got, want, v, runs):
+def fft_bounds(row, v):
+    """Rounding bounds of a Toeplitz row's ``right(v)`` and ``left(v)`` against the dense products.
+
+    For a real v.  Each action is ``(T h) u``, u = D v for ``right`` and v
+    for ``left`` (D = diag(1/2, 1, ..., 1, 1/2) is exact), by three real
+    FFTs of length L, each off by ``log2(L) eta`` in the 2-norm with eta =
+    7 eps (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd
+    ed., 2002, section 24.1).  With c the circulant's first column and
+    ``|F c|_inf <= |c|_1``, ``|F u|_inf <= |u|_1``, that is, to first order,
+    ``2 log2(L) eta (|c|_1 |u|_2 + |c|_2 |u|_1)`` in the sup.  The dense
+    product adds ``(N + 2) eps |c|_1 |u|_inf``.  The bound is relative to
+    the sup of the terms, not to each entry.
+    """
+    eps = np.finfo(float).eps
+    c = row.t * row.h
+    c1 = c[0] + 2 * c[1:].sum()
+    c2 = math.sqrt(c[0] ** 2 + 2 * (c[1:] ** 2).sum())
+
+    def bound(u):
+        fft = 2 * math.log2(row.length) * 7 * eps * (c1 * np.linalg.norm(u) + c2 * np.abs(u).sum())
+        return fft + (row.size + 2) * eps * c1 * np.abs(u).max()
+
+    return bound(row.ends * v), bound(v)
+
+
+def _assert_near(got, want, v, bounds):
     for part in (np.real, np.imag) if np.iscomplexobj(v) else (np.real,):
-        bound_right, bound_left = prefix_sum_bounds(runs, part(v))
+        bound_right, bound_left = bounds(part(v))
         assert np.abs(part(got[0]) - part(want[0])).max() <= bound_right
         assert np.abs(part(got[1]) - part(want[1])).max() <= bound_left
 
 
 def _assert_action_bytes(op):
     a = op.matrix
+    bounds = {RunTable: prefix_sum_bounds, ToeplitzRow: fft_bounds}.get(type(op.form))
     for v in _vectors(op.size, op.size):
         right, left = op.right(v), op.left(v)
-        if not isinstance(op.form, RunTable):
+        if bounds is None:
             assert right.tobytes() == _by_parts(lambda u: a @ u, v).tobytes()
             assert right.tobytes() == _by_parts(lambda u: np.dot(u, a.T), v).tobytes()
             assert left.tobytes() == _by_parts(lambda u: u @ a, v).tobytes()
             assert left.tobytes() == _by_parts(lambda u: a.T @ u, v).tobytes()
         else:
             _assert_near((right, left), (_by_parts(lambda u: a @ u, v),
-                                         _by_parts(lambda u: u @ a, v)), v, op.form)
+                                         _by_parts(lambda u: u @ a, v)), v,
+                         lambda u: bounds(op.form, u))
         if not np.iscomplexobj(v):
             out = np.empty(op.size)
             assert op.right(v, out=out) is out and out.tobytes() == right.tobytes()
@@ -110,6 +143,39 @@ def test_actions_keep_the_product_bytes(inputs, name):
 
 def test_actions_keep_the_product_bytes_at_1601(example21_1601):
     _assert_action_bytes(example21_1601)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 2000), lower=st.floats(-5, 5), log_width=st.floats(-3, 3),
+       log_sigma=st.floats(-4, 1), seed=st.integers(0, 2 ** 31 - 1))
+def test_gaussian_fft_actions_meet_the_rounding_bound(n, lower, log_width, log_sigma, seed):
+    # sigma from 1e-4 to 10 widths: the narrow ones leave T(k) = 0 past a few
+    # nodes, and a row mass above one, which the form itself does not refuse
+    width = 10.0 ** log_width
+    spec = KernelSpec(family="gaussian_shift", domain=(lower, lower + width), grid_size=n,
+                      params={"sigma": width * 10.0 ** log_sigma})
+    row = ToeplitzRow(spec, kernels._quadrature_grid(spec))
+    a = row.matrix()
+    rng = np.random.default_rng(seed)
+    scales = 10.0 ** rng.uniform(-5, 5, n)
+    for v in (rng.standard_normal(n), rng.random(n), rng.standard_normal(n) * scales):
+        bound_right, bound_left = fft_bounds(row, v)
+        assert np.abs(row.right(v) - a @ v).max() <= bound_right
+        assert np.abs(row.left(v) - v @ a).max() <= bound_left
+        out = np.empty(n)
+        assert row.right(v, out=out) is out and out.tobytes() == row.right(v).tobytes()
+        assert row.left(v, out=out) is out and out.tobytes() == row.left(v).tobytes()
+
+
+def test_gaussian_analysis_fills_no_matrix():
+    # on the Arnoldi route the Gaussian is read through its FFT actions alone
+    op = q.build_operator(q.get_spec("example23gauss", grid_size=801))
+    sd = q.peripheral_spectrum(op)
+    nu0 = np.zeros(op.size)
+    nu0[op.size // 4] = 1.0
+    assert q.fit_yaglom_rate(op, nu0, sd=sd).passed
+    q.mass_decay_check(op)
+    assert "matrix" not in vars(op) and "dense" not in vars(op.form)
 
 
 class ActionsOnly:

@@ -423,7 +423,7 @@ def test_short_rate_fit_horizon_exits_2(tmp_path, capsys, monkeypatch, cmd, name
     ["analyze", "--spec", "sym2", "--n-max", "1000000000"],
 ])
 def test_long_rate_fit_horizon_exits_2(tmp_path, capsys, monkeypatch, argv):
-    # the orbit's n x N floats exceed the dense route's matrix budget, 2000**2
+    # the horizon's n x N floats exceed the dense route's matrix budget, 2000**2
     # (1601 x 2499 > 4e6): refused before the operator is built, with nothing
     # allocated, where a billion steps ended in numpy's MemoryError traceback
     monkeypatch.setattr(cli, "build_operator", None)
@@ -456,6 +456,25 @@ def test_long_simulate_horizon_exits_2(tmp_path, capsys, monkeypatch, n):
     err = capsys.readouterr().err
     assert f"SizeLimitExceeded: --n {n} needs" in err and "Traceback" not in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("grid_size", ["31251", "10000000000"])
+def test_audit_grid_over_the_probe_budget_exits_2(tmp_path, capsys, monkeypatch, grid_size):
+    # the H1 probe's two 64 x N blocks exceed the same budget, 2000**2, from
+    # 31251 nodes: refused before the grid is made, with nothing allocated,
+    # where ten billion nodes ended in numpy's _ArrayMemoryError traceback
+    monkeypatch.setattr(cli, "build_operator", None)
+    tracemalloc.start()
+    try:
+        code = main(["verify-hypothesis", "--spec", "example21", "--grid-size", grid_size,
+                     "--out", str(tmp_path / "o")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2 and peak < 1 << 20
+    err = capsys.readouterr().err
+    assert f"SizeLimitExceeded: --grid-size {grid_size} needs two 64 x" in err
+    assert "Traceback" not in err and not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("cmd,name", [("analyze", "sym2"), ("yaglom", "cycle2"),

@@ -5,10 +5,13 @@ The reference functions below are the hand-written power loops that
 (``op.left`` on measures, ``op.right`` on functions), so every output
 derived from powers of A can be checked bit for bit against them: the
 conditioned laws and their survivor masses, both rate-fit curves and the
-survivor-mass sups.
+survivor-mass sups.  The orbit reduces its iterates a block at a time, so
+the same checks run with blocks of a few rows, and a rate fit over a long
+horizon holds no more than its block.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -133,6 +136,17 @@ SESSION_OPS = ["sym2", "cycle2", "cycle3", "ds3",
 
 
 @pytest.mark.parametrize("name", SESSION_OPS)
+def test_orbit_in_small_blocks_matches_loops(sds, monkeypatch, name):
+    # blocks of 3 rows: every reducer, the Cesaro running sum among them,
+    # carries its state across many blocks
+    sd = sds[name]
+    monkeypatch.setattr(q.spectral, "_ORBIT_BLOCK", 3 * sd.op.size)
+    nu0 = _start(sd.op)
+    check_loops(sd.op, nu0)
+    check_spectral_loops(sd, nu0)
+
+
+@pytest.mark.parametrize("name", SESSION_OPS)
 def test_orbit_matches_loops_on_bundled(sds, name):
     sd = sds[name]
     nu0 = _start(sd.op)
@@ -213,14 +227,16 @@ def first_repeat(rows):
 
 
 def counted_orbit(op, nu0, n):
-    """spectral._orbit of measures with the step-mass scale, and the number of products it computed."""
+    """spectral._orbit of measures with the step-mass scale: its iterates, gathered by a
+    reducer that copies each block, the divisors and the number of products it computed."""
     products = []
 
     def scale(w):
         products.append(1)
         return np.add.reduce(w)
 
-    rows, divisors = q.spectral._orbit(op.left, np.asarray(nu0, dtype=float), n, scale)
+    rows, divisors, _ = q.spectral._orbit(op.left, np.asarray(nu0, dtype=float), n,
+                                          lambda block, k: block.copy(), scale)
     return rows, divisors, len(products)
 
 
@@ -251,6 +267,37 @@ def test_fit_data_on_a_replayed_orbit_matches_the_loop(name, size, cycle):
     assert cycle in (None, k - j) and products == k + 1 < 120
 
 
+@pytest.mark.parametrize("rows,products", [(2, 120), (3, None)])
+def test_a_cycle_longer_than_the_block_is_computed(monkeypatch, rows, products):
+    # example21 at 551 nodes repeats with period 2: a block of 2 rows no
+    # longer holds the repeated row, so the orbit computes every step; one of
+    # 3 rows replays from the first repeat.  The bytes are the loop's either way.
+    op = build_operator(q.get_spec("example21", grid_size=551))
+    monkeypatch.setattr(q.spectral, "_ORBIT_BLOCK", rows * op.size)
+    nu0 = _start(op)
+    got_rows, divisors, computed = counted_orbit(op, nu0, 120)
+    ref_rows, ref_masses = ref_conditioned_rows(op.left, nu0, 120)
+    assert _bytes_equal(got_rows, ref_rows) and _bytes_equal(divisors, ref_masses)
+    assert computed == (products or first_repeat(ref_rows)[1] + 1)
+
+
+def test_rate_fit_holds_one_block_of_its_orbit():
+    # 2000 steps on 1601 nodes is within check_n_max's budget; the rows
+    # alone would take 25.6 MB
+    op = build_operator(q.get_spec("example21", grid_size=1601))
+    sd = q.peripheral_spectrum(op)
+    nu0 = _start(op)
+    q.qsd.check_n_max(2000, op.size)
+    tracemalloc.start()
+    try:
+        fit = q.fit_yaglom_rate(op, nu0, n_max=2000, sd=sd)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20, peak
+    assert _same(fit.data, ref_yaglom_tvs(op, nu0, 2000, sd.mu0))
+
+
 def test_zero_divisor_replays_nan_as_the_loop_does():
     # nilpotent chain: the mass is 0 at step 3, so rows 3.. are NaN and the
     # step masses read 0.5, 1, 0, NaN, NaN, ...: the replayed divisors start
@@ -270,16 +317,16 @@ def decay_orbit(monkeypatch):
     """Spy on the mass-decay orbit: products computed and rows returned, per call."""
     real, calls = q.qsd._orbit, []
 
-    def orbit(act, v, n, scale=None, stop=None):
+    def orbit(act, v, n, reduce=None, scale=None, stop=None):
         products = []
 
         def counted(row):
             products.append(1)
             return stop(row)
 
-        rows, divisors = real(act, v, n, scale, counted)
-        calls.append((len(products), len(rows)))
-        return rows, divisors
+        values, divisors, last = real(act, v, n, reduce, scale, counted)
+        calls.append((len(products), len(values)))
+        return values, divisors, last
 
     monkeypatch.setattr(q.qsd, "_orbit", orbit)
     return calls
