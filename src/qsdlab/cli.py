@@ -56,7 +56,7 @@ from .qsd import (
 )
 from .simulate import (
     _mover,
-    check_budget,
+    budget_shortfall,
     check_seed,
     check_start,
     simulate_batch,
@@ -224,7 +224,9 @@ def cmd_simulate(args):
         h = lambda y: y
         h_label = "y"
     # one batch carries both the terminal states and the running sums of h
-    check_budget(n, n_paths, lam)
+    notice = budget_shortfall(n, n_paths, lam)
+    if notice is not None:
+        print(f"warning: {notice}", file=sys.stderr)
     batch = simulate_batch(spec, x0, n, n_paths, seed=seed, h=h)
 
     est = summarize_yaglom(batch, spec)

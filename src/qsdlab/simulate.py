@@ -21,9 +21,12 @@ in the draw buffer), and writes the survivors' states and sums back in place
 at a cursor that never passes the block's start.  The absorbed paths of the
 step go into the absorption-time histogram.  A step therefore costs in
 proportion to the paths still alive, and the draws a path receives do not
-depend on the block size.  One batch carries both the terminal states and
-the running sums of a test function, so the Yaglom and Birkhoff summaries
-can share one batch.
+depend on the block size.  One worker thread makes the next block's draws
+while a block moves (NumPy's fill releases the GIL), with at most one block
+in flight; the generator sees the calls of the serial loop, in the same
+sizes and order, so every byte is the serial loop's.  One batch carries
+both the terminal states and the running sums of a test function, so the
+Yaglom and Birkhoff summaries can share one batch.
 """
 
 import math
@@ -157,25 +160,36 @@ def check_seed(seed):
     return int(seed)
 
 
-def _step_chunk(move, gen, state, acc, h, n, tau_hist):
+def _step_chunk(move, gen, state, acc, h, n, tau_hist, ahead):
     """Step the paths of one chunk n times in place; return copies of the survivors.
 
     ``move(s, u)`` maps states and draws to the next states and their live
     mask.  Survivors are written back at the cursor ``w``, which never passes
     the start ``a`` of the block being read, so no unread state is overwritten.
     The copies let the chunk-sized arrays go as soon as the chunk is done.
+
+    The draws are made one block ahead on the executor ``ahead`` (one
+    worker thread): block i+1's are requested once block i's are taken, and
+    made while block i moves, so at most one block is in flight and the
+    generator sees the serial loop's calls, ``gen.random(b - a)`` per block
+    in order, one at a time.  A step's first block is requested when the
+    step starts, once the previous step's survivor count is known.
     """
     m = state.size
     for step in range(n):
         if m == 0:
             break
         w = 0
+        draws = ahead.submit(gen.random, min(m, BLOCK_SIZE))
         for a in range(0, m, BLOCK_SIZE):
             b = min(a + BLOCK_SIZE, m)
+            u = draws.result()
+            if b < m:
+                draws = ahead.submit(gen.random, min(BLOCK_SIZE, m - b))
             s = state[a:b]
             if h is not None:
                 acc[a:b] += h(s)
-            y, live = move(s, gen.random(b - a))
+            y, live = move(s, u)
             keep = np.flatnonzero(live)
             state[w:w + keep.size] = y[keep]
             if h is not None:
@@ -195,6 +209,8 @@ def simulate_batch(spec, x0, n, n_paths, seed=0, h=None):
     InvalidDomain (start), ValidationError (seed) or NotApplicable (a family
     with no draw) before any draw.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     if n < 0 or n_paths < 1:
         raise ValueError("need n >= 0 and n_paths >= 1")
     seed = check_seed(seed)
@@ -206,13 +222,15 @@ def simulate_batch(spec, x0, n, n_paths, seed=0, h=None):
     tau_hist = np.zeros(n + 1, dtype=np.int64)
 
     n_chunks = (n_paths + CHUNK_SIZE - 1) // CHUNK_SIZE
-    for c in range(n_chunks):
-        k = min(CHUNK_SIZE, n_paths - c * CHUNK_SIZE)
-        state, acc = _step_chunk(move, _chunk_generator(seed, c), np.full(k, x0, dtype=dtype),
-                                 np.zeros(k) if h is not None else None, h, n, tau_hist)
-        terminals.append(state)
-        if h is not None:
-            sums.append(acc)
+    with ThreadPoolExecutor(max_workers=1) as ahead:
+        for c in range(n_chunks):
+            k = min(CHUNK_SIZE, n_paths - c * CHUNK_SIZE)
+            state, acc = _step_chunk(move, _chunk_generator(seed, c), np.full(k, x0, dtype=dtype),
+                                     np.zeros(k) if h is not None else None, h, n, tau_hist,
+                                     ahead)
+            terminals.append(state)
+            if h is not None:
+                sums.append(acc)
 
     terminal_states = np.concatenate(terminals)
     return TrajectoryBatch(
@@ -224,8 +242,8 @@ def simulate_batch(spec, x0, n, n_paths, seed=0, h=None):
     )
 
 
-def check_budget(n, n_paths, lam_hint):
-    """Warn when fewer than 1000 paths are expected to survive n steps.
+def budget_shortfall(n, n_paths, lam_hint):
+    """The notice that fewer than 1000 paths are expected to survive n steps, else None.
 
     The expectation n_paths * lam_hint**n is compared in log space, so no
     lam_hint > 0 overflows it.
@@ -233,9 +251,16 @@ def check_budget(n, n_paths, lam_hint):
     if lam_hint is not None:
         log_expected = math.log(n_paths) + n * math.log(lam_hint)
         if log_expected < math.log(1000):
-            warnings.warn(
-                f"expected survivors {math.exp(log_expected):.1f} < 1000 at n={n}; "
-                "increase n_paths or lower n", stacklevel=3)
+            return (f"expected survivors {math.exp(log_expected):.1f} < 1000 at n={n}; "
+                    "increase n_paths or lower n")
+    return None
+
+
+def check_budget(n, n_paths, lam_hint):
+    """Warn, with a UserWarning, when :func:`budget_shortfall` gives a notice."""
+    notice = budget_shortfall(n, n_paths, lam_hint)
+    if notice is not None:
+        warnings.warn(notice, stacklevel=3)
 
 
 def bin_to_grid(samples, grid):

@@ -24,7 +24,7 @@ from .errors import (
     Reducible,
     SizeLimitExceeded,
 )
-from .kernels import check_h2_reachability
+from .kernels import DenseRows, check_h2_reachability
 from .measures import variation_norm
 
 PERIPHERAL_TOL_DEFAULT = 1e-6
@@ -32,6 +32,10 @@ GAP_FLOOR_DEFAULT = 1e-4
 ANGLE_SNAP_TOL = 1e-3
 DENSE_SIZE_LIMIT = 2000
 KRYLOV_MIN_SIZE = 512
+# a run table or a Toeplitz row takes Arnoldi from this size on, the smallest
+# where it beat eigvals plus inverse iteration on all three bundled density
+# systems (2 OpenBLAS threads)
+_KRYLOV_MIN_COMPACT = 81
 KRYLOV_SEPARATION = 0.9
 KRYLOV_STEPS = 60
 KRYLOV_RESIDUAL = 1e-14
@@ -153,16 +157,21 @@ def check_size(n):
 def _eigenvalues(op, period):
     """Eigenvalues of the operator, and their right Ritz vectors as rows or None.
 
-    One eigenvector-free dense solve gives every eigenvalue, unless from
-    ``KRYLOV_MIN_SIZE`` nodes on :func:`_arnoldi` converges on the top
-    ``2 period + 2`` (for a block-cyclic chain the gap test then sees the
-    orbit after the subdominant one) with the smallest modulus outside the
-    peripheral band at most ``KRYLOV_SEPARATION`` times the largest, as a
-    compact operator's discretization shows.
+    One eigenvector-free dense solve gives every eigenvalue, unless
+    :func:`_arnoldi` converges on the top ``2 period + 2`` (for a
+    block-cyclic chain the gap test then sees the orbit after the
+    subdominant one) with the smallest modulus outside the peripheral band
+    at most ``KRYLOV_SEPARATION`` times the largest, as a compact operator's
+    discretization shows.  The route is chosen by form: a :class:`DenseRows`
+    (an explicit or tabulated chain, whose spectrum may cloud) tries Arnoldi
+    from ``KRYLOV_MIN_SIZE`` nodes on, any other operator (a window's run
+    table, the Gaussian's Toeplitz row, an operator seen through its actions
+    alone) from ``_KRYLOV_MIN_COMPACT`` nodes on, where it beats ``eigvals``.
     """
     n = op.size
     check_size(n)
-    if n >= KRYLOV_MIN_SIZE and 2 * period + 2 < KRYLOV_STEPS:
+    dense = isinstance(getattr(op, "form", None), DenseRows)
+    if n >= (KRYLOV_MIN_SIZE if dense else _KRYLOV_MIN_COMPACT) and 2 * period + 2 < KRYLOV_STEPS:
         right = _arnoldi(op.right, n, 2 * period + 2, period + 1)
         if right is not None:
             mods = np.abs(right[0])
@@ -332,7 +341,8 @@ def peripheral_spectrum(op, reach=None):
     """Extract the full peripheral eigenstructure of the operator.
 
     Three stages.  :func:`_eigenvalues` gives the eigenvalues: every one
-    from a dense solve, or, from ``KRYLOV_MIN_SIZE`` nodes on, the top
+    from a dense solve, or, from ``KRYLOV_MIN_SIZE`` nodes on (a window's or
+    the Gaussian's operator from ``_KRYLOV_MIN_COMPACT`` on), the top
     2 graph period + 2 from a NumPy Arnoldi run on A when they show a clear
     gap below the peripheral band (else the dense solve after all).  The
     checks on the values run next.  Only then is the Perron pair chosen, here

@@ -213,6 +213,18 @@ def test_simulate_csv_and_env_seed(tmp_path, monkeypatch):
     assert header == "kind,n,n_paths,survivors,value,stderr"
 
 
+def test_simulate_budget_notice_is_one_plain_line(tmp_path):
+    # the default run expects 97.7 survivors: one stderr line, not a Python warning
+    src = os.path.dirname(os.path.dirname(q.__file__))
+    out = subprocess.run([sys.executable, "-m", "qsdlab.cli", "simulate", "--spec", "example21",
+                          "--out", str(tmp_path)], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.returncode == 0, out.stderr
+    lines = out.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("warning: expected survivors 97.7 < 1000")
+    assert ".py" not in out.stderr
+
+
 def test_simulate_canonical_changes_no_byte(tmp_path):
     # estimates.csv carries no timestamp: the flag is accepted and read by nothing
     args = ["simulate", "--spec", "ds3", "--n", "5", "--n-paths", "20000", "--seed", "3"]

@@ -1,9 +1,10 @@
 """The Krylov path of ``peripheral_spectrum`` against its dense path.
 
-From ``KRYLOV_MIN_SIZE`` nodes on, ``_eigenvalues`` takes the top
+From ``KRYLOV_MIN_SIZE`` nodes on (``_KRYLOV_MIN_COMPACT`` for a window's
+run table or the Gaussian's Toeplitz row), ``_eigenvalues`` takes the top
 eigenvalues and the right Ritz vectors from a NumPy Arnoldi run on ``A``,
 and ``_left_ritz`` the Perron left one from a second run on ``op.left``.  Raising
-``KRYLOV_MIN_SIZE`` past the operator's size runs the dense path instead:
+both past the operator's size runs the dense path instead:
 one ``np.linalg.eigvals`` and ``np.linalg.solve`` steps.  Where the Krylov
 values show a gap below the subdominant modulus the two paths differ in
 rounding only, so lam, m, the subdominant modulus and every f_j and mu_j
@@ -93,6 +94,7 @@ def _spy(monkeypatch, module, name, calls=None):
 def dense_path(op, monkeypatch):
     with monkeypatch.context() as mp:
         mp.setattr(spectral, "KRYLOV_MIN_SIZE", op.size + 1)
+        mp.setattr(spectral, "_KRYLOV_MIN_COMPACT", op.size + 1)
         return q.peripheral_spectrum(op)
 
 
@@ -121,6 +123,23 @@ def assert_close(sd, ref):
 @pytest.mark.parametrize("name", ["example21", "example22cubic", "example23gauss"])
 def test_bundled_systems_match_dense_path(name, n, monkeypatch):
     assert_matches_dense(build_operator(q.get_spec(name, grid_size=n)), monkeypatch)
+
+
+@pytest.mark.parametrize("at", ["crossover", "default"])
+@pytest.mark.parametrize("name", ["example21", "example22cubic", "example23gauss"])
+def test_default_grids_match_dense_path(name, at, monkeypatch):
+    # the compact forms take Arnoldi below KRYLOV_MIN_SIZE, from the crossover on
+    n = spectral._KRYLOV_MIN_COMPACT if at == "crossover" else q.get_spec(name).grid_size
+    assert n < spectral.KRYLOV_MIN_SIZE
+    assert_matches_dense(build_operator(q.get_spec(name, grid_size=n)), monkeypatch)
+
+
+def test_explicit_chain_below_krylov_min_size_stays_dense(monkeypatch):
+    # the same 401 x 401 matrix held as DenseRows keeps the dense route
+    a = build_operator(q.get_spec("example21")).matrix.copy()
+    calls = _spy(monkeypatch, np.linalg, "eigvals", _spy(monkeypatch, spectral, "_arnoldi"))
+    q.peripheral_spectrum(explicit(a))
+    assert calls == ["eigvals"]
 
 
 @pytest.mark.parametrize("na,nb,eps", [(260, 270, 6e-5), (300, 250, 5e-3)])

@@ -9,7 +9,8 @@ rows is the reference: the matrix the table fills on first read is its
 bytes, the actions meet the prefix-sum bound of ``test_actions.py``, the
 escape set and the reachability graph are its decisions exactly, and a spec
 it refuses the run table refuses with the same error.  One ``analyze``
-searches the window runs once.  At 100 001 nodes, where the
+searches the window runs once, and the bundled systems at their default
+grids read no run table's or Toeplitz row's matrix.  At 100 001 nodes, where the
 matrix would take 80 GB, the build and one action each way stay O(N) in
 memory.
 """
@@ -183,11 +184,25 @@ def test_arnoldi_route_readers_leave_the_matrix_unbuilt(monkeypatch):
 
 
 def test_analyze_searches_the_window_runs_once(monkeypatch, tmp_path):
-    # at 401 nodes the dense eigensolve reads the matrix, filled from the table
+    # at 401 nodes the Arnoldi route acts through the table and fills no matrix
     searches, fills = [], []
     search, fill = kernels._window_runs, kernels.RunTable.matrix
     monkeypatch.setattr(kernels, "_window_runs", lambda *a: searches.append(a) or search(*a))
     monkeypatch.setattr(kernels.RunTable, "matrix", lambda self: fills.append(self) or fill(self))
     assert q.get_spec("example21").grid_size == 401
     assert main(["analyze", "--spec", "example21", "--out", str(tmp_path), "--canonical"]) == 0
-    assert len(searches) == 1 and len(fills) == 1
+    assert len(searches) == 1 and len(fills) == 0
+
+
+def test_default_grids_fill_no_matrix(monkeypatch, tmp_path):
+    # analyze on the three continuous systems at their default grids, and the
+    # default simulate, act through the run table or the Toeplitz row alone
+    def refuse(form):
+        raise AssertionError(f"{type(form).__name__}.matrix read")
+
+    monkeypatch.setattr(kernels.RunTable, "matrix", refuse)
+    monkeypatch.setattr(kernels.ToeplitzRow, "matrix", refuse)
+    for name in ("example21", "example22cubic", "example23gauss"):
+        assert main(["analyze", "--spec", name, "--out", str(tmp_path / name),
+                     "--canonical"]) == 0
+    assert main(["simulate", "--spec", "example21", "--out", str(tmp_path / "mc")]) == 0

@@ -1,5 +1,8 @@
 import hashlib
 import math
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -254,6 +257,87 @@ def test_simulate_batch_golden_bytes(key):
         assert _digest(b.tau_histogram) == tau
     assert plain.running_sums is None
     assert _digest(with_h.running_sums) == sums
+
+
+class _SlowDraws:
+    """A chunk generator that sleeps before each fill and records each fill's size.
+
+    A fill that starts while another is under way fails the test: the
+    generator must see one call at a time.
+    """
+
+    def __init__(self, gen, sizes, pause):
+        self.gen, self.sizes, self.pause, self.busy = gen, sizes, pause, False
+
+    def random(self, m):
+        assert not self.busy, "two fills at once"
+        self.busy = True
+        time.sleep(self.pause)
+        self.sizes.append(m)
+        u = self.gen.random(m)
+        self.busy = False
+        return u
+
+
+def _serial_sizes(spec, x0, n, n_paths, seed):
+    """The ``random`` sizes of the step loop run serially, without the draw-ahead."""
+    sizes, (dtype, move) = [], simulate._mover(spec)
+    for c in range(-(-n_paths // CHUNK_SIZE)):
+        gen = simulate._chunk_generator(seed, c)
+        state = np.full(min(CHUNK_SIZE, n_paths - c * CHUNK_SIZE), x0, dtype=dtype)
+        for _ in range(n):
+            kept = []
+            for a in range(0, state.size, simulate.BLOCK_SIZE):
+                s = state[a:a + simulate.BLOCK_SIZE]
+                sizes.append(s.size)
+                y, live = move(s, gen.random(s.size))
+                kept.append(y[live])
+            state = np.concatenate(kept)
+    return sizes
+
+
+@pytest.mark.parametrize("key", sorted(_GOLDEN))
+def test_slow_draws_keep_the_golden_bytes(key, monkeypatch):
+    # the worker that makes the next block's draws lags behind the step loop
+    name, x0, n = key
+    survivors, terminal, tau, sums = _GOLDEN[key]
+    spec = q.get_spec(name)
+    h = (lambda s: (s == 1).astype(float)) if spec.is_explicit else (lambda y: y * y)
+    real, sizes = simulate._chunk_generator, []
+    monkeypatch.setattr(simulate, "_chunk_generator",
+                        lambda seed, c: _SlowDraws(real(seed, c), sizes, 2e-3))
+    b = simulate_batch(spec, x0, n, CHUNK_SIZE + 12_345, seed=2024, h=h)
+    assert b.survivor_count == survivors
+    assert (_digest(b.terminal_states), _digest(b.tau_histogram),
+            _digest(b.running_sums)) == (terminal, tau, sums)
+    monkeypatch.setattr(simulate, "_chunk_generator", real)
+    assert sizes == _serial_sizes(spec, x0, n, CHUNK_SIZE + 12_345, 2024)
+
+
+def test_concurrent_batches_keep_the_golden_bytes():
+    # more batches than cores, each with its own draw-ahead worker, and a
+    # short switch interval: every batch still gives the serial loop's bytes
+    key = ("example21", 0.3, 6)
+    name, x0, n = key
+    survivors, terminal, tau, _ = _GOLDEN[key]
+    digests = []
+
+    def run():
+        b = simulate_batch(q.get_spec(name), x0, n, CHUNK_SIZE + 12_345, seed=2024)
+        digests.append((b.survivor_count, _digest(b.terminal_states), _digest(b.tau_histogram)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert digests == [(survivors, terminal, tau)] * 4
 
 
 class _FixedDraws:
