@@ -9,6 +9,9 @@ Writes under DIR, with ``--canonical`` where the command takes it:
   bundled system, with a one-line summary per system;
 - mc/<name>[_x0_<x0>]/: seeded simulate, 1100000 paths (two chunks of the
   stream), seed 7, from the default start or from x0;
+- mc/wide300/: seeded simulate, 200000 paths, seed 7, n 5, on
+  mc/wide300.spec.json, a 300-state band chain written here first, whose
+  states take two bytes;
 - hyp/<name>_<N>/: verify-hypothesis on the continuous systems at 3 nodes
   (H1's one separation h), 11 (two separations), 401, 1601 and 2000 nodes,
   the largest grid the eigensolves allow;
@@ -45,6 +48,7 @@ SIMULATE = [("sym2", 4, None), ("ds3", 20, None), ("example21", 10, None),
 ARNOLDI = [("example21", 1601), ("example22cubic", 801), ("example23gauss", 801),
            ("example21", 401)]
 BAND = os.path.join("hyp", "tabulated.spec.json")   # under the --out root
+WIDE = os.path.join("mc", "wide300.spec.json")
 
 
 def cases(root):
@@ -60,6 +64,9 @@ def cases(root):
         runs.append((os.path.join(root, "mc", name + ("" if x0 is None else f"_x0_{x0}")),
                      [["simulate", "--spec", name, "--n", str(n), *start,
                        "--n-paths", "1100000", "--seed", "7"]]))
+    runs.append((os.path.join(root, "mc", "wide300"),
+                 [["simulate", "--spec", os.path.join(root, WIDE), "--n", "5",
+                   "--n-paths", "200000", "--seed", "7"]]))
     for name in CONTINUOUS:
         for n in (3, 11, 401, 1601, 2000):
             runs.append((os.path.join(root, "hyp", f"{name}_{n}"),
@@ -92,6 +99,15 @@ def write_band(path, n=400):
                    "params": {"values": rows}}, fp)
 
 
+def write_wide(path, n=300):
+    """A band chain of n states, row mass 15/16 away from the ends, in the stdlib JSON form."""
+    rows = [[round(max(0.0, 1.0 - abs(i - j) / 15) / 16, 6) for j in range(n)] for i in range(n)]
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    with open(path, "w") as fp:
+        fp.write(json.dumps({"family": "explicit_matrix", "params": {"matrix": rows}},
+                            indent=2, sort_keys=True) + "\n")
+
+
 def summary(name, out):
     with open(os.path.join(out, "analysis.json")) as fp:
         doc = json.load(fp)
@@ -106,6 +122,7 @@ def summary(name, out):
 
 def run(root):
     write_band(os.path.join(root, BAND))
+    write_wide(os.path.join(root, WIDE))
     failed = set()
     for out, commands in cases(root):
         rc = 0

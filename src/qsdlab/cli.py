@@ -218,7 +218,7 @@ def cmd_simulate(args):
     mu, lam = quasi_stationary_measure(sd)
     if spec.is_explicit:
         k = min(1, op.size - 1)
-        h = lambda s: (s == k).astype(float)
+        h = lambda s: s == k   # added to the float sums as 0.0 or 1.0
         h_label = f"state:{k}"
     else:
         h = lambda y: y

@@ -574,12 +574,16 @@ def _window_runs(centers, nodes, lower, upper, halfwidth):
     return first[0], np.maximum(first[1], first[0]), (i[keep], j[keep], side[keep])
 
 
-def _map_centers(spec, x):
-    """Window centers of the two window families: a x + b, or x**3 (cubic)."""
+def _map_centers(spec, x, out=None):
+    """Window centers of the two window families, a x + b or x**3 (cubic), into ``out`` if given."""
     x = np.asarray(x, dtype=float)
     p = spec.params
     with np.errstate(over="ignore"):   # an infinite center: a zero row, a dead path, no mass
-        return p["a"] * x + p["b"] if spec.family == "affine_uniform" else x ** 3
+        if spec.family == "affine_uniform":
+            out = np.multiply(p["a"], x, out=out)
+            out += p["b"]
+            return out
+        return np.power(x, 3, out=out)
 
 
 def _check_density(vals):

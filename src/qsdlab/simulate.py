@@ -12,21 +12,28 @@ seed and the chunk index.  Results are bit-identical for a given seed no
 matter how the chunks would be scheduled, and per-chunk partial sums are
 reduced in chunk order.
 
-The step loop keeps only the live paths of a chunk, in path order, in one
-state array and one running-sum array per chunk.  Each step walks them in
-blocks of ``BLOCK_SIZE`` live paths, small enough that a block's temporaries
-stay in cache.  For each block it adds the test function to the running sums,
-draws one variate per path, moves the paths (the density families in place
-in the draw buffer), and writes the survivors' states and sums back in place
-at a cursor that never passes the block's start.  The absorbed paths of the
-step go into the absorption-time histogram.  A step therefore costs in
-proportion to the paths still alive, and the draws a path receives do not
-depend on the block size.  One worker thread makes the next block's draws
-while a block moves (NumPy's fill releases the GIL), with at most one block
-in flight; the generator sees the calls of the serial loop, in the same
-sizes and order, so every byte is the serial loop's.  One batch carries
-both the terminal states and the running sums of a test function, so the
-Yaglom and Birkhoff summaries can share one batch.
+The step loop keeps only the live paths of a chunk, in path order.  A batch
+holds one state buffer and one running-sum buffer of one chunk's size, reused
+by every chunk, and one block of the start point, which step 0 reads in place
+of a chunk of start states.  Explicit chains hold a state as its inverse-CDF
+count, in the smallest unsigned type that holds the state count (one byte up
+to 255 states), and find it by binary search over the row's CDF; the test
+function and ``terminal_states`` still see int64 states.  Each step walks the
+live paths in blocks of ``BLOCK_SIZE``, small enough that a block's
+temporaries stay in cache, and every temporary but the survivors' index is a
+view of a fixed block-sized buffer.  For each block it adds the test function
+to the running sums, draws one variate per path, moves the paths (the density
+families in place in the draw buffer), and gathers the survivors' states and
+sums into the buffers at a cursor that never passes the block's start.  The
+absorbed paths of the step go into the absorption-time histogram.  A step
+therefore costs in proportion to the paths still alive, and the draws a path
+receives do not depend on the block size.  One worker thread makes the next
+block's draws, into the other of two draw buffers, while a block moves
+(NumPy's fill releases the GIL), with at most one block in flight; the
+generator sees the calls of the serial loop, in the same sizes and order, so
+every byte is the serial loop's.  One batch carries both the terminal states
+and the running sums of a test function, so the Yaglom and Birkhoff summaries
+can share one batch.
 """
 
 import math
@@ -49,15 +56,18 @@ def _chunk_generator(seed, chunk_index):
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _noise_to_moves(spec, x, u):
-    """Map uniform draws u in [0,1) to next points from x, in place in u (window or Gaussian)."""
+def _noise_to_moves(spec, x, u, centers=None):
+    """Map uniform draws u in [0,1) to next points from x, in place in u (window or Gaussian).
+
+    A window family's centers go into ``centers`` when it is given.
+    """
     p = spec.params
     if spec.family in ("affine_uniform", "cubic_uniform"):
         w = float(p["noise_halfwidth"])
         u *= 2.0
         u -= 1.0
         u *= w
-        u += _map_centers(spec, x)
+        u += _map_centers(spec, x, out=centers)
         return u
     from scipy.special import ndtri
 
@@ -68,45 +78,67 @@ def _noise_to_moves(spec, x, u):
     return u
 
 
-def _inverse_cdf(cols, state, u):
-    """Inverse-CDF draw: per path, the count of its row's CDF values at or below u.
+def _inverse_cdf(cdf, n, state, u, out, at, vals, le, step):
+    """Inverse-CDF draw into ``out``: per path, the count of its row's CDF values at or below u.
 
-    ``cols[j]`` is column j of the cumulative row sums; a count equal to the
-    number of columns is the final bucket, absorption.  Columns go in strips
-    of at most ``BLOCK_SIZE`` comparisons (one column for a full block, the
-    whole row for one path), counted in the smallest unsigned type that fits.
+    ``cdf`` holds the cumulative row sums of the n x n matrix, row after row;
+    a count of n is the final bucket, absorption.  A row's CDF never decreases,
+    so the values at or below u are a prefix of the row and a binary search
+    finds their count in ``n.bit_length()`` rounds of one gather each: while
+    the count lies in ``[out, out + r]``, a round compares column
+    ``out + ceil(r/2) - 1`` (flat index ``at + ceil(r/2) - 1``) with u and
+    leaves floor(r/2) for r.  ``at``, ``vals``, ``le`` and ``step`` are scratch.
     """
-    nxt = np.zeros(u.shape, dtype=np.min_scalar_type(len(cols)))
-    width = BLOCK_SIZE // u.size or 1
-    for j in range(0, len(cols), width):
-        nxt += np.add.reduce(np.take(cols[j:j + width], state, axis=1) <= u,
-                             axis=0, dtype=nxt.dtype)
-    return nxt
+    np.multiply(state, n, out=at, dtype=np.intp)
+    out.fill(0)
+    r = n
+    while r:
+        half = (r + 1) // 2
+        np.take(cdf[half - 1:], at, out=vals, mode="clip")
+        np.less_equal(vals, u, out=le)
+        np.multiply(le, half, out=step, dtype=step.dtype)
+        out += step
+        at += step
+        r -= half
+    return out
 
 
 def _mover(spec):
     """How the chain moves: the state dtype and ``move(s, u) -> (next, live)``, u in [0, 1].
 
-    Explicit chains take the inverse-CDF draw over the whole matrix's CDF,
-    stored by column.  The window and Gaussian families take their random
-    map and live while ``lo <= y <= hi``, which also absorbs NaN.  Any other
-    family has no draw: NotApplicable.
+    ``move`` takes at most ``BLOCK_SIZE`` paths and returns views of its own
+    block-sized buffers, valid until its next call.  Explicit chains hold a
+    state as its inverse-CDF count, in the smallest unsigned type that holds
+    the state count (absorption included), and draw by binary search over the
+    matrix's row CDFs.  The window and Gaussian families take their random
+    map, in place in u, and live while ``lo <= y <= hi``, which also absorbs
+    NaN.  Any other family has no draw: NotApplicable.
     """
+    live = np.empty(BLOCK_SIZE, dtype=bool)
     if spec.is_explicit:
-        cols = np.ascontiguousarray(np.cumsum(spec.matrix, axis=1).T)
+        n = spec.grid_size
+        cdf = np.cumsum(spec.matrix, axis=1).ravel()
+        count, step = np.empty((2, BLOCK_SIZE), dtype=np.min_scalar_type(n))
+        at, vals, le = (np.empty(BLOCK_SIZE, dtype=np.intp), np.empty(BLOCK_SIZE),
+                        np.empty(BLOCK_SIZE, dtype=bool))
 
         def move(s, u):
-            y = _inverse_cdf(cols, s, u)
-            return y, y < spec.grid_size
-        return np.int64, move
+            k = s.size
+            y = _inverse_cdf(cdf, n, s, u, count[:k], at[:k], vals[:k], le[:k], step[:k])
+            return y, np.less(y, n, out=live[:k])
+        return count.dtype, move
     if spec.family not in ("affine_uniform", "cubic_uniform", "gaussian_shift"):
         raise NotApplicable(f"cannot simulate family {spec.family!r}")
     lo, hi = spec.domain
+    below = np.empty(BLOCK_SIZE, dtype=bool)
+    centers = np.empty(BLOCK_SIZE) if spec.family != "gaussian_shift" else None
 
     def move(s, u):
-        y = _noise_to_moves(spec, s, u)
-        return y, (lo <= y) & (y <= hi)
-    return float, move
+        k = s.size
+        y = _noise_to_moves(spec, s, u, None if centers is None else centers[:k])
+        ok = np.less_equal(lo, y, out=live[:k])
+        return y, np.logical_and(ok, np.less_equal(y, hi, out=below[:k]), out=ok)
+    return np.dtype(float), move
 
 
 @dataclass(frozen=True)
@@ -115,7 +147,10 @@ class TrajectoryBatch:
 
     ``tau_histogram[k]`` counts paths absorbed at step k (1-based);
     ``survivor_count`` counts paths with tau > n_steps.  Terminal states and
-    running test-function sums are kept for survivors only.
+    running test-function sums are kept for survivors only, in path order:
+    the states as int64 on an explicit chain (the step loop holds them in
+    the smaller type of ``_mover``) and as floats otherwise, the sums as
+    floats.  Each array is its own copy, not a view of the step loop's buffers.
     """
 
     n_steps: int
@@ -160,44 +195,64 @@ def check_seed(seed):
     return int(seed)
 
 
-def _step_chunk(move, gen, state, acc, h, n, tau_hist, ahead):
-    """Step the paths of one chunk n times in place; return copies of the survivors.
+def _step_chunk(move, gen, k, h, n, tau_hist, ahead, start, state, acc, draws, wide, sums):
+    """Step the k paths of one chunk n times; return the survivor count m.
 
-    ``move(s, u)`` maps states and draws to the next states and their live
-    mask.  Survivors are written back at the cursor ``w``, which never passes
-    the start ``a`` of the block being read, so no unread state is overwritten.
-    The copies let the chunk-sized arrays go as soon as the chunk is done.
+    The survivors end in ``state[:m]`` and their running sums in ``acc[:m]``,
+    in path order.  Step 0 reads each block's states from ``start``, one block
+    of the start point, and adds h to zero sums; later steps read
+    ``state[a:b]`` and ``acc[a:b]``.  Survivors are written at the cursor
+    ``w``, which never passes the start ``a`` of the block being read, so no
+    unread state is overwritten.  ``move(s, u)`` maps states and draws to the
+    next states and their live mask.  An explicit chain's states are copied
+    into ``wide`` for h, which sees them as int64.
 
-    The draws are made one block ahead on the executor ``ahead`` (one
-    worker thread): block i+1's are requested once block i's are taken, and
-    made while block i moves, so at most one block is in flight and the
-    generator sees the serial loop's calls, ``gen.random(b - a)`` per block
-    in order, one at a time.  A step's first block is requested when the
-    step starts, once the previous step's survivor count is known.
+    Every per-block array is a view of a fixed block-sized buffer: those of
+    ``move`` and ``draws`` (two rows, used in turn), ``wide`` and ``sums``
+    (the block's sums, None without h), all made once per batch.  Only the
+    survivors' index from ``np.flatnonzero`` is made per block: NumPy has no
+    nonzero into a given buffer.  The draws are made one block ahead on the
+    executor ``ahead`` (one worker thread): block i+1's are requested once
+    block i's are taken, into the row block i-1 used, and made while block i
+    moves, so at most one block is in flight and the generator sees the
+    serial loop's calls, ``gen.random(b - a)`` per block in order, one at a
+    time.  A step's first block is requested when the step starts, once the
+    previous step's survivor count is known.
     """
-    m = state.size
+    if n == 0:   # no step: every path is still at its start
+        state[:k] = start[0]
+        if acc is not None:
+            acc[:k] = 0.0
+        return k
+    size = start.size
+    m = k
     for step in range(n):
         if m == 0:
             break
         w = 0
-        draws = ahead.submit(gen.random, min(m, BLOCK_SIZE))
-        for a in range(0, m, BLOCK_SIZE):
-            b = min(a + BLOCK_SIZE, m)
-            u = draws.result()
+        c = min(m, size)
+        pending = ahead.submit(gen.random, c, out=draws[0, :c])
+        for i, a in enumerate(range(0, m, size)):
+            b = min(a + size, m)
+            u = pending.result()
             if b < m:
-                draws = ahead.submit(gen.random, min(BLOCK_SIZE, m - b))
-            s = state[a:b]
+                c = min(size, m - b)
+                pending = ahead.submit(gen.random, c, out=draws[(i + 1) % 2, :c])
+            s = state[a:b] if step else start[:b - a]
             if h is not None:
-                acc[a:b] += h(s)
+                if wide is not None:
+                    np.copyto(wide[:b - a], s)
+                np.add(acc[a:b] if step else 0.0, h(s if wide is None else wide[:b - a]),
+                       out=sums[:b - a])
             y, live = move(s, u)
             keep = np.flatnonzero(live)
-            state[w:w + keep.size] = y[keep]
+            np.take(y, keep, out=state[w:w + keep.size], mode="clip")
             if h is not None:
-                acc[w:w + keep.size] = acc[a:b][keep]
+                np.take(sums, keep, out=acc[w:w + keep.size], mode="clip")
             w += keep.size
         tau_hist[step + 1] += m - w
         m = w
-    return state[:m].copy(), (acc[:m].copy() if acc is not None else None)
+    return m
 
 
 def simulate_batch(spec, x0, n, n_paths, seed=0, h=None):
@@ -205,9 +260,11 @@ def simulate_batch(spec, x0, n, n_paths, seed=0, h=None):
 
     ``h`` is an optional test function whose running sum over steps 0..n-1 is
     accumulated per path.  It must act elementwise on an array of states /
-    points, since it is called on one block of live paths at a time.  Raises
-    InvalidDomain (start), ValidationError (seed) or NotApplicable (a family
-    with no draw) before any draw.
+    points, since it is called on one block of live paths at a time; it sees
+    int64 states on an explicit chain and float points otherwise, the dtypes
+    of ``terminal_states``, whatever type the step loop holds the states in.
+    Raises InvalidDomain (start), ValidationError (seed) or NotApplicable (a
+    family with no draw) before any draw.
     """
     from concurrent.futures import ThreadPoolExecutor
 
@@ -217,27 +274,33 @@ def simulate_batch(spec, x0, n, n_paths, seed=0, h=None):
     dtype, move = _mover(spec)
     x0 = check_start(spec, x0)
 
-    terminals = []
-    sums = [] if h is not None else None
     tau_hist = np.zeros(n + 1, dtype=np.int64)
+    # one set of buffers for the batch, reused by every chunk
+    state = np.empty(min(CHUNK_SIZE, n_paths), dtype=dtype)
+    acc = np.empty(state.size) if h is not None else None
+    start = np.full(min(BLOCK_SIZE, state.size), x0, dtype=dtype)
+    draws = np.empty((2, start.size))
+    wide = np.empty(start.size, dtype=np.int64) if h is not None and spec.is_explicit else None
+    sums = np.empty(start.size) if h is not None else None
+    state_parts, sum_parts = [], []
 
     n_chunks = (n_paths + CHUNK_SIZE - 1) // CHUNK_SIZE
     with ThreadPoolExecutor(max_workers=1) as ahead:
         for c in range(n_chunks):
             k = min(CHUNK_SIZE, n_paths - c * CHUNK_SIZE)
-            state, acc = _step_chunk(move, _chunk_generator(seed, c), np.full(k, x0, dtype=dtype),
-                                     np.zeros(k) if h is not None else None, h, n, tau_hist,
-                                     ahead)
-            terminals.append(state)
+            m = _step_chunk(move, _chunk_generator(seed, c), k, h, n, tau_hist, ahead,
+                            start, state, acc, draws, wide, sums)
+            state_parts.append(state[:m].copy())
             if h is not None:
-                sums.append(acc)
+                sum_parts.append(acc[:m].copy())
+    del state, acc, draws, wide, sums   # the buffers go before the survivors are joined
 
-    terminal_states = np.concatenate(terminals)
+    terminal_states = np.concatenate(state_parts, dtype=np.int64 if spec.is_explicit else float)
     return TrajectoryBatch(
         n_steps=n, start=x0, n_paths=n_paths,
         survivor_count=terminal_states.size,
         terminal_states=terminal_states,
-        running_sums=np.concatenate(sums) if sums is not None else None,
+        running_sums=np.concatenate(sum_parts) if h is not None else None,
         tau_histogram=tau_hist,
     )
 

@@ -269,12 +269,12 @@ class _SlowDraws:
     def __init__(self, gen, sizes, pause):
         self.gen, self.sizes, self.pause, self.busy = gen, sizes, pause, False
 
-    def random(self, m):
+    def random(self, m, out=None):
         assert not self.busy, "two fills at once"
         self.busy = True
         time.sleep(self.pause)
         self.sizes.append(m)
-        u = self.gen.random(m)
+        u = self.gen.random(m, out=out)
         self.busy = False
         return u
 
@@ -346,8 +346,10 @@ class _FixedDraws:
     def __init__(self, u):
         self.u = u
 
-    def random(self, m):
-        return np.full(m, self.u)
+    def random(self, m, out=None):
+        out = np.empty(m) if out is None else out
+        out.fill(self.u)
+        return out
 
 
 @pytest.mark.parametrize("name", ["sym2", "ds3", "cycle3"])
@@ -405,9 +407,11 @@ class _Draws:
     def __init__(self, u):
         self.u, self.i = np.asarray(u, dtype=float), 0
 
-    def random(self, m):
+    def random(self, m, out=None):
         self.i += m
-        return self.u[self.i - m:self.i]
+        out = np.empty(m) if out is None else out
+        out[:] = self.u[self.i - m:self.i]
+        return out
 
 
 def test_wide_chain_counts_past_255_columns(monkeypatch):
@@ -434,19 +438,38 @@ def test_wide_chain_counts_past_255_columns(monkeypatch):
             assert y[0] == j and live[0] == (j < 300), (x, u)
 
 
+def _chunk_peak(name, x0, n, h):
+    """The traced peak of one chunk's batch, in chunk units (8 bytes a path)."""
+    tracemalloc.start()
+    try:
+        simulate_batch(q.get_spec(name), x0, n, CHUNK_SIZE, seed=3, h=h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (8 * CHUNK_SIZE)
+
+
 @pytest.mark.parametrize("name,x0,n", [("ds3", 0, 20), ("sym2", 0, 4), ("example21", 0.5, 10)])
 def test_step_loop_peak_memory(name, x0, n):
     # one chunk with running sums: the state and sum arrays (two chunk-sized
     # arrays of 8-byte values) plus per-block temporaries and the survivors' copies
-    spec = q.get_spec(name)
-    h = (lambda s: (s == 1).astype(float)) if spec.is_explicit else (lambda y: y)
-    tracemalloc.start()
-    try:
-        simulate_batch(spec, x0, n, CHUNK_SIZE, seed=3, h=h)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 3 * 8 * CHUNK_SIZE, peak / (8 * CHUNK_SIZE)
+    h = (lambda s: (s == 1).astype(float)) if q.get_spec(name).is_explicit else (lambda y: y)
+    assert _chunk_peak(name, x0, n, h) <= 3
+
+
+@pytest.mark.parametrize("name,x0,n", [("ds3", 0, 20), ("sym2", 0, 4)])
+def test_explicit_chunk_holds_its_states_in_one_byte(name, x0, n):
+    # the one-byte states (1/8 unit), the sums (1 unit), the fixed block
+    # buffers and the survivors' int64 states and sums; without h, no sums
+    assert _chunk_peak(name, x0, n, lambda s: (s == 1).astype(float)) <= 2.0
+    assert _chunk_peak(name, x0, n, None) <= 0.75
+
+
+def test_h_sees_int64_states():
+    # s * 1000 overflows a one-byte state; h sees the states as int64
+    b = simulate_batch(q.get_spec("ds3"), 1, 10, 200_000, seed=2024, h=lambda s: s * 1000)
+    assert b.survivor_count == 11473
+    assert _digest(b.running_sums) == "dff6f84d72b45a68"
 
 
 def test_explicit_move_on_cdf_values():

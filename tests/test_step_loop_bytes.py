@@ -135,3 +135,33 @@ def test_explicit_chains_match_plain_loop(spec, data, block):
         mp.setattr(simulate, "BLOCK_SIZE", block)
         assert_same_bytes(spec, x0, n, n_paths, 5, h)
 
+
+def test_wide_chain_draws_by_binary_search():
+    # 300 states: the CDF gathers of a block are ceil(log2(301)) = 9 rounds of a
+    # binary search, not one per column; without h the only float64 gathers are
+    # those of the CDF (the survivors' states are gathered as uint16)
+    rng = np.random.default_rng(300)
+    matrix = rng.dirichlet(np.ones(300), size=300) * 0.99
+    spec = KernelSpec(domain=(0, 299), family="explicit_matrix", params={"matrix": matrix})
+    take, gen = np.take, simulate._chunk_generator
+    gathers, blocks = [], []
+
+    class Counted:
+        def __init__(self, g):
+            self.g = g
+
+        def random(self, m, out=None):
+            blocks.append(m)
+            return self.g.random(m, out=out)
+
+    def counted_take(a, *args, **kwargs):
+        gathers.append(np.asarray(a).dtype == np.float64)
+        return take(a, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np, "take", counted_take)
+        mp.setattr(simulate, "_chunk_generator", lambda seed, c: Counted(gen(seed, c)))
+        simulate_batch(spec, 5, 6, 3 * BLOCK_SIZE + 7, seed=3)
+    assert len(blocks) >= 6 and sum(gathers) <= 9 * len(blocks)
+    for h in (None, lambda s: (s == 7).astype(float)):
+        assert_same_bytes(spec, 5, 6, 3 * BLOCK_SIZE + 7, 3, h)
