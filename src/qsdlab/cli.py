@@ -63,7 +63,7 @@ from .simulate import (
     summarize_birkhoff,
     summarize_yaglom,
 )
-from .spectral import DENSE_SIZE_LIMIT, check_size, peripheral_spectrum
+from .spectral import check_floats, check_size, peripheral_spectrum
 
 SCHEMA_VERSION = 1
 
@@ -156,12 +156,11 @@ def cmd_analyze(args):
 
 def cmd_verify_hypothesis(args):
     spec = _resolve_spec(args.spec, args.grid_size)
-    # no eigensolve, so no size cap; but the H1 probe's two H1_PROBES x N
-    # blocks stay within the orbit budget, checked before the grid is made
-    if not spec.is_explicit and 2 * H1_PROBES * spec.grid_size > DENSE_SIZE_LIMIT ** 2:
-        raise SizeLimitExceeded(
-            f"--grid-size {spec.grid_size} needs two {H1_PROBES} x {spec.grid_size} H1 probe "
-            f"blocks, over the budget of {DENSE_SIZE_LIMIT ** 2} floats")
+    # no eigensolve, so no size cap; the H1 probe's two blocks keep to the float budget
+    if not spec.is_explicit:
+        g = spec.grid_size
+        check_floats(2 * H1_PROBES * g, f"--grid-size {g} needs two {H1_PROBES} x {g} H1 probe "
+                                        "blocks")
     op = build_operator(spec)
     reach = check_h2_reachability(op)
     try:
@@ -202,9 +201,7 @@ def cmd_simulate(args):
     n, n_paths = args.n, args.n_paths
     if n < 1 or n_paths < 1:
         raise ValidationError("simulate needs --n >= 1 and --n-paths >= 1")
-    if n >= DENSE_SIZE_LIMIT ** 2:   # n + 1 absorption-time counts, in the orbit budget
-        raise SizeLimitExceeded(f"--n {n} needs {n + 1} absorption-time counts, over the "
-                                f"budget of {DENSE_SIZE_LIMIT ** 2}")
+    check_floats(n + 1, f"--n {n} needs {n + 1} absorption-time counts")
     seed = check_seed(args.seed)
     spec = _resolve_spec(args.spec, args.grid_size)
     if args.x0 is not None:
@@ -260,6 +257,9 @@ def cmd_lobo(args):
     if spec.grid_size > SIZE_CAP:
         raise SizeLimitExceeded(
             f"the exact table is limited to {SIZE_CAP} states, got {spec.grid_size}")
+    top, size = max(ns), spec.grid_size   # refused before any row, as --n-max is
+    check_floats(top * size, f"--n-list entry {top} on {size} states needs {top * size} floats "
+                             "of iterates")
     op = build_operator(spec)
     reach = check_h2_reachability(op)   # AllNodesEscape when every state dies at once
     if not reach.strongly_connected:

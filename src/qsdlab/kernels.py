@@ -308,16 +308,9 @@ class RunTable:
     def __init__(self, spec, grid):
         nodes, weights = grid.nodes, grid.weights
         n = self.size = nodes.size
-        w = float(spec.params["noise_halfwidth"])
-        start, stop, (rows, cols, side) = _window_runs(
-            _map_centers(spec, nodes), nodes, *spec.domain, w)
+        start, stop, (rows, cols), density, inside = _window_density(spec, nodes, nodes)
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            density = side / (2 * w)
-            # an inside run needs w > JUMP_ATOL, so its density 1/(2w) is
-            # finite: the edge values are the ones to check
-            if density.size:
-                _check_density(density)
-            c = (1 / (2 * w)) * weights
+            c = inside * weights
             value = density * weights[cols]
         # [lo_j, hi_j): the rows with start_i <= j < stop_i; hi >= lo as start <= stop
         if start[0] > start[-1] or stop[0] > stop[-1]:    # a < 0: the runs move left
@@ -361,17 +354,10 @@ class RunTable:
     def masses(self):
         return self.right(np.ones(self.size))
 
-    def _inside(self):
-        """The N x N boolean mask of the inside runs: three runs a row, False, True, False."""
-        n = self.size
-        runs = np.stack([self.start, self.stop - self.start, n - self.stop], axis=1).ravel()
-        return np.repeat(np.tile([False, True, False], n), runs).reshape(n, n)
-
     def matrix(self):
         """The dense build's matrix, bitwise: c_j on the inside runs, then the edge values."""
-        m = np.where(self._inside(), self.c, 0.0)
-        m[self.rows, self.cols] = self.value
-        return m
+        return _fill_runs(self.start, self.stop, self.c, (self.rows, self.cols), self.value,
+                          np.empty((self.size, self.size)))
 
     def graph(self):
         """``matrix > ESCAPE_TOL_DEFAULT``: the inside runs, masked by ``c_j``, and the edge cells.
@@ -414,14 +400,8 @@ class ToeplitzRow:
         sigma = float(spec.params["sigma"])
         self.h = (hi - lo) / (n - 1)
         self.weights = grid.weights
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            t = np.arange(n) * self.h
-            t /= sigma
-            t *= t
-            t *= -0.5            # exact scaling: bitwise (-0.5 t) t
-            np.exp(t, out=t)
-            t /= sigma * math.sqrt(2 * math.pi)
-            _check_density(t)
+        with np.errstate(over="ignore"):
+            t = _gaussian(np.arange(n) * self.h, sigma)
         self.row = np.concatenate([t[:0:-1], t])
         self.t = self.row[n - 1:]
         self.length = 1 << (2 * n - 2).bit_length()
@@ -574,6 +554,23 @@ def _window_runs(centers, nodes, lower, upper, halfwidth):
     return first[0], np.maximum(first[1], first[0]), (i[keep], j[keep], side[keep])
 
 
+def _window_density(spec, x, nodes):
+    """:func:`_window_runs` at ``x``, as ``(start, stop, (i, j), edge, inside)``: the density.
+
+    A row is ``inside`` = fl(1/(2w)) on its run and ``edge`` = fl(side/(2w))
+    at its edge cells (i, j).  A run needs w > JUMP_ATOL, where 1/(2w) is
+    finite (``inside`` is 0 below, with no run to hold it), so only an edge
+    value can fail ``_check_density`` (InvalidDomain).
+    """
+    w = float(spec.params["noise_halfwidth"])
+    start, stop, (i, j, side) = _window_runs(_map_centers(spec, x), nodes, *spec.domain, w)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        edge = side / (2 * w)
+    if edge.size:
+        _check_density(edge)
+    return start, stop, (i, j), edge, 1 / (2 * w) if w > JUMP_ATOL else 0.0
+
+
 def _map_centers(spec, x, out=None):
     """Window centers of the two window families, a x + b or x**3 (cubic), into ``out`` if given."""
     x = np.asarray(x, dtype=float)
@@ -584,6 +581,18 @@ def _map_centers(spec, x, out=None):
             out += p["b"]
             return out
         return np.power(x, 3, out=out)
+
+
+def _gaussian(t, sigma):
+    """The N(0, sigma^2) density at the offsets ``t``, in place, by its ufuncs in order; checked."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        t /= sigma
+        t *= t
+        t *= -0.5            # exact scaling: bitwise (-0.5 t) t
+        np.exp(t, out=t)
+        t /= sigma * math.sqrt(2 * math.pi)
+    _check_density(t)
+    return t
 
 
 def _check_density(vals):
@@ -763,98 +772,50 @@ class ModulusReport:
     verdict: str  # PASS | FAIL
 
 
-def _window_distances(spec, nodes, xs, zs):
-    """``(gx.max(), blocks)`` of a window family, read from the row runs.
+def _fill_runs(start, stop, inside, cells, value, out):
+    """Rows of ``out``: ``inside`` on each run ``start_i <= j < stop_i``, else 0, then edge cells.
 
-    ``gx`` is the density block ``g(xs, nodes)``, and ``blocks`` yields,
-    for each probe set z of ``zs``, ``|g(z, nodes) - gx|``: the bytes of the
-    dense blocks, with no dense row built.  One :func:`_window_runs` search
-    covers every row, the probes first.  A row is ``fl(1/(2w))`` on its
-    inside run, 0 elsewhere, and ``fl(side/(2w))`` at its edge cells; so off
-    the edge cells two rows differ by ``fl(1/(2w))`` exactly on the
-    symmetric difference of their inside runs, between the first and second
-    and the third and fourth of their sorted run ends, and each edge cell of
-    either row is ``|value_z - value_x|``.  An inside run needs w >
-    JUMP_ATOL, so ``1/(2w)`` is finite there: a block holds a value that is
-    not finite exactly when an edge value is not, which raises InvalidDomain
-    before any block is made.
+    The boolean run mask, three runs a row (False, True, False), is copied
+    into ``out`` and scaled by ``inside``, a scalar or a row of N, so no
+    float temporary the size of ``out`` is made; ``inside`` must be finite,
+    as 0 x inf is NaN.  The ``cells`` = (i, j) then take ``value``.
     """
-    n, p = nodes.size, xs.size
-    w = float(spec.params["noise_halfwidth"])
-    start, stop, (rows, cols, side) = _window_runs(
-        _map_centers(spec, np.concatenate([xs, *zs])), nodes, *spec.domain, w)
-    c = 1 / (2 * w)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        edge = side / (2 * w)
-    if edge.size:
-        _check_density(edge)
-    key = rows * n + cols                      # ascending: the cells in row order
-
-    def value(r, j):
-        """The density at the cells (r, j): the edge value, else the run's."""
-        at = np.minimum(np.searchsorted(key, r * n + j), key.size - 1)
-        run = np.where((start[r] <= j) & (j < stop[r]), c, 0.0)
-        return np.where(key[at] == r * n + j, edge[at], run)
-
-    # gx.max(): 1/(2w) if a probe row has an inside cell that is not an edge cell
-    probe = rows < p
-    inside = (start[rows] <= cols) & (cols < stop[rows])
-    covered = (stop[:p] - start[:p]).sum() > np.count_nonzero(inside & probe)
-    top = max(float(edge[probe].max(initial=0.0)), c if covered else 0.0)
-
-    # block b pairs the probes with rows (b + 1) p .. (b + 2) p - 1: five runs a row
-    k = len(zs)
-    pairs = np.stack([start, stop], axis=1).reshape(k + 1, p, 2)
-    x_ends = np.broadcast_to(pairs[0], pairs[1:].shape)
-    ends = np.sort(np.concatenate([x_ends, pairs[1:]], axis=2), axis=2)
-    runs = np.diff(ends, axis=2, prepend=0, append=n).reshape(k, 5 * p)
-    fill = np.tile([0.0, c, 0.0, c, 0.0], p)
-    # each block's edge cells: the probes', then its own rows'
-    block = np.concatenate([np.repeat(np.arange(k), probe.sum()), rows[~probe] // p - 1])
-    i = np.concatenate([np.tile(rows[probe], k), rows[~probe] % p])
-    j = np.concatenate([np.tile(cols[probe], k), cols[~probe]])
-    dist = np.abs(value((block + 1) * p + i, j) - value(i, j))
-
-    def blocks():
-        for b in range(k):
-            d = np.repeat(fill, runs[b]).reshape(p, n)
-            at = block == b
-            d[i[at], j[at]] = dist[at]
-            yield d
-
-    return top, blocks()
+    runs = np.stack([start, stop - start, out.shape[1] - stop], axis=1).ravel()
+    mask = np.repeat(np.tile([False, True, False], start.size), runs).reshape(out.shape)
+    np.copyto(out, mask)
+    out *= inside
+    out[cells] = value
+    return out
 
 
-def _gaussian_distances(spec, nodes, xs, zs):
-    """``(gx.max(), blocks)`` of ``gaussian_shift``, as :func:`_window_distances`.
+def _window_rows(spec, nodes, sets):
+    """``fill(k, out)``: a window family's density ``g(sets[k], nodes)``, written into ``out``.
 
-    The rows are filled into two P x N buffers, ``gx`` and one reused for
-    every probe set, by the density's ufuncs in order; each block passes
-    ``_check_density``.
+    One :func:`_window_density` search covers the rows of every set, and
+    :func:`_fill_runs` writes a set's rows.
     """
+    p = sets[0].size
+    start, stop, (rows, cols), edge, inside = _window_density(spec, np.concatenate(sets), nodes)
+    ends = np.searchsorted(rows, np.arange(len(sets) + 1) * p)   # the cells come in row order
+
+    def fill(k, out):
+        at, run = slice(ends[k], ends[k + 1]), slice(k * p, (k + 1) * p)
+        return _fill_runs(start[run], stop[run], inside, (rows[at] - k * p, cols[at]), edge[at],
+                          out)
+
+    return fill
+
+
+def _gaussian_rows(spec, nodes, sets):
+    """``fill(k, out)`` of ``gaussian_shift``, as :func:`_window_rows`, by :func:`_gaussian`."""
     sigma = float(spec.params["sigma"])
-    gx, gz = np.empty((xs.size, nodes.size)), np.empty((xs.size, nodes.size))
 
-    def fill(x, out):
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            np.subtract(nodes[None, :], x[:, None], out=out)
-            out /= sigma
-            out *= out
-            out *= -0.5            # exact scaling: bitwise (-0.5 t) t
-            np.exp(out, out=out)
-            out /= sigma * math.sqrt(2 * math.pi)
-            _check_density(out)
+    def fill(k, out):
+        with np.errstate(over="ignore", invalid="ignore"):
+            np.subtract(nodes[None, :], sets[k][:, None], out=out)
+        return _gaussian(out, sigma)
 
-    fill(xs, gx)
-
-    def blocks():
-        for z in zs:
-            fill(z, gz)
-            np.subtract(gz, gx, out=gz)    # in place: |gz - gx| is bitwise |gx - gz|
-            np.abs(gz, out=gz)
-            yield gz
-
-    return float(gx.max()), blocks()
+    return fill
 
 
 def check_h1_modulus(spec):
@@ -869,12 +830,11 @@ def check_h1_modulus(spec):
     NotApplicable, with the reason, for a finite chain or a tabulated density,
     which has no values off the grid nodes.
 
-    Each distance is ``(|gz - gx| @ weights).max()`` over one P x N block.
-    The window families build that block from their row runs, found by one
-    search over every probe set, with no dense row of g
-    (:func:`_window_distances`); ``gaussian_shift`` evaluates its rows into
-    two reused buffers.  A density value that is not finite raises
-    InvalidDomain, as the build does.
+    Each distance is ``(|gz - gx| @ weights).max()`` over one P x N block:
+    the family's row fill (:func:`_window_rows`, from one search of the
+    window runs over every probe set, or :func:`_gaussian_rows`) writes gx
+    once and gz into one reused buffer.  A density value that is not finite
+    raises InvalidDomain, as the build does.
     """
     if spec.is_explicit:
         raise NotApplicable("finite chains have no density to probe")
@@ -888,13 +848,19 @@ def check_h1_modulus(spec):
     deltas = np.asarray([d for d in deltas if d >= h / 2] or [h])
 
     xs = np.linspace(lo, hi, H1_PROBES)
-    zs = [np.clip(xs + d, lo, hi) for d in deltas]
-    distances = _gaussian_distances if spec.family == "gaussian_shift" else _window_distances
-    top_x, blocks = distances(spec, grid.nodes, xs, zs)
-    sups = np.asarray([float((d @ grid.weights).max()) for d in blocks])
+    sets = [xs] + [np.clip(xs + d, lo, hi) for d in deltas]
+    fill = (_gaussian_rows if spec.family == "gaussian_shift" else _window_rows)(
+        spec, grid.nodes, sets)
+    gx = fill(0, np.empty((H1_PROBES, grid.nodes.size)))
+    gz = np.empty_like(gx)
+    sups = np.empty(deltas.size)
+    for k in range(deltas.size):
+        np.subtract(fill(k + 1, gz), gx, out=gz)   # in place: |gz - gx| is bitwise |gx - gz|
+        np.abs(gz, out=gz)
+        sups[k] = (gz @ grid.weights).max()
 
     nonincreasing = bool(np.all(sups[1:] <= sups[:-1] * 1.05 + 1e-15))
-    floor = 4 * h * max(top_x, 1.0)
+    floor = 4 * h * max(float(gx.max()), 1.0)
     shrinks = sups[-1] <= max(0.5 * sups[0], floor)
     verdict = "PASS" if (nonincreasing and shrinks) else "FAIL"
     return ModulusReport(deltas=deltas, sup_distances=sups, probes=H1_PROBES,

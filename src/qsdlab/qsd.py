@@ -26,12 +26,11 @@ from .errors import (
     NotAperiodic,
     NotCyclic,
     NotPeriodic,
-    SizeLimitExceeded,
     ValidationError,
     ZeroEigenfunctionMass,
 )
 from .measures import tv_distance
-from .spectral import DENSE_SIZE_LIMIT, _orbit, peripheral_spectrum, subdominant_rate
+from .spectral import _orbit, check_floats, peripheral_spectrum, subdominant_rate
 
 TV_FIT_FLOOR = 1e-13
 # shortest rate-fit horizon at which both fit windows keep three points
@@ -184,16 +183,14 @@ def check_n_max(n_max, size, name="n_max"):
     """The rate fits' horizon rule on ``size`` nodes; the error names ``name``.
 
     At least MIN_N_MAX steps (ValidationError), and n_max x size floats of
-    iterates within the dense route's matrix budget, DENSE_SIZE_LIMIT**2
-    floats (SizeLimitExceeded): the orbit reduces them block by block, so
-    this bounds its work, not its memory.
+    iterates within the dense route's matrix budget (``check_floats``,
+    SizeLimitExceeded): the orbit reduces them block by block, so this
+    bounds its work, not its memory.
     """
     if n_max < MIN_N_MAX:
         raise ValidationError(f"{name} must be at least {MIN_N_MAX}, got {n_max}")
-    if n_max * size > DENSE_SIZE_LIMIT ** 2:
-        raise SizeLimitExceeded(
-            f"{name} {n_max} on {size} nodes exceeds the orbit budget of "
-            f"{DENSE_SIZE_LIMIT ** 2} floats")
+    check_floats(n_max * size, f"{name} {n_max} on {size} nodes needs {n_max * size} floats "
+                               "of iterates")
 
 
 def _fit_laws(op, nu0, n_max, sd, cyclic):

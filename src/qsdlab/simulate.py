@@ -179,7 +179,7 @@ def check_start(spec, x0):
     if isinstance(x0, bool) or not isinstance(x0, numbers.Real):
         raise InvalidDomain(f"start must be a number, got {x0!r}")
     if spec.is_explicit:
-        if not (float(x0).is_integer() and 0 <= x0 < spec.grid_size):
+        if not (0 <= x0 < spec.grid_size and float(x0).is_integer()):   # range first: no overflow
             raise InvalidDomain(f"{x0!r} is not a state 0..{spec.grid_size - 1}")
         return int(x0)
     lo, hi = spec.domain

@@ -147,11 +147,16 @@ def _root_slots(ev, m):
     return band, at_slot
 
 
+def check_floats(count, reason):
+    """Refuse, with SizeLimitExceeded, more than DENSE_SIZE_LIMIT**2 floats; ``reason`` leads."""
+    if count > DENSE_SIZE_LIMIT ** 2:
+        raise SizeLimitExceeded(f"{reason}, over the budget of {DENSE_SIZE_LIMIT ** 2} floats")
+
+
 def check_size(n):
     """Refuse, with SizeLimitExceeded, an eigensolve on more than DENSE_SIZE_LIMIT nodes."""
-    if n > DENSE_SIZE_LIMIT:
-        raise SizeLimitExceeded(
-            f"dense eigensolve limited to {DENSE_SIZE_LIMIT} nodes, got {n}")
+    check_floats(n * n, f"dense eigensolve limited to {DENSE_SIZE_LIMIT} nodes, got {n}: "
+                        f"a {n} x {n} matrix")
 
 
 def _eigenvalues(op, period):

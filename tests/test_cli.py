@@ -498,8 +498,12 @@ def test_shortest_rate_fit_horizon_runs(tmp_path, cmd, name):
         assert len(list(csv.reader(fp))) == 1 + 5
 
 
-@pytest.mark.parametrize("flag,value", [("--x0", "-1"), ("--x0", "5"),
-                                        ("--h-state", "-1"), ("--h-state", "7")])
+@pytest.mark.parametrize("flag,value", [
+    ("--x0", "-1"), ("--x0", "5"), ("--h-state", "-1"), ("--h-state", "7"),
+    # a 401-digit state, which float() overflowed before the range test
+    pytest.param("--x0", str(10 ** 400), id="--x0-1e400"),
+    pytest.param("--h-state", str(-10 ** 400), id="--h-state--1e400"),
+])
 def test_lobo_state_out_of_range_exits_2(tmp_path, capsys, flag, value):
     assert main(["lobo", "--spec", "sym2", flag, value,
                  "--out", str(tmp_path / "l")]) == 2
@@ -733,6 +737,30 @@ def test_lobo_above_oracle_cap_exits_2(tmp_path, capsys):
     assert not (tmp_path / "l").exists()
 
 
+@pytest.mark.parametrize("n_list", ["1333334", "60,1000000000"])
+def test_lobo_horizon_over_the_budget_exits_2(tmp_path, capsys, monkeypatch, n_list):
+    # n x states floats of iterates over the budget, 2000**2 (ds3 has 3
+    # states): refused before any row, where a billion steps ran for an hour
+    def no_rows(*args):
+        raise AssertionError("a row was computed")
+
+    monkeypatch.setattr(cli, "lobo_sum", no_rows)
+    assert main(["lobo", "--spec", "ds3", "--n-list", n_list, "--out", str(tmp_path / "l")]) == 2
+    err = capsys.readouterr().err
+    assert "SizeLimitExceeded: --n-list entry" in err and "Traceback" not in err
+    assert not (tmp_path / "l").exists()
+
+
+def test_lobo_horizon_at_the_budget_runs(tmp_path, monkeypatch):
+    # 1333333 x 3 floats fit the budget: the row is computed
+    steps = []
+    monkeypatch.setattr(cli, "lobo_sum", lambda chain, h, x, n: steps.append(n) or 1.0)
+    monkeypatch.setattr(cli, "lobo_leading_term", lambda chain, h, x, n: 1.0)
+    assert main(["lobo", "--spec", "ds3", "--n-list", "1333333",
+                 "--out", str(tmp_path / "l"), "--canonical"]) == 0
+    assert steps == [1333333]
+
+
 @pytest.mark.parametrize("cmd", ["analyze", "lobo"])
 def test_all_escape_chain_exits_3(tmp_path, capsys, cmd):
     spec = _chain_file(tmp_path, [[0.0]])
@@ -796,12 +824,16 @@ def test_near_degenerate_pair_is_refused_as_no_gap(tmp_path, capsys, eps):
 
 
 def test_cli_import_leaves_scipy_special_unloaded():
-    # the Gaussian sampler and density import it where they need it
+    # the Gaussian sampler and density import it where they need it; so do
+    # the Toeplitz row's first product (numpy.fft) and simulate_batch's
+    # worker (concurrent.futures)
     src = os.path.dirname(os.path.dirname(q.__file__))
-    code = "import sys, qsdlab.cli; print(sorted(m for m in sys.modules if 'scipy' in m))"
+    code = ("import sys, qsdlab.cli; print(sorted(m for m in sys.modules "
+            "if m.startswith(('scipy', 'numpy.fft', 'concurrent.futures'))))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
     assert "scipy.special" not in out.stdout
+    assert "numpy.fft" not in out.stdout and "concurrent.futures" not in out.stdout
 
 
 @pytest.mark.parametrize("cmd", ["analyze", "lobo"])

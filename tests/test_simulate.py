@@ -489,6 +489,9 @@ def test_explicit_move_on_cdf_values():
     pytest.param("sym2", "1", id="sym2-str_1"),
     pytest.param("example21", "0.5", id="example21-str_0.5"),
     ("sym2", None), ("example21", None), ("sym2", 1 + 0j), ("example21", 0.5 + 0j),
+    # a 401-digit state, which float() overflowed before the range test
+    pytest.param("ds3", 10 ** 400, id="ds3-1e400"),
+    pytest.param("ds3", -10 ** 400, id="ds3--1e400"),
 ])
 def test_simulate_batch_rejects_bad_start(name, x0):
     with pytest.raises(InvalidDomain):
