@@ -23,7 +23,10 @@ Writes under DIR, with ``--canonical`` where the command takes it:
   resolved by name, and on the tabulated band (its bytes depend on the
   OpenBLAS thread count);
 - arnoldi/<name>_<N>/: analyze on the Arnoldi route (512 nodes up), and on
-  example21 at 401, whose conditioned-law orbit ends in a replayed cycle.
+  example21 at 401, whose conditioned-law orbit ends in a replayed cycle;
+- arnoldi/gauss_narrow_801/: analyze on arnoldi/gauss_narrow.spec.json, a
+  Gaussian of sigma 0.02 on [-1, 1] at 801 nodes (sub/lambda 0.9986), written
+  here first, whose Arnoldi runs restart.
 
 Trees written from two versions of ``src`` should be byte-identical
 (``diff -r``).  Exits 1 when any case fails.
@@ -49,6 +52,7 @@ ARNOLDI = [("example21", 1601), ("example22cubic", 801), ("example23gauss", 801)
            ("example21", 401)]
 BAND = os.path.join("hyp", "tabulated.spec.json")   # under the --out root
 WIDE = os.path.join("mc", "wide300.spec.json")
+NARROW = os.path.join("arnoldi", "gauss_narrow.spec.json")
 
 
 def cases(root):
@@ -87,7 +91,16 @@ def cases(root):
     for name, n in ARNOLDI:
         runs.append((os.path.join(root, "arnoldi", f"{name}_{n}"),
                      [["analyze", "--spec", name, "--grid-size", str(n), "--canonical"]]))
+    runs.append((os.path.join(root, "arnoldi", "gauss_narrow_801"),
+                 [["analyze", "--spec", os.path.join(root, NARROW), "--canonical"]]))
     return runs
+
+
+def write_spec(path, doc):
+    """A spec file in the stdlib JSON form."""
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    with open(path, "w") as fp:
+        fp.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def write_band(path, n=400):
@@ -102,10 +115,7 @@ def write_band(path, n=400):
 def write_wide(path, n=300):
     """A band chain of n states, row mass 15/16 away from the ends, in the stdlib JSON form."""
     rows = [[round(max(0.0, 1.0 - abs(i - j) / 15) / 16, 6) for j in range(n)] for i in range(n)]
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    with open(path, "w") as fp:
-        fp.write(json.dumps({"family": "explicit_matrix", "params": {"matrix": rows}},
-                            indent=2, sort_keys=True) + "\n")
+    write_spec(path, {"family": "explicit_matrix", "params": {"matrix": rows}})
 
 
 def summary(name, out):
@@ -123,6 +133,8 @@ def summary(name, out):
 def run(root):
     write_band(os.path.join(root, BAND))
     write_wide(os.path.join(root, WIDE))
+    write_spec(os.path.join(root, NARROW), {"family": "gaussian_shift", "domain": [-1, 1],
+                                            "grid_size": 801, "params": {"sigma": 0.02}})
     failed = set()
     for out, commands in cases(root):
         rc = 0

@@ -270,12 +270,13 @@ def cmd_lobo(args):
     chain = FiniteChain(Q=spec.matrix)
     h = np.zeros(chain.size)
     h[h_state] = 1.0
-    rows = []
-    for n in ns:
-        exact = lobo_sum(chain, h, x0, n)
-        pred = lobo_leading_term(chain, h, x0, n)
+    preds = [lobo_leading_term(chain, h, x0, n) for n in ns]   # refused before any exact loop
+    for n, pred in zip(ns, preds):
         if not pred:
             raise MassExtinct(f"the survival mass from state {x0} underflows to zero by n = {n}")
+    rows = []
+    for n, pred in zip(ns, preds):
+        exact = lobo_sum(chain, h, x0, n)
         rows.append({"n": n, "exact": exact, "predicted": pred, "ratio": exact / pred})
     doc = {"schema_version": SCHEMA_VERSION, "spec": specfile.spec_to_dict(spec),
            "h_state": h_state, "x0": x0, "table": rows}

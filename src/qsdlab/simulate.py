@@ -368,13 +368,15 @@ def summarize_birkhoff(batch):
     if n < 1 or batch.running_sums is None:
         raise ValueError("need a batch of n >= 1 steps simulated with h")
     ns = _survivors(batch)
-    vals = batch.running_sums / n
+    vals = batch.running_sums / n       # the one survivor-sized array
     # scaled by a power of two, which is exact, so std's squares do not overflow
     e = math.frexp(max(vals.max(), -vals.min()))[1]
     np.ldexp(vals, -e, out=vals)
-    mean = float(np.ldexp(vals.mean(), e))
-    sd = float(np.ldexp(vals.std(ddof=1), e)) if ns > 1 else float("inf")
-    return ConditionedEstimate(value=mean,
+    # np.mean and np.std(ddof=1), step for step, with the deviations in place
+    mean = np.add.reduce(vals, keepdims=True) / ns
+    np.square(np.subtract(vals, mean, out=vals), out=vals)
+    sd = float(np.ldexp(np.sqrt(np.add.reduce(vals) / (ns - 1)), e))
+    return ConditionedEstimate(value=float(np.ldexp(mean[0], e)),
                                stderr=sd / math.sqrt(ns), effective_samples=ns)
 
 

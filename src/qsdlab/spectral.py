@@ -92,42 +92,76 @@ class SpectralData:
         }
 
 
-def _arnoldi(act, n, k, need):
-    """The ``k`` largest-modulus Ritz values of the action on n nodes, and their Ritz vectors.
+def _arnoldi(act, n, k, need, restart=True):
+    """The ``k`` largest-modulus Ritz values of the action on n nodes, and their Ritz pieces.
 
-    Unrestarted Arnoldi (Saad, *Numerical Methods for Large Eigenvalue
-    Problems*, 2nd ed. 2011, ch. 6) from the fixed-seed random start, each
-    new direction orthogonalized twice by classical Gram-Schmidt, for at most
-    ``KRYLOV_STEPS`` steps.  After each step from the k-th on, the run stops
-    when the residual estimate ``|h_{j+1,j} y_j|`` of the ``need`` largest
-    Ritz pairs is at most ``KRYLOV_RESIDUAL`` times the largest modulus.  A
-    breakdown (``h_{j+1,j}`` that small) leaves an invariant subspace whose
-    Ritz values are exact; a random start reaches every eigenvalue, so the
-    values it lacks are zero and are padded as such.  Returns the values in
-    decreasing modulus and the Ritz vectors, sup-normalized, as the rows of
-    an array; or None when the run does not converge.
+    Arnoldi (Saad, *Numerical Methods for Large Eigenvalue Problems*, 2nd
+    ed. 2011, ch. 6) from the fixed-seed random start, each new direction
+    orthogonalized twice by classical Gram-Schmidt, in cycles of
+    ``KRYLOV_STEPS`` steps.  After each step from the k-th on (in a later
+    cycle, at its end) the run stops when the residual estimate
+    ``|h_{j+1,j} y_j|`` of the ``need`` largest Ritz pairs is at most
+    ``KRYLOV_RESIDUAL`` times the largest modulus.  A breakdown
+    (``h_{j+1,j}`` that small) leaves an invariant subspace whose Ritz
+    values are exact; a random start reaches every eigenvalue, so the values
+    it lacks are zero and are padded as such.  Returns the values in
+    decreasing modulus and the Ritz pieces ``(y, basis)``, or None after an
+    unconverged cycle unless ``restart``: a thick restart (Wu & Simon, SIAM
+    J. Matrix Anal. Appl. 22, 2000) keeps the QR basis of the real and
+    imaginary parts of the larger half's Ritz vectors, the projection and
+    residual row.  A cycle past DENSE_SIZE_LIMIT**2 / n products or power
+    iteration's ``log(KRYLOV_RESIDUAL) / log(|theta_{need-1}| / lam)`` raises NonConvergent.
     """
     basis = np.empty((KRYLOV_STEPS + 1, n))
     hess = np.zeros((KRYLOV_STEPS + 1, KRYLOV_STEPS))
     v = np.random.default_rng(0).random(n)
     basis[0] = v / np.linalg.norm(v)
-    for j in range(KRYLOV_STEPS):
-        w = act(basis[j])
-        for _ in range(2):
-            h = basis[:j + 1] @ w
-            w -= h @ basis[:j + 1]
-            hess[:j + 1, j] += h
-        hess[j + 1, j] = norm = np.linalg.norm(w)
-        theta, y = np.linalg.eig(hess[:j + 1, :j + 1])
-        order = np.argsort(-np.abs(theta), kind="stable")[:k]
-        tol = KRYLOV_RESIDUAL * abs(theta[order[0]])
-        breakdown = norm <= tol
-        if breakdown or (j + 1 >= k and norm * np.abs(y[j, order[:need]]).max() <= tol):
-            vecs = y[:, order].T @ basis[:j + 1]
-            vecs /= np.abs(vecs).max(axis=1, keepdims=True)
-            return np.concatenate([theta[order], np.zeros(k - len(order))]), vecs
-        basis[j + 1] = w / norm
-    return None
+    kept = products = 0
+    while True:
+        for j in range(kept, KRYLOV_STEPS):
+            w = act(basis[j])
+            for _ in range(2):
+                h = basis[:j + 1] @ w
+                w -= h @ basis[:j + 1]
+                hess[:j + 1, j] += h
+            hess[j + 1, j] = norm = np.linalg.norm(w)
+            if not kept or j + 1 == KRYLOV_STEPS or norm <= tol:
+                theta, y = np.linalg.eig(hess[:j + 1, :j + 1])
+                order = np.argsort(-np.abs(theta), kind="stable")
+                tol = KRYLOV_RESIDUAL * abs(theta[order[0]])
+                if norm <= tol or (j + 1 >= k and norm * np.abs(y[j, order[:need]]).max() <= tol):
+                    order = order[:k]
+                    return (np.concatenate([theta[order], np.zeros(k - len(order))]),
+                            (y[:, order], basis[:j + 1]))
+            basis[j + 1] = w / norm
+        products += KRYLOV_STEPS - kept
+        if not restart:
+            return None
+        ratio = abs(theta[order[need - 1]] / theta[order[0]])
+        budget = DENSE_SIZE_LIMIT ** 2 // n
+        if 0 < ratio < 1:
+            budget = min(budget, math.ceil(math.log(KRYLOV_RESIDUAL) / math.log(ratio)))
+        kept = min(max(k, KRYLOV_STEPS // 2), KRYLOV_STEPS - 2)
+        kept += bool(theta[order[kept - 1]].imag > 0)     # a conjugate pair whole
+        if products + KRYLOV_STEPS - kept > budget:
+            raise NonConvergent(f"Arnoldi run unconverged after {products} products; the next "
+                                f"cycle passes its {budget}-product budget, sub/lambda {ratio:.6g}")
+        wanted, im = y[:, order[:kept]], theta[order[:kept]].imag
+        q = np.linalg.qr(np.concatenate([wanted.real[:, im >= 0], wanted.imag[:, im > 0]], 1))[0]
+        basis[:kept] = [c @ basis[:-1] for c in q.T]    # vector products: no threaded gemm
+        basis[kept] = basis[-1]
+        hess[:kept + 1, :kept] = np.vstack([q.T @ hess[:-1] @ q, norm * q[-1]])
+        hess[kept + 1:], hess[:, kept:] = 0.0, 0.0
+
+
+def _ritz_vector(values, ritz, i):
+    """Ritz vector i of an :func:`_arnoldi` run, sup-normalized, by real products alone."""
+    y, basis = ritz
+    vec = y[:, i].real @ basis
+    if values[i].imag:
+        vec = vec + 1j * (y[:, i].imag @ basis)
+    vec /= np.abs(vec).max() if values[i].imag else max(vec.max(), -vec.min())
+    return vec
 
 
 def _root_slots(ev, m):
@@ -160,43 +194,30 @@ def check_size(n):
 
 
 def _eigenvalues(op, period):
-    """Eigenvalues of the operator, and their right Ritz vectors as rows or None.
+    """Eigenvalues of the operator, and their Ritz pieces or None.
 
-    One eigenvector-free dense solve gives every eigenvalue, unless
-    :func:`_arnoldi` converges on the top ``2 period + 2`` (for a
-    block-cyclic chain the gap test then sees the orbit after the
-    subdominant one) with the smallest modulus outside the peripheral band
-    at most ``KRYLOV_SEPARATION`` times the largest, as a compact operator's
-    discretization shows.  The route is chosen by form: a :class:`DenseRows`
-    (an explicit or tabulated chain, whose spectrum may cloud) tries Arnoldi
-    from ``KRYLOV_MIN_SIZE`` nodes on, any other operator (a window's run
-    table, the Gaussian's Toeplitz row, an operator seen through its actions
-    alone) from ``_KRYLOV_MIN_COMPACT`` nodes on, where it beats ``eigvals``.
+    The top ``2 period + 2`` (for a block-cyclic chain the gap test then
+    sees the orbit after the subdominant one) from :func:`_arnoldi`, else
+    every one from one eigenvector-free dense solve.  The route is chosen by
+    form: any operator but a :class:`DenseRows` (a window's run table, the
+    Gaussian's Toeplitz row, an operator seen through its actions alone)
+    takes a restarted run from ``_KRYLOV_MIN_COMPACT`` nodes on, where it
+    beats ``eigvals``.  A :class:`DenseRows` (an explicit or tabulated chain,
+    whose spectrum may cloud) tries one cycle from ``KRYLOV_MIN_SIZE`` nodes
+    on, kept when it converges with the smallest modulus outside the
+    peripheral band at most ``KRYLOV_SEPARATION`` times the largest.
     """
     n = op.size
     check_size(n)
-    dense = isinstance(getattr(op, "form", None), DenseRows)
-    if n >= (KRYLOV_MIN_SIZE if dense else _KRYLOV_MIN_COMPACT) and 2 * period + 2 < KRYLOV_STEPS:
-        right = _arnoldi(op.right, n, 2 * period + 2, period + 1)
-        if right is not None:
-            mods = np.abs(right[0])
+    compact = not isinstance(getattr(op, "form", None), DenseRows)
+    if n >= (_KRYLOV_MIN_COMPACT if compact else KRYLOV_MIN_SIZE) and 2 * period + 2 < KRYLOV_STEPS:
+        run = _arnoldi(op.right, n, 2 * period + 2, period + 1, compact)
+        if run is not None:
+            mods = np.abs(run[0])
             rest = mods[mods < mods.max() * (1 - PERIPHERAL_TOL_DEFAULT)]
-            if rest.size and rest.min() <= KRYLOV_SEPARATION * rest.max():
-                return right
+            if compact or (rest.size and rest.min() <= KRYLOV_SEPARATION * rest.max()):
+                return run
     return np.linalg.eigvals(op.matrix), None
-
-
-def _left_ritz(op, k, m):
-    """Left Ritz vector of the Perron value, slot 0 of the graph period m, or None.
-
-    Runs :func:`_arnoldi` on ``op.left`` for the ``k`` largest values; None
-    when the run does not converge or its band fails the :func:`_root_slots` test.
-    """
-    left = _arnoldi(op.left, op.size, k, m + 1)
-    if left is None:
-        return None
-    at_slot = _root_slots(left[0], m)[1]
-    return None if at_slot is None else left[1][at_slot[0]]
 
 
 def _forward_step(op, f, mu, beta):
@@ -346,15 +367,16 @@ def peripheral_spectrum(op, reach=None):
     """Extract the full peripheral eigenstructure of the operator.
 
     Three stages.  :func:`_eigenvalues` gives the eigenvalues: every one
-    from a dense solve, or, from ``KRYLOV_MIN_SIZE`` nodes on (a window's or
-    the Gaussian's operator from ``_KRYLOV_MIN_COMPACT`` on), the top
-    2 graph period + 2 from a NumPy Arnoldi run on A when they show a clear
-    gap below the peripheral band (else the dense solve after all).  The
-    checks on the values run next.  Only then is the Perron pair chosen, here
-    alone: the right Ritz vector and the left one of :func:`_left_ritz` when
-    the values came from Arnoldi with the subdominant modulus at most
-    ``1 - RITZ_GAP`` times lam and the left run's band passes the same slot
-    test, else :func:`_inverse_iteration` at lam.  No other eigenvector is
+    from a dense solve, or the top 2 graph period + 2 from a NumPy Arnoldi
+    run on A: a restarted one for a window's or the Gaussian's operator from
+    ``_KRYLOV_MIN_COMPACT`` nodes on, one cycle for dense rows from
+    ``KRYLOV_MIN_SIZE`` on, kept when they show a clear gap below the
+    peripheral band.  The checks on the values run next.  Only then is the
+    Perron pair chosen, here alone: the Ritz vectors of the right run and of
+    one on ``op.left`` when the values came from Arnoldi (from dense rows,
+    with the subdominant modulus at most ``1 - RITZ_GAP`` times lam) and the
+    left band passes the same slot test, which a restarted run's must (else
+    NonConvergent); else :func:`_inverse_iteration` at lam.  No other eigenvector is
     solved for: for an irreducible nonnegative matrix the peripheral pairs
     are ``f_j = D^j f_0`` and ``mu_j = mu_0 D^-j`` with ``D = diag(w^class)``
     (Schaefer, *Banach Lattices and Positive Operators*, 1974, ch. V), the
@@ -410,15 +432,20 @@ def peripheral_spectrum(op, reach=None):
         raise NoSpectralGapWithinTol(
             f"subdominant modulus {sub:.6g} inside the gap floor of {lam:.6g}")
 
-    # a Ritz vector is off by about 1e-16 lam / (lam - sub)
-    left_ritz = None
-    if ritz is not None and sub <= (1 - RITZ_GAP) * lam:
-        left_ritz = _left_ritz(op, len(ev), m)
+    # a Ritz vector is off by about 1e-16 lam / (lam - sub): dense rows keep
+    # theirs past RITZ_GAP alone; a compact form reads no matrix
     k = at_slot[0]
-    if left_ritz is None:
+    compact = ritz is not None and not isinstance(getattr(op, "form", None), DenseRows)
+    mu = None
+    if compact or (ritz is not None and sub <= (1 - RITZ_GAP) * lam):
+        f, ritz = _ritz_vector(ev, ritz, k), None     # the right run's basis goes first
+        left = _arnoldi(op.left, op.size, len(ev), m + 1, compact)
+        slot = None if left is None else _root_slots(left[0], m)[1]
+        mu = None if slot is None else _ritz_vector(*left, slot[0])
+    if mu is None and compact:
+        raise NonConvergent(f"the left Arnoldi run's band misses the {m}-th root angles")
+    if mu is None:
         f, mu = _inverse_iteration(op.matrix, ev[k])
-    else:
-        f, mu = ritz[k], left_ritz
     f, mu = _forward_step(op, f, mu, ev[k])
     f0 = _nonnegative_real(f, tol=1e-8)
     mu0 = _nonnegative_real(mu, tol=1e-8)

@@ -538,6 +538,20 @@ def test_lobo_refuses_a_survival_mass_that_underflows(tmp_path, capsys):
     assert [r["n"] for r in rows] == [60, 120] and all(r["predicted"] > 0 for r in rows)
 
 
+def test_lobo_refuses_before_any_exact_loop(tmp_path, monkeypatch, capsys):
+    # ds3's survival mass underflows by n = 1000000: the leading terms refuse
+    # before lobo_sum runs its n-step loop for any entry
+    def no_loop(*args):
+        raise AssertionError("lobo_sum ran before the refusal")
+
+    monkeypatch.setattr(cli, "lobo_sum", no_loop)
+    assert main(["lobo", "--spec", "ds3", "--n-list", "60,1000000,1300000",
+                 "--out", str(tmp_path / "l")]) == 3
+    assert "MassExtinct: the survival mass from state 0 underflows to zero by n = 1000000" in (
+        capsys.readouterr().err)
+    assert not (tmp_path / "l").exists()
+
+
 _GAUSS = {"family": "gaussian_shift", "domain": [-1, 1], "grid_size": 11,
           "params": {"sigma": 0.5}}
 _AFFINE = {"family": "affine_uniform", "domain": [-1, 1], "grid_size": 11,

@@ -2,22 +2,25 @@
 
 From ``KRYLOV_MIN_SIZE`` nodes on (``_KRYLOV_MIN_COMPACT`` for a window's
 run table or the Gaussian's Toeplitz row), ``_eigenvalues`` takes the top
-eigenvalues and the right Ritz vectors from a NumPy Arnoldi run on ``A``,
-and ``_left_ritz`` the Perron left one from a second run on ``op.left``.  Raising
+eigenvalues and the right Ritz vector from a NumPy Arnoldi run on ``A``,
+and a second run on ``op.left`` gives the Perron left one.  Raising
 both past the operator's size runs the dense path instead:
 one ``np.linalg.eigvals`` and ``np.linalg.solve`` steps.  Where the Krylov
 values show a gap below the subdominant modulus the two paths differ in
 rounding only, so lam, m, the subdominant modulus and every f_j and mu_j
-must agree to 1e-12 relative.  Where they do not (a cloud of equal moduli
-below the peripheral band, or a right run that does not converge) the dense
-eigenvalues are used, bit for bit.  A left run that does not converge, or
-whose band fills other slots, keeps the Arnoldi values and takes inverse
-iteration at the Perron value.
+must agree to 1e-12 relative.  A compact form's runs restart until they
+converge, or refuse over their product budget, and never read the matrix.
+An explicit or tabulated chain's run is one cycle: where its values do not
+show a gap (a cloud of equal moduli below the peripheral band, or a right
+run that does not converge) the dense eigenvalues are used, bit for bit,
+and a left run that does not converge, or whose band fills other slots,
+keeps the Arnoldi values and takes inverse iteration at the Perron value.
 """
 
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -27,7 +30,7 @@ import qsdlab as q
 from conftest import perron_values
 from qsdlab import spectral
 from qsdlab.errors import NonConvergent, NoSpectralGapWithinTol
-from qsdlab.kernels import KernelSpec, build_operator
+from qsdlab.kernels import KernelSpec, ToeplitzRow, build_operator
 
 REL_TOL = 1e-12
 
@@ -185,22 +188,33 @@ def test_rank_one_chain_matches_dense_path(monkeypatch):
 def test_rank_one_breakdown_pads_zeros():
     rng = np.random.default_rng(7)
     a = rng.uniform(0.3, 0.9, 600)[:, None] * rng.dirichlet(np.ones(600))[None, :]
-    values, vectors = spectral._arnoldi(explicit(a).right, len(a), 4, 2)
-    assert len(values) == 4 and len(vectors) == 2 and not values[2:].any()
+    values, (y, basis) = spectral._arnoldi(explicit(a).right, len(a), 4, 2)
+    assert len(values) == 4 and y.shape == (2, 2) and basis.shape == (2, 600)
+    assert not values[2:].any()
+    # the Perron Ritz vector is the chain's rank-one column, up to scale
+    f = spectral._ritz_vector(values, (y, basis), 0)
+    col = a[:, 0] / a[:, 0].max()
+    assert np.abs(f * np.sign(f[0]) - col).max() <= 1e-14
 
 
 def test_unseparated_values_fall_back(monkeypatch):
-    # moduli past the band all within 0.9 of each other: no clear gap
+    # moduli past the band all within 0.9 of each other: no clear gap.  Dense
+    # rows fall back to eigvals; a compact form's restarted values are kept
     real = spectral._arnoldi
 
     def arnoldi(*args):
-        values, vectors = real(*args)
-        return np.concatenate([values[:2], values[1] * np.array([0.98, 0.95])]), vectors
+        values, ritz = real(*args)
+        return np.concatenate([values[:2], values[1] * np.array([0.98, 0.95])]), ritz
 
     monkeypatch.setattr(spectral, "_arnoldi", arnoldi)
-    calls = _spy(monkeypatch, np.linalg, "eigvals", _spy(monkeypatch, spectral, "_arnoldi"))
-    q.peripheral_spectrum(build_operator(q.get_spec("example21", grid_size=513)))
-    assert calls == ["_arnoldi", "eigvals"]
+    window = build_operator(q.get_spec("example21", grid_size=513))
+    for op, seen in ((explicit(window.form.matrix()), ["_arnoldi", "eigvals"]),
+                     (window, ["_arnoldi", "_arnoldi"])):
+        with monkeypatch.context() as mp:
+            calls = _spy(mp, np.linalg, "eigvals", _spy(mp, spectral, "_arnoldi"))
+            q.peripheral_spectrum(op)
+        assert calls == seen
+    assert "matrix" not in vars(window)
 
 
 def _bitwise_equal(a, b):
@@ -266,25 +280,51 @@ def assert_inverse_iteration_at_arnoldi_values(op, edit, monkeypatch):
 
 @pytest.mark.parametrize("failing", [0, 1], ids=["right", "left"])
 def test_nonconverged_arnoldi_falls_back_to_dense_eigenvalues(failing, monkeypatch):
-    op = build_operator(q.get_spec("example21", grid_size=513))
-    if failing:
-        assert_inverse_iteration_at_arnoldi_values(
-            op, lambda run, result: None if run == 1 else result, monkeypatch)
-        return
-    krylov = q.peripheral_spectrum(op)
-    runs = _recording_arnoldi(monkeypatch, lambda run, result: None)
+    # dense rows fall back when a run ends unconverged: the right one to
+    # eigvals, the left one to inverse iteration at the Arnoldi values
+    window = build_operator(q.get_spec("example21", grid_size=513))
+    krylov = q.peripheral_spectrum(window)
+    op = explicit(window.form.matrix())
+    with monkeypatch.context() as mp:
+        if failing:
+            assert_inverse_iteration_at_arnoldi_values(
+                op, lambda run, result: None if run == 1 else result, mp)
+        else:
+            runs = _recording_arnoldi(mp, lambda run, result: None)
+            calls = _spy(mp, np.linalg, "eigvals")
+            sd = q.peripheral_spectrum(op)
+            assert len(runs) == 1 and calls == ["eigvals"]
+            assert abs(sd.lam - krylov.lam) <= REL_TOL * krylov.lam
+            assert np.abs(sd.left_eigs[0] - krylov.left_eigs[0]).max() <= REL_TOL * sd.mu0.max()
+    # a compact form's run restarts instead: with cycles of 6 steps, the
+    # failing side alone restarts, and neither eigvals nor the matrix is read
+    real, cycles = spectral._arnoldi, []
+
+    def arnoldi(act, n, k, need, restart=True):
+        with monkeypatch.context() as mp:
+            mp.setattr(spectral, "KRYLOV_STEPS", 6 if len(cycles) == failing else 60)
+            short = real(act, n, k, need, False)
+            cycles.append(short is None)
+            return real(act, n, k, need, restart)
+
+    monkeypatch.setattr(spectral, "_arnoldi", arnoldi)
     calls = _spy(monkeypatch, np.linalg, "eigvals")
-    sd = q.peripheral_spectrum(op)
-    assert len(runs) == 1 and calls == ["eigvals"]
-    assert abs(sd.lam - krylov.lam) <= REL_TOL * krylov.lam
-    assert np.abs(sd.left_eigs[0] - krylov.left_eigs[0]).max() <= REL_TOL * sd.mu0.max()
+    _spy(monkeypatch, spectral, "_inverse_iteration", calls)
+    sd = q.peripheral_spectrum(window)
+    assert cycles == [failing == 0, failing == 1] and calls == []
+    assert_close(sd, dense_path(build_operator(window.spec), monkeypatch))
+    assert "matrix" not in vars(window)
 
 
 def test_arnoldi_out_of_steps_returns_none(monkeypatch):
+    # one cycle (the dense rows' run) returns None when it runs out of steps;
+    # a restarted run goes on to the same values
     op = build_operator(q.get_spec("example21", grid_size=513))
-    assert spectral._arnoldi(op.right, op.size, 4, 2) is not None
+    values = spectral._arnoldi(op.right, op.size, 4, 2, False)[0]
     monkeypatch.setattr(spectral, "KRYLOV_STEPS", 6)
-    assert spectral._arnoldi(op.right, op.size, 4, 2) is None
+    assert spectral._arnoldi(op.right, op.size, 4, 2, False) is None
+    restarted = spectral._arnoldi(op.right, op.size, 4, 2)[0]
+    assert np.abs(restarted[:2] - values[:2]).max() <= REL_TOL * abs(values[0])
 
 
 def test_left_band_on_other_slots_falls_back(monkeypatch):
@@ -298,6 +338,75 @@ def test_left_band_on_other_slots_falls_back(monkeypatch):
     op = explicit(smooth_cyclic_chain((260, 270)))
     sd = assert_inverse_iteration_at_arnoldi_values(op, edit, monkeypatch)
     assert sd.period_m == 2
+
+
+def narrow_gaussian(sigma, n=801):
+    return build_operator(KernelSpec(domain=(-1.0, 1.0), family="gaussian_shift",
+                                     params={"sigma": sigma}, grid_size=n))
+
+
+@pytest.mark.parametrize("sigma,ratio", [(0.05, 0.9913), (0.02, 0.9986)])
+def test_slowly_mixing_gaussian_restarts_without_a_matrix(sigma, ratio, monkeypatch):
+    # sub/lam past 1 - RITZ_GAP: the restarted runs give both vectors, with
+    # no eigvals, inverse iteration or matrix fill
+    op = narrow_gaussian(sigma)
+    assert isinstance(op.form, ToeplitzRow)
+    with monkeypatch.context() as mp:
+        calls = _spy(mp, np.linalg, "eigvals", _spy(mp, spectral, "_inverse_iteration"))
+        sd = q.peripheral_spectrum(op)
+    assert calls == [] and "matrix" not in vars(op)
+    assert abs(sd.subdominant_radius / sd.lam - ratio) < 1e-4
+    ref = dense_path(narrow_gaussian(sigma), monkeypatch)
+    assert abs(sd.lam - ref.lam) <= REL_TOL * ref.lam
+    assert np.abs(sd.f0 - ref.f0).max() <= REL_TOL * ref.f0.max()
+    assert np.abs(sd.mu0 - ref.mu0).max() <= REL_TOL * ref.mu0.max()
+
+
+def test_restarted_run_over_its_budget_is_nonconvergent(monkeypatch):
+    # a 200-node size limit leaves 200**2 / 801 = 49 products, fewer than
+    # one cycle: the run refuses at its first restart
+    op = narrow_gaussian(0.02)
+    monkeypatch.setattr(spectral, "DENSE_SIZE_LIMIT", 200)
+    with pytest.raises(NonConvergent, match=r"after 60 products; the next cycle passes its "
+                                            r"49-product budget, sub/lambda 0\.998"):
+        spectral._arnoldi(op.right, op.size, 4, 2)
+    # the budget of the measured gap, log(1e-14) / log(0.5) = 47 products: a
+    # subdominant value in a cluster 5e-7 wide does not converge in one cycle
+    d = np.concatenate([[1.0], 0.5 - 1e-9 * np.arange(499)])
+    monkeypatch.setattr(spectral, "DENSE_SIZE_LIMIT", 2000)
+    with pytest.raises(NonConvergent, match=r"after 60 products; the next cycle passes its "
+                                            r"47-product budget, sub/lambda 0\.5\b"):
+        spectral._arnoldi(lambda v: d * v, len(d), 4, 2)
+
+
+def test_perron_ritz_vector_makes_no_complex_array():
+    # all Ritz vectors as one complex product cast the basis to complex; the
+    # Perron value is real, so its vector is one real product: no 16 N bytes
+    op = build_operator(q.get_spec("example21", grid_size=1601))
+    values, ritz = spectral._arnoldi(op.right, op.size, 4, 2)
+    assert values[0].imag == 0 and ritz[1].dtype == np.float64
+    tracemalloc.start()
+    try:
+        f = spectral._ritz_vector(values, ritz, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert f.dtype == np.float64 and peak < 16 * op.size, peak / op.size
+    assert np.abs(op.right(f) - values[0].real * f).max() <= 1e-13
+
+
+def test_compact_left_band_on_other_slots_is_nonconvergent(monkeypatch):
+    # a compact form has no matrix to fall back on: a left band of two values
+    # for graph period 1 refuses
+    def edit(run, result):
+        values, ritz = result
+        return result if run == 0 else (np.concatenate([values[:1], values[:3]]), ritz)
+
+    op = build_operator(q.get_spec("example21", grid_size=513))
+    _recording_arnoldi(monkeypatch, edit)
+    with pytest.raises(NonConvergent, match="left Arnoldi run's band misses the 1-th root"):
+        q.peripheral_spectrum(op)
+    assert "matrix" not in vars(op)
 
 
 def test_krylov_refusal_skips_the_left_run(monkeypatch):

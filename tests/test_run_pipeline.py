@@ -31,3 +31,8 @@ def test_every_case_parses_and_has_its_own_directory(tmp_path):
     # every family of case is there: the bundled trees and the comparisons
     groups = {Path(out).relative_to(tmp_path).parts[0] for out in outs}
     assert {"mc", "hyp", "lobo", "specs", "arnoldi", "example21", "sym2"} <= groups
+    # the Arnoldi cases: four bundled grids and the narrow Gaussian, whose runs restart
+    arnoldi = {Path(out).name: commands for out, commands in cases
+               if Path(out).parent == tmp_path / "arnoldi"}
+    assert len(arnoldi) == 5 and arnoldi["gauss_narrow_801"] == [
+        ["analyze", "--spec", str(tmp_path / "arnoldi" / "gauss_narrow.spec.json"), "--canonical"]]

@@ -4,9 +4,12 @@ import sys
 import threading
 import time
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qsdlab as q
 from conftest import delta_at
@@ -156,6 +159,43 @@ def test_birkhoff_unbiased_for_exact_finite_horizon_mean():
     est = q.estimate_birkhoff(spec, x0, n, lambda s: (s == 1).astype(float),
                               2_000_000, seed=7, lam_hint=0.75)
     assert abs(est.value - exact) <= 3 * est.stderr
+
+
+def _birkhoff_batch(sums, n):
+    return SimpleNamespace(n_steps=n, running_sums=np.asarray(sums, dtype=float),
+                           survivor_count=len(sums), n_paths=len(sums))
+
+
+def _birkhoff_by_np_std(sums, n):
+    """The Birkhoff mean and stderr as ``np.mean`` and ``np.std(ddof=1)`` give them."""
+    vals = np.asarray(sums, dtype=float) / n
+    e = math.frexp(max(vals.max(), -vals.min()))[1]
+    np.ldexp(vals, -e, out=vals)
+    sd = float(np.ldexp(vals.std(ddof=1), e))
+    return float(np.ldexp(vals.mean(), e)), sd / math.sqrt(len(vals))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(-1e300, 1e300), min_size=100, max_size=400),
+       st.integers(1, 10 ** 6))
+def test_birkhoff_summary_is_np_std_bitwise(sums, n):
+    est = simulate.summarize_birkhoff(_birkhoff_batch(sums, n))
+    assert (est.value, est.stderr) == _birkhoff_by_np_std(sums, n)
+
+
+def test_birkhoff_summary_holds_one_survivor_array():
+    # the scaled sums are the one survivor-sized array: the deviations are
+    # taken in place
+    sums = np.random.default_rng(5).random(200_000) * 10
+    batch = _birkhoff_batch(sums, 10)
+    tracemalloc.start()
+    try:
+        est = simulate.summarize_birkhoff(batch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * sums.nbytes, peak / sums.nbytes
+    assert (est.value, est.stderr) == _birkhoff_by_np_std(sums, 10)
 
 
 def test_yaglom_from_escape_point_refuses():
