@@ -7,8 +7,10 @@ Writes under DIR, with ``--canonical`` where the command takes it:
 
 - <name>/ and <name>/yaglom/: analyze, verify-hypothesis and yaglom on each
   bundled system, with a one-line summary per system;
-- mc/<name>[_x0_<x0>]/: seeded simulate, 1100000 paths (two chunks of the
-  stream), seed 7, from the default start or from x0;
+- mc/<name>_n_<n>[_x0_<x0>]/: seeded simulate, 1100000 paths (two chunks of
+  the stream), seed 7, horizon n, from the default start or from x0; the
+  horizons include n = 1 (one move, no fused moves) and n = 2 from a start
+  whose first two moves each keep about 10% of the paths;
 - mc/wide300/: seeded simulate, 200000 paths, seed 7, n 5, on
   mc/wide300.spec.json, a 300-state band chain written here first, whose
   states take two bytes;
@@ -47,7 +49,8 @@ CHAINS = ("sym2", "cycle2", "cycle3", "ds3")
 # (system, horizon, start or None for the default)
 SIMULATE = [("sym2", 4, None), ("ds3", 20, None), ("example21", 10, None),
             ("example22cubic", 5, None), ("example23gauss", 10, None),
-            ("ds3", 20, "2"), ("cycle3", 6, "3"), ("example21", 10, "0.3")]
+            ("ds3", 20, "2"), ("cycle3", 6, "3"), ("example21", 10, "0.3"),
+            ("example21", 2, "0.9"), ("sym2", 1, None)]
 ARNOLDI = [("example21", 1601), ("example22cubic", 801), ("example23gauss", 801),
            ("example21", 401)]
 BAND = os.path.join("hyp", "tabulated.spec.json")   # under the --out root
@@ -65,7 +68,8 @@ def cases(root):
                  (os.path.join(out, "yaglom"), [["yaglom", "--spec", name, "--canonical"]])]
     for name, n, x0 in SIMULATE:
         start = [] if x0 is None else ["--x0", x0]
-        runs.append((os.path.join(root, "mc", name + ("" if x0 is None else f"_x0_{x0}")),
+        mc = f"{name}_n_{n}" + ("" if x0 is None else f"_x0_{x0}")
+        runs.append((os.path.join(root, "mc", mc),
                      [["simulate", "--spec", name, "--n", str(n), *start,
                        "--n-paths", "1100000", "--seed", "7"]]))
     runs.append((os.path.join(root, "mc", "wide300"),

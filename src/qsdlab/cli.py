@@ -54,15 +54,7 @@ from .qsd import (
     quasi_ergodic_measure,
     quasi_stationary_measure,
 )
-from .simulate import (
-    _mover,
-    budget_shortfall,
-    check_seed,
-    check_start,
-    simulate_batch,
-    summarize_birkhoff,
-    summarize_yaglom,
-)
+from .simulate import _mover, _yaglom_and_birkhoff, budget_shortfall, check_seed, check_start
 from .spectral import check_floats, check_size, peripheral_spectrum
 
 SCHEMA_VERSION = 1
@@ -210,7 +202,7 @@ def cmd_simulate(args):
         x0 = 0 if spec.is_explicit else float(np.mean(spec.domain))
     check_size(spec.grid_size)
     op = build_operator(spec)
-    _mover(spec)   # a family with no draw is refused before the eigensolve
+    mover = _mover(spec)   # a family with no draw is refused before the eigensolve
     sd = peripheral_spectrum(op)
     mu, lam = quasi_stationary_measure(sd)
     if spec.is_explicit:
@@ -220,15 +212,12 @@ def cmd_simulate(args):
     else:
         h = lambda y: y
         h_label = "y"
-    # one batch carries both the terminal states and the running sums of h
     notice = budget_shortfall(n, n_paths, lam)
     if notice is not None:
         print(f"warning: {notice}", file=sys.stderr)
-    batch = simulate_batch(spec, x0, n, n_paths, seed=seed, h=h)
-
-    est = summarize_yaglom(batch, spec)
+    # one batch gives both the Yaglom histogram and the running sums of h
+    est, est_b = _yaglom_and_birkhoff(spec, mover, x0, n, n_paths, seed, h)
     tv = tv_distance(est.value, mu)
-    est_b = summarize_birkhoff(batch)
     rows = [
         ["yaglom_histogram", n, n_paths, est.effective_samples,
          ";".join(repr(float(v)) for v in est.value), repr(est.stderr)],

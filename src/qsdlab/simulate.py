@@ -14,26 +14,35 @@ reduced in chunk order.
 
 The step loop keeps only the live paths of a chunk, in path order.  A batch
 holds one state buffer and one running-sum buffer of one chunk's size, reused
-by every chunk, and one block of the start point, which step 0 reads in place
-of a chunk of start states.  Explicit chains hold a state as its inverse-CDF
-count, in the smallest unsigned type that holds the state count (one byte up
-to 255 states), and find it by binary search over the row's CDF; the test
-function and ``terminal_states`` still see int64 states.  Each step walks the
-live paths in blocks of ``BLOCK_SIZE``, small enough that a block's
-temporaries stay in cache, and every temporary but the survivors' index is a
-view of a fixed block-sized buffer.  For each block it adds the test function
-to the running sums, draws one variate per path, moves the paths (the density
-families in place in the draw buffer), and gathers the survivors' states and
-sums into the buffers at a cursor that never passes the block's start.  The
-absorbed paths of the step go into the absorption-time histogram.  A step
-therefore costs in proportion to the paths still alive, and the draws a path
-receives do not depend on the block size.  One worker thread makes the next
-block's draws, into the other of two draw buffers, while a block moves
-(NumPy's fill releases the GIL), with at most one block in flight; the
-generator sees the calls of the serial loop, in the same sizes and order, so
-every byte is the serial loop's.  One batch carries both the terminal states
-and the running sums of a test function, so the Yaglom and Birkhoff summaries
-can share one batch.
+by every chunk, and one block of the start point, which the first move reads
+in place of a chunk of start states.  Explicit chains hold a state as its
+inverse-CDF count, in the smallest unsigned type that holds the state count
+(one byte up to 255 states), and find it by binary search over the row's
+CDF; the test function and ``terminal_states`` still see int64 states.  Each
+move walks the live paths in blocks of ``BLOCK_SIZE``, small enough that a
+block's temporaries stay in cache, and every temporary but the survivors'
+index is a view of a fixed block-sized buffer.  For each block it adds the
+test function to the running sums, draws one variate per path, moves the
+paths (the density families in place in the draw buffer), and gathers the
+survivors' states and sums into the buffers at a cursor that never passes
+the block's start.  The absorbed paths of the move go into the
+absorption-time histogram.  A move therefore costs in proportion to the
+paths still alive, and the draws a path receives do not depend on the block
+size.
+
+The first two moves of a chunk run fused, block by block, so the chunk
+buffers only ever hold the second move's survivors.  The second move's draws
+start at a position known before the first move runs, draw k of the chunk's
+stream for a chunk of k paths, so a second generator on the same key,
+advanced to draw k, makes them; later moves continue on it, which then
+stands where the serial loop's third move starts.  One worker thread makes
+each block's draws one block ahead (NumPy's fill releases the GIL), with at
+most one fill in flight per stream, and each stream sees the calls of the
+serial loop in order, so every byte is the serial loop's.  The chunk loop
+yields each chunk's survivors; ``simulate_batch`` joins them into one batch,
+which carries both the terminal states and the running sums of a test
+function, so the Yaglom and Birkhoff summaries can share one batch, and the
+``simulate`` command bins the states as each chunk ends instead.
 """
 
 import math
@@ -51,9 +60,17 @@ CHUNK_SIZE = 1 << 20  # fixed: changing it changes the stream layout
 BLOCK_SIZE = 1 << 16  # live paths per block of the step loop; not part of the stream layout
 
 
-def _chunk_generator(seed, chunk_index):
-    key = np.array([seed, chunk_index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+def _chunk_generator(seed, chunk_index, skip=0):
+    """The chunk's stream of draws, from draw ``skip`` on.
+
+    Philox makes four draws per counter step, so the counter is advanced by
+    ``skip // 4`` and the remaining ``skip % 4`` draws are made and dropped.
+    """
+    bits = np.random.Philox(key=np.array([seed, chunk_index], dtype=np.uint64))
+    bits.advance(skip // 4)
+    gen = np.random.Generator(bits)
+    gen.random(skip % 4)
+    return gen
 
 
 def _noise_to_moves(spec, x, u, centers=None):
@@ -195,64 +212,173 @@ def check_seed(seed):
     return int(seed)
 
 
-def _step_chunk(move, gen, k, h, n, tau_hist, ahead, start, state, acc, draws, wide, sums):
-    """Step the k paths of one chunk n times; return the survivor count m.
+class _Workspace:
+    """One batch's buffers and draw-ahead worker, reused by every chunk.
 
-    The survivors end in ``state[:m]`` and their running sums in ``acc[:m]``,
-    in path order.  Step 0 reads each block's states from ``start``, one block
-    of the start point, and adds h to zero sums; later steps read
-    ``state[a:b]`` and ``acc[a:b]``.  Survivors are written at the cursor
-    ``w``, which never passes the start ``a`` of the block being read, so no
-    unread state is overwritten.  ``move(s, u)`` maps states and draws to the
-    next states and their live mask.  An explicit chain's states are copied
-    into ``wide`` for h, which sees them as int64.
-
-    Every per-block array is a view of a fixed block-sized buffer: those of
-    ``move`` and ``draws`` (two rows, used in turn), ``wide`` and ``sums``
-    (the block's sums, None without h), all made once per batch.  Only the
-    survivors' index from ``np.flatnonzero`` is made per block: NumPy has no
-    nonzero into a given buffer.  The draws are made one block ahead on the
-    executor ``ahead`` (one worker thread): block i+1's are requested once
-    block i's are taken, into the row block i-1 used, and made while block i
-    moves, so at most one block is in flight and the generator sees the
-    serial loop's calls, ``gen.random(b - a)`` per block in order, one at a
-    time.  A step's first block is requested when the step starts, once the
-    previous step's survivor count is known.
+    ``state`` and ``acc`` (None without h) are chunk-sized; the rest are
+    block-sized: ``start``; ``draws``, two rows (three from n = 2 on: the
+    fused moves keep one more fill in flight); ``staged``, two rows of the
+    first move's survivors (from n = 2 on); ``wide``, an explicit chain's
+    states as int64 for h; ``sums``, a block's running sums.  Every
+    per-block array is a view of one of these, or of the buffers of
+    ``move``; only the survivors' index from ``np.flatnonzero`` is made per
+    block: NumPy has no nonzero into a given buffer.  Draws are made on the
+    executor ``ahead`` (one worker thread).
     """
-    if n == 0:   # no step: every path is still at its start
-        state[:k] = start[0]
-        if acc is not None:
-            acc[:k] = 0.0
-        return k
-    size = start.size
-    m = k
-    for step in range(n):
-        if m == 0:
-            break
-        w = 0
-        c = min(m, size)
-        pending = ahead.submit(gen.random, c, out=draws[0, :c])
-        for i, a in enumerate(range(0, m, size)):
-            b = min(a + size, m)
+
+    def __init__(self, spec, mover, x0, n, n_paths, h, ahead):
+        dtype, self.move = mover
+        self.h, self.ahead = h, ahead
+        self.state = np.empty(min(CHUNK_SIZE, n_paths), dtype=dtype)
+        self.acc = np.empty(self.state.size) if h is not None else None
+        size = min(BLOCK_SIZE, self.state.size)
+        self.start = np.full(size, x0, dtype=dtype)
+        self.draws = np.empty((3 if n >= 2 else 2, size))
+        self.staged = np.empty((2, size), dtype=dtype) if n >= 2 else None
+        self.wide = np.empty(size, dtype=np.int64) if h is not None and spec.is_explicit else None
+        self.sums = np.empty(size) if h is not None else None
+        self.first = None   # every path's sum after the first move: 0.0 + h(x0)
+        if h is not None and n >= 2:
+            self._add_h(self.start, 0.0)
+            self.first = self.sums[:1].copy()
+
+    def chunk(self, seed, c, k, n, tau_hist):
+        """Step the k paths of chunk c n times; return the survivor count m.
+
+        The survivors end in ``state[:m]`` and their running sums in
+        ``acc[:m]``, in path order.  From n = 2 on, moves 0 and 1 run fused
+        on two streams of the chunk's draws: A from draw 0 and B from draw
+        k, where the serial loop's move 1 starts.  B then stands at k + L1
+        (L1 the survivors of move 0), where move 2's draws start, and steps
+        2..n-1 run on it.
+        """
+        if n == 0:   # no step: every path is still at its start
+            self.state[:k] = self.start[0]
+            if self.acc is not None:
+                self.acc[:k] = 0.0
+            return k
+        gen = _chunk_generator(seed, c)
+        if n == 1:
+            return self._steps(gen, k, range(1), tau_hist)
+        gen_b = _chunk_generator(seed, c, k)
+        return self._steps(gen_b, self._first_two(gen, gen_b, k, tau_hist), range(2, n), tau_hist)
+
+    def _add_h(self, s, base):
+        """Write ``base + h(s)`` into ``sums``; h sees an explicit chain's states as int64."""
+        if self.wide is not None:
+            np.copyto(self.wide[:s.size], s)
+            s = self.wide[:s.size]
+        np.add(base, self.h(s), out=self.sums[:s.size])
+
+    def _block(self, s, u, base, w):
+        """Move the states s with the draws u; gather the survivors at the cursor w.
+
+        With h the running sums ``base + h(s)`` are gathered with them.
+        Returns the cursor past the survivors.  ``move`` writes into its own
+        buffers, or into u, so s may overlap where the survivors go.
+        """
+        if self.h is not None:
+            self._add_h(s, base)
+        y, live = self.move(s, u)
+        keep = np.flatnonzero(live)
+        np.take(y, keep, out=self.state[w:w + keep.size], mode="clip")
+        if self.h is not None:
+            np.take(self.sums, keep, out=self.acc[w:w + keep.size], mode="clip")
+        return w + keep.size
+
+    def _steps(self, gen, m, steps, tau_hist):
+        """Run ``steps`` on the m live paths, drawing from gen; return the survivor count.
+
+        Step 0 reads each block's states from ``start`` and adds h to zero
+        sums; a later step reads ``state[a:b]`` and ``acc[a:b]``.  The cursor
+        never passes the start ``a`` of the block being read, so no unread
+        state is overwritten.  Block i+1's draws are requested once block i's
+        are taken, into the row block i-1 used, and made while block i moves,
+        so the generator sees the serial loop's calls, ``gen.random(b - a)``
+        per block in order, one at a time.  A step's first block is requested
+        when the step starts, once the previous step's survivor count is known.
+        """
+        size, draws = self.start.size, self.draws
+        for step in steps:
+            if m == 0:
+                break
+            w = 0
+            c = min(m, size)
+            pending = self.ahead.submit(gen.random, c, out=draws[0, :c])
+            for i, a in enumerate(range(0, m, size)):
+                b = min(a + size, m)
+                u = pending.result()
+                if b < m:
+                    c = min(size, m - b)
+                    pending = self.ahead.submit(gen.random, c, out=draws[(i + 1) % 2, :c])
+                s = self.state[a:b] if step else self.start[:b - a]
+                base = self.acc[a:b] if step and self.h is not None else 0.0
+                w = self._block(s, u, base, w)
+            tau_hist[step + 1] += m - w
+            m = w
+        return m
+
+    def _first_two(self, gen_a, gen_b, k, tau_hist):
+        """Moves 0 and 1 of the chunk's k paths, block by block; return move 1's survivors.
+
+        Block i moves from ``start`` with stream A's draws (in draws row
+        i % 3) and gathers its L survivors into ``staged`` row i % 2; then
+        stream B's next L draws are requested into the same draws row, and
+        block i-1's move 1 runs, from its staged row with its B draws, its
+        survivors gathered into ``state``/``acc`` at the cursor.  Block i's
+        move 1 thus runs one block later, while its B draws are made; A's
+        draws for block i+1 are requested before block i moves, so each
+        stream has one fill in flight, the worker makes them one at a time,
+        and each stream sees its serial calls in order.  The sums are
+        ``first + h(y)``: every path's sum after move 0 is ``0.0 + h(x0)``.
+        """
+        size, draws, staged = self.start.size, self.draws, self.staged
+        w, lag = 0, None   # lag: (staged survivors, B fill) of the block whose move 1 is due
+        c = min(k, size)
+        pending = self.ahead.submit(gen_a.random, c, out=draws[0, :c])
+        for i, a in enumerate(range(0, k, size)):
+            b = min(a + size, k)
             u = pending.result()
-            if b < m:
-                c = min(size, m - b)
-                pending = ahead.submit(gen.random, c, out=draws[(i + 1) % 2, :c])
-            s = state[a:b] if step else start[:b - a]
-            if h is not None:
-                if wide is not None:
-                    np.copyto(wide[:b - a], s)
-                np.add(acc[a:b] if step else 0.0, h(s if wide is None else wide[:b - a]),
-                       out=sums[:b - a])
-            y, live = move(s, u)
+            if b < k:
+                c = min(size, k - b)
+                pending = self.ahead.submit(gen_a.random, c, out=draws[(i + 1) % 3, :c])
+            y, live = self.move(self.start[:b - a], u)
             keep = np.flatnonzero(live)
-            np.take(y, keep, out=state[w:w + keep.size], mode="clip")
-            if h is not None:
-                np.take(sums, keep, out=acc[w:w + keep.size], mode="clip")
-            w += keep.size
-        tau_hist[step + 1] += m - w
-        m = w
-    return m
+            L = keep.size
+            np.take(y, keep, out=staged[i % 2, :L], mode="clip")
+            tau_hist[1] += b - a - L
+            due = (staged[i % 2, :L], self.ahead.submit(gen_b.random, L, out=draws[i % 3, :L])
+                   ) if L else None
+            if lag is not None:
+                w = self._second(lag, w, tau_hist)
+            lag = due
+        if lag is not None:
+            w = self._second(lag, w, tau_hist)
+        return w
+
+    def _second(self, lag, w, tau_hist):
+        """Move 1 of one block's staged survivors; return the cursor past its survivors."""
+        s, pending = lag
+        m = self._block(s, pending.result(), self.first, w)
+        tau_hist[2] += s.size - (m - w)
+        return m
+
+
+def _chunk_survivors(spec, mover, x0, n, n_paths, seed, h, tau_hist):
+    """Run the chunk loop; yield each chunk's survivors as ``(states, sums)``.
+
+    The arrays are views of the batch's buffers, valid until the next chunk:
+    the states in the type of ``mover = _mover(spec)``, the running sums of h
+    (None without h).  Absorptions are added to ``tau_hist``.  The arguments
+    must already be checked (``simulate_batch`` says how).
+    """
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=1) as ahead:
+        ws = _Workspace(spec, mover, x0, n, n_paths, h, ahead)
+        for c in range(-(-n_paths // CHUNK_SIZE)):
+            m = ws.chunk(seed, c, min(CHUNK_SIZE, n_paths - c * CHUNK_SIZE), n, tau_hist)
+            yield ws.state[:m], None if h is None else ws.acc[:m]
 
 
 def simulate_batch(spec, x0, n, n_paths, seed=0, h=None):
@@ -266,34 +392,19 @@ def simulate_batch(spec, x0, n, n_paths, seed=0, h=None):
     Raises InvalidDomain (start), ValidationError (seed) or NotApplicable (a
     family with no draw) before any draw.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
     if n < 0 or n_paths < 1:
         raise ValueError("need n >= 0 and n_paths >= 1")
     seed = check_seed(seed)
-    dtype, move = _mover(spec)
+    mover = _mover(spec)
     x0 = check_start(spec, x0)
 
     tau_hist = np.zeros(n + 1, dtype=np.int64)
-    # one set of buffers for the batch, reused by every chunk
-    state = np.empty(min(CHUNK_SIZE, n_paths), dtype=dtype)
-    acc = np.empty(state.size) if h is not None else None
-    start = np.full(min(BLOCK_SIZE, state.size), x0, dtype=dtype)
-    draws = np.empty((2, start.size))
-    wide = np.empty(start.size, dtype=np.int64) if h is not None and spec.is_explicit else None
-    sums = np.empty(start.size) if h is not None else None
     state_parts, sum_parts = [], []
-
-    n_chunks = (n_paths + CHUNK_SIZE - 1) // CHUNK_SIZE
-    with ThreadPoolExecutor(max_workers=1) as ahead:
-        for c in range(n_chunks):
-            k = min(CHUNK_SIZE, n_paths - c * CHUNK_SIZE)
-            m = _step_chunk(move, _chunk_generator(seed, c), k, h, n, tau_hist, ahead,
-                            start, state, acc, draws, wide, sums)
-            state_parts.append(state[:m].copy())
-            if h is not None:
-                sum_parts.append(acc[:m].copy())
-    del state, acc, draws, wide, sums   # the buffers go before the survivors are joined
+    for states, sums in _chunk_survivors(spec, mover, x0, n, n_paths, seed, h, tau_hist):
+        state_parts.append(states.copy())
+        if h is not None:
+            sum_parts.append(sums.copy())
+    del states, sums   # the buffers go before the survivors are joined
 
     terminal_states = np.concatenate(state_parts, dtype=np.int64 if spec.is_explicit else float)
     return TrajectoryBatch(
@@ -333,12 +444,44 @@ def bin_to_grid(samples, grid):
     return counts.astype(float)
 
 
-def _survivors(batch):
-    ns = batch.survivor_count
+def _bin_counts(states, edges, counts):
+    """Add the histogram of ``states`` over ``edges`` to the integer ``counts``, block by block.
+
+    The counts are np.histogram's for states within ``[edges[0], edges[-1]]``,
+    as the survivors are (the closed domain, or an explicit chain's states
+    0..n-1): a state falls in the cell of the last inner edge at or below it.
+    """
+    inner = edges[1:-1]
+    for a in range(0, states.size, BLOCK_SIZE):
+        cells = np.searchsorted(inner, states[a:a + BLOCK_SIZE], side="right")
+        counts += np.bincount(cells, minlength=counts.size)
+
+
+def _survivors(ns, n_paths, n):
+    """``ns``, unless it is below 100: TooFewSurvivors."""
     if ns < 100:
-        raise TooFewSurvivors(
-            f"{ns} survivors out of {batch.n_paths} paths at n={batch.n_steps}")
+        raise TooFewSurvivors(f"{ns} survivors out of {n_paths} paths at n={n}")
     return ns
+
+
+def _yaglom(counts, ns):
+    """The Yaglom estimate of ns survivors from their float cell counts."""
+    hist = counts / counts.sum()
+    return ConditionedEstimate(value=hist,
+                               stderr=1.0 / math.sqrt(ns), effective_samples=ns)
+
+
+def _birkhoff(vals, ns):
+    """The mean of the ns per-path averages ``vals``, and its standard error; overwrites vals."""
+    # scaled by a power of two, which is exact, so std's squares do not overflow
+    e = math.frexp(max(vals.max(), -vals.min()))[1]
+    np.ldexp(vals, -e, out=vals)
+    # np.mean and np.std(ddof=1), step for step, with the deviations in place
+    mean = np.add.reduce(vals, keepdims=True) / ns
+    np.square(np.subtract(vals, mean, out=vals), out=vals)
+    sd = float(np.ldexp(np.sqrt(np.add.reduce(vals) / (ns - 1)), e))
+    return ConditionedEstimate(value=float(np.ldexp(mean[0], e)),
+                               stderr=sd / math.sqrt(ns), effective_samples=ns)
 
 
 def summarize_yaglom(batch, spec, grid=None):
@@ -349,11 +492,9 @@ def summarize_yaglom(batch, spec, grid=None):
     discretized eigenmeasure.  Raises TooFewSurvivors below 100 surviving
     paths.
     """
-    ns = _survivors(batch)
-    counts = bin_to_grid(batch.terminal_states, _quadrature_grid(spec) if grid is None else grid)
-    hist = counts / counts.sum()
-    return ConditionedEstimate(value=hist,
-                               stderr=1.0 / math.sqrt(ns), effective_samples=ns)
+    ns = _survivors(batch.survivor_count, batch.n_paths, batch.n_steps)
+    grid = _quadrature_grid(spec) if grid is None else grid
+    return _yaglom(bin_to_grid(batch.terminal_states, grid), ns)
 
 
 def summarize_birkhoff(batch):
@@ -367,17 +508,31 @@ def summarize_birkhoff(batch):
     n = batch.n_steps
     if n < 1 or batch.running_sums is None:
         raise ValueError("need a batch of n >= 1 steps simulated with h")
-    ns = _survivors(batch)
-    vals = batch.running_sums / n       # the one survivor-sized array
-    # scaled by a power of two, which is exact, so std's squares do not overflow
-    e = math.frexp(max(vals.max(), -vals.min()))[1]
-    np.ldexp(vals, -e, out=vals)
-    # np.mean and np.std(ddof=1), step for step, with the deviations in place
-    mean = np.add.reduce(vals, keepdims=True) / ns
-    np.square(np.subtract(vals, mean, out=vals), out=vals)
-    sd = float(np.ldexp(np.sqrt(np.add.reduce(vals) / (ns - 1)), e))
-    return ConditionedEstimate(value=float(np.ldexp(mean[0], e)),
-                               stderr=sd / math.sqrt(ns), effective_samples=ns)
+    ns = _survivors(batch.survivor_count, batch.n_paths, n)
+    return _birkhoff(batch.running_sums / n, ns)   # the one survivor-sized array
+
+
+def _yaglom_and_birkhoff(spec, mover, x0, n, n_paths, seed, h):
+    """``summarize_yaglom`` (on the spec's grid) and ``summarize_birkhoff`` of one batch.
+
+    The bytes of both summaries of ``simulate_batch(spec, x0, n, n_paths,
+    seed, h)``, for checked arguments, n >= 1 and ``mover = _mover(spec)``,
+    without the batch: each chunk's survivors are binned into exact integer
+    counts as the chunk ends, so no state is kept, and the running sums are
+    joined, as ``simulate_batch`` joins them, and averaged in place.
+    """
+    edges = _quadrature_grid(spec).cell_edges()
+    counts = np.zeros(edges.size - 1, dtype=np.int64)
+    tau_hist = np.zeros(n + 1, dtype=np.int64)
+    parts = []
+    for states, sums in _chunk_survivors(spec, mover, x0, n, n_paths, seed, h, tau_hist):
+        _bin_counts(states, edges, counts)
+        parts.append(sums.copy())
+    del states, sums   # the buffers go before the sums are joined
+    sums = np.concatenate(parts)
+    del parts
+    ns = _survivors(sums.size, n_paths, n)
+    return _yaglom(counts.astype(float), ns), _birkhoff(np.divide(sums, n, out=sums), ns)
 
 
 def estimate_yaglom(spec, x0, n, n_paths, seed=0, lam_hint=None, grid=None):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import qsdlab as q
-from qsdlab import cli, spectral
+from qsdlab import cli, simulate, spectral
 from qsdlab.cli import main
 from qsdlab.errors import InvalidDomain, NegativeDensity, NotApplicable, SchemaError
 from qsdlab.kernels import KernelSpec
@@ -284,13 +284,14 @@ def test_checked_in_fixtures_match_oracle():
 
 @pytest.mark.parametrize("name,n", [("sym2", 4), ("example21", 6)])
 def test_simulate_draws_one_batch_for_both_estimates(tmp_path, monkeypatch, name, n):
-    calls = []
+    # the chunk loop that simulate_batch runs, run once, with h
+    calls, loop = [], simulate._chunk_survivors
 
-    def counted(*args, **kwargs):
-        calls.append(kwargs.get("h") is not None)
-        return q.simulate_batch(*args, **kwargs)
+    def counted(spec, mover, x0, n, n_paths, seed, h, tau_hist):
+        calls.append(h is not None)
+        return loop(spec, mover, x0, n, n_paths, seed, h, tau_hist)
 
-    monkeypatch.setattr(cli, "simulate_batch", counted)
+    monkeypatch.setattr(simulate, "_chunk_survivors", counted)
     out = tmp_path / "s"
     assert main(["simulate", "--spec", name, "--n", str(n), "--n-paths", "200000",
                  "--seed", "11", "--out", str(out)]) == 0
@@ -316,6 +317,38 @@ def test_simulate_draws_one_batch_for_both_estimates(tmp_path, monkeypatch, name
         w.writerow([f"birkhoff_average[{label}]", n, 200_000, est_b.effective_samples,
                     repr(est_b.value), repr(est_b.stderr)])
     assert (out / "estimates.csv").read_bytes() == (tmp_path / "two.csv").read_bytes()
+
+
+def test_simulate_holds_the_sums_not_the_states(tmp_path):
+    # four chunks of sym2, about 1.3M survivors: each chunk's states are
+    # binned as the chunk ends, so the peak is the joined running sums (two
+    # survivor-sized float arrays while they are joined) and one chunk's
+    # workspace; the whole batch, with its int64 states joined and the
+    # summaries' copies, peaked at 3.40 units of 8 bytes a survivor, this
+    # command at 2.43
+    out = tmp_path / "s"
+    tracemalloc.start()
+    try:
+        code = main(["simulate", "--spec", "sym2", "--n", "4", "--n-paths",
+                     str(4 * simulate.CHUNK_SIZE), "--seed", "7", "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    with open(out / "estimates.csv", newline="") as fp:
+        survivors = int(next(csv.DictReader(fp))["survivors"])
+    assert code == 0 and survivors > 1_300_000
+    assert peak <= 2.9 * 8 * survivors, peak / (8 * survivors)
+
+
+@pytest.mark.parametrize("name,n,n_paths,survivors", [("example21", 10, 1000, 0),
+                                                      ("sym2", 4, 300, 85)])
+def test_simulate_too_few_survivors_exits_3(tmp_path, capsys, name, n, n_paths, survivors):
+    # counted once every chunk is binned, before any row is written
+    assert main(["simulate", "--spec", name, "--n", str(n), "--n-paths", str(n_paths),
+                 "--out", str(tmp_path / "s")]) == 3
+    err = capsys.readouterr().err
+    assert f"TooFewSurvivors: {survivors} survivors out of {n_paths} paths at n={n}" in err
+    assert not (tmp_path / "s").exists()
 
 
 @pytest.mark.parametrize("flags", [["--n", "0"], ["--n-paths", "0"], ["--n", "-3"]])

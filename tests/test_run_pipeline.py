@@ -36,3 +36,7 @@ def test_every_case_parses_and_has_its_own_directory(tmp_path):
                if Path(out).parent == tmp_path / "arnoldi"}
     assert len(arnoldi) == 5 and arnoldi["gauss_narrow_801"] == [
         ["analyze", "--spec", str(tmp_path / "arnoldi" / "gauss_narrow.spec.json"), "--canonical"]]
+    # the simulate cases include one move alone (sym2, n 1) and the two fused
+    # first moves alone (example21, n 2 from 0.9)
+    mc = {Path(out).name for out, _ in cases if Path(out).parent == tmp_path / "mc"}
+    assert {"sym2_n_1", "sym2_n_4", "example21_n_2_x0_0.9"} <= mc

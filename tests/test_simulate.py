@@ -320,20 +320,22 @@ class _SlowDraws:
 
 
 def _serial_sizes(spec, x0, n, n_paths, seed):
-    """The ``random`` sizes of the step loop run serially, without the draw-ahead."""
-    sizes, (dtype, move) = [], simulate._mover(spec)
+    """Per chunk, per step: the ``random`` sizes of the step loop run serially on one stream."""
+    chunks, (dtype, move) = [], simulate._mover(spec)
     for c in range(-(-n_paths // CHUNK_SIZE)):
         gen = simulate._chunk_generator(seed, c)
         state = np.full(min(CHUNK_SIZE, n_paths - c * CHUNK_SIZE), x0, dtype=dtype)
+        chunks.append([])
         for _ in range(n):
-            kept = []
+            kept, sizes = [], []
             for a in range(0, state.size, simulate.BLOCK_SIZE):
                 s = state[a:a + simulate.BLOCK_SIZE]
                 sizes.append(s.size)
                 y, live = move(s, gen.random(s.size))
                 kept.append(y[live])
+            chunks[-1].append(sizes)
             state = np.concatenate(kept)
-    return sizes
+    return chunks
 
 
 @pytest.mark.parametrize("key", sorted(_GOLDEN))
@@ -343,15 +345,28 @@ def test_slow_draws_keep_the_golden_bytes(key, monkeypatch):
     survivors, terminal, tau, sums = _GOLDEN[key]
     spec = q.get_spec(name)
     h = (lambda s: (s == 1).astype(float)) if spec.is_explicit else (lambda y: y * y)
-    real, sizes = simulate._chunk_generator, []
-    monkeypatch.setattr(simulate, "_chunk_generator",
-                        lambda seed, c: _SlowDraws(real(seed, c), sizes, 2e-3))
+    real, streams = simulate._chunk_generator, []
+
+    def slow(seed, c, skip=0):
+        streams.append((c, skip, []))
+        return _SlowDraws(real(seed, c, skip), streams[-1][2], 2e-3)
+
+    monkeypatch.setattr(simulate, "_chunk_generator", slow)
     b = simulate_batch(spec, x0, n, CHUNK_SIZE + 12_345, seed=2024, h=h)
     assert b.survivor_count == survivors
     assert (_digest(b.terminal_states), _digest(b.tau_histogram),
             _digest(b.running_sums)) == (terminal, tau, sums)
     monkeypatch.setattr(simulate, "_chunk_generator", real)
-    assert sizes == _serial_sizes(spec, x0, n, CHUNK_SIZE + 12_345, 2024)
+    # per chunk, stream A (from draw 0) makes the serial step 0's fills, and
+    # stream B (from draw k, the chunk's path count) every later draw of the
+    # serial loop, in order: the serial positions k, k + 1, ...
+    serial = _serial_sizes(spec, x0, n, CHUNK_SIZE + 12_345, 2024)
+    assert [(c, skip) for c, skip, _ in streams] == [
+        (c, skip) for c, steps in enumerate(serial) for skip in (0, sum(steps[0]))]
+    for c, steps in enumerate(serial):
+        (_, _, a), (_, _, b) = streams[2 * c], streams[2 * c + 1]
+        assert a == steps[0]
+        assert sum(b) == sum(map(sum, steps[1:])) and min(b) > 0
 
 
 def test_concurrent_batches_keep_the_golden_bytes():

@@ -160,8 +160,47 @@ def test_wide_chain_draws_by_binary_search():
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(np, "take", counted_take)
-        mp.setattr(simulate, "_chunk_generator", lambda seed, c: Counted(gen(seed, c)))
+        mp.setattr(simulate, "_chunk_generator",
+                   lambda seed, c, skip=0: Counted(gen(seed, c, skip)))
         simulate_batch(spec, 5, 6, 3 * BLOCK_SIZE + 7, seed=3)
     assert len(blocks) >= 6 and sum(gathers) <= 9 * len(blocks)
     for h in (None, lambda s: (s == 7).astype(float)):
         assert_same_bytes(spec, 5, 6, 3 * BLOCK_SIZE + 7, 3, h)
+
+
+@pytest.mark.parametrize("skip", [0, 1, 2, 3, 4, 5, 7, 8, "k-1", "k", "k+1"])
+@pytest.mark.parametrize("k", [12_345, CHUNK_SIZE])
+def test_positioned_stream_starts_at_its_draw(k, skip):
+    # the stream from draw skip on is the chunk's stream with skip draws dropped
+    skip = {"k-1": k - 1, "k": k, "k+1": k + 1}.get(skip, skip)
+    want = _chunk_generator(2024, 1).random(skip + 64)[skip:]
+    assert _chunk_generator(2024, 1, skip).random(64).tobytes() == want.tobytes()
+
+
+# a chain whose first move absorbs every path from state 0: its row is zero
+_DEAD_START = KernelSpec(family="explicit_matrix",
+                         params={"matrix": [[0.0, 0.0], [0.25, 0.5]]})
+
+# (spec, start, horizon): one move only, the two fused moves only, a first
+# move that keeps about 1% of the paths (example21 from 0.99: y <= 1 of
+# 1.98 + U[-1, 1]) and one that keeps none
+FUSED = [("example21", 0.3, 1), ("example21", 0.3, 2), ("sym2", 0, 1), ("sym2", 0, 2),
+         ("ds3", 1, 2), ("example21", 0.99, 3), ("example23gauss", 0.9, 2),
+         (_DEAD_START, 0, 3)]
+
+
+@pytest.mark.parametrize("case", FUSED, ids=["example21-n1", "example21-n2", "sym2-n1", "sym2-n2",
+                                             "ds3-n2", "example21-0.99", "gauss-n2", "dead-start"])
+def test_fused_first_moves_match_plain_loop(case, monkeypatch):
+    # a small block, so a chunk's first move spans hundreds of blocks and its
+    # second runs one block behind; the second chunk's k = 12_345 is not a
+    # multiple of Philox's four draws per counter step
+    spec, x0, n = case
+    spec = q.get_spec(spec) if isinstance(spec, str) else spec
+    monkeypatch.setattr(simulate, "BLOCK_SIZE", 4099)
+    h = (lambda s: (s == 1).astype(float)) if spec.is_explicit else (lambda y: y * y)
+    for hh in (None, h):
+        assert_same_bytes(spec, x0, n, CHUNK_SIZE + 12_345, 13, hh)
+    if spec is _DEAD_START:
+        b = simulate_batch(spec, x0, n, CHUNK_SIZE + 12_345, seed=13)
+        assert b.tau_histogram[1] == CHUNK_SIZE + 12_345
