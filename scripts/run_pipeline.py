@@ -20,6 +20,9 @@ Writes under DIR, with ``--canonical`` where the command takes it:
 - hyp/spec_<name>/: verify-hypothesis on each fixtures/*.spec.json, explicit
   chains included, and on hyp/tabulated.spec.json, a 400-node tabulated band
   with 20 zero rows at either end (escape rows), written here first;
+- hyp/window_overflow/: verify-hypothesis on hyp/window_overflow.spec.json,
+  affine_uniform with a = 2, b = 0 and w = 8e307 on [-8e307, 8e307] at 11
+  nodes, written here first, whose window run search overflows to +-inf;
 - lobo/<name>/: the exact cumulative-sum tables of the bundled chains;
 - specs/<name>/: analyze on each fixtures/*.spec.json, parsed from JSON, not
   resolved by name, and on the tabulated band (its bytes depend on the
@@ -56,6 +59,7 @@ ARNOLDI = [("example21", 1601), ("example22cubic", 801), ("example23gauss", 801)
 BAND = os.path.join("hyp", "tabulated.spec.json")   # under the --out root
 WIDE = os.path.join("mc", "wide300.spec.json")
 NARROW = os.path.join("arnoldi", "gauss_narrow.spec.json")
+OVERFLOW = os.path.join("hyp", "window_overflow.spec.json")
 
 
 def cases(root):
@@ -86,6 +90,8 @@ def cases(root):
     for name, spec in specs.items():
         runs.append((os.path.join(root, "hyp", f"spec_{name}"),
                      [["verify-hypothesis", "--spec", spec, "--canonical"]]))
+    runs.append((os.path.join(root, "hyp", "window_overflow"),
+                 [["verify-hypothesis", "--spec", os.path.join(root, OVERFLOW), "--canonical"]]))
     for name in CHAINS:
         runs.append((os.path.join(root, "lobo", name),
                      [["lobo", "--spec", name, "--canonical"]]))
@@ -139,6 +145,9 @@ def run(root):
     write_wide(os.path.join(root, WIDE))
     write_spec(os.path.join(root, NARROW), {"family": "gaussian_shift", "domain": [-1, 1],
                                             "grid_size": 801, "params": {"sigma": 0.02}})
+    write_spec(os.path.join(root, OVERFLOW),
+               {"family": "affine_uniform", "domain": [-8e307, 8e307], "grid_size": 11,
+                "params": {"a": 2, "b": 0, "noise_halfwidth": 8e307}})
     failed = set()
     for out, commands in cases(root):
         rc = 0

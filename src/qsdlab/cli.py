@@ -42,7 +42,7 @@ from .errors import (
     ValidationError,
 )
 from .jsonout import dumps
-from .kernels import H1_PROBES, build_operator, check_h1_modulus, check_h2_reachability
+from .kernels import FAMILIES, H1_PROBES, build_operator, check_h1_modulus, check_h2_reachability
 from .measures import tv_distance
 from .oracle import SIZE_CAP, FiniteChain, fixture_dict, lobo_leading_term, lobo_sum
 from .qsd import (
@@ -148,8 +148,9 @@ def cmd_analyze(args):
 
 def cmd_verify_hypothesis(args):
     spec = _resolve_spec(args.spec, args.grid_size)
-    # no eigensolve, so no size cap; the H1 probe's two blocks keep to the float budget
-    if not spec.is_explicit:
+    # no eigensolve, so no size cap; the H1 probe's two blocks, where the family has
+    # rows to probe, keep to the float budget
+    if not isinstance(FAMILIES[spec.family].rows, str):
         g = spec.grid_size
         check_floats(2 * H1_PROBES * g, f"--grid-size {g} needs two {H1_PROBES} x {g} H1 probe "
                                         "blocks")

@@ -17,7 +17,8 @@ columns, so the form is a :class:`RunTable`, acting by prefix sums in O(N).
 w_j``, so it acts by one real FFT, and its row masses and its graph take
 O(N).  Both fill their matrix only when it is first read.  A finite chain
 (the ``explicit_matrix`` family, taken verbatim) and a tabulated density
-are held as :class:`DenseRows`.
+are held as :class:`DenseRows`.  Every choice that depends on the family,
+the form among them, is read from the family's record in :data:`FAMILIES`.
 
 Escape nodes are grid points whose row mass vanishes: the chain started there
 is absorbed in one step almost surely.
@@ -48,23 +49,6 @@ JUMP_ATOL = 1e-9
 
 ESCAPE_TOL_DEFAULT = 1e-12
 H1_PROBES = 64
-
-CONTINUOUS_FAMILIES = ("affine_uniform", "cubic_uniform", "gaussian_shift", "tabulated")
-ALL_FAMILIES = CONTINUOUS_FAMILIES + ("explicit_matrix",)
-# the density families whose operator must be sub-Markov, as an explicit chain
-# must be.  The window families are exempt for now: where a window edge falls
-# between nodes, their trapezoid row mass exceeds the true one by up to about h / 2w.
-SUB_MARKOV_FAMILIES = ("gaussian_shift", "tabulated")
-
-# the parameter names each family reads: every one is required, any other
-# name is an error
-_FAMILY_PARAMS = {
-    "affine_uniform": {"a", "b", "noise_halfwidth"},
-    "cubic_uniform": {"noise_halfwidth"},
-    "gaussian_shift": {"sigma"},
-    "tabulated": {"values"},
-    "explicit_matrix": {"matrix"},
-}
 
 
 @dataclass(frozen=True)
@@ -107,26 +91,21 @@ class StateGrid:
 class KernelSpec:
     """Declarative description of an absorbed kernel P(x, dy) = g(x, y) dy.
 
-    Families
-    --------
-    affine_uniform   params a, b, noise_halfwidth : x -> a*x + b + U[-w, w]
-    cubic_uniform    params noise_halfwidth       : x -> x**3 + U[-w, w]
-    gaussian_shift   params sigma                 : density N(y; x, sigma^2)
-    tabulated        params values (N x N row-major list) : g sampled on the grid
-    explicit_matrix  params matrix                : finite substochastic chain
+    ``family`` is a key of :data:`FAMILIES`, whose record says what the
+    family is and which parameters it takes.
 
     Fields are keyword-only and checked here alone, for the library and spec
-    files alike (InvalidDomain): ``params`` a dict of exactly the family's
-    parameters, ``domain`` a pair of real numbers (not bool) kept as a float
+    files alike (InvalidDomain): ``params`` a dict of exactly the record's
+    ``params``, ``domain`` a pair of real numbers (not bool) kept as a float
     pair, ``grid_size`` an int (by ``operator.index``).  A density family
     needs both, with lower < upper a finite width apart, and is sampled on
     the trapezoid grid of ``grid_size`` equispaced nodes.  An explicit
     chain's matrix, or a tabulated density's values, is checked here, once,
     by the one table rule ``_table`` (InvalidDomain, or NegativeDensity for
     a negative entry; then RowSumExceedsOne for an explicit chain), and kept
-    as the read-only float copy ``matrix`` that every reader uses.  An explicit chain's n states fix
-    ``domain`` = (0, max(n - 1, 1)) and ``grid_size`` = n, and any other
-    value raises InvalidDomain.
+    as the read-only float copy ``matrix`` that every reader uses.  An
+    explicit chain's n states fix ``domain`` = (0, max(n - 1, 1)) and
+    ``grid_size`` = n, and any other value raises InvalidDomain.
     """
 
     _: KW_ONLY
@@ -138,8 +117,8 @@ class KernelSpec:
     matrix: Optional[np.ndarray] = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if self.family not in ALL_FAMILIES:
-            raise InvalidDomain(f"family must be one of {ALL_FAMILIES}, got {self.family!r}")
+        if self.family not in tuple(FAMILIES):   # by ==, so an unhashable family is refused too
+            raise InvalidDomain(f"family must be one of {tuple(FAMILIES)}, got {self.family!r}")
         if not isinstance(self.params, dict):
             raise InvalidDomain("params must be an object")
         if self.domain is not None:
@@ -153,10 +132,10 @@ class KernelSpec:
                 object.__setattr__(self, "grid_size", operator.index(self.grid_size))
         except TypeError:
             raise InvalidDomain(f"grid_size must be an integer, got {self.grid_size!r}") from None
-        bad = set(self.params) - _FAMILY_PARAMS[self.family]
+        bad = set(self.params) - FAMILIES[self.family].params
         if bad:
             raise InvalidDomain(f"unknown params {sorted(bad)} for family {self.family}")
-        missing = _FAMILY_PARAMS[self.family] - set(self.params)
+        missing = FAMILIES[self.family].params - set(self.params)
         if missing:
             raise InvalidDomain(f"missing params {sorted(missing)} for family {self.family}")
         if self.is_explicit:
@@ -518,7 +497,8 @@ def _window_runs(centers, nodes, lower, upper, halfwidth):
     evaluating those same floating-point expressions at O(N log N) points.
     The left-edge and then the right-edge entries overwrite the inside ones,
     so a cell on both edges takes the right edge's value.  A NaN or infinite
-    center fails every test and gives a zero row.
+    center fails every test and gives a zero row, and a key that overflows is
+    +-inf, which keeps the order the search reads.
     """
     c = np.asarray(centers, dtype=float)
     y = np.asarray(nodes, dtype=float)
@@ -531,11 +511,12 @@ def _window_runs(centers, nodes, lower, upper, halfwidth):
     floor = np.array([np.nextafter(-inner, np.inf), inner,
                       -JUMP_ATOL, above, -JUMP_ATOL, above])[:, None]
     first = np.zeros((6, c.size), dtype=np.intp)
-    for step in (1 << k for k in reversed(range(n.bit_length()))):
-        probe = first + (step - 1)
-        key = y[np.minimum(probe, n - 1)] - c
-        key += shift
-        first += step * ((probe < n) & (key < floor))
+    with np.errstate(over="ignore"):
+        for step in (1 << k for k in reversed(range(n.bit_length()))):
+            probe = first + (step - 1)
+            key = y[np.minimum(probe, n - 1)] - c
+            key += shift
+            first += step * ((probe < n) & (key < floor))
     has_below = y > lower + JUMP_ATOL
     has_above = y < upper - JUMP_ATOL
     n_sides = np.maximum(has_below.astype(float) + has_above.astype(float), 1.0)
@@ -572,15 +553,38 @@ def _window_density(spec, x, nodes):
 
 
 def _map_centers(spec, x, out=None):
-    """Window centers of the two window families, a x + b or x**3 (cubic), into ``out`` if given."""
-    x = np.asarray(x, dtype=float)
-    p = spec.params
+    """A window family's centers, by its record's ``centers``, into ``out`` if given."""
     with np.errstate(over="ignore"):   # an infinite center: a zero row, a dead path, no mass
-        if spec.family == "affine_uniform":
-            out = np.multiply(p["a"], x, out=out)
-            out += p["b"]
-            return out
-        return np.power(x, 3, out=out)
+        return FAMILIES[spec.family].centers(spec.params, np.asarray(x, dtype=float), out)
+
+
+def _affine_centers(p, x, out):
+    """``a x + b``, into ``out`` if given."""
+    out = np.multiply(p["a"], x, out=out)
+    out += p["b"]
+    return out
+
+
+def _cubic_centers(p, x, out):
+    """``x**3``, into ``out`` if given."""
+    return np.power(x, 3, out=out)
+
+
+def _window_draw(spec, x, u, centers=None):
+    """A window's next points, ``center + (2u - 1) w``, in place in u; centers into ``centers``."""
+    u *= 2.0
+    u -= 1.0
+    u *= float(spec.params["noise_halfwidth"])
+    return np.add(u, _map_centers(spec, x, out=centers), out=u)
+
+
+def _gaussian_draw(spec, x, u, centers=None):
+    """Next points from x of ``gaussian_shift``, ``x + sigma ndtri(u)``, in place in u."""
+    from scipy.special import ndtri
+
+    ndtri(u, out=u)
+    u *= float(spec.params["sigma"])
+    return np.add(u, x, out=u)
 
 
 def _gaussian(t, sigma):
@@ -607,23 +611,30 @@ def _check_density(vals):
 
 
 def analytic_row_mass(spec, x):
-    """Exact one-step survival mass P(x, M) for the closed-form families.
+    """Exact one-step survival mass P(x, M), by the record's ``row_mass``.
 
-    Returns None for tabulated densities (quadrature is all we have).
+    Returns None for a family without one: a tabulated density (quadrature
+    is all we have) or a finite chain.
     """
-    lo, hi = spec.domain
-    x = np.asarray(x, dtype=float)
-    if spec.family in ("affine_uniform", "cubic_uniform"):
-        w = float(spec.params["noise_halfwidth"])
-        c = _map_centers(spec, x)
-        overlap = np.minimum(hi, c + w) - np.maximum(lo, c - w)
-        return np.maximum(overlap, 0.0) / (2 * w)
-    if spec.family == "gaussian_shift":
-        from scipy.special import ndtr
+    mass = FAMILIES[spec.family].row_mass
+    return None if mass is None else mass(spec, np.asarray(x, dtype=float))
 
-        sigma = float(spec.params["sigma"])
-        return ndtr((hi - x) / sigma) - ndtr((lo - x) / sigma)
-    return None
+
+def _window_mass(spec, x):
+    """The window's overlap with the domain, over its width 2w."""
+    lo, hi = spec.domain
+    w = float(spec.params["noise_halfwidth"])
+    c = _map_centers(spec, x)
+    return np.maximum(np.minimum(hi, c + w) - np.maximum(lo, c - w), 0.0) / (2 * w)
+
+
+def _gaussian_mass(spec, x):
+    """The N(x, sigma^2) mass of the domain, by ``ndtr``."""
+    from scipy.special import ndtr
+
+    lo, hi = spec.domain
+    sigma = float(spec.params["sigma"])
+    return ndtr((hi - x) / sigma) - ndtr((lo - x) / sigma)
 
 
 def _quadrature_grid(spec):
@@ -670,18 +681,16 @@ def _check_row_sums(masses):
         raise RowSumExceedsOne(f"row sum {top} exceeds one")
 
 
-_FORMS = {"affine_uniform": RunTable, "cubic_uniform": RunTable, "gaussian_shift": ToeplitzRow}
-
-
 def build_operator(spec):
     """Realize a KernelSpec as a DiscreteOperator: its grid, its form and its escape nodes.
 
-    The two window families are held as a :class:`RunTable`,
-    ``gaussian_shift`` as a :class:`ToeplitzRow`, and every other family as
-    :class:`DenseRows`; the escape nodes come from the form's row masses.
+    The form is the family's record's ``form`` (:data:`FAMILIES`): a
+    :class:`RunTable` for the two window families, a :class:`ToeplitzRow`
+    for ``gaussian_shift`` and :class:`DenseRows` for the tables; the escape
+    nodes come from the form's row masses.
     """
     grid = _quadrature_grid(spec)
-    form = _FORMS.get(spec.family, DenseRows)(spec, grid)
+    form = FAMILIES[spec.family].form(spec, grid)
     return DiscreteOperator(grid=grid, escape=_escape_nodes(spec, form.masses()), spec=spec,
                             form=form)
 
@@ -692,12 +701,12 @@ def _escape_nodes(spec, masses):
     Returns the frozenset of rows whose mass is at most
     ``ESCAPE_TOL_DEFAULT``.  A row mass that is not finite (finite densities
     whose product with the weights overflows) raises InvalidDomain; then a
-    family in ``SUB_MARKOV_FAMILIES`` is held to the rule of explicit chains
-    (``_check_row_sums``).
+    family whose record is ``sub_markov`` is held to the rule of explicit
+    chains (``_check_row_sums``).
     """
     if not np.isfinite(masses).all():
         raise InvalidDomain("row masses overflow: the density times the weights is not finite")
-    if spec.family in SUB_MARKOV_FAMILIES:
+    if FAMILIES[spec.family].sub_markov:
         _check_row_sums(masses)
     return frozenset(int(i) for i in np.flatnonzero(masses <= ESCAPE_TOL_DEFAULT))
 
@@ -818,6 +827,53 @@ def _gaussian_rows(spec, nodes, sets):
     return fill
 
 
+# ---------------------------------------------------------------------------
+# the family table
+
+
+class Family:
+    """One kernel family: every choice of ``kernels`` and ``simulate`` that depends on it.
+
+    ``params`` are its parameter names, each one required; ``form`` is the
+    operator form ``build_operator`` makes; ``rows(spec, nodes, sets)`` is
+    the H1 probe's row fill, or, for a family with no density off the grid
+    nodes, the reason ``check_h1_modulus`` refuses with; ``centers(params,
+    x, out)`` is a window's center map; ``draw(spec, x, u, centers=None)``
+    is the Monte Carlo random map, in place in the uniform draws u (a finite
+    chain draws by its inverse CDF, in ``simulate._mover``); ``row_mass(spec,
+    x)`` is the exact one-step survival mass.  Each map is None where the
+    family has none.  ``sub_markov``: ``_escape_nodes`` holds the operator
+    to the explicit chains' row-sum rule.  The window families are exempt
+    for now: where a window edge falls between nodes, their trapezoid row
+    mass exceeds the true one by up to about h / 2w.  A plain class, not a
+    dataclass, as it imports faster.
+    """
+
+    def __init__(self, params, form, rows, centers=None, draw=None, row_mass=None,
+                 sub_markov=False):
+        self.params, self.form, self.rows, self.centers = frozenset(params), form, rows, centers
+        self.draw, self.row_mass, self.sub_markov = draw, row_mass, sub_markov
+
+
+# every family, in the order the unknown-family message names them
+FAMILIES = {
+    # x -> a x + b + U[-w, w]
+    "affine_uniform": Family({"a", "b", "noise_halfwidth"}, RunTable, _window_rows,
+                             _affine_centers, _window_draw, _window_mass),
+    # x -> x**3 + U[-w, w]
+    "cubic_uniform": Family({"noise_halfwidth"}, RunTable, _window_rows, _cubic_centers,
+                            _window_draw, _window_mass),
+    # the density N(y; x, sigma^2)
+    "gaussian_shift": Family({"sigma"}, ToeplitzRow, _gaussian_rows, draw=_gaussian_draw,
+                             row_mass=_gaussian_mass, sub_markov=True),
+    # g sampled on the grid: ``values``, an N x N row-major table
+    "tabulated": Family({"values"}, DenseRows,
+                        "a tabulated density exists only on the grid nodes", sub_markov=True),
+    # a finite substochastic chain, its ``matrix`` taken verbatim
+    "explicit_matrix": Family({"matrix"}, DenseRows, "finite chains have no density to probe"),
+}
+
+
 def check_h1_modulus(spec):
     """Probe the uniform L1 continuity of the density in its first argument.
 
@@ -827,19 +883,19 @@ def check_h1_modulus(spec):
     finite probe set can only sample the modulus, so the report records the
     probe count and grid step rather than claiming proof; the verdict is PASS
     when the sampled modulus decreases to the grid floor.  Raises
-    NotApplicable, with the reason, for a finite chain or a tabulated density,
-    which has no values off the grid nodes.
+    NotApplicable, with the record's reason, for a family whose record has
+    no ``rows``: a finite chain, or a tabulated density, which has no values
+    off the grid nodes.
 
     Each distance is ``(|gz - gx| @ weights).max()`` over one P x N block:
-    the family's row fill (:func:`_window_rows`, from one search of the
+    the record's row fill (:func:`_window_rows`, from one search of the
     window runs over every probe set, or :func:`_gaussian_rows`) writes gx
     once and gz into one reused buffer.  A density value that is not finite
     raises InvalidDomain, as the build does.
     """
-    if spec.is_explicit:
-        raise NotApplicable("finite chains have no density to probe")
-    if spec.family == "tabulated":
-        raise NotApplicable("a tabulated density exists only on the grid nodes")
+    rows = FAMILIES[spec.family].rows
+    if isinstance(rows, str):
+        raise NotApplicable(rows)
     lo, hi = spec.domain
     grid = _quadrature_grid(spec)
     h = grid.step
@@ -849,8 +905,7 @@ def check_h1_modulus(spec):
 
     xs = np.linspace(lo, hi, H1_PROBES)
     sets = [xs] + [np.clip(xs + d, lo, hi) for d in deltas]
-    fill = (_gaussian_rows if spec.family == "gaussian_shift" else _window_rows)(
-        spec, grid.nodes, sets)
+    fill = rows(spec, grid.nodes, sets)
     gx = fill(0, np.empty((H1_PROBES, grid.nodes.size)))
     gz = np.empty_like(gx)
     sups = np.empty(deltas.size)

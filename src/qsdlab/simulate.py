@@ -54,7 +54,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvalidDomain, NotApplicable, TooFewSurvivors, ValidationError
-from .kernels import _map_centers, _quadrature_grid
+from .kernels import FAMILIES, _quadrature_grid
 
 CHUNK_SIZE = 1 << 20  # fixed: changing it changes the stream layout
 BLOCK_SIZE = 1 << 16  # live paths per block of the step loop; not part of the stream layout
@@ -71,28 +71,6 @@ def _chunk_generator(seed, chunk_index, skip=0):
     gen = np.random.Generator(bits)
     gen.random(skip % 4)
     return gen
-
-
-def _noise_to_moves(spec, x, u, centers=None):
-    """Map uniform draws u in [0,1) to next points from x, in place in u (window or Gaussian).
-
-    A window family's centers go into ``centers`` when it is given.
-    """
-    p = spec.params
-    if spec.family in ("affine_uniform", "cubic_uniform"):
-        w = float(p["noise_halfwidth"])
-        u *= 2.0
-        u -= 1.0
-        u *= w
-        u += _map_centers(spec, x, out=centers)
-        return u
-    from scipy.special import ndtri
-
-    sigma = float(p["sigma"])
-    ndtri(u, out=u)
-    u *= sigma
-    u += x
-    return u
 
 
 def _inverse_cdf(cdf, n, state, u, out, at, vals, le, step):
@@ -127,9 +105,9 @@ def _mover(spec):
     block-sized buffers, valid until its next call.  Explicit chains hold a
     state as its inverse-CDF count, in the smallest unsigned type that holds
     the state count (absorption included), and draw by binary search over the
-    matrix's row CDFs.  The window and Gaussian families take their random
-    map, in place in u, and live while ``lo <= y <= hi``, which also absorbs
-    NaN.  Any other family has no draw: NotApplicable.
+    matrix's row CDFs.  Every other family takes its record's ``draw``, in
+    place in u, and lives while ``lo <= y <= hi``, which also absorbs NaN; a
+    family without one cannot be simulated: NotApplicable.
     """
     live = np.empty(BLOCK_SIZE, dtype=bool)
     if spec.is_explicit:
@@ -144,15 +122,16 @@ def _mover(spec):
             y = _inverse_cdf(cdf, n, s, u, count[:k], at[:k], vals[:k], le[:k], step[:k])
             return y, np.less(y, n, out=live[:k])
         return count.dtype, move
-    if spec.family not in ("affine_uniform", "cubic_uniform", "gaussian_shift"):
+    family = FAMILIES[spec.family]
+    if family.draw is None:
         raise NotApplicable(f"cannot simulate family {spec.family!r}")
     lo, hi = spec.domain
     below = np.empty(BLOCK_SIZE, dtype=bool)
-    centers = np.empty(BLOCK_SIZE) if spec.family != "gaussian_shift" else None
+    centers = np.empty(BLOCK_SIZE) if family.centers is not None else None
 
     def move(s, u):
         k = s.size
-        y = _noise_to_moves(spec, s, u, None if centers is None else centers[:k])
+        y = family.draw(spec, s, u, None if centers is None else centers[:k])
         ok = np.less_equal(lo, y, out=live[:k])
         return y, np.logical_and(ok, np.less_equal(y, hi, out=below[:k]), out=ok)
     return np.dtype(float), move

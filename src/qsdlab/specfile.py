@@ -6,10 +6,9 @@ Schema (all other top-level keys are a hard error)::
       "schema_version": 1,            # optional, must be 1 if present
       "name": "...",                  # optional
       "domain": [lower, upper],       # required for density families
-      "family": "affine_uniform" | "cubic_uniform" | "gaussian_shift"
-                | "tabulated" | "explicit_matrix",
-      "params": {...},                # every parameter of the family, no other;
-                                      # matrices as nested lists
+      "family": "...",                # a key of kernels.FAMILIES
+      "params": {...},                # every parameter of the family's record,
+                                      # no other; matrices as nested lists
       "grid_size": N                  # required for density families
     }
 

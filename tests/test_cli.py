@@ -225,6 +225,27 @@ def test_simulate_budget_notice_is_one_plain_line(tmp_path):
     assert ".py" not in out.stderr
 
 
+def test_window_run_search_overflow_warns_nothing(tmp_path):
+    # the centers 2x reach +-1.6e308 at the ends, so the window run search's
+    # keys overflow to +-inf; every command answers with no NumPy warning
+    spec = tmp_path / "overflow.spec.json"
+    spec.write_text(json.dumps({"family": "affine_uniform", "domain": [-8e307, 8e307],
+                                "grid_size": 11,
+                                "params": {"a": 2, "b": 0, "noise_halfwidth": 8e307}}))
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(q.__file__))}
+
+    def run(cmd):
+        return subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "qsdlab.cli",
+                               cmd, "--spec", str(spec), "--out", str(tmp_path / cmd)],
+                              capture_output=True, text=True, env=env)
+
+    hyp = run("verify-hypothesis")
+    assert hyp.returncode == 0, hyp.stderr
+    sim = run("simulate")
+    assert sim.returncode == 3 and "Reducible: 2 communicating classes" in sim.stderr, sim.stderr
+    assert ".py" not in hyp.stderr + sim.stderr
+
+
 def test_simulate_canonical_changes_no_byte(tmp_path):
     # estimates.csv carries no timestamp: the flag is accepted and read by nothing
     args = ["simulate", "--spec", "ds3", "--n", "5", "--n-paths", "20000", "--seed", "3"]

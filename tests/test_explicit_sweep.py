@@ -30,7 +30,7 @@ from qsdlab.cli import main
 from qsdlab.errors import QsdlabError, ValidationError
 from qsdlab.kernels import (
     ESCAPE_TOL_DEFAULT,
-    SUB_MARKOV_FAMILIES,
+    FAMILIES,
     KernelSpec,
     build_operator,
 )
@@ -143,7 +143,7 @@ def check_runs(doc, runs):
                 with open(os.path.join(out, name)) as fp:
                     text = fp.read()
                 assert not re.search(r"\bnan\b", text, re.IGNORECASE), (run, name)
-            if run[0] == "analyze" and doc["family"] in SUB_MARKOV_FAMILIES:
+            if run[0] == "analyze" and FAMILIES[doc["family"]].sub_markov:
                 with open(os.path.join(out, "analysis.json")) as fp:
                     assert json.load(fp)["lambda"] <= 1 + 1e-12, run
 

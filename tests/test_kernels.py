@@ -17,12 +17,16 @@ from qsdlab.errors import (
     RowSumExceedsOne,
 )
 from qsdlab.kernels import (
+    FAMILIES,
     KernelSpec,
+    ModulusReport,
     StateGrid,
     analytic_row_mass,
     build_operator,
+    check_h1_modulus,
 )
 from qsdlab.oracle import FiniteChain
+from qsdlab.simulate import _mover
 from dense_graph import expand, operator_graph
 
 
@@ -32,6 +36,44 @@ def spec21(n=101):
 
 def spec22(n=101):
     return q.get_spec("example22cubic", grid_size=n)
+
+
+# -- the family table --------------------------------------------------------
+
+# one small spec per family: a family added to the table needs one here
+FAMILY_SPECS = {
+    "affine_uniform": {"domain": (-1.0, 1.0), "grid_size": 11,
+                       "params": {"a": 0.5, "b": 0.0, "noise_halfwidth": 0.5}},
+    "cubic_uniform": {"domain": (-1.0, 1.0), "grid_size": 11, "params": {"noise_halfwidth": 0.5}},
+    "gaussian_shift": {"domain": (-1.0, 1.0), "grid_size": 11, "params": {"sigma": 0.5}},
+    "tabulated": {"domain": (0.0, 1.0), "grid_size": 3, "params": {"values": [[0.2] * 3] * 3}},
+    "explicit_matrix": {"params": {"matrix": [[0.5, 0.25], [0.25, 0.5]]}},
+}
+
+
+@pytest.mark.parametrize("name", list(FAMILIES))
+def test_the_family_record_is_what_the_family_does(name):
+    record, spec = FAMILIES[name], KernelSpec(family=name, **FAMILY_SPECS[name])
+    assert type(build_operator(spec).form) is record.form
+    if isinstance(record.rows, str):
+        with pytest.raises(NotApplicable) as exc:
+            check_h1_modulus(spec)
+        assert str(exc.value) == record.rows
+    else:
+        assert isinstance(check_h1_modulus(spec), ModulusReport)
+    if spec.is_explicit or record.draw is not None:
+        _mover(spec)
+    else:
+        with pytest.raises(NotApplicable) as exc:
+            _mover(spec)
+        assert str(exc.value) == f"cannot simulate family {name!r}"
+    assert (analytic_row_mass(spec, [0.0]) is None) == (record.row_mass is None)
+    # an unknown family's message names every family, in this order
+    with pytest.raises(InvalidDomain) as exc:
+        KernelSpec(family=name + "_", **FAMILY_SPECS[name])
+    assert str(exc.value) == (
+        "family must be one of ('affine_uniform', 'cubic_uniform', 'gaussian_shift', "
+        f"'tabulated', 'explicit_matrix'), got '{name}_'")
 
 
 # -- grids and construction --------------------------------------------------

@@ -40,3 +40,9 @@ def test_every_case_parses_and_has_its_own_directory(tmp_path):
     # first moves alone (example21, n 2 from 0.9)
     mc = {Path(out).name for out, _ in cases if Path(out).parent == tmp_path / "mc"}
     assert {"sym2_n_1", "sym2_n_4", "example21_n_2_x0_0.9"} <= mc
+    # the window whose run search overflows to +-inf, on a spec the script writes
+    hyp = {Path(out).name: commands for out, commands in cases
+           if Path(out).parent == tmp_path / "hyp"}
+    assert hyp["window_overflow"] == [
+        ["verify-hypothesis", "--spec", str(tmp_path / "hyp" / "window_overflow.spec.json"),
+         "--canonical"]]

@@ -15,9 +15,8 @@ from hypothesis import strategies as st
 
 import qsdlab as q
 from qsdlab import simulate
-from qsdlab.kernels import KernelSpec
-from qsdlab.simulate import (BLOCK_SIZE, CHUNK_SIZE, _chunk_generator, _noise_to_moves,
-                             check_start, simulate_batch)
+from qsdlab.kernels import FAMILIES, KernelSpec
+from qsdlab.simulate import BLOCK_SIZE, CHUNK_SIZE, _chunk_generator, check_start, simulate_batch
 
 
 def ref_inverse_cdf(cdf, state, u):
@@ -54,7 +53,7 @@ def ref_simulate_batch(spec, x0, n, n_paths, seed=0, h=None):
                 y = ref_inverse_cdf(cdf, state, u)
                 live = y < nstates
             else:
-                y = _noise_to_moves(spec, state, u)
+                y = FAMILIES[spec.family].draw(spec, state, u)
                 live = ~((y < lo) | (y > hi))
             tau_hist[step + 1] += state.size - int(np.count_nonzero(live))
             state = y[live]
