@@ -19,6 +19,9 @@ CSV files cell by cell, under three rules:
   some tens of steps long, moves about that many times more than the rate;
 - everything else, and every other file, matches exactly.
 
+Under a tolerance, equal numbers agree (infinities too) and NaN agrees with
+nothing.
+
 Prints one line per miss and a summary, and exits 1 on any miss.
 """
 
@@ -37,7 +40,7 @@ SPECTRAL_TOL = (1e-12, 1e-14)   # (relative, absolute)
 
 def close(a, b, tol):
     rel, abs_ = tol
-    return abs(a - b) <= max(rel * max(abs(a), abs(b)), abs_)
+    return a == b or abs(a - b) <= max(rel * max(abs(a), abs(b)), abs_)   # inf - inf is NaN
 
 
 def json_tolerance(path):

@@ -27,8 +27,12 @@ Writes under DIR, with ``--canonical`` where the command takes it:
 - specs/<name>/: analyze on each fixtures/*.spec.json, parsed from JSON, not
   resolved by name, and on the tabulated band (its bytes depend on the
   OpenBLAS thread count);
-- arnoldi/<name>_<N>/: analyze on the Arnoldi route (512 nodes up), and on
-  example21 at 401, whose conditioned-law orbit ends in a replayed cycle;
+- arnoldi/<name>_<N>/: analyze on the Arnoldi route, which a window or
+  Gaussian operator takes at every size: example21 at 1601 and at 401, whose
+  conditioned-law orbit ends in a replayed cycle, example22cubic and
+  example23gauss at 801, and three small grids, example21 at 41,
+  example23gauss at 61 and example22cubic at 11, where the window covers
+  the domain;
 - arnoldi/gauss_narrow_801/: analyze on arnoldi/gauss_narrow.spec.json, a
   Gaussian of sigma 0.02 on [-1, 1] at 801 nodes (sub/lambda 0.9986), written
   here first, whose Arnoldi runs restart.
@@ -55,7 +59,8 @@ SIMULATE = [("sym2", 4, None), ("ds3", 20, None), ("example21", 10, None),
             ("ds3", 20, "2"), ("cycle3", 6, "3"), ("example21", 10, "0.3"),
             ("example21", 2, "0.9"), ("sym2", 1, None)]
 ARNOLDI = [("example21", 1601), ("example22cubic", 801), ("example23gauss", 801),
-           ("example21", 401)]
+           ("example21", 401), ("example21", 41), ("example23gauss", 61),
+           ("example22cubic", 11)]
 BAND = os.path.join("hyp", "tabulated.spec.json")   # under the --out root
 WIDE = os.path.join("mc", "wide300.spec.json")
 NARROW = os.path.join("arnoldi", "gauss_narrow.spec.json")

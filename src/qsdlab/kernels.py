@@ -183,7 +183,10 @@ class DiscreteOperator:
     Readers apply the operator through its own ``right(f)`` on grid
     functions and ``left(nu)`` on grid measures (the adjoint), which split
     a complex v once and call the form.  Only the dense-only consumers read
-    ``matrix``: the ``eigvals`` solve and inverse iteration.  ``escape`` is
+    ``matrix``: the ``eigvals`` solve and inverse iteration, which a run
+    table or a Toeplitz row meets only at a graph period m whose 2 m + 2
+    Ritz values would not fit in one Arnoldi cycle; otherwise its matrix is
+    a dense reference for the tests and benchmarks.  ``escape`` is
     the frozenset of escape nodes, the rows whose mass is at most
     ``ESCAPE_TOL_DEFAULT``.  Immutable after construction.
     """
@@ -279,9 +282,9 @@ class RunTable:
     rounding alone: at most about 4 N eps times the absolute terms summed.
     The prefix sums use no BLAS, so their bytes do not depend on the thread
     count; a real v only, as every form takes.  ``masses()`` is ``right``
-    of ones, ``matrix()`` gives the dense build's bytes in one N x N pass,
-    and ``graph()`` ``matrix > ESCAPE_TOL_DEFAULT`` as :class:`EdgeRuns` in
-    O(N).
+    of ones, ``matrix()`` gives the dense build's bytes in one N x N pass
+    (a reference, as :class:`DiscreteOperator` says), and ``graph()``
+    ``matrix > ESCAPE_TOL_DEFAULT`` as :class:`EdgeRuns` in O(N).
     """
 
     def __init__(self, spec, grid):
@@ -368,8 +371,8 @@ class ToeplitzRow:
     the thread count; their rounding is relative to the sup of the terms,
     not to each entry.  ``masses()`` sums each row by prefix sums over the
     row, in O(N), ``graph()`` gives ``matrix > ESCAPE_TOL_DEFAULT`` as
-    :class:`EdgeRuns`, and ``matrix()`` fills the N x N matrix, which only
-    the dense route reads.  A value of T that is not finite raises
+    :class:`EdgeRuns`, and ``matrix()`` fills the N x N matrix, a reference
+    (see :class:`DiscreteOperator`).  A value of T that is not finite raises
     InvalidDomain, as the density's check does.
     """
 

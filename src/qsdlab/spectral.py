@@ -32,10 +32,6 @@ GAP_FLOOR_DEFAULT = 1e-4
 ANGLE_SNAP_TOL = 1e-3
 DENSE_SIZE_LIMIT = 2000
 KRYLOV_MIN_SIZE = 512
-# a run table or a Toeplitz row takes Arnoldi from this size on, the smallest
-# where it beat eigvals plus inverse iteration on all three bundled density
-# systems (2 OpenBLAS threads)
-_KRYLOV_MIN_COMPACT = 81
 KRYLOV_SEPARATION = 0.9
 KRYLOV_STEPS = 60
 KRYLOV_RESIDUAL = 1e-14
@@ -124,7 +120,8 @@ def _arnoldi(act, n, k, need, restart=True):
                 h = basis[:j + 1] @ w
                 w -= h @ basis[:j + 1]
                 hess[:j + 1, j] += h
-            hess[j + 1, j] = norm = np.linalg.norm(w)
+            e = np.frexp(np.abs(w).max())[1]     # unscaled, squares past 1e154 overflow
+            hess[j + 1, j] = norm = np.ldexp(np.linalg.norm(np.ldexp(w, -e)), e)
             if not kept or j + 1 == KRYLOV_STEPS or norm <= tol:
                 theta, y = np.linalg.eig(hess[:j + 1, :j + 1])
                 order = np.argsort(-np.abs(theta), kind="stable")
@@ -201,16 +198,17 @@ def _eigenvalues(op, period):
     every one from one eigenvector-free dense solve.  The route is chosen by
     form: any operator but a :class:`DenseRows` (a window's run table, the
     Gaussian's Toeplitz row, an operator seen through its actions alone)
-    takes a restarted run from ``_KRYLOV_MIN_COMPACT`` nodes on, where it
-    beats ``eigvals``.  A :class:`DenseRows` (an explicit or tabulated chain,
-    whose spectrum may cloud) tries one cycle from ``KRYLOV_MIN_SIZE`` nodes
-    on, kept when it converges with the smallest modulus outside the
-    peripheral band at most ``KRYLOV_SEPARATION`` times the largest.
+    takes a restarted run at every size.  A :class:`DenseRows` (an explicit
+    or tabulated chain, whose spectrum may cloud) tries one cycle from
+    ``KRYLOV_MIN_SIZE`` nodes on, kept when it converges with the smallest
+    modulus outside the peripheral band at most ``KRYLOV_SEPARATION`` times
+    the largest.  Any form whose ``2 period + 2`` values would not fit in
+    ``KRYLOV_STEPS`` takes the dense solve.
     """
     n = op.size
     check_size(n)
     compact = not isinstance(getattr(op, "form", None), DenseRows)
-    if n >= (_KRYLOV_MIN_COMPACT if compact else KRYLOV_MIN_SIZE) and 2 * period + 2 < KRYLOV_STEPS:
+    if (compact or n >= KRYLOV_MIN_SIZE) and 2 * period + 2 < KRYLOV_STEPS:
         run = _arnoldi(op.right, n, 2 * period + 2, period + 1, compact)
         if run is not None:
             mods = np.abs(run[0])
@@ -368,17 +366,17 @@ def peripheral_spectrum(op, reach=None):
 
     Three stages.  :func:`_eigenvalues` gives the eigenvalues: every one
     from a dense solve, or the top 2 graph period + 2 from a NumPy Arnoldi
-    run on A: a restarted one for a window's or the Gaussian's operator from
-    ``_KRYLOV_MIN_COMPACT`` nodes on, one cycle for dense rows from
-    ``KRYLOV_MIN_SIZE`` on, kept when they show a clear gap below the
-    peripheral band.  The checks on the values run next.  Only then is the
-    Perron pair chosen, here alone: the Ritz vectors of the right run and of
-    one on ``op.left`` when the values came from Arnoldi (from dense rows,
-    with the subdominant modulus at most ``1 - RITZ_GAP`` times lam) and the
-    left band passes the same slot test, which a restarted run's must (else
-    NonConvergent); else :func:`_inverse_iteration` at lam.  No other eigenvector is
-    solved for: for an irreducible nonnegative matrix the peripheral pairs
-    are ``f_j = D^j f_0`` and ``mu_j = mu_0 D^-j`` with ``D = diag(w^class)``
+    run on A: a restarted one for a window's or the Gaussian's operator at
+    every size, one cycle for dense rows from ``KRYLOV_MIN_SIZE`` on, kept
+    when they show a clear gap below the peripheral band.  The checks on the
+    values run next.  Only then is the Perron pair chosen, here alone: the
+    Ritz vectors of the right run and of one on ``op.left`` when the values
+    came from Arnoldi (from dense rows, with the subdominant modulus at most
+    ``1 - RITZ_GAP`` times lam) and the left band passes the same slot test,
+    which a restarted run's must (else NonConvergent); else
+    :func:`_inverse_iteration` at lam.  No other eigenvector is solved for:
+    for an irreducible nonnegative matrix the peripheral pairs are
+    ``f_j = D^j f_0`` and ``mu_j = mu_0 D^-j`` with ``D = diag(w^class)``
     (Schaefer, *Banach Lattices and Positive Operators*, 1974, ch. V), the
     classes being those of the reachability audit.  Every pair j <= m/2 is
     finished by one :func:`_forward_step` at its eigenvalue, which also

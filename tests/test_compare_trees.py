@@ -2,6 +2,7 @@
 
 import csv
 import json
+import math
 import shutil
 import subprocess
 import sys
@@ -102,3 +103,16 @@ def test_edit_is_caught_or_tolerated(tree, tmp_path, name):
     assert res.returncode == (0 if passes else 1), res.stdout
     if not passes:
         assert rel in res.stdout
+
+
+@pytest.mark.parametrize("value,passes", [(math.inf, True), (-math.inf, True), (math.nan, False)],
+                         ids=["inf", "-inf", "nan"])
+def test_equal_values_under_a_tolerance(tree, tmp_path, value, passes):
+    # |inf - inf| is NaN, which no tolerance holds: equal numbers agree first
+    for root in (tmp_path / "a", tmp_path / "b"):
+        shutil.copytree(tree, root)
+        edit_json(root / "analyze-ds3/analysis.json", set_rate("rate", lambda r: value))
+        edit_csv(root / "analyze-ds3/tv_curve.csv", 3, "tv", lambda v: repr(value))
+    res = compare(tmp_path / "a", tmp_path / "b")
+    assert res.returncode == (0 if passes else 1), res.stdout
+    assert res.stdout.count("analyze-ds3/") == (0 if passes else 2), res.stdout

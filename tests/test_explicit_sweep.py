@@ -169,6 +169,12 @@ def test_explicit_spec_files_exit_cleanly_without_nan(doc, data):
 # a domain whose width overflows; the drawn widths stop near 1e300
 @example(doc={"family": "gaussian_shift", "domain": [-1.5e308, 1.5e308], "grid_size": 5,
               "params": {"sigma": 1.0}})
+# Arnoldi vectors whose squares overflow: one live node of lambda near 1e198,
+# and a two-node window near 1e156
+@example(doc={"family": "cubic_uniform", "domain": [-1e200, 1e200], "grid_size": 81,
+              "params": {"noise_halfwidth": 1.0}})
+@example(doc={"family": "affine_uniform", "domain": [0, 1e156], "grid_size": 2,
+              "params": {"a": -1.0, "b": 0.0, "noise_halfwidth": 1.0}})
 def test_density_spec_files_exit_cleanly_without_nan(doc):
     check_runs(doc, RUNS)
 

@@ -1,15 +1,18 @@
 """The Krylov path of ``peripheral_spectrum`` against its dense path.
 
-From ``KRYLOV_MIN_SIZE`` nodes on (``_KRYLOV_MIN_COMPACT`` for a window's
-run table or the Gaussian's Toeplitz row), ``_eigenvalues`` takes the top
-eigenvalues and the right Ritz vector from a NumPy Arnoldi run on ``A``,
-and a second run on ``op.left`` gives the Perron left one.  Raising
-both past the operator's size runs the dense path instead:
-one ``np.linalg.eigvals`` and ``np.linalg.solve`` steps.  Where the Krylov
+A window's run table or the Gaussian's Toeplitz row at every size, and
+dense rows from ``KRYLOV_MIN_SIZE`` nodes on, take the top eigenvalues and
+the right Ritz vector from a NumPy Arnoldi run on ``A`` in
+``_eigenvalues``, and a second run on ``op.left`` gives the Perron left
+one.  The reference is the dense path on the same matrix held as dense
+rows (a ``DenseTwin``) with ``KRYLOV_MIN_SIZE`` raised past its size: one
+``np.linalg.eigvals`` and ``np.linalg.solve`` steps.  Where the Krylov
 values show a gap below the subdominant modulus the two paths differ in
 rounding only, so lam, m, the subdominant modulus and every f_j and mu_j
-must agree to 1e-12 relative.  A compact form's runs restart until they
-converge, or refuse over their product budget, and never read the matrix.
+must agree to 1e-12 relative (times each eigenvalue's condition number on
+drawn small grids, where a drifting window makes it large).  A compact
+form's runs restart until they converge, or refuse over their product
+budget, and never read the matrix.
 An explicit or tabulated chain's run is one cycle: where its values do not
 show a gap (a cloud of equal moduli below the peripheral band, or a right
 run that does not converge) the dense eigenvalues are used, bit for bit,
@@ -17,6 +20,7 @@ and a left run that does not converge, or whose band fills other slots,
 keeps the Arnoldi values and takes inverse iteration at the Perron value.
 """
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -25,12 +29,26 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import qsdlab as q
 from conftest import perron_values
 from qsdlab import spectral
-from qsdlab.errors import NonConvergent, NoSpectralGapWithinTol
-from qsdlab.kernels import KernelSpec, ToeplitzRow, build_operator
+from qsdlab.errors import (
+    IllConditionedEigenbasis,
+    NonConvergent,
+    NoSpectralGapWithinTol,
+    QsdlabError,
+)
+from qsdlab.kernels import (
+    DenseRows,
+    KernelSpec,
+    ToeplitzRow,
+    build_operator,
+    check_h2_reachability,
+)
 
 REL_TOL = 1e-12
 
@@ -94,11 +112,19 @@ def _spy(monkeypatch, module, name, calls=None):
     return calls
 
 
-def dense_path(op, monkeypatch):
-    with monkeypatch.context() as mp:
+class DenseTwin(DenseRows):
+    """A matrix held as dense rows, whatever form it was filled from."""
+
+    def __init__(self, matrix):
+        self.size, self.dense = len(matrix), matrix
+
+
+def dense_path(op):
+    """The dense route on op's matrix: its :class:`DenseTwin` below ``KRYLOV_MIN_SIZE``."""
+    twin = dataclasses.replace(op, form=DenseTwin(op.form.matrix()))
+    with pytest.MonkeyPatch.context() as mp:
         mp.setattr(spectral, "KRYLOV_MIN_SIZE", op.size + 1)
-        mp.setattr(spectral, "_KRYLOV_MIN_COMPACT", op.size + 1)
-        return q.peripheral_spectrum(op)
+        return q.peripheral_spectrum(twin)
 
 
 def assert_matches_dense(op, monkeypatch, krylov=True):
@@ -107,19 +133,23 @@ def assert_matches_dense(op, monkeypatch, krylov=True):
     sd = q.peripheral_spectrum(op)
     if krylov:
         assert dense_calls == []
-    assert_close(sd, dense_path(op, monkeypatch))
+    assert_close(sd, dense_path(op))
     return sd
 
 
-def assert_close(sd, ref):
-    """lam, m, the subdominant modulus and every f_j and mu_j agree to REL_TOL."""
+def assert_close(sd, ref, tol=REL_TOL, sub_tol=REL_TOL, floor=0.0):
+    """lam, m, every f_j and mu_j agree to tol, relative, and the subdominant modulus to sub_tol.
+
+    Two subdominant moduli below ``floor`` agree.
+    """
     assert sd.period_m == ref.period_m
-    assert abs(sd.lam - ref.lam) <= REL_TOL * ref.lam
-    assert abs(sd.subdominant_radius - ref.subdominant_radius) <= REL_TOL * max(
-        ref.subdominant_radius, 1e-2 * ref.lam)
+    assert abs(sd.lam - ref.lam) <= tol * ref.lam
+    if not sd.subdominant_radius < floor > ref.subdominant_radius:
+        assert abs(sd.subdominant_radius - ref.subdominant_radius) <= sub_tol * max(
+            ref.subdominant_radius, 1e-2 * ref.lam)
     for new, old in ((sd.right_eigs, ref.right_eigs), (sd.left_eigs, ref.left_eigs)):
         for j in range(sd.period_m):
-            assert np.abs(new[j] - old[j]).max() <= REL_TOL * np.abs(old[j]).max(), j
+            assert np.abs(new[j] - old[j]).max() <= tol * np.abs(old[j]).max(), j
 
 
 @pytest.mark.parametrize("n", [513, 801])
@@ -128,13 +158,84 @@ def test_bundled_systems_match_dense_path(name, n, monkeypatch):
     assert_matches_dense(build_operator(q.get_spec(name, grid_size=n)), monkeypatch)
 
 
-@pytest.mark.parametrize("at", ["crossover", "default"])
+@pytest.mark.parametrize("at", ["small", "default"])
 @pytest.mark.parametrize("name", ["example21", "example22cubic", "example23gauss"])
 def test_default_grids_match_dense_path(name, at, monkeypatch):
-    # the compact forms take Arnoldi below KRYLOV_MIN_SIZE, from the crossover on
-    n = spectral._KRYLOV_MIN_COMPACT if at == "crossover" else q.get_spec(name).grid_size
-    assert n < spectral.KRYLOV_MIN_SIZE
-    assert_matches_dense(build_operator(q.get_spec(name, grid_size=n)), monkeypatch)
+    # the compact forms take Arnoldi below KRYLOV_MIN_SIZE too, at every size
+    spec = q.get_spec(name, grid_size=41 if at == "small" else None)
+    assert spec.grid_size < spectral.KRYLOV_MIN_SIZE
+    assert_matches_dense(build_operator(spec), monkeypatch)
+
+
+@st.composite
+def compact_specs(draw):
+    """An affine or cubic window, or a Gaussian, on [-1, 1] at 5-80 nodes."""
+    family = draw(st.sampled_from(["affine_uniform", "cubic_uniform", "gaussian_shift"]))
+    if family == "affine_uniform":
+        params = {"a": draw(st.floats(-3.0, 3.0)), "b": draw(st.floats(-1.0, 1.0)),
+                  "noise_halfwidth": draw(st.floats(0.05, 2.0))}
+    elif family == "cubic_uniform":
+        params = {"noise_halfwidth": draw(st.floats(0.05, 3.0))}
+    else:
+        params = {"sigma": draw(st.floats(0.05, 2.0))}
+    return KernelSpec(domain=(-1.0, 1.0), family=family, params=params,
+                      grid_size=draw(st.integers(5, 80)))
+
+
+def _answer(solve):
+    """``solve()``, or the class of the QsdlabError it raises."""
+    try:
+        return solve()
+    except QsdlabError as exc:
+        return type(exc)
+
+
+def _drift(b, n):
+    return KernelSpec(domain=(-1.0, 1.0), family="affine_uniform",
+                      params={"a": 1.0, "b": b, "noise_halfwidth": 1.0}, grid_size=n)
+
+
+def _conditions(matrix):
+    """The eigenvalues' moduli and each one's condition number ``1 / |y^H x|`` (inf: defective)."""
+    values, left, right = scipy.linalg.eig(matrix, left=True)
+    with np.errstate(divide="ignore"):
+        return np.abs(values), 1 / np.abs(np.sum(left.conj() * right, axis=0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=compact_specs())
+@example(spec=q.get_spec("example22cubic", grid_size=11))   # a zero in Jordan blocks of size 2
+@example(spec=_drift(0.875, 17))     # kappa 3.5e3: the answers agree to 7.8e-13 in lam
+@example(spec=_drift(0.9375, 33))    # kappa 7.4e8: NonConvergent on the restarted run
+@example(spec=_drift(0.95, 60))      # a Perron pairing of 1.2e-14: a ring of Ritz values
+def test_small_compact_grids_match_dense_path(spec):
+    # the restarted run at every size: the twin's refusal, or its numbers to
+    # REL_TOL times kappa, the condition number of the eigenvalue, as the
+    # runs stop on a residual of 1e-14 lam (a drift, a = 1, can have kappa
+    # 1e3-1e9).  Past kappa = 1e-10 / KRYLOV_RESIDUAL at lam a Ritz vector
+    # may miss the 1e-10 residual gates that inverse iteration meets
+    # (NonConvergent), and where the twin finds the Perron pairing
+    # ill-conditioned the Ritz values may blur into a ring (another
+    # refusal); the drifts refuse so from 81 nodes on too.  A zero
+    # eigenvalue in a Jordan block of size 2 moves by up to sqrt(eps) lam in
+    # rounding, so two subdominant moduli below that agree
+    op = _answer(lambda: build_operator(spec))
+    if isinstance(op, type):
+        return     # refused before any eigensolve: a Gaussian row sum past one
+    reach = _answer(lambda: check_h2_reachability(op))
+    sd = reach if isinstance(reach, type) else _answer(lambda: q.peripheral_spectrum(op, reach))
+    ref = _answer(lambda: dense_path(op))
+    if isinstance(ref, type):
+        assert sd is ref or (ref is IllConditionedEigenbasis and isinstance(sd, type)), sd
+    else:
+        moduli, kappa = _conditions(op.form.matrix())
+        at = lambda modulus: kappa[np.argmin(np.abs(moduli - modulus))]
+        if not (sd is NonConvergent and at(ref.lam) > 1e-10 / spectral.KRYLOV_RESIDUAL):
+            assert not isinstance(sd, type), sd
+            assert_close(sd, ref, REL_TOL * at(ref.lam), REL_TOL * at(ref.subdominant_radius),
+                         np.sqrt(np.finfo(float).eps) * ref.lam)
+    if not isinstance(reach, type) and 2 * reach.graph_period + 2 < spectral.KRYLOV_STEPS:
+        assert "matrix" not in vars(op)
 
 
 def test_explicit_chain_below_krylov_min_size_stays_dense(monkeypatch):
@@ -265,7 +366,7 @@ def _inverse_iteration_values(monkeypatch):
 
 def assert_inverse_iteration_at_arnoldi_values(op, edit, monkeypatch):
     """A left run edited by ``edit`` gives way to inverse iteration at the right run's values."""
-    ref = dense_path(op, monkeypatch)
+    ref = dense_path(op)
     runs = _recording_arnoldi(monkeypatch, edit)
     calls = _spy(monkeypatch, np.linalg, "eigvals")
     values = _inverse_iteration_values(monkeypatch)
@@ -312,7 +413,7 @@ def test_nonconverged_arnoldi_falls_back_to_dense_eigenvalues(failing, monkeypat
     _spy(monkeypatch, spectral, "_inverse_iteration", calls)
     sd = q.peripheral_spectrum(window)
     assert cycles == [failing == 0, failing == 1] and calls == []
-    assert_close(sd, dense_path(build_operator(window.spec), monkeypatch))
+    assert_close(sd, dense_path(build_operator(window.spec)))
     assert "matrix" not in vars(window)
 
 
@@ -356,7 +457,7 @@ def test_slowly_mixing_gaussian_restarts_without_a_matrix(sigma, ratio, monkeypa
         sd = q.peripheral_spectrum(op)
     assert calls == [] and "matrix" not in vars(op)
     assert abs(sd.subdominant_radius / sd.lam - ratio) < 1e-4
-    ref = dense_path(narrow_gaussian(sigma), monkeypatch)
+    ref = dense_path(narrow_gaussian(sigma))
     assert abs(sd.lam - ref.lam) <= REL_TOL * ref.lam
     assert np.abs(sd.f0 - ref.f0).max() <= REL_TOL * ref.f0.max()
     assert np.abs(sd.mu0 - ref.mu0).max() <= REL_TOL * ref.mu0.max()

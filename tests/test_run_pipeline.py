@@ -31,10 +31,16 @@ def test_every_case_parses_and_has_its_own_directory(tmp_path):
     # every family of case is there: the bundled trees and the comparisons
     groups = {Path(out).relative_to(tmp_path).parts[0] for out in outs}
     assert {"mc", "hyp", "lobo", "specs", "arnoldi", "example21", "sym2"} <= groups
-    # the Arnoldi cases: four bundled grids and the narrow Gaussian, whose runs restart
+    # the Arnoldi cases: seven bundled grids from 11 to 1601 nodes, and the
+    # narrow Gaussian, whose runs restart
     arnoldi = {Path(out).name: commands for out, commands in cases
                if Path(out).parent == tmp_path / "arnoldi"}
-    assert len(arnoldi) == 5 and arnoldi["gauss_narrow_801"] == [
+    assert sorted(arnoldi) == ["example21_1601", "example21_401", "example21_41",
+                               "example22cubic_11", "example22cubic_801",
+                               "example23gauss_61", "example23gauss_801", "gauss_narrow_801"]
+    assert arnoldi["example22cubic_11"] == [
+        ["analyze", "--spec", "example22cubic", "--grid-size", "11", "--canonical"]]
+    assert arnoldi["gauss_narrow_801"] == [
         ["analyze", "--spec", str(tmp_path / "arnoldi" / "gauss_narrow.spec.json"), "--canonical"]]
     # the simulate cases include one move alone (sym2, n 1) and the two fused
     # first moves alone (example21, n 2 from 0.9)

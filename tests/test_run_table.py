@@ -10,9 +10,9 @@ bytes, the actions meet the prefix-sum bound of ``test_actions.py``, the
 escape set and the reachability graph are its decisions exactly, and a spec
 it refuses the run table refuses with the same error.  One ``analyze``
 searches the window runs once, and the bundled systems at their default
-grids read no run table's or Toeplitz row's matrix.  At 100 001 nodes, where the
-matrix would take 80 GB, the build and one action each way stay O(N) in
-memory.
+grids and at 5 to 80 nodes read no run table's or Toeplitz row's matrix and
+solve for no dense eigenvalues.  At 100 001 nodes, where the matrix would
+take 80 GB, the build and one action each way stay O(N) in memory.
 """
 
 import math
@@ -195,14 +195,19 @@ def test_analyze_searches_the_window_runs_once(monkeypatch, tmp_path):
 
 
 def test_default_grids_fill_no_matrix(monkeypatch, tmp_path):
-    # analyze on the three continuous systems at their default grids, and the
-    # default simulate, act through the run table or the Toeplitz row alone
-    def refuse(form):
-        raise AssertionError(f"{type(form).__name__}.matrix read")
+    # analyze on the three continuous systems at their default grids and at
+    # small ones, and the default simulate, act through the run table or the
+    # Toeplitz row alone, with no dense eigenvalue solve at any size
+    def refuse(name):
+        def read(*args):
+            raise AssertionError(f"{name} called")
+        return read
 
-    monkeypatch.setattr(kernels.RunTable, "matrix", refuse)
-    monkeypatch.setattr(kernels.ToeplitzRow, "matrix", refuse)
+    monkeypatch.setattr(kernels.RunTable, "matrix", refuse("RunTable.matrix"))
+    monkeypatch.setattr(kernels.ToeplitzRow, "matrix", refuse("ToeplitzRow.matrix"))
+    monkeypatch.setattr(np.linalg, "eigvals", refuse("np.linalg.eigvals"))
     for name in ("example21", "example22cubic", "example23gauss"):
-        assert main(["analyze", "--spec", name, "--out", str(tmp_path / name),
-                     "--canonical"]) == 0
+        for n in (q.get_spec(name).grid_size, 5, 11, 41, 80):
+            assert main(["analyze", "--spec", name, "--grid-size", str(n),
+                         "--out", str(tmp_path / f"{name}_{n}"), "--canonical"]) == 0
     assert main(["simulate", "--spec", "example21", "--out", str(tmp_path / "mc")]) == 0
