@@ -54,7 +54,7 @@ from .qsd import (
     quasi_ergodic_measure,
     quasi_stationary_measure,
 )
-from .simulate import _mover, _yaglom_and_birkhoff, budget_shortfall, check_seed, check_start
+from .simulate import _estimates, _mover, budget_shortfall, check_seed, check_start
 from .spectral import check_floats, check_size, peripheral_spectrum
 
 SCHEMA_VERSION = 1
@@ -217,7 +217,7 @@ def cmd_simulate(args):
     if notice is not None:
         print(f"warning: {notice}", file=sys.stderr)
     # one batch gives both the Yaglom histogram and the running sums of h
-    est, est_b = _yaglom_and_birkhoff(spec, mover, x0, n, n_paths, seed, h)
+    est, est_b = _estimates(spec, mover, x0, n, n_paths, seed, h)
     tv = tv_distance(est.value, mu)
     rows = [
         ["yaglom_histogram", n, n_paths, est.effective_samples,

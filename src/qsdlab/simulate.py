@@ -39,10 +39,10 @@ stands where the serial loop's third move starts.  One worker thread makes
 each block's draws one block ahead (NumPy's fill releases the GIL), with at
 most one fill in flight per stream, and each stream sees the calls of the
 serial loop in order, so every byte is the serial loop's.  The chunk loop
-yields each chunk's survivors; ``simulate_batch`` joins them into one batch,
-which carries both the terminal states and the running sums of a test
-function, so the Yaglom and Birkhoff summaries can share one batch, and the
-``simulate`` command bins the states as each chunk ends instead.
+yields each chunk's survivors.  ``_estimates``, which the ``simulate``
+command and the two estimators run, bins each chunk's states as the chunk
+ends, so no terminal state is kept, and joins only the running sums of a
+test function; ``simulate_batch`` joins the states and sums into one batch.
 """
 
 import math
@@ -55,6 +55,7 @@ import numpy as np
 
 from .errors import InvalidDomain, NotApplicable, TooFewSurvivors, ValidationError
 from .kernels import FAMILIES, _quadrature_grid
+from .spectral import check_floats
 
 CHUNK_SIZE = 1 << 20  # fixed: changing it changes the stream layout
 BLOCK_SIZE = 1 << 16  # live paths per block of the step loop; not part of the stream layout
@@ -349,15 +350,33 @@ def _chunk_survivors(spec, mover, x0, n, n_paths, seed, h, tau_hist):
     The arrays are views of the batch's buffers, valid until the next chunk:
     the states in the type of ``mover = _mover(spec)``, the running sums of h
     (None without h).  Absorptions are added to ``tau_hist``.  The arguments
-    must already be checked (``simulate_batch`` says how).
+    must already be checked (``_check_run``).  A point past the float range
+    is drawn as +-inf, silently, and absorbed; a running sum past it is +-inf.
     """
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(max_workers=1) as ahead:
         ws = _Workspace(spec, mover, x0, n, n_paths, h, ahead)
         for c in range(-(-n_paths // CHUNK_SIZE)):
-            m = ws.chunk(seed, c, min(CHUNK_SIZE, n_paths - c * CHUNK_SIZE), n, tau_hist)
+            with np.errstate(over="ignore", invalid="ignore"):   # ~3 us: per chunk, not block
+                m = ws.chunk(seed, c, min(CHUNK_SIZE, n_paths - c * CHUNK_SIZE), n, tau_hist)
             yield ws.state[:m], None if h is None else ws.acc[:m]
+
+
+def _check_run(spec, x0, n, n_paths, seed):
+    """The checked ``(seed, _mover(spec), x0)`` of a run of n_paths paths of n steps.
+
+    Raises ValueError unless n >= 0 and n_paths >= 1 are integers (not
+    bools), SizeLimitExceeded for more absorption-time counts than the float
+    budget, then ValidationError (seed), NotApplicable (a family with no
+    draw) or InvalidDomain (start).
+    """
+    if any(isinstance(v, bool) or not isinstance(v, numbers.Integral) for v in (n, n_paths)):
+        raise ValueError(f"n and n_paths must be integers, got {n!r} and {n_paths!r}")
+    if n < 0 or n_paths < 1:
+        raise ValueError("need n >= 0 and n_paths >= 1")
+    check_floats(n + 1, f"n {n} needs {n + 1} absorption-time counts")
+    return check_seed(seed), _mover(spec), check_start(spec, x0)   # checked in this order
 
 
 def simulate_batch(spec, x0, n, n_paths, seed=0, h=None):
@@ -368,14 +387,9 @@ def simulate_batch(spec, x0, n, n_paths, seed=0, h=None):
     points, since it is called on one block of live paths at a time; it sees
     int64 states on an explicit chain and float points otherwise, the dtypes
     of ``terminal_states``, whatever type the step loop holds the states in.
-    Raises InvalidDomain (start), ValidationError (seed) or NotApplicable (a
-    family with no draw) before any draw.
+    The arguments are refused before any draw as ``_check_run`` says.
     """
-    if n < 0 or n_paths < 1:
-        raise ValueError("need n >= 0 and n_paths >= 1")
-    seed = check_seed(seed)
-    mover = _mover(spec)
-    x0 = check_start(spec, x0)
+    seed, mover, x0 = _check_run(spec, x0, n, n_paths, seed)
 
     tau_hist = np.zeros(n + 1, dtype=np.int64)
     state_parts, sum_parts = [], []
@@ -416,13 +430,6 @@ def check_budget(n, n_paths, lam_hint):
         warnings.warn(notice, stacklevel=3)
 
 
-def bin_to_grid(samples, grid):
-    """Histogram samples onto grid cells (edges at node midpoints)."""
-    edges = grid.cell_edges()
-    counts, _ = np.histogram(samples, bins=edges)
-    return counts.astype(float)
-
-
 def _bin_counts(states, edges, counts):
     """Add the histogram of ``states`` over ``edges`` to the integer ``counts``, block by block.
 
@@ -431,9 +438,9 @@ def _bin_counts(states, edges, counts):
     0..n-1): a state falls in the cell of the last inner edge at or below it.
     """
     inner = edges[1:-1]
-    for a in range(0, states.size, BLOCK_SIZE):
-        cells = np.searchsorted(inner, states[a:a + BLOCK_SIZE], side="right")
-        counts += np.bincount(cells, minlength=counts.size)
+    for a in range(0, states.size, BLOCK_SIZE):   # one block's cells alive at a time
+        counts += np.bincount(np.searchsorted(inner, states[a:a + BLOCK_SIZE], side="right"),
+                              minlength=counts.size)
 
 
 def _survivors(ns, n_paths, n):
@@ -451,9 +458,16 @@ def _yaglom(counts, ns):
 
 
 def _birkhoff(vals, ns):
-    """The mean of the ns per-path averages ``vals``, and its standard error; overwrites vals."""
+    """The mean of the ns per-path averages ``vals``, and its standard error; overwrites vals.
+
+    Raises InvalidDomain when a value is not finite: a running sum of h
+    passed the float range.
+    """
+    top = max(vals.max(), -vals.min())
+    if not math.isfinite(top):
+        raise InvalidDomain("the running sums of h are not finite")
     # scaled by a power of two, which is exact, so std's squares do not overflow
-    e = math.frexp(max(vals.max(), -vals.min()))[1]
+    e = math.frexp(top)[1]
     np.ldexp(vals, -e, out=vals)
     # np.mean and np.std(ddof=1), step for step, with the deviations in place
     mean = np.add.reduce(vals, keepdims=True) / ns
@@ -463,64 +477,64 @@ def _birkhoff(vals, ns):
                                stderr=sd / math.sqrt(ns), effective_samples=ns)
 
 
-def summarize_yaglom(batch, spec, grid=None):
-    """Histogram of the chain at time n over the surviving paths of ``batch``.
+def _estimates(spec, mover, x0, n, n_paths, seed, h=None, grid=None):
+    """The Yaglom estimate of one batch on ``grid``, and its Birkhoff estimate of h or None.
 
-    The terminal states are binned to the cells of ``grid``, by default the
-    spec's own grid, so the result is comparable (in TV) with the
-    discretized eigenmeasure.  Raises TooFewSurvivors below 100 surviving
-    paths.
+    For arguments checked as ``_check_run`` checks them and ``mover =
+    _mover(spec)``, the bytes of the estimates of ``simulate_batch(spec, x0,
+    n, n_paths, seed, h)``, without the batch: each chunk's survivors are
+    binned into exact integer counts on the cells of ``grid`` (the spec's own
+    grid by default, so the histogram is comparable in TV with the
+    discretized eigenmeasure) as the chunk ends, so no state is kept.  With h (and n >= 1) the running
+    sums are copied and joined, as ``simulate_batch`` joins them, and averaged
+    in place.  A grid whose cells do not cover the domain is refused before
+    any draw (InvalidDomain); fewer than 100 survivors raise TooFewSurvivors.
     """
-    ns = _survivors(batch.survivor_count, batch.n_paths, batch.n_steps)
-    grid = _quadrature_grid(spec) if grid is None else grid
-    return _yaglom(bin_to_grid(batch.terminal_states, grid), ns)
-
-
-def summarize_birkhoff(batch):
-    """Mean over the surviving paths of ``batch`` of (1/n) sum h(X_i), i < n.
-
-    ``batch`` must carry the running sums of h.  The estimator is unbiased for
-    the exact finite-horizon conditional expectation; its distance to the
-    quasi-ergodic integral of h shrinks like 1/n.  Raises TooFewSurvivors
-    below 100 surviving paths.
-    """
-    n = batch.n_steps
-    if n < 1 or batch.running_sums is None:
-        raise ValueError("need a batch of n >= 1 steps simulated with h")
-    ns = _survivors(batch.survivor_count, batch.n_paths, n)
-    return _birkhoff(batch.running_sums / n, ns)   # the one survivor-sized array
-
-
-def _yaglom_and_birkhoff(spec, mover, x0, n, n_paths, seed, h):
-    """``summarize_yaglom`` (on the spec's grid) and ``summarize_birkhoff`` of one batch.
-
-    The bytes of both summaries of ``simulate_batch(spec, x0, n, n_paths,
-    seed, h)``, for checked arguments, n >= 1 and ``mover = _mover(spec)``,
-    without the batch: each chunk's survivors are binned into exact integer
-    counts as the chunk ends, so no state is kept, and the running sums are
-    joined, as ``simulate_batch`` joins them, and averaged in place.
-    """
-    edges = _quadrature_grid(spec).cell_edges()
+    edges = (_quadrature_grid(spec) if grid is None else grid).cell_edges()
+    lo, hi = spec.domain
+    if not edges[0] <= lo <= hi <= edges[-1]:
+        raise InvalidDomain(f"the grid's cells do not cover the domain [{lo}, {hi}]")
     counts = np.zeros(edges.size - 1, dtype=np.int64)
     tau_hist = np.zeros(n + 1, dtype=np.int64)
     parts = []
     for states, sums in _chunk_survivors(spec, mover, x0, n, n_paths, seed, h, tau_hist):
         _bin_counts(states, edges, counts)
-        parts.append(sums.copy())
+        if h is not None:
+            parts.append(sums.copy())
     del states, sums   # the buffers go before the sums are joined
+    ns = _survivors(int(counts.sum()), n_paths, n)
+    yaglom = _yaglom(counts.astype(float), ns)
+    if h is None:
+        return yaglom, None
     sums = np.concatenate(parts)
     del parts
-    ns = _survivors(sums.size, n_paths, n)
-    return _yaglom(counts.astype(float), ns), _birkhoff(np.divide(sums, n, out=sums), ns)
+    return yaglom, _birkhoff(np.divide(sums, n, out=sums), ns)
 
 
 def estimate_yaglom(spec, x0, n, n_paths, seed=0, lam_hint=None, grid=None):
-    """Simulate a batch and return its Yaglom histogram (``summarize_yaglom``)."""
+    """Histogram of the chain at time n over the surviving paths of one batch.
+
+    The survivors are binned to the cells of ``grid``, by default the spec's
+    own grid, which must cover the domain (``_estimates``).  Warns when
+    ``lam_hint`` leaves fewer than 1000 expected survivors; raises
+    TooFewSurvivors below 100.
+    """
     check_budget(n, n_paths, lam_hint)
-    return summarize_yaglom(simulate_batch(spec, x0, n, n_paths, seed=seed), spec, grid)
+    seed, mover, x0 = _check_run(spec, x0, n, n_paths, seed)
+    return _estimates(spec, mover, x0, n, n_paths, seed, grid=grid)[0]
 
 
 def estimate_birkhoff(spec, x0, n, h, n_paths, seed=0, lam_hint=None):
-    """Simulate a batch and return its Birkhoff average (``summarize_birkhoff``)."""
+    """Mean over the surviving paths of one batch of (1/n) sum h(X_i), i < n.
+
+    ``h`` acts as in ``simulate_batch``, and n >= 1.  The estimator is
+    unbiased for the exact finite-horizon conditional expectation; its
+    distance to the quasi-ergodic integral of h shrinks like 1/n.  Warns when
+    ``lam_hint`` leaves fewer than 1000 expected survivors; raises
+    TooFewSurvivors below 100.
+    """
     check_budget(n, n_paths, lam_hint)
-    return summarize_birkhoff(simulate_batch(spec, x0, n, n_paths, seed=seed, h=h))
+    seed, mover, x0 = _check_run(spec, x0, n, n_paths, seed)
+    if n < 1 or h is None:
+        raise ValueError("need a batch of n >= 1 steps simulated with h")
+    return _estimates(spec, mover, x0, n, n_paths, seed, h)[1]

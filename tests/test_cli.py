@@ -246,6 +246,21 @@ def test_window_run_search_overflow_warns_nothing(tmp_path):
     assert ".py" not in hyp.stderr + sim.stderr
 
 
+def test_simulate_refuses_running_sums_past_the_float_range(tmp_path):
+    # points near 8e307: the draws past the float range are absorbed with no
+    # NumPy warning, and the survivors' sums of y overflow: one refusal line
+    spec = tmp_path / "wide.spec.json"
+    spec.write_text(json.dumps({"family": "gaussian_shift", "domain": [-8e307, 8e307],
+                                "grid_size": 11, "params": {"sigma": 3e307}}))
+    out = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", "-m", "qsdlab.cli",
+                          "simulate", "--spec", str(spec), "--n", "3", "--x0", "7e307",
+                          "--out", str(tmp_path / "s")], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(q.__file__))})
+    assert out.returncode == 2, out.stderr
+    assert out.stderr == "InvalidDomain: the running sums of h are not finite\n"
+    assert not (tmp_path / "s" / "estimates.csv").exists()
+
+
 def test_simulate_canonical_changes_no_byte(tmp_path):
     # estimates.csv carries no timestamp: the flag is accepted and read by nothing
     args = ["simulate", "--spec", "ds3", "--n", "5", "--n-paths", "20000", "--seed", "3"]

@@ -1,10 +1,12 @@
 import hashlib
+import importlib.util
 import math
 import sys
 import threading
 import time
 import tracemalloc
-from types import SimpleNamespace
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,12 +21,13 @@ from qsdlab.errors import (
     InvalidDomain,
     NegativeDensity,
     RowSumExceedsOne,
+    SizeLimitExceeded,
     TooFewSurvivors,
     ValidationError,
 )
 from qsdlab.kernels import KernelSpec, build_operator
 from qsdlab.oracle import FiniteChain, lobo_sum
-from qsdlab.simulate import CHUNK_SIZE, bin_to_grid, simulate_batch
+from qsdlab.simulate import CHUNK_SIZE, simulate_batch
 
 
 def _move(spec, x, u):
@@ -138,8 +141,9 @@ def test_bin_edges_are_node_midpoints(sds):
     edges = grid.cell_edges()
     assert edges[0] == grid.lower and edges[-1] == grid.upper
     assert np.allclose(edges[1:-1], 0.5 * (grid.nodes[1:] + grid.nodes[:-1]))
-    counts = bin_to_grid(np.array([grid.nodes[5], grid.nodes[5] + 1e-6]), grid)
-    assert counts[5] == 2
+    counts = np.zeros(edges.size - 1, dtype=np.int64)
+    simulate._bin_counts(np.array([grid.nodes[5], grid.nodes[5] + 1e-6]), edges, counts)
+    assert counts[5] == 2 and counts.sum() == 2
 
 
 def test_birkhoff_constant_function_is_exact():
@@ -161,11 +165,6 @@ def test_birkhoff_unbiased_for_exact_finite_horizon_mean():
     assert abs(est.value - exact) <= 3 * est.stderr
 
 
-def _birkhoff_batch(sums, n):
-    return SimpleNamespace(n_steps=n, running_sums=np.asarray(sums, dtype=float),
-                           survivor_count=len(sums), n_paths=len(sums))
-
-
 def _birkhoff_by_np_std(sums, n):
     """The Birkhoff mean and stderr as ``np.mean`` and ``np.std(ddof=1)`` give them."""
     vals = np.asarray(sums, dtype=float) / n
@@ -179,7 +178,7 @@ def _birkhoff_by_np_std(sums, n):
 @given(st.lists(st.floats(-1e300, 1e300), min_size=100, max_size=400),
        st.integers(1, 10 ** 6))
 def test_birkhoff_summary_is_np_std_bitwise(sums, n):
-    est = simulate.summarize_birkhoff(_birkhoff_batch(sums, n))
+    est = simulate._birkhoff(np.asarray(sums, dtype=float) / n, len(sums))
     assert (est.value, est.stderr) == _birkhoff_by_np_std(sums, n)
 
 
@@ -187,10 +186,9 @@ def test_birkhoff_summary_holds_one_survivor_array():
     # the scaled sums are the one survivor-sized array: the deviations are
     # taken in place
     sums = np.random.default_rng(5).random(200_000) * 10
-    batch = _birkhoff_batch(sums, 10)
     tracemalloc.start()
     try:
-        est = simulate.summarize_birkhoff(batch)
+        est = simulate._birkhoff(sums / 10, sums.size)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -238,18 +236,94 @@ def test_birkhoff_second_moment_cubic_kernel(sds):
     assert biases[2] <= 0.03
 
 
-def test_summarize_yaglom_bins_to_the_spec_grid_by_default():
+def test_estimate_yaglom_bins_to_the_spec_grid_by_default():
     # no grid given: the grid build_operator realizes the spec on; an explicit
     # chain's states fall one to a cell, as a bincount would count them
     for name, x0 in (("example21", 0.3), ("sym2", 0), ("ds3", 1)):
         spec = q.get_spec(name)
-        batch = simulate_batch(spec, x0, 3, 200_000, seed=4)
-        est = simulate.summarize_yaglom(batch, spec)
-        ref = simulate.summarize_yaglom(batch, spec, grid=build_operator(spec).grid)
+        est = q.estimate_yaglom(spec, x0, 3, 200_000, seed=4)
+        ref = q.estimate_yaglom(spec, x0, 3, 200_000, seed=4, grid=build_operator(spec).grid)
         assert est.value.tobytes() == ref.value.tobytes()
         if spec.is_explicit:
+            batch = simulate_batch(spec, x0, 3, 200_000, seed=4)
             counts = np.bincount(batch.terminal_states, minlength=spec.grid_size)
             assert est.value.tobytes() == (counts / counts.sum()).tobytes()
+
+
+def test_estimators_match_the_batch_reference():
+    # on every seeded simulate case of scripts/run_pipeline.py, with the
+    # command's h: the estimators bin and average as np.histogram of the
+    # batch's terminal states and np.mean / np.std(ddof=1) of its running sums
+    # would, bitwise, at a batch that keeps at least 1000 survivors
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_pipeline.py"
+    loader = importlib.util.spec_from_file_location("run_pipeline", script)
+    run_pipeline = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(run_pipeline)
+    for name, n, start in run_pipeline.SIMULATE:
+        spec = q.get_spec(name)
+        if start is not None:
+            x0 = float(start)
+        else:
+            x0 = 0 if spec.is_explicit else float(np.mean(spec.domain))
+        k = min(1, spec.grid_size - 1)
+        h = (lambda s: s == k) if spec.is_explicit else (lambda y: y)
+        n_paths = 2000
+        while (b := simulate_batch(spec, x0, n, n_paths, seed=7, h=h)).survivor_count < 1000:
+            n_paths *= 2
+        est = q.estimate_yaglom(spec, x0, n, n_paths, seed=7)
+        counts, _ = np.histogram(b.terminal_states, bins=build_operator(spec).grid.cell_edges())
+        counts = counts.astype(float)
+        assert est.value.tobytes() == (counts / counts.sum()).tobytes(), (name, n, start)
+        assert (est.stderr, est.effective_samples) == (1 / math.sqrt(b.survivor_count),
+                                                       b.survivor_count)
+        est_b = q.estimate_birkhoff(spec, x0, n, h, n_paths, seed=7)
+        assert ((est_b.value, est_b.stderr, est_b.effective_samples)
+                == (*_birkhoff_by_np_std(b.running_sums, n), b.survivor_count)), (name, n, start)
+
+
+def test_estimate_yaglom_keeps_no_state_per_survivor():
+    # a chunk of 10**6 paths: the chunk's 8 MB state buffer and block-sized
+    # buffers, no terminal state kept per survivor (about 43% survive); a
+    # small run first, so that the imports of a first run are not traced
+    q.estimate_yaglom(q.get_spec("example21"), 0.0, 1, 1000, seed=1)
+    tracemalloc.start()
+    try:
+        q.estimate_yaglom(q.get_spec("example21"), 0.0, 1, 1_000_000, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 8 * 1_000_000, peak
+
+
+def test_estimate_yaglom_refuses_a_grid_narrower_than_the_domain(monkeypatch):
+    # binning puts every survivor in a cell, so the cells must cover the domain
+    def no_draw(*args):
+        raise AssertionError("a draw was made")
+
+    monkeypatch.setattr(simulate, "_chunk_generator", no_draw)
+    narrow = q.StateGrid(-0.5, 0.5, np.linspace(-0.5, 0.5, 101), np.full(101, 0.01))
+    with pytest.raises(InvalidDomain, match="do not cover the domain"):
+        q.estimate_yaglom(q.get_spec("example21"), 0.3, 3, 200_000, seed=1, grid=narrow)
+
+
+def test_too_many_steps_are_refused_before_any_allocation():
+    # 10**12 steps would need a 7.28 TiB absorption-time histogram
+    spec = q.get_spec("sym2")
+    with pytest.raises(SizeLimitExceeded, match="needs 1000000000001 absorption-time counts"):
+        simulate_batch(spec, 0, 10 ** 12, 1000)
+    with pytest.raises(SizeLimitExceeded):
+        q.estimate_birkhoff(spec, 0, 10 ** 12, lambda s: s, 1000)
+
+
+def test_running_sums_past_the_float_range_are_refused():
+    # points near 8e307: a draw past the float range is absorbed silently, and
+    # the sums of three survivors' points overflow to inf
+    spec = KernelSpec(family="gaussian_shift", domain=[-8e307, 8e307], grid_size=11,
+                      params={"sigma": 3e307})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(InvalidDomain, match="^the running sums of h are not finite$"):
+            q.estimate_birkhoff(spec, 7e307, 3, lambda y: y, 100_000, seed=0)
 
 
 def test_too_few_survivors():
@@ -594,8 +668,7 @@ def test_simulate_batch_accepts_integral_float_start():
 @pytest.mark.parametrize("read", [
     build_operator,
     lambda spec: simulate_batch(spec, 0, 5, 1000),
-    lambda spec: simulate.summarize_yaglom(simulate_batch(q.get_spec("sym2"), 0, 1, 1000), spec),
-], ids=["build_operator", "simulate_batch", "summarize_yaglom"])
+], ids=["build_operator", "simulate_batch"])
 def test_invalid_explicit_matrix_is_refused_by_every_reader(read, matrix, error):
     # refused where the spec is made, so no reader can be handed it
     with pytest.raises(error):
@@ -612,9 +685,19 @@ def test_invalid_explicit_matrix_is_refused_by_every_reader(read, matrix, error)
 @pytest.mark.parametrize("call,match", [
     (lambda: simulate_batch(q.get_spec("sym2"), 0, -1, 1000), "need n >= 0 and n_paths >= 1"),
     (lambda: simulate_batch(q.get_spec("sym2"), 0, 3, 0), "need n >= 0 and n_paths >= 1"),
-    (lambda: simulate.summarize_birkhoff(simulate_batch(q.get_spec("sym2"), 0, 3, 1000)),
+    (lambda: q.estimate_birkhoff(q.get_spec("sym2"), 0, 3, None, 1000),
      "need a batch of n >= 1 steps simulated with h"),
-], ids=["n_negative", "no_paths", "birkhoff_without_h"])
+    (lambda: q.estimate_birkhoff(q.get_spec("sym2"), 0, 0, lambda s: s, 1000),
+     "need a batch of n >= 1 steps simulated with h"),
+    # integers, not bools: NumPy's TypeError before
+    (lambda: simulate_batch(q.get_spec("sym2"), 0, 3.0, 1000),
+     r"n and n_paths must be integers, got 3\.0 and 1000"),
+    (lambda: simulate_batch(q.get_spec("sym2"), 0, 3, True),
+     "n and n_paths must be integers, got 3 and True"),
+    (lambda: q.estimate_yaglom(q.get_spec("sym2"), 0, 3, 1000.0),
+     r"n and n_paths must be integers, got 3 and 1000\.0"),
+], ids=["n_negative", "no_paths", "birkhoff_without_h", "birkhoff_at_n_0", "float_n",
+        "bool_n_paths", "float_n_paths"])
 def test_simulate_refusals(call, match):
     with pytest.raises(ValueError, match=f"^{match}$"):
         call()
@@ -629,9 +712,9 @@ def test_explicit_matrix_is_validated_once_per_spec(tmp_path, monkeypatch):
                         lambda *args: calls.append(args) or validate(*args))
     spec = KernelSpec(family="explicit_matrix", params={"matrix": matrix})
     assert len(calls) == 1
-    batch = simulate_batch(spec, 1, 4, 5000, seed=2)
+    simulate_batch(spec, 1, 4, 5000, seed=2)
     build_operator(spec)
-    simulate.summarize_yaglom(batch, spec)
+    q.estimate_yaglom(spec, 1, 4, 5000, seed=2)
     assert len(calls) == 1
     # one simulate run: one spec, one check
     calls.clear()
