@@ -80,10 +80,10 @@ def cases(root):
         mc = f"{name}_n_{n}" + ("" if x0 is None else f"_x0_{x0}")
         runs.append((os.path.join(root, "mc", mc),
                      [["simulate", "--spec", name, "--n", str(n), *start,
-                       "--n-paths", "1100000", "--seed", "7"]]))
+                       "--n-paths", "1100000", "--seed", "7", "--canonical"]]))
     runs.append((os.path.join(root, "mc", "wide300"),
                  [["simulate", "--spec", os.path.join(root, WIDE), "--n", "5",
-                   "--n-paths", "200000", "--seed", "7"]]))
+                   "--n-paths", "200000", "--seed", "7", "--canonical"]]))
     for name in CONTINUOUS:
         for n in (3, 11, 401, 1601, 2000):
             runs.append((os.path.join(root, "hyp", f"{name}_{n}"),

@@ -11,9 +11,9 @@ Subcommands::
 
 ``--spec`` accepts either a bundled name (see ``qsdlab.registry``) or a path
 to a spec JSON file.  ``--seed`` (default 0) is the one source of the Monte
-Carlo seed.  With ``--canonical`` the timestamp field is omitted so
-repeated runs are byte-identical; ``simulate`` accepts the flag and reads
-nothing of it, as ``estimates.csv`` carries no timestamp.
+Carlo seed.  Reports carry only the answer, so reruns are byte-identical;
+each successful run appends one line, its argv and UTC time, to the run log
+``<out>/runs.jsonl``, which ``--canonical`` leaves out.
 
 Exit codes: 0 success, 2 validation/schema error, 3 numerical refusal.
 Each input is checked once, by the module that reads it; a command calls
@@ -25,6 +25,7 @@ import csv
 import dataclasses
 import datetime
 import functools
+import json
 import os
 import sys
 
@@ -70,9 +71,7 @@ def _resolve_spec(value, grid_size=None):
     return spec if grid_size is None else dataclasses.replace(spec, grid_size=grid_size)
 
 
-def _write_json(doc, path, canonical):
-    if not canonical:
-        doc = {**doc, "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat()}
+def _write_json(doc, path):
     os.makedirs(os.path.dirname(path), exist_ok=True)
     with open(path, "w") as fp:
         fp.write(dumps(doc) + "\n")
@@ -136,14 +135,13 @@ def cmd_analyze(args):
         "rates": {"yaglom" if part is None else "cesaro": _rate_doc(fit)},
     }
     try:
-        decay = mass_decay_check(op, n_max=min(len(fit.data), 60))
+        decay = mass_decay_check(op)
         doc["decay"] = {"n0": decay.n0, "alpha": decay.alpha, "never_subunit": False}
     except NeverSubunit:
         doc["decay"] = {"n0": None, "alpha": None, "never_subunit": True}
-    _write_json(doc, os.path.join(args.out, "analysis.json"), args.canonical)
+    _write_json(doc, os.path.join(args.out, "analysis.json"))
     _write_json({"schema_version": SCHEMA_VERSION, **sd.to_json_dict()},
-                os.path.join(args.out, "spectral.json"), args.canonical)
-    return 0
+                os.path.join(args.out, "spectral.json"))
 
 
 def cmd_verify_hypothesis(args):
@@ -178,16 +176,14 @@ def cmd_verify_hypothesis(args):
             "nonescape_mass_positive": len(op.escape) < spec.grid_size,
         },
     }
-    _write_json(doc, os.path.join(args.out, "hypothesis_report.json"), args.canonical)
-    return 0
+    _write_json(doc, os.path.join(args.out, "hypothesis_report.json"))
 
 
 def cmd_yaglom(args):
     spec, _, _, fit, _ = _analyze(args)
     _write_json({"schema_version": SCHEMA_VERSION, "spec": specfile.spec_to_dict(spec),
                  "rate_fit": _rate_doc(fit)},
-                os.path.join(args.out, "yaglom.json"), args.canonical)
-    return 0
+                os.path.join(args.out, "yaglom.json"))
 
 
 def cmd_simulate(args):
@@ -229,7 +225,6 @@ def cmd_simulate(args):
     ]
     _write_csv(os.path.join(args.out, "estimates.csv"),
                ["kind", "n", "n_paths", "survivors", "value", "stderr"], rows)
-    return 0
 
 
 def cmd_lobo(args):
@@ -270,21 +265,18 @@ def cmd_lobo(args):
         rows.append({"n": n, "exact": exact, "predicted": pred, "ratio": exact / pred})
     doc = {"schema_version": SCHEMA_VERSION, "spec": specfile.spec_to_dict(spec),
            "h_state": h_state, "x0": x0, "table": rows}
-    _write_json(doc, os.path.join(args.out, "lobo_table.json"), args.canonical)
+    _write_json(doc, os.path.join(args.out, "lobo_table.json"))
     _write_csv(os.path.join(args.out, "lobo_table.csv"), ["n", "exact", "predicted", "ratio"],
                ([r["n"], repr(r["exact"]), repr(r["predicted"]), repr(r["ratio"])] for r in rows))
-    return 0
 
 
 def cmd_fixtures(args):
     for name in ("sym2", "cycle2", "cycle3", "ds3"):
         chain = FiniteChain(Q=registry.get_spec(name).matrix)
-        _write_json(fixture_dict(name, chain),
-                    os.path.join(args.out, f"{name}.json"), canonical=True)
+        _write_json(fixture_dict(name, chain), os.path.join(args.out, f"{name}.json"))
     for name in registry.builtin_names():
         specfile.dump_spec(registry.get_spec(name),
                            os.path.join(args.out, f"{name}.spec.json"))
-    return 0
 
 
 @functools.cache
@@ -294,13 +286,14 @@ def build_parser():
                                 description="conditioned-measure toolkit for absorbed chains")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, grid_size=True, canonical="omit the timestamp so outputs are byte-identical"):
+    def common(sp, grid_size=True):
         sp.add_argument("--spec", required=True,
                         help="bundled name or path to a spec JSON file")
         sp.add_argument("--out", required=True, help="output directory")
         if grid_size:
             sp.add_argument("--grid-size", type=int, default=None)
-        sp.add_argument("--canonical", action="store_true", help=canonical)
+        sp.add_argument("--canonical", action="store_true",
+                        help="leave out the run log, runs.jsonl")
 
     sp = sub.add_parser("analyze", help="spectral pipeline report")
     common(sp)
@@ -317,8 +310,7 @@ def build_parser():
     sp.set_defaults(func=cmd_yaglom)
 
     sp = sub.add_parser("simulate", help="Monte Carlo cross-check")
-    common(sp, canonical="accepted for a uniform command line and read by nothing: "
-                         "estimates.csv carries no timestamp")
+    common(sp)
     sp.add_argument("--n-paths", type=int, default=10 ** 5)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--n", type=int, default=10, help="time horizon")
@@ -345,13 +337,19 @@ def main(argv=None):
     except SystemExit as exc:   # a usage error (2) or --help (0), already printed
         return exc.code
     try:
-        return args.func(args)
+        args.func(args)
     except ValidationError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except NumericalError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    if not getattr(args, "canonical", True):   # fixtures writes no run log
+        record = {"argv": sys.argv[1:] if argv is None else argv,
+                  "generated_at": datetime.datetime.now(datetime.timezone.utc).isoformat()}
+        with open(os.path.join(args.out, "runs.jsonl"), "a") as fp:
+            fp.write(json.dumps(record, sort_keys=True) + "\n")
+    return 0
 
 
 if __name__ == "__main__":

@@ -1,4 +1,5 @@
 import csv
+import datetime
 import json
 import math
 import os
@@ -120,7 +121,7 @@ def test_missing_spec_file_exits_2_without_partial_output(tmp_path):
     out = tmp_path / "none"
     assert main(["analyze", "--spec", str(tmp_path / "ghost.json"),
                  "--out", str(out)]) == 2
-    assert not out.exists()
+    assert not out.exists()   # no report, and no run log
 
 
 @pytest.mark.parametrize("content", [None, b'{"family": "gaussian_shift\xff"}'],
@@ -261,13 +262,34 @@ def test_simulate_refuses_running_sums_past_the_float_range(tmp_path):
     assert not (tmp_path / "s" / "estimates.csv").exists()
 
 
-def test_simulate_canonical_changes_no_byte(tmp_path):
-    # estimates.csv carries no timestamp: the flag is accepted and read by nothing
-    args = ["simulate", "--spec", "ds3", "--n", "5", "--n-paths", "20000", "--seed", "3"]
-    assert main(args + ["--out", str(tmp_path / "plain")]) == 0
-    assert main(args + ["--out", str(tmp_path / "canon"), "--canonical"]) == 0
-    plain, canon = ((tmp_path / d / "estimates.csv").read_bytes() for d in ("plain", "canon"))
-    assert plain == canon
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--spec", "sym2"],
+    ["verify-hypothesis", "--spec", "ds3"],
+    ["yaglom", "--spec", "sym2"],
+    ["simulate", "--spec", "ds3", "--n", "5", "--n-paths", "20000", "--seed", "3"],
+    ["lobo", "--spec", "cycle3"],
+], ids=lambda argv: argv[0])
+def test_run_log_holds_the_only_per_run_data(tmp_path, argv):
+    # the reports carry only the answer; each run without --canonical appends
+    # its argv and UTC time to runs.jsonl, and --canonical writes no log
+    canon, logged = tmp_path / "canon", tmp_path / "logged"
+    assert main(argv + ["--out", str(canon), "--canonical"]) == 0
+    reports = sorted(os.listdir(canon))
+    assert "runs.jsonl" not in reports
+    for _ in range(2):
+        assert main(argv + ["--out", str(logged)]) == 0
+    assert sorted(os.listdir(logged)) == sorted(reports + ["runs.jsonl"])
+    for name in reports:
+        assert (logged / name).read_bytes() == (canon / name).read_bytes(), name
+    lines = (logged / "runs.jsonl").read_text().splitlines()
+    assert len(lines) == 2
+    for line in lines:
+        record = json.loads(line)
+        assert line == json.dumps(record, sort_keys=True)
+        assert sorted(record) == ["argv", "generated_at"]
+        assert record["argv"] == argv + ["--out", str(logged)]
+        when = datetime.datetime.fromisoformat(record["generated_at"])
+        assert when.utcoffset() == datetime.timedelta(0)
 
 
 def test_lobo_table(tmp_path):
@@ -290,6 +312,7 @@ def test_fixtures_regeneration_deterministic(tmp_path):
     for n in names:
         assert (out1 / n).read_bytes() == (out2 / n).read_bytes()
     assert "ds3.json" in names and "example21.spec.json" in names
+    assert "runs.jsonl" not in names   # fixtures takes no --canonical and writes no log
 
 
 def test_fixtures_regenerate_byte_for_byte(tmp_path):
@@ -935,7 +958,7 @@ def test_lone_state_without_self_loop_is_reducible(tmp_path, capsys, cmd):
     assert main([cmd, "--spec", spec, "--out", str(tmp_path / "o")]) == 3
     assert ("Reducible: the only non-escape state has no self-loop"
             in capsys.readouterr().err)
-    assert not (tmp_path / "o").exists()
+    assert not (tmp_path / "o").exists()   # no report, and no run log
 
 
 @pytest.mark.parametrize("matrix", [
@@ -956,6 +979,21 @@ def test_rank_one_chain_reports_an_infinite_rate(tmp_path, cmd, report, matrix):
         assert not re.search(r"\bnan\b", path.read_text(), re.IGNORECASE), path.name
     doc = (out / report).read_text()
     assert '"rate": Infinity' in doc and '"passed": true' in doc
+
+
+def test_decay_verdict_does_not_depend_on_n_max(tmp_path):
+    # a 10-state chain that leaks only at state 0: the sup of the survival
+    # mass first drops below one at step 10, past a short --n-max
+    matrix = (np.diag([0.2] + [0.4] * 8 + [0.7])
+              + np.diag([0.3] * 9, 1) + np.diag([0.3] * 9, -1))
+    spec = _chain_file(tmp_path, matrix.tolist())
+    decays = []
+    for extra in ([], ["--n-max", "5"], ["--n-max", "8"]):
+        out = tmp_path / f"o{len(decays)}"
+        assert main(["analyze", "--spec", spec, "--out", str(out), "--canonical", *extra]) == 0
+        decays.append(json.loads((out / "analysis.json").read_text())["decay"])
+    assert decays[0]["n0"] == 10 and not decays[0]["never_subunit"]
+    assert decays[1] == decays[0] and decays[2] == decays[0]
 
 
 def test_stochastic_chain_never_loses_mass(tmp_path):

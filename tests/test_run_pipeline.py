@@ -28,6 +28,8 @@ def test_every_case_parses_and_has_its_own_directory(tmp_path):
         for argv in commands:
             args = parser.parse_args(argv + ["--out", out])   # a renamed flag exits 2 here
             assert args.out == out
+            # every report in the tree is canonical: no case writes a run log
+            assert getattr(args, "canonical", True), argv
     # every family of case is there: the bundled trees and the comparisons
     groups = {Path(out).relative_to(tmp_path).parts[0] for out in outs}
     assert {"mc", "hyp", "lobo", "specs", "arnoldi", "example21", "sym2"} <= groups
